@@ -29,18 +29,21 @@ fn main() {
         });
     }
     // Arrival instants condition the in-flight head and convolve fresh —
-    // the expensive path the paper describes.
-    for depth in [1usize, 2, 4, 8] {
-        let mut engine = VpEngine::new(service());
-        let _ = engine.equivalent(depth);
-        let head = InflightHead {
-            done_work_gc: engine.service().work_pmf().mean() / 2.0,
-            rem_fixed_s: 0.0,
-        };
-        let deadlines: Vec<f64> = (0..=depth).map(|i| 10.0e-3 + 3.0e-3 * i as f64).collect();
-        r.bench(&format!("decision_arrival/queue/{depth}"), || {
-            engine.decision(black_box(0.0), Some(head), black_box(&deadlines))
-        });
+    // the expensive path the paper describes. Dispatch instants (a head
+    // that has executed nothing yet) are served from the cached ladder.
+    for (instant, head_done) in [("arrival", 0.5), ("dispatch", 0.0)] {
+        for depth in [1usize, 2, 4, 8] {
+            let mut engine = VpEngine::new(service());
+            let _ = engine.equivalent(depth + 1);
+            let head = InflightHead {
+                done_work_gc: engine.service().work_pmf().mean() * head_done,
+                rem_fixed_s: 0.0,
+            };
+            let deadlines: Vec<f64> = (0..=depth).map(|i| 10.0e-3 + 3.0e-3 * i as f64).collect();
+            r.bench(&format!("decision_{instant}/queue/{depth}"), || {
+                engine.decision(black_box(0.0), Some(head), black_box(&deadlines))
+            });
+        }
     }
     // The paper's "<30 µs" step: binary search over the ladder given a
     // prepared decision.

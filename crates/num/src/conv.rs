@@ -12,12 +12,12 @@ use std::cell::RefCell;
 use crate::complex::Complex;
 use crate::fft::{next_pow2, FftPlan};
 
-/// Length above which [`convolve`] switches from the direct algorithm to
-/// FFT. Chosen empirically; the crossover is benchmarked in
-/// `bench/benches/numerics.rs` (with plan reuse the break-even sits near
-/// 64–128 combined taps on commodity x86: below that the O(n·m) inner loop
-/// beats three transforms plus the complex multiply, above it the
-/// O(n log n) transforms win) and pinned by `crossover_boundary_*` tests.
+/// Combined length at which [`convolve`] switches from the direct
+/// algorithm to FFT, pinned by the `crossover_boundary_*` tests. It is not
+/// the speed break-even: `bench/benches/numerics.rs` shows the direct loop
+/// still ahead at 160×160 taps. It stays where it is because the two
+/// algorithms round differently, so moving it would change result bits
+/// that every golden pins.
 pub const FFT_THRESHOLD: usize = 96;
 
 thread_local! {
@@ -66,14 +66,23 @@ pub fn clear_plan_cache() {
 /// Direct (schoolbook) linear convolution: `out[k] = Σ_i a[i]·b[k-i]`.
 ///
 /// Returns a vector of length `a.len() + b.len() - 1` (empty if either
-/// input is empty).
+/// input is empty). The result does not depend on the operand order, to
+/// the bit: see [`Prepared`].
 pub fn convolve_direct(a: &[f64], b: &[f64]) -> Vec<f64> {
     if a.is_empty() || b.is_empty() {
         return Vec::new();
     }
     let mut out = vec![0.0; a.len() + b.len() - 1];
-    // Iterate the shorter sequence on the outside for better locality.
-    let (outer, inner) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    // Iterate the shorter sequence on the outside for better locality. At
+    // equal lengths the operand with the smaller bit pattern goes outside,
+    // so swapping the operands cannot reorder the sums.
+    let a_bits_le = || {
+        a.iter()
+            .map(|x| x.to_bits())
+            .le(b.iter().map(|x| x.to_bits()))
+    };
+    let a_outer = a.len() < b.len() || (a.len() == b.len() && a_bits_le());
+    let (outer, inner) = if a_outer { (a, b) } else { (b, a) };
     for (i, &x) in outer.iter().enumerate() {
         if x == 0.0 {
             continue;
@@ -92,36 +101,88 @@ pub fn convolve_direct(a: &[f64], b: &[f64]) -> Vec<f64> {
 /// true result is zero or positive) is clamped to `0.0` so probability mass
 /// functions stay valid.
 pub fn convolve_fft(a: &[f64], b: &[f64]) -> Vec<f64> {
-    if a.is_empty() || b.is_empty() {
-        return Vec::new();
-    }
-    let out_len = a.len() + b.len() - 1;
-    let n = next_pow2(out_len);
-    let mut fa: Vec<Complex> = Vec::with_capacity(n);
-    fa.extend(a.iter().map(|&x| Complex::from_real(x)));
-    fa.resize(n, Complex::ZERO);
-    let mut fb: Vec<Complex> = Vec::with_capacity(n);
-    fb.extend(b.iter().map(|&x| Complex::from_real(x)));
-    fb.resize(n, Complex::ZERO);
-    with_cached_plan(n, |plan| {
-        plan.forward(&mut fa);
-        plan.forward(&mut fb);
-        for (x, y) in fa.iter_mut().zip(&fb) {
-            *x *= *y;
-        }
-        plan.inverse(&mut fa);
-    });
-    fa.truncate(out_len);
-    fa.into_iter().map(|z| z.re.max(0.0)).collect()
+    Prepared::new(a).convolve_fft(b)
 }
 
 /// Convolution that picks the direct or FFT algorithm based on input size.
 pub fn convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
-    if a.len().min(b.len()) < 2 || a.len() + b.len() < FFT_THRESHOLD {
-        convolve_direct(a, b)
-    } else {
-        convolve_fft(a, b)
+    Prepared::new(a).convolve(b)
+}
+
+/// A left operand prepared for convolution with many right operands: its
+/// forward spectrum is computed at most once per power-of-two FFT size and
+/// reused for every later right operand that needs that size.
+///
+/// [`convolve`] and [`convolve_fft`] are this type used once, so there is
+/// a single convolution code path and a prepared operand gives the same
+/// bits as the free functions. Both algorithms are symmetric to the bit:
+/// the direct one fixes its summation order independently of the operand
+/// order, and the FFT one multiplies spectra pointwise, where each
+/// product's real and imaginary parts are commuted products and sums.
+#[derive(Debug)]
+pub struct Prepared<'a> {
+    a: &'a [f64],
+    /// Zero-padded forward spectra of `a`, indexed by `log2(n)`.
+    spectra: Vec<Option<Vec<Complex>>>,
+}
+
+impl<'a> Prepared<'a> {
+    /// Prepares `a`; nothing is transformed until a convolution needs it.
+    pub fn new(a: &'a [f64]) -> Self {
+        Prepared {
+            a,
+            spectra: Vec::new(),
+        }
     }
+
+    /// [`convolve`]`(a, b)`: the direct algorithm below [`FFT_THRESHOLD`]
+    /// combined taps (or when either operand is a single tap), FFT above.
+    pub fn convolve(&mut self, b: &[f64]) -> Vec<f64> {
+        let a = self.a;
+        if a.len().min(b.len()) < 2 || a.len() + b.len() < FFT_THRESHOLD {
+            convolve_direct(a, b)
+        } else {
+            self.convolve_fft(b)
+        }
+    }
+
+    /// [`convolve_fft`]`(a, b)`, transforming `a` only on the first call
+    /// at each FFT size.
+    fn convolve_fft(&mut self, b: &[f64]) -> Vec<f64> {
+        let a = self.a;
+        if a.is_empty() || b.is_empty() {
+            return Vec::new();
+        }
+        let out_len = a.len() + b.len() - 1;
+        let n = next_pow2(out_len);
+        let idx = n.trailing_zeros() as usize;
+        if self.spectra.len() <= idx {
+            self.spectra.resize_with(idx + 1, || None);
+        }
+        let mut fb = padded(b, n);
+        with_cached_plan(n, |plan| {
+            let fa = self.spectra[idx].get_or_insert_with(|| {
+                let mut fa = padded(a, n);
+                plan.forward(&mut fa);
+                fa
+            });
+            plan.forward(&mut fb);
+            for (y, x) in fb.iter_mut().zip(fa.iter()) {
+                *y = *x * *y;
+            }
+            plan.inverse(&mut fb);
+        });
+        fb.truncate(out_len);
+        fb.into_iter().map(|z| z.re.max(0.0)).collect()
+    }
+}
+
+/// `x` as complex values, zero-padded to length `n`.
+fn padded(x: &[f64], n: usize) -> Vec<Complex> {
+    let mut out = Vec::with_capacity(n);
+    out.extend(x.iter().map(|&v| Complex::from_real(v)));
+    out.resize(n, Complex::ZERO);
+    out
 }
 
 #[cfg(test)]
@@ -202,6 +263,66 @@ mod tests {
         for v in convolve_fft(&a, &b) {
             assert!(v >= 0.0);
         }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn convolution_is_symmetric_to_the_bit() {
+        eprons_proplite::cases(64, |g, case| {
+            let la = g.usize_in(1, 200);
+            // Equal lengths half the time: the direct algorithm's tie.
+            let lb = if g.bool() { la } else { g.usize_in(1, 200) };
+            let a = g.vec_f64(la, 0.0, 1.0);
+            let b = g.vec_f64(lb, 0.0, 1.0);
+            for f in [convolve, convolve_direct, convolve_fft] {
+                assert_eq!(bits(&f(&a, &b)), bits(&f(&b, &a)), "case {case}");
+            }
+        });
+    }
+
+    /// FFT convolution that transforms both operands on every call, as
+    /// `convolve_fft` did before operands could be prepared: the bit-level
+    /// reference for spectrum reuse.
+    fn convolve_fft_unprepared(a: &[f64], b: &[f64]) -> Vec<f64> {
+        let out_len = a.len() + b.len() - 1;
+        let n = next_pow2(out_len);
+        let mut fa = padded(a, n);
+        let mut fb = padded(b, n);
+        let plan = FftPlan::new(n);
+        plan.forward(&mut fa);
+        plan.forward(&mut fb);
+        for (x, y) in fa.iter_mut().zip(&fb) {
+            *x *= *y;
+        }
+        plan.inverse(&mut fa);
+        fa.truncate(out_len);
+        fa.into_iter().map(|z| z.re.max(0.0)).collect()
+    }
+
+    #[test]
+    fn prepared_operand_matches_fresh_transforms_to_the_bit() {
+        eprons_proplite::cases(32, |g, case| {
+            let la = g.usize_in(1, 150);
+            let a = g.vec_f64(la, 0.0, 1.0);
+            let mut prepared = Prepared::new(&a);
+            // Several right operands per preparation, so cached spectra
+            // are reused across calls and sizes.
+            for _ in 0..6 {
+                let lb = g.usize_in(1, 300);
+                let b = g.vec_f64(lb, 0.0, 1.0);
+                let reference = bits(&convolve_fft_unprepared(&a, &b));
+                assert_eq!(bits(&prepared.convolve_fft(&b)), reference, "case {case}");
+                assert_eq!(bits(&convolve_fft(&a, &b)), reference, "case {case}");
+                assert_eq!(
+                    bits(&prepared.convolve(&b)),
+                    bits(&convolve(&a, &b)),
+                    "case {case}"
+                );
+            }
+        });
     }
 
     #[test]

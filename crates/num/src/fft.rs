@@ -150,22 +150,35 @@ impl FftPlan {
             return;
         }
         bit_reverse_permute(data);
-        let mut len = 2;
+        // The inverse branch is hoisted out of the butterflies: each arm
+        // monomorphizes its own loop nest. Twiddles and operation order are
+        // those of the textbook indexed loop, so the bits are too.
+        if inverse {
+            self.stages(data, Complex::conj);
+        } else {
+            self.stages(data, |tw| tw);
+        }
+    }
+
+    /// Every butterfly stage over bit-reversed `data`, with `twiddle`
+    /// mapping each stored (forward) twiddle to the one applied.
+    #[inline(always)]
+    fn stages(&self, data: &mut [Complex], twiddle: impl Fn(Complex) -> Complex) {
+        let mut half = 1;
         let mut toff = 0;
-        while len <= self.n {
-            let half = len / 2;
-            for start in (0..self.n).step_by(len) {
-                for k in 0..half {
-                    let tw = self.twiddles[toff + k];
-                    let w = if inverse { tw.conj() } else { tw };
-                    let u = data[start + k];
-                    let v = data[start + k + half] * w;
-                    data[start + k] = u + v;
-                    data[start + k + half] = u - v;
+        while half < self.n {
+            let tws = &self.twiddles[toff..toff + half];
+            for block in data.chunks_exact_mut(2 * half) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((a, b), &tw) in lo.iter_mut().zip(hi.iter_mut()).zip(tws) {
+                    let u = *a;
+                    let v = *b * twiddle(tw);
+                    *a = u + v;
+                    *b = u - v;
                 }
             }
             toff += half;
-            len <<= 1;
+            half <<= 1;
         }
     }
 }
@@ -239,6 +252,70 @@ mod tests {
         plan.inverse(&mut b);
         assert!(max_err(&a, &b) < 1e-10);
         assert!(max_err(&a, &x) < 1e-9);
+    }
+
+    /// The indexed butterfly loop `FftPlan::run` replaced, kept as the
+    /// bit-level reference for the slice-based rewrite.
+    fn run_indexed(plan: &FftPlan, data: &mut [Complex], inverse: bool) {
+        let n = plan.n;
+        if n <= 1 {
+            return;
+        }
+        bit_reverse_permute(data);
+        let mut len = 2;
+        let mut toff = 0;
+        while len <= n {
+            let half = len / 2;
+            for start in (0..n).step_by(len) {
+                for k in 0..half {
+                    let tw = plan.twiddles[toff + k];
+                    let w = if inverse { tw.conj() } else { tw };
+                    let u = data[start + k];
+                    let v = data[start + k + half] * w;
+                    data[start + k] = u + v;
+                    data[start + k + half] = u - v;
+                }
+            }
+            toff += half;
+            len <<= 1;
+        }
+        if inverse {
+            let inv = 1.0 / n as f64;
+            for z in data.iter_mut() {
+                *z = z.scale(inv);
+            }
+        }
+    }
+
+    fn bits(v: &[Complex]) -> Vec<(u64, u64)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    #[test]
+    fn plan_is_bit_identical_to_the_indexed_loop() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        for log2n in 1..=14 {
+            let n = 1usize << log2n;
+            let plan = FftPlan::new(n);
+            let x: Vec<Complex> = (0..n).map(|_| Complex::new(next(), next())).collect();
+            for inverse in [false, true] {
+                let mut fast = x.clone();
+                if inverse {
+                    plan.inverse(&mut fast);
+                } else {
+                    plan.forward(&mut fast);
+                }
+                let mut reference = x.clone();
+                run_indexed(&plan, &mut reference, inverse);
+                assert_eq!(bits(&fast), bits(&reference), "n={n} inverse={inverse}");
+            }
+        }
     }
 
     #[test]

@@ -34,5 +34,5 @@ pub mod stats;
 pub use complex::Complex;
 pub use empirical::Empirical;
 pub use interp::LinearTable;
-pub use pmf::Pmf;
+pub use pmf::{Pmf, PreparedPmf};
 pub use quantile::{percentile, percentile_of_sorted, P2Quantile};

@@ -213,6 +213,11 @@ pub fn simulate_core(
     let completion_time =
         |fl: &Inflight, t: f64, f_ghz: f64| -> f64 { t + fl.rem_fixed_s + fl.rem_work_gc / f_ghz };
 
+    // Decision-instant buffers, reused across events rather than allocated
+    // at each: the processing-order deadlines and the waiting requests'
+    // deadlines.
+    let mut deadlines: Vec<f64> = Vec::new();
+    let mut rest: Vec<f64> = Vec::new();
     let mut next_arrival = 0usize;
     loop {
         let comp_at = inflight
@@ -293,7 +298,7 @@ pub fn simulate_core(
         was_idle = inflight.is_none();
 
         // Decision instant: assemble processing-order deadlines.
-        let mut deadlines: Vec<f64> = Vec::with_capacity(waiting.len() + 1);
+        deadlines.clear();
         let head = inflight.as_ref().map(|fl| {
             deadlines.push(fl.deadline);
             InflightHead {
@@ -301,15 +306,12 @@ pub fn simulate_core(
                 rem_fixed_s: fl.rem_fixed_s,
             }
         });
-        let mut rest: Vec<&Pending> = waiting.iter().collect();
+        rest.clear();
+        rest.extend(waiting.iter().map(|p| p.deadline));
         if policy.reorders_edf() {
-            rest.sort_by(|a, b| {
-                a.deadline
-                    .partial_cmp(&b.deadline)
-                    .expect("deadlines are finite")
-            });
+            rest.sort_by(|a, b| a.partial_cmp(b).expect("deadlines are finite"));
         }
-        deadlines.extend(rest.iter().map(|p| p.deadline));
+        deadlines.extend_from_slice(&rest);
 
         let dec = if policy.needs_model() {
             engine.decision(t + cfg.decision_overhead_s, head, &deadlines)

@@ -172,6 +172,11 @@ pub fn simulate_multicore(
             .map(|f| t + f.rem_fixed_s + f.rem_work_gc / c.freq)
     };
 
+    // Decision-instant buffers, reused across events rather than allocated
+    // at each: the processing-order deadlines and the waiting requests'
+    // deadlines.
+    let mut deadlines: Vec<f64> = Vec::new();
+    let mut rest: Vec<f64> = Vec::new();
     loop {
         // Next event: earliest completion across cores vs. next arrival.
         let mut comp: Option<(usize, f64)> = None;
@@ -250,7 +255,7 @@ pub fn simulate_multicore(
 
             // Frequency decision for this core: its head plus the shared
             // backlog (which any core may serve next — the pooled view).
-            let mut deadlines = Vec::with_capacity(waiting.len() + 1);
+            deadlines.clear();
             let head = corestates[core_idx].inflight.as_ref().map(|fl| {
                 deadlines.push(fl.deadline);
                 InflightHead {
@@ -258,14 +263,15 @@ pub fn simulate_multicore(
                     rem_fixed_s: fl.rem_fixed_s,
                 }
             });
-            let mut rest: Vec<&Pending> = waiting.iter().collect();
+            rest.clear();
+            rest.extend(waiting.iter().map(|p| p.deadline));
             if policy.reorders_edf() {
-                rest.sort_by(|a, b| a.deadline.partial_cmp(&b.deadline).expect("finite"));
+                rest.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
             }
             // The backlog is shared by `cores` servers: only every c-th
             // waiting request lands on *this* core, so the decision sees
             // the thinned queue (position i served after ~i/c rounds).
-            deadlines.extend(rest.iter().step_by(cores).map(|p| p.deadline));
+            deadlines.extend(rest.iter().step_by(cores));
             let dec = engine.decision(t + cfg.decision_overhead_s, head, &deadlines);
             let f = policy.choose_frequency(t, &dec, &cfg.ladder);
             corestates[core_idx].freq = f;

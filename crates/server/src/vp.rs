@@ -15,6 +15,22 @@
 //!   has already received (`R0e` with "the distribution of the work left",
 //!   §III-B) and then pay the `n` fresh convolutions the paper describes.
 //!
+//! Two exact shortcuts keep the per-decision kernel cheap without moving a
+//! bit of any result:
+//!
+//! * **dispatch instants** — a head that has executed nothing yet has the
+//!   work PMF itself as its remaining distribution. Convolution is
+//!   symmetric to the bit ([`eprons_num::conv::Prepared`]), so
+//!   `head ∗ equivalent(i)` *is* the cached level `i + 1`, and those
+//!   instants are served from the ladder like departures;
+//! * **conditioned heads** are prepared once per decision
+//!   ([`Pmf::prepare`]): the head's spectrum is computed once per FFT
+//!   size, and only each level's transform and the inverse are paid per
+//!   queued request.
+//!
+//! Items share the ladder's levels by `Arc`, so a decision copies no
+//! distribution.
+//!
 //! The frequency-independent part of service (`t_fixed` per request) is
 //! handled by shrinking the time budget before converting to cycles, per
 //! the footnote-1 model.
@@ -32,23 +48,49 @@ use crate::service::ServiceModel;
 /// convolution lengths bounded.
 const TRUNC_EPS: f64 = 1e-10;
 
-/// Process-wide cache of precomputed self-convolution ladders, keyed by a
-/// fingerprint of the service model. A cluster run builds one engine per
-/// server (and the optimizer one cluster per candidate) over the *same*
-/// service model; the paper notes the equivalent distributions "can be
-/// reused once computed" (§III-C), so they are computed once per model
-/// here rather than once per server × candidate.
-static EQUIV_CACHE: OnceLock<Mutex<HashMap<u64, Arc<Vec<Pmf>>>>> = OnceLock::new();
+/// One convolution ladder: `ladder[n-1]` = n-fold self-convolution.
+type Ladder = Vec<Arc<Pmf>>;
 
-fn equiv_cache() -> &'static Mutex<HashMap<u64, Arc<Vec<Pmf>>>> {
+/// Process-wide cache of precomputed self-convolution ladders, keyed by
+/// the exact bits of the service model. A cluster run builds one engine
+/// per server (and the optimizer one cluster per candidate) over the
+/// *same* service model; the paper notes the equivalent distributions
+/// "can be reused once computed" (§III-C), so they are computed once per
+/// model here rather than once per server × candidate.
+static EQUIV_CACHE: OnceLock<Mutex<HashMap<ModelKey, Arc<Ladder>>>> = OnceLock::new();
+
+fn equiv_cache() -> &'static Mutex<HashMap<ModelKey, Arc<Ladder>>> {
     EQUIV_CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Bit-exact fingerprint of a service model: the work PMF's grid and
-/// masses plus the fixed time. Two models hash equal iff every input to
-/// the self-convolution recurrence is identical, which makes prefix
-/// sharing invisible to results. Also a component of the
-/// [`crate::memo`] server-evaluation key.
+/// Exact identity of a service model: the bit patterns of the work PMF's
+/// grid and masses plus the fixed time. Two models share a ladder iff
+/// every input to the self-convolution recurrence is identical, which
+/// makes prefix sharing invisible to results — and, unlike a hash, two
+/// different models can never collide onto one ladder.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct ModelKey {
+    origin: u64,
+    step: u64,
+    fixed: u64,
+    masses: Box<[u64]>,
+}
+
+impl ModelKey {
+    fn of(service: &ServiceModel) -> Self {
+        let pmf = service.work_pmf();
+        ModelKey {
+            origin: pmf.origin().to_bits(),
+            step: pmf.step().to_bits(),
+            fixed: service.fixed_s().to_bits(),
+            masses: pmf.masses().iter().map(|m| m.to_bits()).collect(),
+        }
+    }
+}
+
+/// 64-bit hash of a service model's exact bits: the work PMF's grid and
+/// masses plus the fixed time. A component of the [`crate::memo`]
+/// server-evaluation key; the ladder cache keys on the bits themselves.
 pub fn service_fingerprint(service: &ServiceModel) -> u64 {
     let mut h = DefaultHasher::new();
     let pmf = service.work_pmf();
@@ -80,6 +122,17 @@ pub fn equiv_cache_stats() -> (usize, usize) {
     (models, levels)
 }
 
+/// `true` iff `a` and `b` are the same PMF to the bit.
+fn same_bits(a: &Pmf, b: &Pmf) -> bool {
+    a.origin().to_bits() == b.origin().to_bits()
+        && a.step().to_bits() == b.step().to_bits()
+        && a.len() == b.len()
+        && a.masses()
+            .iter()
+            .zip(b.masses())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 /// Description of the head (in-service) request at a decision instant.
 #[derive(Debug, Clone, Copy)]
 pub struct InflightHead {
@@ -102,11 +155,10 @@ pub struct InflightHead {
 #[derive(Debug, Clone)]
 pub struct VpEngine {
     service: Arc<ServiceModel>,
-    fingerprint: u64,
     /// Frozen shared levels: `prefix[n-1]` = n-fold self-convolution.
-    prefix: Arc<Vec<Pmf>>,
+    prefix: Arc<Ladder>,
     /// Locally grown levels `prefix.len()+1 ..= prefix.len()+tail.len()`.
-    tail: Vec<Pmf>,
+    tail: Ladder,
 }
 
 impl VpEngine {
@@ -122,16 +174,14 @@ impl VpEngine {
     /// to every server shard of every candidate, so the work PMF is never
     /// deep-cloned per engine.
     pub fn shared(service: Arc<ServiceModel>) -> Self {
-        let fingerprint = service_fingerprint(&service);
         let prefix = {
             let mut map = equiv_cache().lock().unwrap_or_else(|e| e.into_inner());
-            map.entry(fingerprint)
-                .or_insert_with(|| Arc::new(vec![service.work_pmf().clone()]))
+            map.entry(ModelKey::of(&service))
+                .or_insert_with(|| Arc::new(vec![Arc::new(service.work_pmf().clone())]))
                 .clone()
         };
         VpEngine {
             service,
-            fingerprint,
             prefix,
             tail: Vec::new(),
         }
@@ -158,6 +208,12 @@ impl VpEngine {
 
     /// The cached n-fold self-convolution (n ≥ 1).
     pub fn equivalent(&mut self, n: usize) -> &Pmf {
+        self.level(n)
+    }
+
+    /// The shared handle of the n-fold self-convolution (n ≥ 1), growing
+    /// the private tail up to it.
+    fn level(&mut self, n: usize) -> &Arc<Pmf> {
         assert!(n >= 1, "equivalent distribution needs at least one request");
         if n <= self.prefix.len() {
             return &self.prefix[n - 1];
@@ -169,7 +225,7 @@ impl VpEngine {
                 .last()
                 .unwrap_or_else(|| self.prefix.last().expect("prefix holds at least level 1"));
             let next = prev.convolve(base).truncated(TRUNC_EPS);
-            self.tail.push(next);
+            self.tail.push(Arc::new(next));
         }
         &self.tail[n - 1 - self.prefix.len()]
     }
@@ -186,7 +242,7 @@ impl VpEngine {
         }
         let mut map = equiv_cache().lock().unwrap_or_else(|e| e.into_inner());
         let entry = map
-            .entry(self.fingerprint)
+            .entry(ModelKey::of(&self.service))
             .or_insert_with(|| self.prefix.clone());
         if entry.len() < self.prefix.len() + self.tail.len() {
             let mut full = Vec::with_capacity(self.prefix.len() + self.tail.len());
@@ -223,35 +279,49 @@ impl VpEngine {
         let mut items: Vec<DecisionItem> = Vec::with_capacity(deadlines.len());
         match head {
             Some(h) => {
+                let budget = |i: usize, d: f64| d - now - (h.rem_fixed_s + i as f64 * fixed);
                 // Remaining distribution of the head, conditioned on done
                 // cycles. If the head has (numerically) exhausted its
                 // support it is about to finish: treat remaining work as a
                 // half-bin delta.
-                let step = self.service.work_pmf().step();
-                let head_rem = self
-                    .service
-                    .work_pmf()
+                let base = self.level(1).clone();
+                let step = base.step();
+                let head_rem = base
                     .remaining_given_done(h.done_work_gc)
                     .unwrap_or_else(|| Pmf::delta(step / 2.0, step));
-                for (i, &d) in deadlines.iter().enumerate() {
-                    let dist = if i == 0 {
-                        head_rem.clone()
-                    } else {
-                        // The paper's arrival-instant cost: one convolution
-                        // per queued request behind the head.
-                        head_rem.convolve(self.equivalent(i)).truncated(TRUNC_EPS)
-                    };
-                    items.push(DecisionItem {
-                        dist,
-                        budget_s: d - now - (h.rem_fixed_s + i as f64 * fixed),
-                    });
+                if same_bits(&head_rem, &base) {
+                    // Dispatch instant: `head_rem ∗ equivalent(i)` equals
+                    // `equivalent(i) ∗ base` to the bit, which is the
+                    // cached level `i + 1`.
+                    for (i, &d) in deadlines.iter().enumerate() {
+                        items.push(DecisionItem {
+                            dist: self.level(i + 1).clone(),
+                            budget_s: budget(i, d),
+                        });
+                    }
+                } else {
+                    // The paper's arrival-instant cost: one convolution
+                    // per queued request behind the head, with the head
+                    // transformed once.
+                    let head_rem = Arc::new(head_rem);
+                    let mut prepared = head_rem.prepare();
+                    for (i, &d) in deadlines.iter().enumerate() {
+                        let dist = if i == 0 {
+                            head_rem.clone()
+                        } else {
+                            Arc::new(prepared.convolve(self.equivalent(i)).truncated(TRUNC_EPS))
+                        };
+                        items.push(DecisionItem {
+                            dist,
+                            budget_s: budget(i, d),
+                        });
+                    }
                 }
             }
             None => {
                 for (i, &d) in deadlines.iter().enumerate() {
-                    let dist = self.equivalent(i + 1).clone();
                     items.push(DecisionItem {
-                        dist,
+                        dist: self.level(i + 1).clone(),
                         budget_s: d - now - (i + 1) as f64 * fixed,
                     });
                 }
@@ -266,7 +336,7 @@ impl VpEngine {
 /// must elapse first).
 #[derive(Debug, Clone)]
 struct DecisionItem {
-    dist: Pmf,
+    dist: Arc<Pmf>,
     budget_s: f64,
 }
 
@@ -474,6 +544,111 @@ mod tests {
         assert_eq!(d.limiting_index(2.0), Some(1));
         let empty = e.decision(0.0, None, &[]);
         assert_eq!(empty.limiting_index(2.0), None);
+    }
+
+    /// The decision kernel without dispatch reuse or head preparation: one
+    /// fresh `head ∗ equivalent(i)` per queued request behind any head,
+    /// and a deep copy of every level. The bit-level reference.
+    fn reference_decision(
+        e: &mut VpEngine,
+        now: f64,
+        head: Option<InflightHead>,
+        deadlines: &[f64],
+    ) -> Decision {
+        let fixed = e.service().fixed_s();
+        let mut items = Vec::new();
+        match head {
+            Some(h) => {
+                let step = e.service().work_pmf().step();
+                let head_rem = e
+                    .service()
+                    .work_pmf()
+                    .remaining_given_done(h.done_work_gc)
+                    .unwrap_or_else(|| Pmf::delta(step / 2.0, step));
+                for (i, &d) in deadlines.iter().enumerate() {
+                    let dist = if i == 0 {
+                        head_rem.clone()
+                    } else {
+                        head_rem.convolve(e.equivalent(i)).truncated(TRUNC_EPS)
+                    };
+                    items.push(DecisionItem {
+                        dist: Arc::new(dist),
+                        budget_s: d - now - (h.rem_fixed_s + i as f64 * fixed),
+                    });
+                }
+            }
+            None => {
+                for (i, &d) in deadlines.iter().enumerate() {
+                    items.push(DecisionItem {
+                        dist: Arc::new(e.equivalent(i + 1).clone()),
+                        budget_s: d - now - (i + 1) as f64 * fixed,
+                    });
+                }
+            }
+        }
+        Decision { items }
+    }
+
+    #[test]
+    fn decision_kernel_is_bit_identical_to_fresh_convolutions() {
+        let ladder = crate::freq::FreqLadder::paper_default();
+        eprons_proplite::cases(40, |g, case| {
+            // Work PMFs on both sides of the FFT threshold: short ones
+            // convolve directly against short levels, long ones by FFT.
+            let len = *g.choose(&[1, 2, 5, 20, 47, 48, 60, 120, 160]);
+            let origin = g.f64_in(0.0, 2.0e-3);
+            let step = g.f64_in(1.0e-5, 1.0e-4);
+            let pmf = Pmf::from_masses(origin, step, g.vec_f64(len, 0.0, 1.0));
+            let top = pmf.max_value();
+            let fixed = g.f64_in(0.0, 1.0e-3);
+            let mut engine = VpEngine::new(ServiceModel::new(pmf, fixed));
+            for depth in 0..=12usize {
+                let deadlines: Vec<f64> = (0..depth).map(|_| g.f64_in(1.0e-3, 60.0e-3)).collect();
+                let heads = [
+                    None,
+                    // Dispatch instant: nothing executed yet.
+                    Some(0.0),
+                    // Mid-service: done work inside the support.
+                    Some(g.f64_in(0.0, top)),
+                    // Exhausted: done work past the support.
+                    Some(top + step),
+                ];
+                for done in heads {
+                    let head = done.map(|done_work_gc| InflightHead {
+                        done_work_gc,
+                        rem_fixed_s: fixed / 2.0,
+                    });
+                    let fast = engine.decision(0.0, head, &deadlines);
+                    let reference = reference_decision(&mut engine, 0.0, head, &deadlines);
+                    assert_eq!(fast.len(), reference.len());
+                    for i in 0..fast.len() {
+                        for &f in ladder.steps() {
+                            assert_eq!(
+                                fast.vp(i, f).to_bits(),
+                                reference.vp(i, f).to_bits(),
+                                "case {case}: depth {depth}, head {done:?}, item {i}, {f} GHz"
+                            );
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn ladder_cache_keys_on_exact_model_bits() {
+        // A model seen only by this test, and a twin one ulp away in its
+        // fixed time: the twin must not see the first model's ladder.
+        let pmf = Pmf::from_masses(1.25e-3, 3.0e-5, vec![0.3, 0.1, 0.45, 0.15]);
+        let fixed = 0.37e-3;
+        let mut first = VpEngine::new(ServiceModel::new(pmf.clone(), fixed));
+        let _ = first.equivalent(6);
+        drop(first);
+        let again = VpEngine::new(ServiceModel::new(pmf.clone(), fixed));
+        assert!(again.prefix_len() >= 6, "same bits share the ladder");
+        let twin = ServiceModel::new(pmf, f64::from_bits(fixed.to_bits() + 1));
+        assert_ne!(ModelKey::of(&twin), ModelKey::of(again.service()));
+        assert_eq!(VpEngine::new(twin).prefix_len(), 1);
     }
 
     #[test]
