@@ -64,9 +64,8 @@ use eprons_bench::harness::Runner;
 use eprons_bench::{banner, finish, quick, BASE_SEED};
 use eprons_core::scenario::{ScenarioContext, ScenarioSpec};
 use eprons_core::{
-    optimize_in_context_pruned, optimize_total_power, run_cluster, set_plan_cache_enabled,
-    set_thread_budget, ClusterConfig, ClusterRun, ConsolidateStrategy, ConsolidationSpec,
-    ServerScheme,
+    optimize_in_context_pruned, optimize_total_power, run_cluster, set_thread_budget,
+    ClusterConfig, ClusterRun, ConsolidateStrategy, ConsolidationSpec, ServerScheme,
 };
 use eprons_lp::LpEngine;
 use eprons_lp::Standardized;
@@ -177,26 +176,24 @@ fn main() {
         ConsolidationSpec::Level(AggregationLevel::Agg3),
     ];
     // `serial_cold` replays the pre-warm-start pipeline exactly: one
-    // thread, a fresh ScenarioContext per sweep, the NetworkPlan memo
-    // disabled, every process-wide cache cleared, and the exhaustive
-    // (unpruned) candidate sweep.
+    // thread, a fresh ScenarioContext per sweep (so no memo of an earlier
+    // sweep can serve it), every process-wide cache cleared, and the
+    // exhaustive (unpruned) candidate sweep.
     let serial_budget = 1usize;
     set_thread_budget(Some(serial_budget));
     r.bench("optimize_total_power/agg_ladder/serial_cold", || {
         clear_equiv_cache();
         clear_plan_cache();
-        set_plan_cache_enabled(false);
-        let spec = optimize_total_power(&cfg, &template, &candidates)
+        optimize_total_power(&cfg, &template, &candidates)
             .unwrap()
-            .spec;
-        set_plan_cache_enabled(true);
-        spec
+            .spec
     });
-    // `serial_warm` is the controller's steady-state epoch shape: one
-    // shared context, the NetworkPlan memo on (every candidate's plan is
-    // built once, ever), the bound-pruned sweep skipping dominated
-    // candidates, and the previous sweep's winner as the ordering hint —
-    // the same spec the cold sweep picks, by the determinism contract.
+    // `serial_warm` is the controller's steady-state epoch shape on a
+    // revived context: one shared context whose plan and result memos
+    // answer every candidate already evaluated, the bound-pruned sweep
+    // skipping dominated candidates, and the previous sweep's winner as
+    // the ordering hint — the same spec the cold sweep picks, by the
+    // determinism contract.
     let warm_ctx = ScenarioContext::for_template(&cfg, &template);
     let mut warm_hint: Option<ConsolidationSpec> = None;
     r.bench("optimize_total_power/agg_ladder/serial_warm", || {

@@ -14,8 +14,8 @@
 //!   rebuilds its `ScenarioContext` from scratch (the baseline);
 //! * **incremental** — `DayScopeConfig { incremental: true }`: epochs
 //!   draw contexts from the day's [`DayContext`] LRU (plan caches and
-//!   pod-solve cache surviving across epochs) and per-ISN server
-//!   evaluations hit the process-wide memo.
+//!   pod-solve cache surviving across epochs, result memos and
+//!   stage-3 reuse lists with them).
 //!
 //! Asserted contract (gated in CI via the committed `BENCH_replay.json`):
 //!
@@ -221,6 +221,8 @@ fn main() {
     let dc_evict0 = counter("core.daycache.evictions");
     let ec_hits0 = counter("core.evalcache.hits");
     let ec_misses0 = counter("core.evalcache.misses");
+    let sv_hits0 = counter("core.serveval.hits");
+    let sv_misses0 = counter("core.serveval.misses");
     let (incremental, incremental_s) = time_day(
         &mut r,
         "day_replay/incremental",
@@ -234,7 +236,8 @@ fn main() {
     let dc_evictions = counter("core.daycache.evictions") - dc_evict0;
     let ec_hits = counter("core.evalcache.hits") - ec_hits0;
     let ec_misses = counter("core.evalcache.misses") - ec_misses0;
-    let sv = eprons_server::serveval_memo_stats();
+    let sv_hits = counter("core.serveval.hits") - sv_hits0;
+    let sv_misses = counter("core.serveval.misses") - sv_misses0;
     let (rebuild, rebuild_s) = time_day(
         &mut r,
         "day_replay/rebuild",
@@ -289,8 +292,7 @@ fn main() {
     );
 
     let speedup = rebuild_s / incremental_s;
-    let sv_total = sv.hits + sv.misses;
-    let sv_rate = sv.hits as f64 / sv_total.max(1) as f64;
+    let sv_rate = sv_hits as f64 / (sv_hits + sv_misses).max(1) as f64;
     println!(
         "wall:     rebuild {}, incremental {} ({speedup:.2}x)",
         format_secs(rebuild_s),
@@ -298,12 +300,8 @@ fn main() {
     );
     println!("energy:   {rebuild_j:.1} J, bit-identical across modes");
     println!(
-        "serveval: {} hits / {} misses ({:.1}% hit rate, {} entries, {:.1} MiB)",
-        sv.hits,
-        sv.misses,
-        sv_rate * 100.0,
-        sv.entries,
-        sv.bytes as f64 / (1024.0 * 1024.0)
+        "serveval: {sv_hits} hits / {sv_misses} misses ({:.1}% hit rate)",
+        sv_rate * 100.0
     );
     println!("daycache: {dc_hits} hits / {dc_misses} misses / {dc_evictions} evictions");
     println!("evalcache: {ec_hits} hits / {ec_misses} misses");
@@ -339,8 +337,8 @@ fn main() {
         (
             "serveval".into(),
             Json::Obj(vec![
-                ("hits".into(), Json::Num(sv.hits as f64)),
-                ("misses".into(), Json::Num(sv.misses as f64)),
+                ("hits".into(), Json::Num(sv_hits as f64)),
+                ("misses".into(), Json::Num(sv_misses as f64)),
                 ("hit_rate".into(), Json::Num(sv_rate)),
             ]),
         ),

@@ -953,28 +953,25 @@ pub fn simulate_day_with_failures(
     // the thread budget in every mode, and each mode's timeline is a
     // deterministic pure function of its inputs.
     let warm = day.warm_start && matches!(strategy, DayStrategy::Eprons { .. });
-    // Day-scoped incremental machinery: the day-level context cache and
-    // the process-wide server-eval memo, both scoped to this day. Only
+    // Day-scoped incremental machinery: the day-level context cache. Only
     // the sequential modes reuse contexts — the cold parallel branch
     // rebuilds per epoch (that rebuild *is* the baseline the replay
     // harness measures the incremental path against).
-    let incremental = day.day_scope.as_ref().is_some_and(|ds| ds.incremental);
     let day_cache = day
         .day_scope
         .as_ref()
         .filter(|ds| ds.incremental)
         .map(|ds| DayContext::new(cfg, ds.max_slots));
-    // Counter snapshot so the day-end report shows this day's result-
-    // memo traffic, not the process total.
-    let eval_hits_0 = eprons_obs::registry().counter("core.evalcache.hits").get();
-    let eval_miss_0 = eprons_obs::registry()
-        .counter("core.evalcache.misses")
-        .get();
-    if incremental {
-        eprons_server::clear_serveval_memo();
-        eprons_server::set_serveval_memo_enabled(true);
-        crate::scenario::set_eval_cache_enabled(true);
-    }
+    // Counter snapshot so the day-end report shows this day's memo
+    // traffic, not the process total.
+    let counter = |name: &str| eprons_obs::registry().counter(name).get();
+    let memo_counters_0 = [
+        "core.evalcache.hits",
+        "core.evalcache.misses",
+        "core.serveval.hits",
+        "core.serveval.misses",
+    ]
+    .map(counter);
     let records: Vec<DayRecord> = if let Some(online) = day.online.clone() {
         let epoch_s = day.epoch_minutes as f64 * 60.0;
         let mut hyst = online
@@ -1051,40 +1048,30 @@ pub fn simulate_day_with_failures(
             eval_epoch(e, minute, load, predicted_bg[e], None, None, None).0
         })
     };
-    if incremental {
-        eprons_server::set_serveval_memo_enabled(false);
-        crate::scenario::set_eval_cache_enabled(false);
-        if obs_on {
-            if let Some(dc) = &day_cache {
-                let s = dc.stats();
-                eprons_obs::record(eprons_obs::Event::DayCacheReport {
-                    cache: "core.daycache".to_string(),
-                    hits: s.hits,
-                    misses: s.misses,
-                    evictions: s.evictions,
-                    bytes: s.bytes,
-                });
-                eprons_obs::record(eprons_obs::Event::DayCacheReport {
-                    cache: "core.evalcache".to_string(),
-                    hits: eprons_obs::registry().counter("core.evalcache.hits").get()
-                        - eval_hits_0,
-                    misses: eprons_obs::registry()
-                        .counter("core.evalcache.misses")
-                        .get()
-                        - eval_miss_0,
-                    evictions: 0,
-                    bytes: dc.eval_footprint_bytes(),
-                });
-            }
-            let m = eprons_server::serveval_memo_stats();
-            eprons_obs::record(eprons_obs::Event::DayCacheReport {
-                cache: "server.serveval".to_string(),
-                hits: m.hits,
-                misses: m.misses,
-                evictions: 0,
-                bytes: m.bytes,
-            });
-        }
+    if let Some(dc) = day_cache.as_ref().filter(|_| obs_on) {
+        let s = dc.stats();
+        eprons_obs::record(eprons_obs::Event::DayCacheReport {
+            cache: "core.daycache".to_string(),
+            hits: s.hits,
+            misses: s.misses,
+            evictions: s.evictions,
+            bytes: s.bytes,
+        });
+        let [eh, em, sh, sm] = memo_counters_0;
+        eprons_obs::record(eprons_obs::Event::DayCacheReport {
+            cache: "core.evalcache".to_string(),
+            hits: counter("core.evalcache.hits") - eh,
+            misses: counter("core.evalcache.misses") - em,
+            evictions: 0,
+            bytes: dc.eval_footprint_bytes(),
+        });
+        eprons_obs::record(eprons_obs::Event::DayCacheReport {
+            cache: "server.serveval".to_string(),
+            hits: counter("core.serveval.hits") - sh,
+            misses: counter("core.serveval.misses") - sm,
+            evictions: 0,
+            bytes: dc.server_eval_footprint_bytes(),
+        });
     }
 
     if obs_on {

@@ -58,6 +58,5 @@ pub use optimizer::{
 };
 pub use parallel::{parallel_map, parallel_map_range, set_thread_budget, thread_budget};
 pub use scenario::{
-    eval_cache_enabled, plan_cache_enabled, set_eval_cache_enabled, set_plan_cache_enabled,
     DayCacheStats, DayContext, NetworkPlan, ScenarioContext, ScenarioSpec, ServerEvaluation,
 };

@@ -32,10 +32,8 @@
 //! call. `crates/core/tests/determinism.rs` pins this with a golden
 //! equality test over every `ServerScheme` × `AggregationLevel` pair.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use eprons_net::consolidate::pod::{
@@ -49,9 +47,8 @@ use eprons_net::{
 use eprons_server::policy::DvfsPolicy;
 use eprons_server::request::budget_with_network_slack;
 use eprons_server::{
-    service_fingerprint, serveval_memo_enabled, simulate_core_memoized, ArrivalSpec, AvgVpPolicy,
-    CoreSimConfig, DeepSleepPolicy, MaxFreqPolicy, MaxVpPolicy, ServiceModel, TimeTraderPolicy,
-    VpEngine,
+    simulate_core, ArrivalSpec, AvgVpPolicy, CoreSimConfig, DeepSleepPolicy, MaxFreqPolicy,
+    MaxVpPolicy, ServiceModel, TimeTraderPolicy, VpEngine,
 };
 use eprons_sim::SimRng;
 use eprons_topo::{AggregationLevel, FatTree, NodeId};
@@ -61,52 +58,6 @@ use eprons_workload::{xapian_like_samples, Query, QueryGenerator};
 use crate::cluster::{ClusterError, ClusterRun, ClusterRunResult, ConsolidationSpec, ServerScheme};
 use crate::config::{ClusterConfig, ConsolidateStrategy, SlaConfig};
 use crate::parallel::{parallel_map, parallel_map_range};
-
-/// Process-wide switch for the per-context stage-2 plan memo. On by
-/// default; the perf bench's cold baseline turns it off to measure the
-/// pre-memo pipeline. Caching is invisible to results either way — a
-/// [`NetworkPlan`] is a pure function of (context, candidate, mask), so a
-/// memo hit returns the bit-identical plan a rebuild would produce.
-static PLAN_CACHE_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables the stage-2 plan memo process-wide (default: on).
-///
-/// Results never change — only whether repeated evaluations of the same
-/// (candidate, mask) against one context pay consolidation and latency
-/// sampling again. Exists for cold-baseline measurement, not correctness.
-pub fn set_plan_cache_enabled(on: bool) {
-    PLAN_CACHE_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether the stage-2 plan memo is currently serving hits.
-pub fn plan_cache_enabled() -> bool {
-    PLAN_CACHE_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Process-wide switch for the per-context *result* memo: the full
-/// [`ClusterRunResult`] of one (scheme, candidate, mask) evaluation. Off
-/// by default — a result cache only pays when the same operating point
-/// recurs against the same context, which is exactly the day-scoped
-/// incremental replay ([`crate::DayContext`] revives a slot's context,
-/// and with it every result already evaluated at that operating point).
-/// The day controller turns it on around an incremental day and back off
-/// after. Like the plan memo it is invisible to results: an evaluation is
-/// a pure function of (context, scheme, candidate, mask), so a hit
-/// returns the bit-identical result a re-run would produce.
-static EVAL_CACHE_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Enables or disables the evaluation-result memo process-wide
-/// (default: off). Results never change — only whether repeated
-/// evaluations of the same (scheme, candidate, mask) against one context
-/// pay stages 2–4 again.
-pub fn set_eval_cache_enabled(on: bool) {
-    EVAL_CACHE_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether the evaluation-result memo is currently serving hits.
-pub fn eval_cache_enabled() -> bool {
-    EVAL_CACHE_ENABLED.load(Ordering::Relaxed)
-}
 
 /// Index of a scheme for cache keying (fieldless enum — every scheme
 /// parameter lives in [`ClusterConfig`], fixed per context).
@@ -146,9 +97,32 @@ fn plan_key(spec: ConsolidationSpec, strategy: ConsolidateStrategy, mask: &[Node
     (tag, bits, strat, mask.iter().map(|n| n.0).collect())
 }
 
-/// Memo key for one full evaluation result: the scheme index over the
-/// plan key (everything else an evaluation depends on is context state).
-type EvalKey = (u8, PlanKey);
+/// What stages 3–4 read beyond the plan: the scheme index and the exact
+/// SLA bits. The SLA belongs in every key because [`ScenarioContext::with_sla`]
+/// clones share `data` (and with it these memos) across constraints;
+/// everything else an evaluation depends on is fixed per `data`.
+type EvalTag = (u8, [u64; 4]);
+
+fn eval_tag(scheme: ServerScheme, sla: &SlaConfig) -> EvalTag {
+    (
+        scheme_index(scheme),
+        [
+            sla.server_budget_s,
+            sla.network_budget_s,
+            sla.request_fraction,
+            sla.percentile,
+        ]
+        .map(f64::to_bits),
+    )
+}
+
+/// Memo key for one full evaluation result: the evaluation tag over the
+/// plan key.
+type EvalKey = (EvalTag, PlanKey);
+
+/// One stage-3 run kept for reuse by later plans of the same context:
+/// the tag it ran under, the plan it read and its evaluation.
+type ServerEvalEntry = (EvalTag, Arc<NetworkPlan>, Arc<ServerEvaluation>);
 
 /// Memo value for one full evaluation: the result, or the error the
 /// evaluation deterministically fails with.
@@ -210,16 +184,22 @@ pub(crate) struct ScenarioData {
     /// is cloned per build), so serving a cached `Arc` is bit-identical
     /// to rebuilding. Shared across context clones via the `Arc` above.
     pub(crate) plan_cache: Mutex<HashMap<PlanKey, Arc<NetworkPlan>>>,
-    /// Memoized stage-2–4 outcomes keyed by (scheme, candidate, mask) —
-    /// the whole [`ClusterRunResult`] of one operating-point evaluation,
-    /// or the [`ClusterError`] it failed with. Failures are cached
-    /// deliberately: an unroutable candidate (e.g. GreedyK(2) at a peak
-    /// slot) pays the full consolidation attempt before it is rejected,
-    /// and the day loop retries it every epoch otherwise. Only consulted
-    /// while [`eval_cache_enabled`] (incremental days); a pure function
-    /// of its key given this context, so hits are bit-identical to
-    /// re-runs.
+    /// Memoized stage-2–4 outcomes keyed by (scheme, SLA, candidate,
+    /// mask) — the whole [`ClusterRunResult`] of one operating-point
+    /// evaluation, or the [`ClusterError`] it failed with. Failures are
+    /// cached deliberately: an unroutable candidate (e.g. GreedyK(2) at a
+    /// peak slot) pays the full consolidation attempt before it is
+    /// rejected, and the day loop retries it every epoch otherwise. A
+    /// pure function of its key given this context, so hits are
+    /// bit-identical to re-runs.
     pub(crate) eval_cache: Mutex<HashMap<EvalKey, Arc<EvalOutcome>>>,
+    /// Stage-3 runs of this context, consulted on a result-memo miss.
+    /// Stage 3 reads only the tag, the plan's `congested` flag and its
+    /// sampled `net_lat`, so a new plan matching an entry on those bit
+    /// for bit reuses the entry's evaluation — a masked candidate that
+    /// routes differently but samples identical latencies skips the
+    /// per-ISN simulations.
+    pub(crate) server_evals: Mutex<Vec<ServerEvalEntry>>,
     /// Memoized candidate power floors (pure, always on): the optimizer
     /// recomputes its pruning bounds every search otherwise, and at
     /// k ≥ 16 the GreedyK mandatory-element walk is the search's largest
@@ -378,6 +358,7 @@ impl ScenarioContext {
                 arena: Arc::new(arena),
                 plan_cache: Mutex::new(HashMap::new()),
                 eval_cache: Mutex::new(HashMap::new()),
+                server_evals: Mutex::new(Vec::new()),
                 floor_cache: Mutex::new(HashMap::new()),
                 hosts,
                 service: Arc::new(service),
@@ -494,6 +475,7 @@ impl ScenarioContext {
                 arena: Arc::clone(&d.arena),
                 plan_cache: Mutex::new(HashMap::new()),
                 eval_cache: Mutex::new(HashMap::new()),
+                server_evals: Mutex::new(Vec::new()),
                 floor_cache: Mutex::new(HashMap::new()),
                 hosts: d.hosts.clone(),
                 service: Arc::clone(&d.service),
@@ -587,63 +569,53 @@ impl ScenarioContext {
                 seed: self.spec.seed,
             });
         }
-        // Result memo (incremental days only): the whole evaluation —
-        // including a deterministic failure — is a pure function of
-        // (scheme, candidate, mask) given this context, so a repeat
-        // operating point skips stages 2–4 outright. Errors are cached
-        // too: an infeasible candidate pays its full consolidation
-        // attempt before rejection, and the day loop re-offers it every
-        // epoch. The lock is never held across an evaluation (same
-        // discipline as the plan memo: racing double-evaluations insert
-        // identical bits, harmlessly).
-        let mut cached: Option<EvalOutcome> = None;
-        let mut miss_key: Option<EvalKey> = None;
-        if eval_cache_enabled() {
-            let mut mask = excluded.to_vec();
-            mask.sort_unstable();
-            mask.dedup();
-            let key = (
-                scheme_index(scheme),
-                plan_key(consolidation, self.effective_strategy(), &mask),
-            );
-            let hit = self
-                .data
-                .eval_cache
-                .lock()
-                .expect("eval cache poisoned")
-                .get(&key)
-                .cloned();
-            if obs_on {
-                let name = if hit.is_some() {
-                    "core.evalcache.hits"
-                } else {
-                    "core.evalcache.misses"
-                };
-                eprons_obs::registry().counter(name).inc();
-            }
-            match hit {
-                Some(outcome) => cached = Some((*outcome).clone()),
-                None => miss_key = Some(key),
-            }
+        // Result memo: the whole evaluation — including a deterministic
+        // failure — is a pure function of (scheme, SLA, candidate, mask)
+        // given this context, so a repeat operating point skips stages
+        // 2–4 outright. Errors are cached too: an infeasible candidate
+        // pays its full consolidation attempt before rejection, and the
+        // day loop re-offers it every epoch. The lock is never held
+        // across an evaluation (same discipline as the plan memo: racing
+        // double-evaluations insert identical bits, harmlessly).
+        let mut mask = excluded.to_vec();
+        mask.sort_unstable();
+        mask.dedup();
+        let tag = eval_tag(scheme, &self.cfg.sla);
+        let key = (
+            tag,
+            plan_key(consolidation, self.effective_strategy(), &mask),
+        );
+        let hit = self
+            .data
+            .eval_cache
+            .lock()
+            .expect("eval cache poisoned")
+            .get(&key)
+            .cloned();
+        if obs_on {
+            let name = if hit.is_some() {
+                "core.evalcache.hits"
+            } else {
+                "core.evalcache.misses"
+            };
+            eprons_obs::registry().counter(name).inc();
         }
-        let result = match cached {
-            Some(outcome) => outcome?,
+        let outcome = match hit {
+            Some(outcome) => outcome,
             None => {
-                let outcome: EvalOutcome =
-                    self.plan_masked(consolidation, excluded).map(|plan| {
-                        let eval = ServerEvaluation::run(self, &plan, scheme);
-                        crate::accounting::assemble(self, &plan, &eval)
-                    });
-                if let Some(key) = miss_key {
-                    self.data
-                        .eval_cache
-                        .lock()
-                        .expect("eval cache poisoned")
-                        .insert(key, Arc::new(outcome.clone()));
-                }
-                outcome?
+                let outcome = Arc::new(self.plan_masked(consolidation, &mask).map(|plan| {
+                    let eval = self.server_eval_reused(tag, &plan, scheme);
+                    crate::accounting::assemble(self, &plan, &eval)
+                }));
+                self.data
+                    .eval_cache
+                    .lock()
+                    .expect("eval cache poisoned")
+                    .insert(key, Arc::clone(&outcome));
+                outcome
             }
         };
+        let result = (*outcome).clone()?;
         if obs_on {
             let reg = eprons_obs::registry();
             let edges = eprons_obs::DURATION_EDGES_S;
@@ -673,9 +645,6 @@ impl ScenarioContext {
         let mut mask = excluded.to_vec();
         mask.sort_unstable();
         mask.dedup();
-        if !plan_cache_enabled() {
-            return NetworkPlan::build_masked(self, consolidation, &mask).map(Arc::new);
-        }
         let key = plan_key(consolidation, self.effective_strategy(), &mask);
         let hit = self
             .data
@@ -702,6 +671,59 @@ impl ScenarioContext {
             .expect("plan cache poisoned")
             .insert(key, Arc::clone(&plan));
         Ok(plan)
+    }
+
+    /// Stage 3 through the per-context reuse list: a plan whose
+    /// `congested` flag and `net_lat` match, bit for bit, a plan already
+    /// evaluated under `tag` reuses that evaluation (stage 3 reads nothing
+    /// else that varies within a context); otherwise it runs and joins
+    /// the list. Counts one `core.serveval` hit or miss per ISN.
+    fn server_eval_reused(
+        &self,
+        tag: EvalTag,
+        plan: &Arc<NetworkPlan>,
+        scheme: ServerScheme,
+    ) -> Arc<ServerEvaluation> {
+        let same_inputs = |other: &NetworkPlan| {
+            other.congested == plan.congested
+                && other.net_lat.len() == plan.net_lat.len()
+                && other.net_lat.iter().zip(&plan.net_lat).all(|(a, b)| {
+                    a.len() == b.len()
+                        && a.iter().zip(b).all(|(x, y)| {
+                            x.0 == y.0
+                                && x.1.to_bits() == y.1.to_bits()
+                                && x.2.to_bits() == y.2.to_bits()
+                        })
+                })
+        };
+        let hit = self
+            .data
+            .server_evals
+            .lock()
+            .expect("server-eval list poisoned")
+            .iter()
+            .find(|(t, p, _)| *t == tag && same_inputs(p))
+            .map(|(_, _, eval)| Arc::clone(eval));
+        if eprons_obs::enabled() {
+            let name = if hit.is_some() {
+                "core.serveval.hits"
+            } else {
+                "core.serveval.misses"
+            };
+            eprons_obs::registry()
+                .counter(name)
+                .add(self.num_servers() as u64);
+        }
+        if let Some(eval) = hit {
+            return eval;
+        }
+        let eval = Arc::new(ServerEvaluation::run(self, plan, scheme));
+        self.data
+            .server_evals
+            .lock()
+            .expect("server-eval list poisoned")
+            .push((tag, Arc::clone(plan), Arc::clone(&eval)));
+        eval
     }
 
     /// The consolidation architecture `GreedyK` plans of this context
@@ -920,27 +942,42 @@ impl DayContext {
         ctx
     }
 
+    /// `bytes` summed over the contexts of all live slots.
+    fn slot_bytes(&self, bytes: impl Fn(&ScenarioData) -> usize) -> u64 {
+        let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+        slots.iter().map(|(_, ctx)| bytes(&ctx.data)).sum::<usize>() as u64
+    }
+
     /// Approximate bytes held by the evaluation-result memos across all
     /// live slots (each entry is one [`ClusterRunResult`] — or a cached
     /// failure — plus its active-switch id vector).
     pub fn eval_footprint_bytes(&self) -> u64 {
-        let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        let mut bytes = 0usize;
-        for (_, ctx) in slots.iter() {
-            let evals = ctx
-                .data
-                .eval_cache
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            for outcome in evals.values() {
-                bytes += std::mem::size_of::<EvalOutcome>()
-                    + match &**outcome {
-                        Ok(r) => r.active_switch_ids.len() * std::mem::size_of::<usize>(),
-                        Err(_) => 0,
-                    };
-            }
-        }
-        bytes as u64
+        self.slot_bytes(|d| {
+            let evals = d.eval_cache.lock().unwrap_or_else(|e| e.into_inner());
+            evals
+                .values()
+                .map(|outcome| {
+                    std::mem::size_of::<EvalOutcome>()
+                        + match &**outcome {
+                            Ok(r) => r.active_switch_ids.len() * std::mem::size_of::<usize>(),
+                            Err(_) => 0,
+                        }
+                })
+                .sum()
+        })
+    }
+
+    /// Approximate bytes held by the stage-3 reuse lists across all live
+    /// slots (each entry's per-ISN completions; its plan is the plan
+    /// memo's).
+    pub fn server_eval_footprint_bytes(&self) -> u64 {
+        self.slot_bytes(|d| {
+            let list = d.server_evals.lock().unwrap_or_else(|e| e.into_inner());
+            list.iter()
+                .flat_map(|(_, _, eval)| &eval.shards)
+                .map(|s| s.completions.len() * std::mem::size_of::<(u64, f64, f64)>())
+                .sum()
+        })
     }
 
     /// Current cache statistics (slot count, hit/miss/eviction totals,
@@ -1262,21 +1299,6 @@ impl ServerEvaluation {
         if obs_on {
             eval_span.note(format!("scheme={} servers={n}", scheme.name()));
         }
-        // Day-scoped runs route each shard through the process-wide
-        // server-eval memo. The fingerprint covers the inputs the memo
-        // key cannot see through the call signature: the service model
-        // and the policy's identity — the scheme plus the TimeTrader
-        // target, the only scheme parameter that varies per plan.
-        let memo_on = serveval_memo_enabled();
-        let extern_fp = if memo_on {
-            let mut h = DefaultHasher::new();
-            service_fingerprint(&d.service).hash(&mut h);
-            scheme.name().hash(&mut h);
-            timetrader_target.to_bits().hash(&mut h);
-            h.finish()
-        } else {
-            0
-        };
         // Shards run on worker threads whose span stacks are empty, so
         // each attaches to the evaluation span by id.
         let eval_span_id = eval_span.id();
@@ -1298,23 +1320,13 @@ impl ServerEvaluation {
                 ServerScheme::EpronsServer => Box::new(AvgVpPolicy::eprons()),
                 ServerScheme::DeepSleep => Box::new(DeepSleepPolicy::new()),
             };
-            let (r, memo_hit) = simulate_core_memoized(
+            let r = simulate_core(
                 policy.as_mut(),
                 &mut engine,
                 arrivals,
                 &core_cfg,
                 d.server_seeds[s],
-                extern_fp,
             );
-            if memo_on && eprons_obs::enabled() {
-                eprons_obs::registry()
-                    .counter(if memo_hit {
-                        "core.serveval.hits"
-                    } else {
-                        "core.serveval.misses"
-                    })
-                    .inc();
-            }
             let end = r.sim_end_s.max(d.horizon_s);
             let span = end - d.warmup_s;
             let trailing_idle_w = policy
@@ -1344,5 +1356,71 @@ impl ServerEvaluation {
     /// The scheme this evaluation ran under.
     pub fn scheme(&self) -> ServerScheme {
         self.scheme
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn same_latencies(a: &NetworkPlan, b: &NetworkPlan) -> bool {
+        a.congested == b.congested && format!("{:?}", a.net_lat) == format!("{:?}", b.net_lat)
+    }
+
+    /// Stage-3 reuse: a masked `GreedyK(2)` plan that samples the
+    /// unmasked plan's latencies bit for bit reuses its evaluation — one
+    /// `core.serveval` hit per ISN — and matches a fresh context's
+    /// evaluation; a mask whose latencies differ misses. (`{:?}` prints
+    /// every `f64` in round-trip form, so equal text is equal bits. The
+    /// `core.serveval` counters are process-wide, but no other test in
+    /// this binary reuses a stage-3 run, so the hit count is exact.)
+    #[test]
+    fn masked_plan_with_identical_latencies_reuses_stage_three() {
+        let cfg = ClusterConfig::default();
+        let spec = ScenarioSpec {
+            server_utilization: 0.3,
+            background_util: 0.2,
+            duration_s: 0.5,
+            warmup_s: 0.0,
+            seed: 7,
+        };
+        let (scheme, k2) = (ServerScheme::EpronsServer, ConsolidationSpec::GreedyK(2.0));
+        let ctx = ScenarioContext::build(&cfg, &spec);
+        ctx.evaluate(scheme, k2).unwrap();
+        let base = ctx.plan_masked(k2, &[]).unwrap();
+        let half = cfg.fat_tree_k / 2;
+        let (mut same, mut differs) = (None, None);
+        for core in (0..half * half).map(|i| ctx.data.ft.core(i / half, i % half)) {
+            if let Ok(plan) = ctx.plan_masked(k2, &[core]) {
+                let slot = if same_latencies(&plan, &base) {
+                    &mut same
+                } else {
+                    &mut differs
+                };
+                slot.get_or_insert(core);
+            }
+        }
+        let same = same.expect("some core mask samples the unmasked latencies at k=4");
+        let differs = differs.expect("some core mask changes the latencies at k=4");
+
+        let hits = || eprons_obs::registry().counter("core.serveval.hits").get();
+        let entries = || ctx.data.server_evals.lock().unwrap().len();
+        let n = ctx.num_servers() as u64;
+        eprons_obs::set_enabled(true);
+        let (h0, e0) = (hits(), entries());
+        let reused = ctx.evaluate_masked(scheme, k2, &[same]).unwrap();
+        let (h1, e1) = (hits(), entries());
+        ctx.evaluate_masked(scheme, k2, &[differs]).unwrap();
+        let (h2, e2) = (hits(), entries());
+        eprons_obs::set_enabled(false);
+
+        assert_eq!(h1 - h0, n, "a same-latency mask must hit once per ISN");
+        assert_eq!(e1, e0, "a hit must not add a stage-3 run");
+        assert_eq!(h2, h1, "a differing mask must miss");
+        assert_eq!(e2, e1 + 1, "a miss must add its stage-3 run");
+        let fresh = ScenarioContext::build(&cfg, &spec)
+            .evaluate_masked(scheme, k2, &[same])
+            .unwrap();
+        assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
     }
 }

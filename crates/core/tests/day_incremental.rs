@@ -2,18 +2,20 @@
 //! counter arithmetic.
 //!
 //! The incremental machinery (the [`DayContext`] LRU, demand rebinds,
-//! the process-wide server-evaluation memo) must be invisible in
-//! results: a day run with `DayScopeConfig { incremental: true }` is
-//! bit-for-bit the day run with `incremental: false` (the per-epoch
-//! rebuild baseline), including under mid-day failures and across every
-//! consolidation strategy. The constant-trace test then pins the cache
-//! arithmetic exactly: a constant day has one operating point, so the
-//! day cache misses once and hits every remaining epoch, and the server
-//! memo replays the first epoch's evaluations verbatim.
+//! and the per-context result memo and stage-3 reuse list that revived
+//! contexts bring back) must be invisible in results: a day run with
+//! `DayScopeConfig { incremental: true }` is bit-for-bit the day run
+//! with `incremental: false` (the per-epoch rebuild baseline), including
+//! under mid-day failures and across every consolidation strategy. The
+//! constant-trace test then pins the cache arithmetic exactly: a
+//! constant day has one operating point, so the day cache misses once
+//! and hits every remaining epoch, and the result memo serves the first
+//! epoch's evaluation verbatim.
 //!
-//! Own test binary: the serveval memo and the obs counters are
-//! process-global, so tests serialize on a static mutex and no other
-//! test binary's counters can race the arithmetic.
+//! Own test binary: every cache lives in its scenario context, but the
+//! obs counter registry and journal are process-wide, so tests
+//! serialize on a static mutex and no other test binary's counters can
+//! race the arithmetic.
 
 use std::sync::Mutex;
 
@@ -26,8 +28,8 @@ use eprons_core::{
 };
 use eprons_topo::FatTree;
 
-/// Serializes the tests in this binary: the server memo and the obs
-/// counter registry are process-global.
+/// Serializes the tests in this binary: the obs counter registry and
+/// journal are the only process-wide state they touch.
 static GLOBAL_STATE: Mutex<()> = Mutex::new(());
 
 fn core_failure(cfg: &ClusterConfig) -> FailureSchedule {
@@ -134,8 +136,8 @@ fn incremental_day_is_bit_identical_across_strategies() {
 
 /// A constant replay day has exactly one operating point, which pins
 /// the cache counters: the day cache misses once (the first epoch's
-/// build) and hits every other epoch; the server memo replays the first
-/// epoch's evaluations on every later epoch; and a single-pod failure
+/// build) and hits every other epoch; the result memo serves the first
+/// epoch's evaluation on every later epoch; and a single-pod failure
 /// still re-solves exactly the owning pod against the shared pod cache.
 #[test]
 fn constant_day_pins_cache_counter_arithmetic() {
@@ -246,12 +248,12 @@ fn constant_day_pins_cache_counter_arithmetic() {
         "failure-day repeats must still serve the memoized result"
     );
 
-    // Server memo: with the result memo answering the repeat epochs,
+    // Stage-3 reuse: with the result memo answering the repeat epochs,
     // stage 3 runs only on result-memo misses — each ISN is simulated
     // exactly once per distinct operating point (16 servers at k = 4),
-    // and nothing ever asks the server memo twice. (Its hits come from
-    // *partial* overlap between distinct operating points — the replay
-    // harness's territory, not a constant day's.)
+    // and no lookup of the reuse list hits. (Its hits come from masked
+    // plans that sample an earlier plan's latencies bit for bit — the
+    // replay harness's territory, not a constant day's.)
     let n_servers = (cfg.fat_tree_k * cfg.fat_tree_k * cfg.fat_tree_k) as u64 / 4;
     let sv_hits = c1.2 - c0.2;
     let sv_misses = c1.3 - c0.3;
@@ -259,7 +261,7 @@ fn constant_day_pins_cache_counter_arithmetic() {
         sv_misses, n_servers,
         "the clean day's one stage-3 run must simulate each ISN once"
     );
-    assert_eq!(sv_hits, 0, "no repeat lookups reach the server memo");
+    assert_eq!(sv_hits, 0, "no lookup reuses a stage-3 run");
     assert_eq!(
         c2.3 - c1.3,
         2 * n_servers,

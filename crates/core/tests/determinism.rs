@@ -16,8 +16,8 @@
 use eprons_core::scenario::{ScenarioContext, ScenarioSpec};
 use eprons_core::{
     candidate_power_floor_w, optimize_in_context_masked, optimize_in_context_pruned,
-    optimize_total_power, run_cluster, set_plan_cache_enabled, set_thread_budget, ClusterConfig,
-    ClusterRun, ClusterRunResult, ConsolidationSpec, ServerScheme,
+    optimize_total_power, run_cluster, set_thread_budget, ClusterConfig, ClusterRun,
+    ClusterRunResult, ConsolidationSpec, ServerScheme,
 };
 use eprons_server::clear_equiv_cache;
 use eprons_topo::AggregationLevel;
@@ -169,6 +169,10 @@ fn with_sla_reuses_the_build_without_changing_the_physics() {
     let spec = ConsolidationSpec::Level(AggregationLevel::Agg2);
     let run = short_run(ServerScheme::EpronsServer, spec);
     let fresh = run_cluster(&tight_cfg, &run).unwrap();
+    // The default-SLA evaluation goes first: the two contexts share their
+    // memos, so a memo key without the SLA would serve this result to
+    // the tight-SLA evaluation below.
+    ctx.evaluate(ServerScheme::EpronsServer, spec).unwrap();
     let reused = tight_ctx
         .evaluate(ServerScheme::EpronsServer, spec)
         .unwrap();
@@ -177,11 +181,11 @@ fn with_sla_reuses_the_build_without_changing_the_physics() {
 
 #[test]
 fn pruned_warm_sweep_matches_exhaustive_cold_sweep_bit_for_bit() {
-    // The PR-5 golden pin: the warm path (shared context, plan cache on,
-    // bound-ordered pruned sweep, optional ordering hint) must pick the
-    // same candidate with the same float bits as the cold pre-PR path
-    // (plan cache off, exhaustive sweep) — for every server scheme over
-    // the full aggregation ladder, and for a GreedyK ladder. Pruning may
+    // The warm path (shared context and its memos, bound-ordered pruned
+    // sweep, optional ordering hint) must pick the same candidate with
+    // the same float bits as the cold path (a fresh context, exhaustive
+    // sweep) — for every server scheme over the full aggregation
+    // ladder, and for a GreedyK ladder. Pruning may
     // only skip candidates whose *sound* power lower bound strictly
     // exceeds a feasible incumbent's measured total, and hints only
     // reorder evaluation, so the chosen spec, feasibility flag, and every
@@ -202,10 +206,11 @@ fn pruned_warm_sweep_matches_exhaustive_cold_sweep_bit_for_bit() {
     ];
     for candidates in [&ladder, &greedy] {
         for scheme in schemes {
+            // The cold reference gets its own fresh context, so none of
+            // the warm context's memos can serve it.
+            let cold_ctx = ScenarioContext::build(&cfg, &ScenarioSpec::of_run(&template));
+            let (cold, cold_fail) = optimize_in_context_masked(&cold_ctx, scheme, candidates, &[]);
             let ctx = ScenarioContext::build(&cfg, &ScenarioSpec::of_run(&template));
-            set_plan_cache_enabled(false);
-            let (cold, cold_fail) = optimize_in_context_masked(&ctx, scheme, candidates, &[]);
-            set_plan_cache_enabled(true);
             // Hints are ordering advice: correct, wrong, and absent hints
             // must all reproduce the cold sweep exactly.
             let hints = [None, Some(candidates[0]), cold.as_ref().map(|c| c.spec)];
@@ -303,19 +308,20 @@ fn plan_cache_hits_are_bit_identical_to_rebuilds() {
     let cfg = ClusterConfig::default();
     let template = short_run(ServerScheme::EpronsServer, ConsolidationSpec::AllOn);
     let ctx = ScenarioContext::build(&cfg, &ScenarioSpec::of_run(&template));
+    // The references are fresh `run_cluster` builds, which share no memo
+    // with `ctx`.
     let spec = ConsolidationSpec::Level(AggregationLevel::Agg2);
-    set_plan_cache_enabled(false);
-    let rebuilt = ctx.evaluate(ServerScheme::EpronsServer, spec).unwrap();
-    set_plan_cache_enabled(true);
-    ctx.clear_plan_cache();
+    let rebuilt = run_cluster(&cfg, &short_run(ServerScheme::EpronsServer, spec)).unwrap();
     let miss = ctx.evaluate(ServerScheme::EpronsServer, spec).unwrap();
-    assert!(
-        ctx.plan_cache_len() >= 1,
-        "miss path must populate the cache"
-    );
-    let hit = ctx.evaluate(ServerScheme::EpronsServer, spec).unwrap();
+    let plans = ctx.plan_cache_len();
+    assert!(plans >= 1, "miss path must populate the cache");
+    // A second scheme misses the result memo and is served the cached
+    // plan.
+    let rebuilt_rubik = run_cluster(&cfg, &short_run(ServerScheme::Rubik, spec)).unwrap();
+    let hit = ctx.evaluate(ServerScheme::Rubik, spec).unwrap();
+    assert_eq!(ctx.plan_cache_len(), plans, "the hit must not rebuild");
     assert_eq!(result_bits(&rebuilt), result_bits(&miss));
-    assert_eq!(result_bits(&miss), result_bits(&hit));
+    assert_eq!(result_bits(&rebuilt_rubik), result_bits(&hit));
     ctx.clear_plan_cache();
     assert_eq!(ctx.plan_cache_len(), 0);
 }

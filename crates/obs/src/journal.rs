@@ -263,8 +263,9 @@ pub enum Event {
     },
     /// End-of-day report from one cross-epoch cache of a day-scoped
     /// incremental run (`cache` names it: `core.daycache` for the
-    /// scenario-context cache, `server.serveval` for the per-ISN
-    /// server-evaluation memo). Counters cover the whole day; `bytes` is
+    /// scenario-context cache, `core.evalcache` for the result memo,
+    /// `server.serveval` for the stage-3 reuse lists). Counters cover
+    /// the whole day; `bytes` is
     /// the approximate heap held when the day closed. `obsctl summarize`
     /// renders one table row per report.
     DayCacheReport {

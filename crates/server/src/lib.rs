@@ -24,9 +24,6 @@
 //!   (EPRONS-Server), [`policy::TimeTraderPolicy`] (5 s feedback).
 //! * [`coresim`] — the per-core discrete-event simulator that drives a
 //!   policy with an arrival trace and accounts latency and energy.
-//! * [`memo`] — an opt-in process-wide memo over the core simulator,
-//!   keyed on an exact-bit fingerprint of its inputs (the day-scoped
-//!   incremental evaluation path).
 //! * [`multicore`] — the shared-queue 12-core variant, used to validate
 //!   that the per-core model is a conservative approximation.
 
@@ -34,7 +31,6 @@
 
 pub mod coresim;
 pub mod freq;
-pub mod memo;
 pub mod multicore;
 pub mod policy;
 pub mod power;
@@ -44,10 +40,6 @@ pub mod vp;
 
 pub use coresim::{simulate_core, CoreSimConfig, CoreSimResult};
 pub use freq::FreqLadder;
-pub use memo::{
-    clear_serveval_memo, serveval_memo_enabled, serveval_memo_stats, set_serveval_memo_enabled,
-    simulate_core_memoized, ServevalMemoStats,
-};
 pub use multicore::{simulate_multicore, MultiCoreResult};
 pub use policy::{
     AvgVpPolicy, DeepSleepPolicy, DvfsPolicy, MaxFreqPolicy, MaxVpPolicy, TimeTraderPolicy,
@@ -55,4 +47,4 @@ pub use policy::{
 pub use power::CpuPowerModel;
 pub use request::ArrivalSpec;
 pub use service::ServiceModel;
-pub use vp::{clear_equiv_cache, equiv_cache_stats, service_fingerprint, VpEngine};
+pub use vp::{clear_equiv_cache, equiv_cache_stats, VpEngine};

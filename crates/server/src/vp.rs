@@ -35,9 +35,7 @@
 //! handled by shrinking the time budget before converting to cycles, per
 //! the footnote-1 model.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use eprons_num::Pmf;
@@ -86,22 +84,6 @@ impl ModelKey {
             masses: pmf.masses().iter().map(|m| m.to_bits()).collect(),
         }
     }
-}
-
-/// 64-bit hash of a service model's exact bits: the work PMF's grid and
-/// masses plus the fixed time. A component of the [`crate::memo`]
-/// server-evaluation key; the ladder cache keys on the bits themselves.
-pub fn service_fingerprint(service: &ServiceModel) -> u64 {
-    let mut h = DefaultHasher::new();
-    let pmf = service.work_pmf();
-    pmf.origin().to_bits().hash(&mut h);
-    pmf.step().to_bits().hash(&mut h);
-    pmf.masses().len().hash(&mut h);
-    for &m in pmf.masses() {
-        m.to_bits().hash(&mut h);
-    }
-    service.fixed_s().to_bits().hash(&mut h);
-    h.finish()
 }
 
 /// Empties the shared equivalent-distribution cache (for benchmarks that
