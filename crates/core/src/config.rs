@@ -155,9 +155,10 @@ impl OnlineConfig {
 /// behavior and every historical golden.
 #[derive(Debug, Clone)]
 pub struct DayScopeConfig {
-    /// Reuse contexts/caches across epochs (`true`) or rebuild per epoch
-    /// while keeping day-scope semantics (`false`, the baseline the
-    /// speedup is measured against).
+    /// Reuse contexts/caches across epochs (`true`; the day then runs
+    /// its epochs in sequence) or rebuild per epoch while keeping
+    /// day-scope semantics (`false`, the baseline the speedup is
+    /// measured against).
     pub incremental: bool,
     /// Most contexts the day cache may hold (LRU beyond this).
     pub max_slots: usize,

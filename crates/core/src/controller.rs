@@ -14,6 +14,11 @@
 //! failure, all-on fallback, or, when even that cannot route, an
 //! unprotected epoch whose SLA flag is forced false.
 //!
+//! Each epoch runs five named stages: **demand** (predict, defer,
+//! day-scope quantize), **choose** (the pruned candidate ladder),
+//! **hold** (hysteresis), **survive** (the degradation ladder and its
+//! power segments) and **record** (snapshot and journal).
+//!
 //! Setting [`DayConfig::online`] turns the loop into an **online
 //! streaming controller**: epochs run strictly in sequence carrying
 //! state across boundaries — per-switch cooldowns and a payback-priced
@@ -27,7 +32,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use eprons_net::failure::{DegradationPolicy, DegradationStage, FailureEventKind, FailureSchedule};
+use eprons_net::failure::{
+    DegradationPolicy, DegradationStage, FailureEvent, FailureEventKind, FailureSchedule,
+};
 use eprons_net::flow::FlowId;
 use eprons_net::transition::{worth_switching, Churn, TransitionModel};
 use eprons_net::{Assignment, DemandPredictor, NetworkState};
@@ -38,8 +45,10 @@ use eprons_workload::diurnal::{DiurnalProfile, MINUTES_PER_DAY};
 
 use crate::accounting::PowerBreakdown;
 use crate::cluster::{ClusterRun, ClusterRunResult, ConsolidationSpec, ServerScheme};
-use crate::config::{ClusterConfig, DayScopeConfig, DeferralConfig, HysteresisConfig, OnlineConfig};
-use crate::optimizer::{optimize_in_context, optimize_in_context_pruned};
+use crate::config::{
+    ClusterConfig, DayScopeConfig, DeferralConfig, HysteresisConfig, OnlineConfig,
+};
+use crate::optimizer::optimize_in_context_pruned;
 use crate::parallel::parallel_map;
 use crate::scenario::{DayContext, ScenarioContext, ScenarioSpec};
 
@@ -123,13 +132,13 @@ pub struct DayConfig {
     pub peak_utilization: f64,
     /// Master seed.
     pub seed: u64,
-    /// Carry each epoch's winning configuration into the next epoch's
+    /// Carry each epoch's live configuration into the next epoch's
     /// ladder search as an ordering hint (EPRONS strategy only). Epochs
     /// then run sequentially instead of fanning out, trading epoch-level
     /// parallelism for warm-started searches; the timeline itself is
     /// bit-identical either way (the hint never changes a choice, only
-    /// the evaluation order). The hint is dropped whenever the failure
-    /// mask or the demand fingerprint moved since the previous epoch.
+    /// the evaluation order). Online and incremental day-scoped days run
+    /// sequentially, and so always hint, whatever this says.
     pub warm_start: bool,
     /// Search-load trace for the day. Defaults to the paper's sinusoidal
     /// diurnal profile; swap in a [`TraceScenario::FlashCrowd`] or
@@ -391,8 +400,12 @@ pub fn simulate_day(
 /// recovered switch rejoins the candidate pool at the next epoch
 /// boundary (its 72.52 s boot makes it useless mid-epoch anyway).
 ///
-/// Epochs stay independent given the schedule (pure data), so the day
-/// still evaluates in parallel and is a pure function of its arguments.
+/// Every epoch runs the same five stages — **demand**, **choose**,
+/// **hold**, **survive**, **record**. A day that carries state across
+/// epochs (an online controller, an incremental day cache, or a
+/// warm-started EPRONS search) runs them in sequence; any other day has
+/// independent epochs and fans them out over threads. Either way the
+/// timeline is a pure function of the arguments.
 pub fn simulate_day_with_failures(
     cfg: &ClusterConfig,
     strategy: &DayStrategy,
@@ -405,10 +418,9 @@ pub fn simulate_day_with_failures(
     let epochs = MINUTES_PER_DAY / day.epoch_minutes;
     let obs_on = eprons_obs::enabled();
     // Root of the day's causal-span tree; epoch spans attach to it by id
-    // because the cold path fans epochs out across worker threads.
+    // because a fanned-out day runs its epochs on worker threads.
     let mut day_span = eprons_obs::Span::enter("day");
     day_span.note(format!("strategy={} epochs={epochs}", strategy.name()));
-    let day_span_id = day_span.id();
     if obs_on {
         eprons_obs::record(eprons_obs::Event::DayStart {
             strategy: strategy.name().to_string(),
@@ -422,546 +434,23 @@ pub fn simulate_day_with_failures(
             });
         }
     }
-
-    // The controller predicts each epoch's background demand as the 90th
-    // percentile of the previous epoch's per-minute observations (§II).
-    let mut predictor = DemandPredictor::paper_default(1);
-    let mut predicted_bg: Vec<f64> = Vec::with_capacity(epochs);
-    for e in 0..epochs {
-        let start = e * day.epoch_minutes;
-        // Act on the last epoch's prediction (first epoch: observe only).
-        let predicted = predictor.predict(FlowId(0)).unwrap_or(background[start]);
-        predicted_bg.push(predicted.clamp(0.01, 0.95));
-        for &obs in &background[start..start + day.epoch_minutes] {
-            predictor.observe(FlowId(0), obs);
-        }
-        predictor.roll_epoch();
-    }
-
-    // Epochs are independent given their inputs: evaluate in parallel.
-    let inputs: Vec<(usize, f64, f64)> = (0..epochs)
-        .map(|e| {
-            let mid = (e * day.epoch_minutes) as f64 + day.epoch_minutes as f64 / 2.0;
-            let load = search[(mid as usize).min(MINUTES_PER_DAY - 1)];
-            (e, mid, load)
-        })
-        .collect();
-
-    // One epoch's full evaluation, optionally warm-started with the
-    // previous epoch's winning configuration (an ordering hint for the
-    // pruned ladder search — never a result change). Returns the record
-    // plus the configuration that was actually live when the epoch ended,
-    // which is what the next epoch's search should start from.
-    let eval_epoch = |e: usize,
-                      minute: f64,
-                      load: f64,
-                      bg: f64,
-                      warm_hint: Option<ConsolidationSpec>,
-                      hyst: Option<&mut HysteresisState>,
-                      day_ctx: Option<&DayContext>|
-     -> (DayRecord, ConsolidationSpec) {
-        let mut epoch_span = eprons_obs::Span::enter_under(day_span_id, "epoch");
-        // Day scope: a constant master seed and grid-quantized demand, so
-        // epochs at the same operating point present bit-identical specs.
-        // The utilization floor rises to one grid step (a zero-query
-        // epoch has no tail to measure); quantization applies on the
-        // rebuild baseline exactly as on the incremental path, which is
-        // what makes the two bit-comparable.
-        let day_scoped = day.day_scope.is_some();
-        let (util, bg) = if day_scoped {
-            (
-                quantize_demand((day.peak_utilization * load).max(0.02)).max(0.05),
-                quantize_demand(bg),
-            )
-        } else {
-            ((day.peak_utilization * load).max(0.02), bg)
-        };
-        if obs_on {
-            eprons_obs::record(eprons_obs::Event::EpochStart {
-                epoch: e as u64,
-                minute,
-                search_load: load,
-                background_util: bg,
-            });
-        }
-        let template = ClusterRun {
-            scheme: ServerScheme::EpronsServer,
-            consolidation: ConsolidationSpec::AllOn,
-            server_utilization: util,
-            background_util: bg,
-            duration_s: day.sim_seconds,
-            warmup_s: 0.0,
-            seed: if day_scoped {
-                day.seed
-            } else {
-                day.seed ^ (e as u64).wrapping_mul(0x9E37_79B9)
-            },
-        };
-        let run = match strategy {
-            DayStrategy::NoPowerManagement => ClusterRun {
-                scheme: ServerScheme::NoPowerManagement,
-                ..template
-            },
-            DayStrategy::TimeTrader => ClusterRun {
-                scheme: ServerScheme::TimeTrader,
-                // Let the 5 s feedback loop settle before scoring.
-                warmup_s: 60.0,
-                ..template
-            },
-            DayStrategy::Eprons { .. } => template,
-        };
-        let scheme = run.scheme;
-        let start = (e * day.epoch_minutes) as f64;
-        let end = start + day.epoch_minutes as f64;
-        // Switches down when the epoch opens are masked out of every
-        // candidate this epoch considers.
-        let mut mask: Vec<NodeId> = schedule.failed_at(start).into_iter().map(NodeId).collect();
-        let mut failed_switches: Vec<usize> = mask.iter().map(|n| n.0).collect();
-
-        // One scenario context per epoch; the optimizer's candidate
-        // ladder shares it, so each candidate pays only consolidation +
-        // latency sampling + DVFS simulation. Incremental day-scoped
-        // runs go further and fetch the context from the day cache,
-        // reviving earlier epochs' contexts (plan cache included).
-        let ctx = match day_ctx {
-            Some(dc) => dc.context_for(&ScenarioSpec::of_run(&run)),
-            None => ScenarioContext::for_template(cfg, &run),
-        };
-        let (mut result, mut base_feasible, mut degradation, mut spec): (
-            ClusterRunResult,
-            bool,
-            Option<DegradationStage>,
-            ConsolidationSpec,
-        ) = match strategy {
-            DayStrategy::Eprons { candidates } => {
-                match optimize_in_context_pruned(&ctx, scheme, candidates, &mask, warm_hint).0 {
-                    Some(c) => (c.result, c.feasible, None, c.spec),
-                    None => {
-                        // The mask leaves no routable candidate (e.g. an
-                        // edge failure partitioning hosts): run unmasked
-                        // over broken hardware, SLA forced false.
-                        let c = optimize_in_context(&ctx, scheme, candidates)
-                            .0
-                            .expect("at least one candidate evaluates");
-                        (c.result, false, Some(DegradationStage::Unprotected), c.spec)
-                    }
-                }
-            }
-            _ => match ctx.evaluate_masked(scheme, ConsolidationSpec::AllOn, &mask) {
-                Ok(r) => {
-                    let f = r.is_feasible(cfg);
-                    (r, f, None, ConsolidationSpec::AllOn)
-                }
-                Err(_) => {
-                    let r = ctx
-                        .evaluate(scheme, ConsolidationSpec::AllOn)
-                        .expect("all-on never fails");
-                    (
-                        r,
-                        false,
-                        Some(DegradationStage::Unprotected),
-                        ConsolidationSpec::AllOn,
-                    )
-                }
-            },
-        };
-        // --- Online hysteresis: commit the optimizer's reconfiguration
-        // only when the priced transition energy pays back within the
-        // configured horizon AND no toggled switch is still cooling down.
-        // Holding is never allowed to trade an SLA-feasible pick for an
-        // infeasible hold.
-        let mut held_by_hysteresis = false;
-        if let Some(h) = hyst {
-            if degradation.is_none() {
-                if let Some(prev_spec) = h.prev_spec {
-                    if prev_spec != spec {
-                        if let Ok(hold) = ctx.evaluate_masked(scheme, prev_spec, &mask) {
-                            let hold_feasible = hold.is_feasible(cfg);
-                            let churn =
-                                Churn::between(&hold.active_switch_ids, &result.active_switch_ids);
-                            let saving_w = hold.breakdown.total_w() - result.breakdown.total_w();
-                            let transition_j = h.model.transition_energy_j(&churn);
-                            let horizon_s = h.knobs.payback_horizon_epochs as f64 * h.epoch_s;
-                            let pays_back = worth_switching(
-                                &h.model,
-                                &churn,
-                                saving_w,
-                                horizon_s,
-                                h.knobs.margin,
-                            );
-                            // A cooldown hold is anti-flap insurance; it
-                            // is only worth buying while holding is
-                            // cheap — one epoch of the forgone power
-                            // saving must not exceed the transition
-                            // energy the hold avoids re-paying.
-                            let cooling = h.any_cooling(&churn)
-                                && saving_w.max(0.0) * h.epoch_s <= h.knobs.margin * transition_j;
-                            let must_switch = base_feasible && !hold_feasible;
-                            if !must_switch && hold_feasible && (!pays_back || cooling) {
-                                if obs_on {
-                                    eprons_obs::registry()
-                                        .counter("core.hysteresis.holds")
-                                        .inc();
-                                    eprons_obs::record(eprons_obs::Event::HysteresisHold {
-                                        epoch: e as u64,
-                                        desired: spec.label(),
-                                        held: prev_spec.label(),
-                                        saving_w,
-                                        transition_j,
-                                        reason: if cooling { "cooldown" } else { "payback" }
-                                            .to_string(),
-                                    });
-                                }
-                                result = hold;
-                                spec = prev_spec;
-                                base_feasible = hold_feasible;
-                                held_by_hysteresis = true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let mut choice_label = spec.label();
-        let mut rec = DayRecord {
-            minute,
-            search_load: load,
-            background_util: bg,
-            breakdown: result.breakdown,
-            active_switches: result.active_switches,
-            active_switch_ids: result.active_switch_ids.clone(),
-            e2e_p95_s: result.e2e_latency.p95_s,
-            feasible: base_feasible,
-            failed_switches: Vec::new(),
-            boot_energy_j: 0.0,
-            degradation: None,
-            deferred_mbps_min: 0.0,
-            drained_mbps_min: 0.0,
-            held_by_hysteresis,
-        };
-
-        // --- Mid-epoch events: walk the degradation ladder. ---
-        let events = schedule.events_in(start, end);
-        let mut boot_energy_j = 0.0;
-        if !events.is_empty() {
-            let d = &*ctx.data;
-            let policy = DegradationPolicy {
-                attempt_repair: cfg.failure.attempt_repair,
-                attempt_reconsolidate: cfg.failure.attempt_reconsolidate,
-                transition: cfg.failure.transition.clone(),
-            };
-            // The live assignment repairs mutate in place (rung 1).
-            let mut assignment: Option<Assignment> = ctx
-                .plan_masked(spec, &mask)
-                .ok()
-                .map(|p| p.assignment.clone());
-            let active_ids = |a: &Assignment| -> Vec<usize> {
-                d.ft.topology()
-                    .switches()
-                    .into_iter()
-                    .filter(|&n| a.state().node_on(n))
-                    .map(|n| n.0)
-                    .collect()
-            };
-            // Time-weighted power over the segments between events; a
-            // crashed switch's hung draw persists to the epoch boundary.
-            let mut acc_server = 0.0;
-            let mut acc_net = 0.0;
-            let mut cur_server = rec.breakdown.server_w;
-            let mut cur_net = rec.breakdown.network_w;
-            let mut dead_draw_w = 0.0;
-            let mut last_m = start;
-            let mut cur_ids = rec.active_switch_ids.clone();
-            let mut p95 = rec.e2e_p95_s;
-            let mut feasible = rec.feasible;
-            let worsen = |deg: &mut Option<DegradationStage>, stage: DegradationStage| {
-                *deg = Some(deg.map_or(stage, |have| have.max(stage)));
-            };
-            for ev in &events {
-                acc_server += cur_server * (ev.minute - last_m);
-                acc_net += cur_net * (ev.minute - last_m);
-                if obs_on && ev.minute > last_m {
-                    eprons_obs::record(eprons_obs::Event::PowerSegment {
-                        epoch: e as u64,
-                        from_min: last_m,
-                        to_min: ev.minute,
-                        server_w: cur_server,
-                        network_w: cur_net,
-                    });
-                }
-                last_m = ev.minute;
-                match ev.kind {
-                    FailureEventKind::Recover => {
-                        // The switch boots (72.52 s, §IV-B) and rejoins
-                        // the candidate pool at the next epoch boundary;
-                        // routing inside this epoch keeps its mask.
-                        boot_energy_j += policy.recovery_boot_energy_j();
-                        if obs_on {
-                            eprons_obs::record(eprons_obs::Event::RepairOutcome {
-                                switch: ev.switch as u64,
-                                minute: ev.minute,
-                                outcome: "recovered".to_string(),
-                                rerouted: 0,
-                                woken: 1,
-                                boot_energy_j: policy.recovery_boot_energy_j(),
-                            });
-                        }
-                    }
-                    FailureEventKind::Fail => {
-                        if mask.contains(&NodeId(ev.switch)) {
-                            // Already down at the epoch start (an event
-                            // exactly on the boundary shows up in both
-                            // the mask and this window).
-                            continue;
-                        }
-                        mask.push(NodeId(ev.switch));
-                        mask.sort_unstable();
-                        failed_switches.push(ev.switch);
-                        // Rung 1: re-route the victims in place.
-                        let mut handled = false;
-                        if policy.attempt_repair {
-                            if let Some(a) = assignment.as_mut() {
-                                match policy.try_repair(
-                                    a,
-                                    &d.ft,
-                                    &d.flows,
-                                    NodeId(ev.switch),
-                                    &cfg.net_power,
-                                ) {
-                                    Ok(rep) => {
-                                        boot_energy_j += rep.boot_energy_j;
-                                        dead_draw_w += rep.dead_draw_w;
-                                        cur_net =
-                                            a.network_power_w(&d.ft, &cfg.net_power) + dead_draw_w;
-                                        cur_ids = active_ids(a);
-                                        worsen(&mut degradation, DegradationStage::Repaired);
-                                        if obs_on {
-                                            eprons_obs::record(eprons_obs::Event::RepairOutcome {
-                                                switch: ev.switch as u64,
-                                                minute: ev.minute,
-                                                outcome: "repaired".to_string(),
-                                                rerouted: rep.rerouted.len() as u64,
-                                                woken: rep.woken.len() as u64,
-                                                boot_energy_j: rep.boot_energy_j,
-                                            });
-                                        }
-                                        handled = true;
-                                    }
-                                    Err(_) => {
-                                        if obs_on {
-                                            eprons_obs::record(eprons_obs::Event::RepairOutcome {
-                                                switch: ev.switch as u64,
-                                                minute: ev.minute,
-                                                outcome: "repair-failed".to_string(),
-                                                rerouted: 0,
-                                                woken: 0,
-                                                boot_energy_j: 0.0,
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        if !handled {
-                            // Rung 2: re-consolidate around the failure;
-                            // rung 3: the all-on spec minus failures.
-                            let rerun: Option<(
-                                ConsolidationSpec,
-                                ClusterRunResult,
-                                bool,
-                                DegradationStage,
-                            )> = (if policy.attempt_reconsolidate {
-                                match strategy {
-                                    DayStrategy::Eprons { candidates } => {
-                                        optimize_in_context_pruned(
-                                            &ctx, scheme, candidates, &mask, None,
-                                        )
-                                        .0
-                                        .map(|c| {
-                                            (
-                                                c.spec,
-                                                c.result,
-                                                c.feasible,
-                                                DegradationStage::Reconsolidated,
-                                            )
-                                        })
-                                    }
-                                    _ => ctx
-                                        .evaluate_masked(scheme, ConsolidationSpec::AllOn, &mask)
-                                        .ok()
-                                        .map(|r| {
-                                            let f = r.is_feasible(cfg);
-                                            (
-                                                ConsolidationSpec::AllOn,
-                                                r,
-                                                f,
-                                                DegradationStage::Reconsolidated,
-                                            )
-                                        }),
-                                }
-                            } else {
-                                None
-                            })
-                            .or_else(|| {
-                                ctx.evaluate_masked(scheme, ConsolidationSpec::AllOn, &mask)
-                                    .ok()
-                                    .map(|r| {
-                                        let f = r.is_feasible(cfg);
-                                        (
-                                            ConsolidationSpec::AllOn,
-                                            r,
-                                            f,
-                                            DegradationStage::AllOnFallback,
-                                        )
-                                    })
-                            });
-                            if let Some((nspec, r, f, stage)) = rerun {
-                                let woken =
-                                    Churn::between(&cur_ids, &r.active_switch_ids).turned_on;
-                                let rung_boot_j = woken.len() as f64
-                                    * policy.transition.boot_power_w
-                                    * policy.transition.power_on_s;
-                                boot_energy_j += rung_boot_j;
-                                // The hung switch keeps drawing until the
-                                // epoch-boundary power cycle.
-                                dead_draw_w += cfg.net_power.switch_w;
-                                cur_server = r.breakdown.server_w;
-                                cur_net = r.breakdown.network_w + dead_draw_w;
-                                cur_ids = r.active_switch_ids.clone();
-                                p95 = p95.max(r.e2e_latency.p95_s);
-                                feasible = feasible && f;
-                                assignment = ctx
-                                    .plan_masked(nspec, &mask)
-                                    .ok()
-                                    .map(|p| p.assignment.clone());
-                                spec = nspec;
-                                choice_label = spec.label();
-                                worsen(&mut degradation, stage);
-                                if obs_on {
-                                    // Journal the rung's boot charge so the
-                                    // audit can reconcile every joule of
-                                    // `boot_energy_j` against RepairOutcome
-                                    // events, whichever rung charged it.
-                                    eprons_obs::record(eprons_obs::Event::RepairOutcome {
-                                        switch: ev.switch as u64,
-                                        minute: ev.minute,
-                                        outcome: stage.label().to_string(),
-                                        rerouted: 0,
-                                        woken: woken.len() as u64,
-                                        boot_energy_j: rung_boot_j,
-                                    });
-                                    eprons_obs::record(eprons_obs::Event::DegradedEpoch {
-                                        epoch: e as u64,
-                                        reason: format!(
-                                            "switch {} failed at minute {:.0}; repair failed",
-                                            ev.switch, ev.minute
-                                        ),
-                                        fallback: stage.label().to_string(),
-                                    });
-                                }
-                            } else {
-                                // Rung 4: nothing routes around the mask.
-                                feasible = false;
-                                worsen(&mut degradation, DegradationStage::Unprotected);
-                                if obs_on {
-                                    eprons_obs::record(eprons_obs::Event::RepairOutcome {
-                                        switch: ev.switch as u64,
-                                        minute: ev.minute,
-                                        outcome: DegradationStage::Unprotected.label().to_string(),
-                                        rerouted: 0,
-                                        woken: 0,
-                                        boot_energy_j: 0.0,
-                                    });
-                                    eprons_obs::record(eprons_obs::Event::DegradedEpoch {
-                                        epoch: e as u64,
-                                        reason: format!(
-                                            "switch {} failed at minute {:.0}; no fallback routes",
-                                            ev.switch, ev.minute
-                                        ),
-                                        fallback: DegradationStage::Unprotected.label().to_string(),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            acc_server += cur_server * (end - last_m);
-            acc_net += cur_net * (end - last_m);
-            if obs_on && end > last_m {
-                eprons_obs::record(eprons_obs::Event::PowerSegment {
-                    epoch: e as u64,
-                    from_min: last_m,
-                    to_min: end,
-                    server_w: cur_server,
-                    network_w: cur_net,
-                });
-            }
-            let span = end - start;
-            rec.breakdown = PowerBreakdown {
-                server_w: acc_server / span,
-                network_w: acc_net / span,
-            };
-            rec.active_switches = cur_ids.len();
-            rec.active_switch_ids = cur_ids;
-            rec.e2e_p95_s = p95;
-            rec.feasible = feasible;
-        }
-        rec.failed_switches = failed_switches;
-        rec.boot_energy_j = boot_energy_j;
-        rec.degradation = degradation;
-        // Clean epochs carry one power segment covering the whole window
-        // (event epochs journaled theirs between events above); together
-        // the segments must integrate to the day energy (`obsctl audit`).
-        if obs_on && events.is_empty() {
-            eprons_obs::record(eprons_obs::Event::PowerSegment {
-                epoch: e as u64,
-                from_min: start,
-                to_min: end,
-                server_w: rec.breakdown.server_w,
-                network_w: rec.breakdown.network_w,
-            });
-        }
-        epoch_span.note(format!(
-            "epoch={e} choice={choice_label} feasible={} degradation={}",
-            rec.feasible,
-            rec.degradation.map_or("-", |d| d.label()),
-        ));
-        if obs_on {
-            eprons_obs::record(eprons_obs::Event::EpochSnapshot(eprons_obs::Snapshot {
-                epoch: e as u64,
-                minute: rec.minute,
-                strategy: strategy.name().to_string(),
-                choice: choice_label,
-                server_w: rec.breakdown.server_w,
-                network_w: rec.breakdown.network_w,
-                active_switches: rec.active_switches as u64,
-                e2e_p95_us: rec.e2e_p95_s * 1.0e6,
-                feasible: rec.feasible,
-                boot_energy_j: rec.boot_energy_j,
-            }));
-        }
-        (rec, spec)
+    let inputs = epoch_inputs(day, &search, &background);
+    let epoch_s = day.epoch_minutes as f64 * 60.0;
+    let online = day.online.clone().unwrap_or_default();
+    let mut carry = Carry {
+        hint: None,
+        hyst: online
+            .hysteresis
+            .map(|knobs| HysteresisState::new(knobs, cfg.failure.transition.clone(), epoch_s)),
+        queue: online.deferral.map(|knobs| {
+            DeferralQueue::new(knobs, cfg.link_capacity_mbps, day.epoch_minutes as f64)
+        }),
+        day_ctx: day
+            .day_scope
+            .as_ref()
+            .filter(|ds| ds.incremental)
+            .map(|ds| DayContext::new(cfg, ds.max_slots)),
     };
-
-    // The online streaming controller runs its epochs strictly in
-    // sequence: per-switch cooldowns, the hysteresis filter, and the
-    // deferral queue all carry state across epoch boundaries. The
-    // warm-started batch day also runs sequentially (each search starts
-    // from the previous epoch's winner); the cold batch day fans epochs
-    // out. Candidate- and server-level fan-out inside an epoch fills
-    // the thread budget in every mode, and each mode's timeline is a
-    // deterministic pure function of its inputs.
-    let warm = day.warm_start && matches!(strategy, DayStrategy::Eprons { .. });
-    // Day-scoped incremental machinery: the day-level context cache. Only
-    // the sequential modes reuse contexts — the cold parallel branch
-    // rebuilds per epoch (that rebuild *is* the baseline the replay
-    // harness measures the incremental path against).
-    let day_cache = day
-        .day_scope
-        .as_ref()
-        .filter(|ds| ds.incremental)
-        .map(|ds| DayContext::new(cfg, ds.max_slots));
     // Counter snapshot so the day-end report shows this day's memo
     // traffic, not the process total.
     let counter = |name: &str| eprons_obs::registry().counter(name).get();
@@ -972,106 +461,57 @@ pub fn simulate_day_with_failures(
         "core.serveval.misses",
     ]
     .map(counter);
-    let records: Vec<DayRecord> = if let Some(online) = day.online.clone() {
-        let epoch_s = day.epoch_minutes as f64 * 60.0;
-        let mut hyst = online
-            .hysteresis
-            .map(|knobs| HysteresisState::new(knobs, cfg.failure.transition.clone(), epoch_s));
-        let mut queue = online.deferral.map(|knobs| {
-            DeferralQueue::new(knobs, cfg.link_capacity_mbps, day.epoch_minutes as f64)
-        });
-        let mut out = Vec::with_capacity(inputs.len());
-        // The previous winner is always a legal ordering hint here: the
-        // hint can never change a choice, and online epochs are
-        // sequential anyway.
-        let mut hint: Option<ConsolidationSpec> = None;
-        for &(e, minute, load) in &inputs {
-            let step = match queue.as_mut() {
-                Some(q) => q.step(e, predicted_bg[e], obs_on),
-                None => DeferralOutcome {
-                    bg: predicted_bg[e],
-                    enqueued_mbps_min: 0.0,
-                    drained_mbps_min: 0.0,
-                },
-            };
-            let (mut rec, spec) =
-                eval_epoch(e, minute, load, step.bg, hint, hyst.as_mut(), day_cache.as_ref());
-            rec.deferred_mbps_min = step.enqueued_mbps_min;
-            rec.drained_mbps_min = step.drained_mbps_min;
-            if let Some(h) = hyst.as_mut() {
-                h.finish_epoch(spec, &rec.active_switch_ids);
-            }
-            hint = Some(spec);
-            out.push(rec);
-        }
-        if let Some(q) = queue.as_mut() {
+    let stages = DayLoop {
+        cfg,
+        strategy,
+        day,
+        schedule,
+        obs_on,
+        span: day_span.id(),
+    };
+    let sequential = day.online.is_some()
+        || carry.day_ctx.is_some()
+        || (day.warm_start && matches!(strategy, DayStrategy::Eprons { .. }));
+    let records: Vec<DayRecord> = if sequential {
+        let out: Vec<DayRecord> = inputs.iter().map(|i| stages.epoch(i, &mut carry)).collect();
+        if let Some(q) = carry.queue.as_mut() {
             q.flush(inputs.len(), obs_on);
         }
         out
-    } else if warm {
-        let mut out = Vec::with_capacity(inputs.len());
-        // The epoch's world fingerprint: failed-switch set plus the
-        // quantized demand point. A hint only survives while it matches.
-        type EpochFingerprint = (Vec<usize>, i64, i64);
-        let mut prev: Option<(ConsolidationSpec, EpochFingerprint)> = None;
-        for &(e, minute, load) in &inputs {
-            // The hint survives only while the world it was chosen in
-            // does: same failure mask, same (quantized) demand point.
-            let start = (e * day.epoch_minutes) as f64;
-            let util = (day.peak_utilization * load).max(0.02);
-            let q = |x: f64| (x / 0.05).round() as i64;
-            let fp = (schedule.failed_at(start), q(util), q(predicted_bg[e]));
-            let hint = match &prev {
-                Some((spec, pfp)) if *pfp == fp => Some(*spec),
-                _ => None,
-            };
-            if obs_on {
-                let reg = eprons_obs::registry();
-                if let Some(h) = hint {
-                    reg.counter("core.warmstart.hits").inc();
-                    eprons_obs::record(eprons_obs::Event::WarmStartApplied {
-                        epoch: e as u64,
-                        hint: h.label(),
-                    });
-                } else if e > 0 {
-                    reg.counter("core.warmstart.misses").inc();
-                }
-            }
-            let (rec, spec) =
-                eval_epoch(e, minute, load, predicted_bg[e], hint, None, day_cache.as_ref());
-            prev = Some((spec, fp));
-            out.push(rec);
-        }
-        out
     } else {
-        parallel_map(&inputs, |&(e, minute, load)| {
-            eval_epoch(e, minute, load, predicted_bg[e], None, None, None).0
-        })
+        // No cross-epoch state: every epoch gets an empty carry, so the
+        // epochs are independent and fan out. Candidate- and server-level
+        // fan-out inside an epoch fills the thread budget either way.
+        parallel_map(&inputs, |i| stages.epoch(i, &mut Carry::default()))
     };
-    if let Some(dc) = day_cache.as_ref().filter(|_| obs_on) {
+    if let Some(dc) = carry.day_ctx.as_ref().filter(|_| obs_on) {
         let s = dc.stats();
-        eprons_obs::record(eprons_obs::Event::DayCacheReport {
-            cache: "core.daycache".to_string(),
-            hits: s.hits,
-            misses: s.misses,
-            evictions: s.evictions,
-            bytes: s.bytes,
-        });
         let [eh, em, sh, sm] = memo_counters_0;
-        eprons_obs::record(eprons_obs::Event::DayCacheReport {
-            cache: "core.evalcache".to_string(),
-            hits: counter("core.evalcache.hits") - eh,
-            misses: counter("core.evalcache.misses") - em,
-            evictions: 0,
-            bytes: dc.eval_footprint_bytes(),
-        });
-        eprons_obs::record(eprons_obs::Event::DayCacheReport {
-            cache: "server.serveval".to_string(),
-            hits: counter("core.serveval.hits") - sh,
-            misses: counter("core.serveval.misses") - sm,
-            evictions: 0,
-            bytes: dc.server_eval_footprint_bytes(),
-        });
+        for (cache, hits, misses, evictions, bytes) in [
+            ("core.daycache", s.hits, s.misses, s.evictions, s.bytes),
+            (
+                "core.evalcache",
+                counter("core.evalcache.hits") - eh,
+                counter("core.evalcache.misses") - em,
+                0,
+                dc.eval_footprint_bytes(),
+            ),
+            (
+                "server.serveval",
+                counter("core.serveval.hits") - sh,
+                counter("core.serveval.misses") - sm,
+                0,
+                dc.server_eval_footprint_bytes(),
+            ),
+        ] {
+            eprons_obs::record(eprons_obs::Event::DayCacheReport {
+                cache: cache.to_string(),
+                hits,
+                misses,
+                evictions,
+                bytes,
+            });
+        }
     }
 
     if obs_on {
@@ -1106,6 +546,555 @@ pub fn simulate_day_with_failures(
     }
     drop(day_span);
     records
+}
+
+/// One epoch's exogenous inputs.
+struct EpochInput {
+    e: usize,
+    /// Epoch midpoint, minutes since midnight.
+    minute: f64,
+    /// Search load at the midpoint, as a fraction of peak.
+    load: f64,
+    /// The controller's background prediction, before any deferral.
+    predicted_bg: f64,
+}
+
+/// The prediction half of the **demand** stage, for the whole day up
+/// front: the controller predicts each epoch's background demand as the
+/// 90th percentile of the previous epoch's per-minute observations (§II).
+/// Predictions are exogenous to the control decisions, so they need no
+/// cross-epoch controller state.
+fn epoch_inputs(day: &DayConfig, search: &[f64], background: &[f64]) -> Vec<EpochInput> {
+    let mut predictor = DemandPredictor::paper_default(1);
+    (0..MINUTES_PER_DAY / day.epoch_minutes)
+        .map(|e| {
+            let start = e * day.epoch_minutes;
+            // Act on the last epoch's prediction (first epoch: observe only).
+            let predicted = predictor.predict(FlowId(0)).unwrap_or(background[start]);
+            for &obs in &background[start..start + day.epoch_minutes] {
+                predictor.observe(FlowId(0), obs);
+            }
+            predictor.roll_epoch();
+            let minute = start as f64 + day.epoch_minutes as f64 / 2.0;
+            EpochInput {
+                e,
+                minute,
+                load: search[(minute as usize).min(MINUTES_PER_DAY - 1)],
+                predicted_bg: predicted.clamp(0.01, 0.95),
+            }
+        })
+        .collect()
+}
+
+/// Controller state a sequential day carries across epoch boundaries.
+/// A fanned-out day hands every epoch an empty one.
+#[derive(Default)]
+struct Carry {
+    /// The configuration live when the previous epoch closed: an
+    /// ordering hint for the pruned ladder, never a result change.
+    hint: Option<ConsolidationSpec>,
+    hyst: Option<HysteresisState>,
+    queue: Option<DeferralQueue>,
+    /// The incremental day scope's context cache.
+    day_ctx: Option<DayContext>,
+}
+
+/// A configuration and what running it measured.
+struct Pick {
+    spec: ConsolidationSpec,
+    result: ClusterRunResult,
+    feasible: bool,
+}
+
+/// One epoch's evaluation scene: the shared scenario context, the server
+/// scheme, and the switches already down when the epoch opens.
+struct Epoch {
+    e: usize,
+    start: f64,
+    end: f64,
+    ctx: ScenarioContext,
+    scheme: ServerScheme,
+    mask: Vec<NodeId>,
+}
+
+/// The day's fixed inputs, shared by the five epoch stages.
+struct DayLoop<'a> {
+    cfg: &'a ClusterConfig,
+    strategy: &'a DayStrategy,
+    day: &'a DayConfig,
+    schedule: &'a FailureSchedule,
+    obs_on: bool,
+    /// The day span every epoch span attaches to.
+    span: u64,
+}
+
+impl DayLoop<'_> {
+    /// One epoch through the five stages. A pure function of `input` and
+    /// `carry`; leaves in `carry` what the next epoch needs.
+    fn epoch(&self, input: &EpochInput, carry: &mut Carry) -> DayRecord {
+        let (run, deferral) = self.demand(input, carry.queue.as_mut());
+        let mut epoch_span = eprons_obs::Span::enter_under(self.span, "epoch");
+        let e = input.e;
+        if self.obs_on {
+            eprons_obs::record(eprons_obs::Event::EpochStart {
+                epoch: e as u64,
+                minute: input.minute,
+                search_load: input.load,
+                background_util: run.background_util,
+            });
+        }
+        let start = (e * self.day.epoch_minutes) as f64;
+        // One scenario context per epoch; the optimizer's candidate
+        // ladder shares it, so each candidate pays only consolidation +
+        // latency sampling + DVFS simulation. Incremental day-scoped
+        // runs go further and fetch the context from the day cache,
+        // reviving earlier epochs' contexts (plan cache included).
+        let ep = Epoch {
+            e,
+            start,
+            end: start + self.day.epoch_minutes as f64,
+            ctx: match &carry.day_ctx {
+                Some(dc) => dc.context_for(&ScenarioSpec::of_run(&run)),
+                None => ScenarioContext::for_template(self.cfg, &run),
+            },
+            scheme: run.scheme,
+            // Switches down when the epoch opens are masked out of every
+            // candidate this epoch considers.
+            mask: self
+                .schedule
+                .failed_at(start)
+                .into_iter()
+                .map(NodeId)
+                .collect(),
+        };
+        let (mut pick, degradation) = match self.choose(&ep.ctx, ep.scheme, &ep.mask, carry.hint) {
+            Some(p) => (p, None),
+            None => {
+                // The mask leaves no routable candidate (e.g. an edge
+                // failure partitioning hosts): run the unmasked choice
+                // over broken hardware, SLA forced false.
+                let p = self
+                    .choose(&ep.ctx, ep.scheme, &[], None)
+                    .expect("the unmasked ladder evaluates");
+                let p = Pick {
+                    feasible: false,
+                    ..p
+                };
+                (p, Some(DegradationStage::Unprotected))
+            }
+        };
+        let held = match &carry.hyst {
+            Some(h) if degradation.is_none() => self.hold(&ep, h, &mut pick),
+            _ => false,
+        };
+        let Pick {
+            spec,
+            result,
+            feasible,
+        } = pick;
+        let mut rec = DayRecord {
+            minute: input.minute,
+            search_load: input.load,
+            background_util: run.background_util,
+            breakdown: result.breakdown,
+            active_switches: result.active_switches,
+            active_switch_ids: result.active_switch_ids,
+            e2e_p95_s: result.e2e_latency.p95_s,
+            feasible,
+            failed_switches: ep.mask.iter().map(|n| n.0).collect(),
+            boot_energy_j: 0.0,
+            degradation,
+            deferred_mbps_min: deferral.enqueued_mbps_min,
+            drained_mbps_min: deferral.drained_mbps_min,
+            held_by_hysteresis: held,
+        };
+        let spec = self.survive(&ep, spec, &mut rec);
+        self.record(e, spec, &rec, &mut epoch_span);
+        if let Some(h) = carry.hyst.as_mut() {
+            h.finish_epoch(spec, &rec.active_switch_ids);
+        }
+        carry.hint = Some(spec);
+        rec
+    }
+
+    /// **demand**: the operating point the epoch admits. The deferral
+    /// queue (online days) shaves or drains the predicted background
+    /// demand; a day scope then snaps the demand onto the warm-start grid
+    /// and holds the master seed constant, so epochs at the same operating
+    /// point present bit-identical specs. The utilization floor rises to
+    /// one grid step (a zero-query epoch has no tail to measure);
+    /// quantization applies on the rebuild baseline exactly as on the
+    /// incremental path, which is what makes the two bit-comparable.
+    fn demand(
+        &self,
+        input: &EpochInput,
+        queue: Option<&mut DeferralQueue>,
+    ) -> (ClusterRun, DeferralOutcome) {
+        let deferral = match queue {
+            Some(q) => q.step(input.e, input.predicted_bg, self.obs_on),
+            None => DeferralOutcome {
+                bg: input.predicted_bg,
+                enqueued_mbps_min: 0.0,
+                drained_mbps_min: 0.0,
+            },
+        };
+        let day = self.day;
+        let util = (day.peak_utilization * input.load).max(0.02);
+        let (server_utilization, background_util, seed) = if day.day_scope.is_some() {
+            (
+                quantize_demand(util).max(0.05),
+                quantize_demand(deferral.bg),
+                day.seed,
+            )
+        } else {
+            (
+                util,
+                deferral.bg,
+                day.seed ^ (input.e as u64).wrapping_mul(0x9E37_79B9),
+            )
+        };
+        let template = ClusterRun {
+            scheme: ServerScheme::EpronsServer,
+            consolidation: ConsolidationSpec::AllOn,
+            server_utilization,
+            background_util,
+            duration_s: day.sim_seconds,
+            warmup_s: 0.0,
+            seed,
+        };
+        let run = match self.strategy {
+            DayStrategy::NoPowerManagement => ClusterRun {
+                scheme: ServerScheme::NoPowerManagement,
+                ..template
+            },
+            DayStrategy::TimeTrader => ClusterRun {
+                scheme: ServerScheme::TimeTrader,
+                // Let the 5 s feedback loop settle before scoring.
+                warmup_s: 60.0,
+                ..template
+            },
+            DayStrategy::Eprons { .. } => template,
+        };
+        (run, deferral)
+    }
+
+    /// **choose**: the cheapest configuration that routes around `mask` —
+    /// the pruned candidate ladder for EPRONS (`hint` jumps its queue),
+    /// all-on for the other strategies. `None` when nothing routes; the
+    /// epoch then falls back to the unmasked choice, and rung 2 of the
+    /// degradation ladder to all-on.
+    fn choose(
+        &self,
+        ctx: &ScenarioContext,
+        scheme: ServerScheme,
+        mask: &[NodeId],
+        hint: Option<ConsolidationSpec>,
+    ) -> Option<Pick> {
+        match self.strategy {
+            DayStrategy::Eprons { candidates } => {
+                optimize_in_context_pruned(ctx, scheme, candidates, mask, hint)
+                    .0
+                    .map(|c| Pick {
+                        spec: c.spec,
+                        result: c.result,
+                        feasible: c.feasible,
+                    })
+            }
+            _ => self.all_on(ctx, scheme, mask),
+        }
+    }
+
+    /// The all-on configuration minus `mask`, if it routes.
+    fn all_on(&self, ctx: &ScenarioContext, scheme: ServerScheme, mask: &[NodeId]) -> Option<Pick> {
+        let result = ctx
+            .evaluate_masked(scheme, ConsolidationSpec::AllOn, mask)
+            .ok()?;
+        Some(Pick {
+            spec: ConsolidationSpec::AllOn,
+            feasible: result.is_feasible(self.cfg),
+            result,
+        })
+    }
+
+    /// **hold**: hysteresis. Keeps the previous epoch's configuration in
+    /// place of `pick` when the reconfiguration's priced transition
+    /// energy does not pay back within the configured horizon, or a
+    /// switch it would toggle is still cooling down. Never trades an
+    /// SLA-feasible pick for an infeasible hold. Returns whether it held.
+    fn hold(&self, ep: &Epoch, h: &HysteresisState, pick: &mut Pick) -> bool {
+        let Some(prev_spec) = h.prev_spec.filter(|&s| s != pick.spec) else {
+            return false;
+        };
+        let Ok(hold) = ep.ctx.evaluate_masked(ep.scheme, prev_spec, &ep.mask) else {
+            return false;
+        };
+        let hold_feasible = hold.is_feasible(self.cfg);
+        let churn = Churn::between(&hold.active_switch_ids, &pick.result.active_switch_ids);
+        let saving_w = hold.breakdown.total_w() - pick.result.breakdown.total_w();
+        let transition_j = h.model.transition_energy_j(&churn);
+        let horizon_s = h.knobs.payback_horizon_epochs as f64 * h.epoch_s;
+        let pays_back = worth_switching(&h.model, &churn, saving_w, horizon_s, h.knobs.margin);
+        // A cooldown hold is anti-flap insurance; it is only worth buying
+        // while holding is cheap — one epoch of the forgone power saving
+        // must not exceed the transition energy the hold avoids re-paying.
+        let cooling =
+            h.any_cooling(&churn) && saving_w.max(0.0) * h.epoch_s <= h.knobs.margin * transition_j;
+        if !hold_feasible || (pays_back && !cooling) {
+            return false;
+        }
+        if self.obs_on {
+            eprons_obs::registry()
+                .counter("core.hysteresis.holds")
+                .inc();
+            eprons_obs::record(eprons_obs::Event::HysteresisHold {
+                epoch: ep.e as u64,
+                desired: pick.spec.label(),
+                held: prev_spec.label(),
+                saving_w,
+                transition_j,
+                reason: if cooling { "cooldown" } else { "payback" }.to_string(),
+            });
+        }
+        *pick = Pick {
+            spec: prev_spec,
+            result: hold,
+            feasible: hold_feasible,
+        };
+        true
+    }
+
+    /// **survive**: walks the degradation ladder for every failure event
+    /// inside the epoch and journals the power segments between events,
+    /// folding their time-weighted power, boot energy and worst rung into
+    /// `rec`. Returns the configuration live when the epoch closes.
+    fn survive(
+        &self,
+        ep: &Epoch,
+        mut spec: ConsolidationSpec,
+        rec: &mut DayRecord,
+    ) -> ConsolidationSpec {
+        let events = self.schedule.events_in(ep.start, ep.end);
+        if events.is_empty() {
+            // A clean epoch is one power segment covering the whole
+            // window; together the segments must integrate to the day
+            // energy (`obsctl audit`).
+            self.power_segment(ep.e, ep.start, ep.end, rec.breakdown);
+            return spec;
+        }
+        let cfg = self.cfg;
+        let ctx = &ep.ctx;
+        let d = &*ctx.data;
+        let policy = DegradationPolicy {
+            attempt_repair: cfg.failure.attempt_repair,
+            attempt_reconsolidate: cfg.failure.attempt_reconsolidate,
+            transition: cfg.failure.transition.clone(),
+        };
+        let mut mask = ep.mask.clone();
+        // The live assignment repairs mutate in place (rung 1).
+        let mut assignment: Option<Assignment> = ctx
+            .plan_masked(spec, &mask)
+            .ok()
+            .map(|p| p.assignment.clone());
+        let active_ids = |a: &Assignment| -> Vec<usize> {
+            d.ft.topology()
+                .switches()
+                .into_iter()
+                .filter(|&n| a.state().node_on(n))
+                .map(|n| n.0)
+                .collect()
+        };
+        // Time-weighted power over the segments between events; a
+        // crashed switch's hung draw persists to the epoch boundary.
+        let mut acc_server = 0.0;
+        let mut acc_net = 0.0;
+        let mut cur = rec.breakdown;
+        let mut dead_draw_w = 0.0;
+        let mut last_m = ep.start;
+        for ev in &events {
+            acc_server += cur.server_w * (ev.minute - last_m);
+            acc_net += cur.network_w * (ev.minute - last_m);
+            self.power_segment(ep.e, last_m, ev.minute, cur);
+            last_m = ev.minute;
+            if ev.kind == FailureEventKind::Recover {
+                // The switch boots (72.52 s, §IV-B) and rejoins the
+                // candidate pool at the next epoch boundary; routing
+                // inside this epoch keeps its mask.
+                rec.boot_energy_j += policy.recovery_boot_energy_j();
+                self.repair_outcome(ev, "recovered", 0, 1, policy.recovery_boot_energy_j());
+                continue;
+            }
+            if mask.contains(&NodeId(ev.switch)) {
+                // Already down at the epoch start (an event exactly on the
+                // boundary shows up in both the mask and this window).
+                continue;
+            }
+            mask.push(NodeId(ev.switch));
+            mask.sort_unstable();
+            rec.failed_switches.push(ev.switch);
+            // Rung 1: re-route the victims in place.
+            if let Some(a) = assignment.as_mut().filter(|_| policy.attempt_repair) {
+                match policy.try_repair(a, &d.ft, &d.flows, NodeId(ev.switch), &cfg.net_power) {
+                    Ok(rep) => {
+                        rec.boot_energy_j += rep.boot_energy_j;
+                        dead_draw_w += rep.dead_draw_w;
+                        cur.network_w = a.network_power_w(&d.ft, &cfg.net_power) + dead_draw_w;
+                        rec.active_switch_ids = active_ids(a);
+                        worsen(&mut rec.degradation, DegradationStage::Repaired);
+                        self.repair_outcome(
+                            ev,
+                            "repaired",
+                            rep.rerouted.len(),
+                            rep.woken.len(),
+                            rep.boot_energy_j,
+                        );
+                        continue;
+                    }
+                    Err(_) => self.repair_outcome(ev, "repair-failed", 0, 0, 0.0),
+                }
+            }
+            // Rung 2: re-consolidate around the failure; rung 3: the
+            // all-on spec minus failures.
+            let rerun = policy
+                .attempt_reconsolidate
+                .then(|| self.choose(ctx, ep.scheme, &mask, None))
+                .flatten()
+                .map(|p| (p, DegradationStage::Reconsolidated))
+                .or_else(|| {
+                    self.all_on(ctx, ep.scheme, &mask)
+                        .map(|p| (p, DegradationStage::AllOnFallback))
+                });
+            let (stage, woken, rung_boot_j) = match rerun {
+                Some((p, stage)) => {
+                    let woken = Churn::between(&rec.active_switch_ids, &p.result.active_switch_ids)
+                        .turned_on
+                        .len();
+                    let rung_boot_j = woken as f64
+                        * policy.transition.boot_power_w
+                        * policy.transition.power_on_s;
+                    rec.boot_energy_j += rung_boot_j;
+                    // The hung switch keeps drawing until the epoch-boundary
+                    // power cycle.
+                    dead_draw_w += cfg.net_power.switch_w;
+                    cur.server_w = p.result.breakdown.server_w;
+                    cur.network_w = p.result.breakdown.network_w + dead_draw_w;
+                    rec.active_switch_ids = p.result.active_switch_ids;
+                    rec.e2e_p95_s = rec.e2e_p95_s.max(p.result.e2e_latency.p95_s);
+                    rec.feasible = rec.feasible && p.feasible;
+                    assignment = ctx
+                        .plan_masked(p.spec, &mask)
+                        .ok()
+                        .map(|plan| plan.assignment.clone());
+                    spec = p.spec;
+                    (stage, woken, rung_boot_j)
+                }
+                None => {
+                    // Rung 4: nothing routes around the mask.
+                    rec.feasible = false;
+                    (DegradationStage::Unprotected, 0, 0.0)
+                }
+            };
+            worsen(&mut rec.degradation, stage);
+            // Journal the rung's boot charge so the audit can reconcile
+            // every joule of `boot_energy_j` against RepairOutcome events,
+            // whichever rung charged it.
+            self.repair_outcome(ev, stage.label(), 0, woken, rung_boot_j);
+            if self.obs_on {
+                let why = if stage == DegradationStage::Unprotected {
+                    "no fallback routes"
+                } else {
+                    "repair failed"
+                };
+                eprons_obs::record(eprons_obs::Event::DegradedEpoch {
+                    epoch: ep.e as u64,
+                    reason: format!(
+                        "switch {} failed at minute {:.0}; {why}",
+                        ev.switch, ev.minute
+                    ),
+                    fallback: stage.label().to_string(),
+                });
+            }
+        }
+        acc_server += cur.server_w * (ep.end - last_m);
+        acc_net += cur.network_w * (ep.end - last_m);
+        self.power_segment(ep.e, last_m, ep.end, cur);
+        let span = ep.end - ep.start;
+        rec.breakdown = PowerBreakdown {
+            server_w: acc_server / span,
+            network_w: acc_net / span,
+        };
+        rec.active_switches = rec.active_switch_ids.len();
+        spec
+    }
+
+    /// Journals one constant-power segment of an epoch (empty ones skip).
+    fn power_segment(&self, e: usize, from_min: f64, to_min: f64, p: PowerBreakdown) {
+        if self.obs_on && to_min > from_min {
+            eprons_obs::record(eprons_obs::Event::PowerSegment {
+                epoch: e as u64,
+                from_min,
+                to_min,
+                server_w: p.server_w,
+                network_w: p.network_w,
+            });
+        }
+    }
+
+    /// Journals what one degradation-ladder rung did about a failure event.
+    fn repair_outcome(
+        &self,
+        ev: &FailureEvent,
+        outcome: &str,
+        rerouted: usize,
+        woken: usize,
+        boot_energy_j: f64,
+    ) {
+        if self.obs_on {
+            eprons_obs::record(eprons_obs::Event::RepairOutcome {
+                switch: ev.switch as u64,
+                minute: ev.minute,
+                outcome: outcome.to_string(),
+                rerouted: rerouted as u64,
+                woken: woken as u64,
+                boot_energy_j,
+            });
+        }
+    }
+
+    /// **record**: notes the epoch's outcome on its span and journals the
+    /// epoch snapshot.
+    fn record(
+        &self,
+        e: usize,
+        spec: ConsolidationSpec,
+        rec: &DayRecord,
+        epoch_span: &mut eprons_obs::Span,
+    ) {
+        let choice = spec.label();
+        epoch_span.note(format!(
+            "epoch={e} choice={choice} feasible={} degradation={}",
+            rec.feasible,
+            rec.degradation.map_or("-", |d| d.label()),
+        ));
+        if self.obs_on {
+            eprons_obs::record(eprons_obs::Event::EpochSnapshot(eprons_obs::Snapshot {
+                epoch: e as u64,
+                minute: rec.minute,
+                strategy: self.strategy.name().to_string(),
+                choice,
+                server_w: rec.breakdown.server_w,
+                network_w: rec.breakdown.network_w,
+                active_switches: rec.active_switches as u64,
+                e2e_p95_us: rec.e2e_p95_s * 1.0e6,
+                feasible: rec.feasible,
+                boot_energy_j: rec.boot_energy_j,
+            }));
+        }
+    }
+}
+
+/// Raises `deg` to `stage` if that rung is worse than any seen so far.
+fn worsen(deg: &mut Option<DegradationStage>, stage: DegradationStage) {
+    *deg = Some(deg.map_or(stage, |have| have.max(stage)));
 }
 
 /// Reconfiguration churn between consecutive epochs of a day timeline.

@@ -7,7 +7,11 @@
 
 use eprons_core::controller::{day_total_energy_j, DayConfig};
 use eprons_core::optimizer::aggregation_candidates;
-use eprons_core::{set_thread_budget, simulate_day, ClusterConfig, DayRecord, DayStrategy};
+use eprons_core::{
+    set_thread_budget, simulate_day, simulate_day_with_failures, ClusterConfig, DayRecord,
+    DayStrategy, FailureEvent, FailureEventKind, FailureSchedule,
+};
+use eprons_topo::FatTree;
 
 fn quick_day() -> DayConfig {
     DayConfig {
@@ -66,7 +70,9 @@ fn warm_started_day_matches_cold_day_bit_for_bit() {
     // hint, never a result change. A day simulated with `warm_start: true`
     // (sequential epochs, previous winner hinted forward) must reproduce
     // the cold day (`warm_start: false`, parallel epochs, no hints) in
-    // every record bit and in total energy.
+    // every record bit and in total energy. The second input fails a core
+    // switch mid-epoch and recovers it two epochs later: the warm day
+    // keeps hinting across both mask changes.
     let cfg = ClusterConfig::default();
     let strategy = DayStrategy::Eprons {
         candidates: aggregation_candidates(),
@@ -76,20 +82,39 @@ fn warm_started_day_matches_cold_day_bit_for_bit() {
         warm_start: false,
         ..quick_day()
     };
-    let warm = simulate_day(&cfg, &strategy, &warm_day);
-    let cold = simulate_day(&cfg, &strategy, &cold_day);
-    assert_eq!(warm.len(), cold.len());
-    for (w, c) in warm.iter().zip(&cold) {
-        assert_eq!(
-            record_bits(w),
-            record_bits(c),
-            "epoch at minute {} diverged between warm and cold days",
-            w.minute
-        );
+    let ft = FatTree::new(cfg.fat_tree_k, cfg.link_capacity_mbps);
+    let core = ft.core(0, 0).0;
+    let core_failure = FailureSchedule::scripted(vec![
+        FailureEvent {
+            minute: 300.0,
+            switch: core,
+            kind: FailureEventKind::Fail,
+        },
+        FailureEvent {
+            minute: 800.0,
+            switch: core,
+            kind: FailureEventKind::Recover,
+        },
+    ]);
+    for (label, schedule) in [
+        ("clean", FailureSchedule::none()),
+        ("core failure", core_failure),
+    ] {
+        let warm = simulate_day_with_failures(&cfg, &strategy, &warm_day, &schedule);
+        let cold = simulate_day_with_failures(&cfg, &strategy, &cold_day, &schedule);
+        assert_eq!(warm.len(), cold.len());
+        for (w, c) in warm.iter().zip(&cold) {
+            assert_eq!(
+                record_bits(w),
+                record_bits(c),
+                "{label}: epoch at minute {} diverged between warm and cold days",
+                w.minute
+            );
+        }
+        let warm_j = day_total_energy_j(&warm, &warm_day);
+        let cold_j = day_total_energy_j(&cold, &cold_day);
+        assert_eq!(warm_j.to_bits(), cold_j.to_bits());
     }
-    let warm_j = day_total_energy_j(&warm, &warm_day);
-    let cold_j = day_total_energy_j(&cold, &cold_day);
-    assert_eq!(warm_j.to_bits(), cold_j.to_bits());
 }
 
 #[test]

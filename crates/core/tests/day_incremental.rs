@@ -132,6 +132,50 @@ fn incremental_day_is_bit_identical_across_strategies() {
             &incremental_day,
         );
     }
+
+    // A batch day with no hint to carry (`warm_start: false`, no online
+    // controller): the day cache alone makes it sequential, and it must
+    // still match the fanned-out rebuild baseline while actually hitting.
+    let cfg = ClusterConfig {
+        fat_tree_k: 4,
+        ..ClusterConfig::default()
+    };
+    let baseline_day = DayConfig {
+        epoch_minutes: 120,
+        sim_seconds: 1.0,
+        peak_utilization: 0.5,
+        seed: 7777,
+        warm_start: false,
+        online: None,
+        day_scope: Some(DayScopeConfig {
+            incremental: false,
+            ..DayScopeConfig::default()
+        }),
+        ..DayConfig::default()
+    };
+    let incremental_day = DayConfig {
+        day_scope: Some(DayScopeConfig::default()),
+        ..baseline_day.clone()
+    };
+    let strategy = DayStrategy::Eprons {
+        candidates: vec![ConsolidationSpec::GreedyK(1.0), ConsolidationSpec::GreedyK(2.0)],
+    };
+    let schedule = core_failure(&cfg);
+    let hits = || eprons_obs::registry().counter("core.daycache.hits").get();
+    let baseline = simulate_day_with_failures(&cfg, &strategy, &baseline_day, &schedule);
+    eprons_obs::set_enabled(true);
+    let hits_0 = hits();
+    let incremental = simulate_day_with_failures(&cfg, &strategy, &incremental_day, &schedule);
+    let day_hits = hits() - hits_0;
+    eprons_obs::set_enabled(false);
+    assert_days_bit_identical(
+        "batch",
+        &baseline,
+        &incremental,
+        &baseline_day,
+        &incremental_day,
+    );
+    assert!(day_hits > 0, "the batch day must reuse its day cache");
 }
 
 /// A constant replay day has exactly one operating point, which pins

@@ -80,10 +80,6 @@ pub enum Event {
         bound_w: f64,
         incumbent_w: f64,
     },
-    /// An epoch's ladder search started from the previous epoch's winner
-    /// (hint) because the failure mask and demand fingerprint carried
-    /// over unchanged.
-    WarmStartApplied { epoch: u64, hint: String },
     /// The optimizer committed to a candidate.
     OptimizerChoice {
         k: String,
@@ -287,7 +283,6 @@ impl Event {
             Event::OptimizerCandidate { .. } => "OptimizerCandidate",
             Event::CandidateFailed { .. } => "CandidateFailed",
             Event::CandidatePruned { .. } => "CandidatePruned",
-            Event::WarmStartApplied { .. } => "WarmStartApplied",
             Event::OptimizerChoice { .. } => "OptimizerChoice",
             Event::LpSolve { .. } => "LpSolve",
             Event::FreqTransition { .. } => "FreqTransition",
@@ -374,9 +369,6 @@ impl Event {
                 ("bound_w", n(*bound_w)),
                 ("incumbent_w", n(*incumbent_w)),
             ]),
-            Event::WarmStartApplied { epoch, hint } => {
-                f(vec![("epoch", u(*epoch)), ("hint", s(hint))])
-            }
             Event::OptimizerChoice {
                 k,
                 total_w,
@@ -679,10 +671,6 @@ impl Event {
                 k: fs("k")?,
                 bound_w: fn_("bound_w")?,
                 incumbent_w: fn_("incumbent_w")?,
-            },
-            "WarmStartApplied" => Event::WarmStartApplied {
-                epoch: fu("epoch")?,
-                hint: fs("hint")?,
             },
             "OptimizerChoice" => Event::OptimizerChoice {
                 k: fs("k")?,
@@ -1029,10 +1017,6 @@ mod tests {
                 k: "agg0".into(),
                 bound_w: 1356.8,
                 incumbent_w: 1212.4,
-            },
-            Event::WarmStartApplied {
-                epoch: 4,
-                hint: "agg3".into(),
             },
             Event::OptimizerChoice {
                 k: "k=2".into(),

@@ -80,10 +80,6 @@ fn all_variants(g: &mut Gen) -> Vec<Event> {
             bound_w: arb_f64(g),
             incumbent_w: arb_f64(g),
         },
-        Event::WarmStartApplied {
-            epoch: arb_u64(g),
-            hint: arb_string(g),
-        },
         Event::OptimizerChoice {
             k: arb_string(g),
             total_w: arb_f64(g),
