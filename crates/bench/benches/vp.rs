@@ -1,9 +1,11 @@
 //! Violation-probability engine benchmarks.
 //!
 //! Paper anchors (§III-C): equivalent distributions are cached at
-//! departure instants; arrival instants pay n fresh convolutions; "the
-//! time it takes to determine the operating frequency is shortened by
-//! applying binary search on the average VP … it takes less than 30 µs".
+//! departure instants; arrival instants pay n fresh convolutions (here one
+//! product and one inverse transform each against a cached level
+//! spectrum); "the time it takes to determine the operating frequency is
+//! shortened by applying binary search on the average VP … it takes less
+//! than 30 µs".
 
 use eprons_bench::harness::Runner;
 use eprons_server::policy::DvfsPolicy;
@@ -28,9 +30,11 @@ fn main() {
             engine.decision(black_box(0.0), None, black_box(&deadlines))
         });
     }
-    // Arrival instants condition the in-flight head and convolve fresh —
-    // the expensive path the paper describes. Dispatch instants (a head
-    // that has executed nothing yet) are served from the cached ladder.
+    // Arrival instants condition the in-flight head and convolve it with
+    // each level — the expensive path the paper describes; after the
+    // first iteration every level spectrum is cached. Dispatch instants (a
+    // head that has executed nothing yet) are served from the cached
+    // ladder.
     for (instant, head_done) in [("arrival", 0.5), ("dispatch", 0.0)] {
         for depth in [1usize, 2, 4, 8] {
             let mut engine = VpEngine::new(service());
@@ -44,6 +48,20 @@ fn main() {
                 engine.decision(black_box(0.0), Some(head), black_box(&deadlines))
             });
         }
+    }
+    // The first arrival-instant decision on a fresh ladder: it grows the
+    // levels and builds their spectra, which the warm suites above reuse.
+    let svc = service();
+    for depth in [1usize, 8] {
+        let deadlines: Vec<f64> = (0..=depth).map(|i| 10.0e-3 + 3.0e-3 * i as f64).collect();
+        let head = InflightHead {
+            done_work_gc: svc.work_pmf().mean() * 0.5,
+            rem_fixed_s: 0.0,
+        };
+        r.bench(&format!("decision_arrival_cold/queue/{depth}"), || {
+            let mut engine = VpEngine::new(svc.clone());
+            engine.decision(black_box(0.0), Some(head), black_box(&deadlines))
+        });
     }
     // The paper's "<30 µs" step: binary search over the ladder given a
     // prepared decision.

@@ -7,18 +7,19 @@
 //!   thread-local plan cache (the plan-construction overhead the cache
 //!   removes from every equivalent-request convolution);
 //! * `vp_decision/*` — one VP-engine decision over a 16-deep queue, cold
-//!   (shared equivalent-distribution cache cleared each iteration) and
-//!   warm (ladder inherited from the process-wide cache);
+//!   (a fresh `VpLadder` each iteration) and warm (a fresh engine on a
+//!   ladder an earlier engine grew);
 //! * `run_cluster` / `optimize_total_power/*` — the end-to-end simulator
 //!   and the 4-candidate aggregation-ladder optimizer, the last in three
 //!   variants: `serial_cold` (one thread, fresh context per sweep, the
 //!   NetworkPlan memo off, exhaustive sweep — the pre-warm-start shape),
 //!   `serial_warm` (one thread, shared context, plan memo on, the
 //!   bound-pruned sweep with the previous winner as ordering hint — the
-//!   controller's steady-state epoch shape), and `parallel_warm` (the
-//!   warm shape under a thread budget equal to host parallelism; skipped
-//!   with a recorded reason on a single-core host, where it could only
-//!   re-measure `serial_warm` plus thread overhead);
+//!   controller's steady-state epoch shape; the report's `vp_ladder`
+//!   object gives its context's ladder levels and spectrum bytes), and
+//!   `parallel_warm` (the warm shape under a thread budget equal to host
+//!   parallelism; skipped with a recorded reason on a single-core host,
+//!   where it could only re-measure `serial_warm` plus thread overhead);
 //! * `ladder_warm_start/*` — the consolidation MILP's LP relaxation
 //!   chained across a descending K ladder: the cold chain re-solves
 //!   every rung from scratch (phase 1 + phase 2 per rung), the warm
@@ -77,8 +78,9 @@ use eprons_num::conv::{clear_plan_cache, convolve_fft};
 use eprons_num::fft::FftPlan;
 use eprons_num::Pmf;
 use eprons_obs::Json;
-use eprons_server::{clear_equiv_cache, equiv_cache_stats, ServiceModel, VpEngine};
+use eprons_server::{ServiceModel, VpEngine, VpLadder};
 use eprons_topo::{AggregationLevel, FatTree};
+use std::sync::Arc;
 
 fn out_path() -> std::path::PathBuf {
     let args: Vec<String> = std::env::args().collect();
@@ -134,17 +136,15 @@ fn main() {
     );
     let deadlines: Vec<f64> = (1..=16).map(|i| i as f64 * 2.0e-3).collect();
     r.bench("vp_decision/cold/queue16", || {
-        clear_equiv_cache();
+        // A fresh ladder: every level is convolved.
         let mut engine = VpEngine::new(service.clone());
         engine.decision(0.0, None, &deadlines).len()
     });
-    clear_equiv_cache();
-    let mut warm_engine = VpEngine::new(service.clone());
-    let _ = warm_engine.decision(0.0, None, &deadlines);
+    let warm_ladder = Arc::new(VpLadder::new(service.clone()));
+    let _ = VpEngine::shared(Arc::clone(&warm_ladder)).decision(0.0, None, &deadlines);
     r.bench("vp_decision/warm/queue16", || {
-        // Fresh engine each iteration, but the ladder comes from the
-        // shared cache published by the previous one.
-        let mut engine = VpEngine::new(service.clone());
+        // Fresh engine each iteration on a ladder an earlier engine grew.
+        let mut engine = VpEngine::shared(Arc::clone(&warm_ladder));
         engine.decision(0.0, None, &deadlines).len()
     });
 
@@ -177,12 +177,12 @@ fn main() {
     ];
     // `serial_cold` replays the pre-warm-start pipeline exactly: one
     // thread, a fresh ScenarioContext per sweep (so no memo of an earlier
-    // sweep can serve it), every process-wide cache cleared, and the
+    // sweep can serve it, and its VP ladder starts empty), the thread's
+    // FFT plan cache cleared, and the
     // exhaustive (unpruned) candidate sweep.
     let serial_budget = 1usize;
     set_thread_budget(Some(serial_budget));
     r.bench("optimize_total_power/agg_ladder/serial_cold", || {
-        clear_equiv_cache();
         clear_plan_cache();
         optimize_total_power(&cfg, &template, &candidates)
             .unwrap()
@@ -308,9 +308,10 @@ fn main() {
     // Both variants sweep the same 4 candidates serially so the measured
     // gap is context reuse alone. `cold_per_candidate` replays the
     // pre-staged shape — one `run_cluster` process-equivalent per
-    // candidate, each rebuilding topology, service model, and workloads
-    // from cold process-wide caches (the clears inside the loop model the
-    // fresh-process-per-point sweep scripts this pipeline replaces).
+    // candidate, each rebuilding topology, service model, VP ladder and
+    // workloads, with a cold FFT plan cache (the clear inside the loop
+    // models the fresh-process-per-point sweep scripts this pipeline
+    // replaces).
     // `shared_context` builds one ScenarioContext and evaluates each
     // candidate against it.
     //
@@ -330,7 +331,6 @@ fn main() {
         candidates
             .iter()
             .map(|&spec| {
-                clear_equiv_cache();
                 clear_plan_cache();
                 let run = ClusterRun {
                     consolidation: spec,
@@ -621,7 +621,7 @@ fn main() {
     // pay for its stitch phase, so `met` is advisory there and CI's
     // speedup gate reads the committed full-run BENCH instead.
     const PD_TARGET: f64 = 3.0;
-    let (models, levels) = equiv_cache_stats();
+    let vp_ladder = warm_ctx.vp_ladder();
     let report = Json::Obj(vec![
         ("schema".into(), Json::Str("eprons.bench.cluster/v1".into())),
         ("quick".into(), Json::Bool(quick())),
@@ -718,10 +718,13 @@ fn main() {
             ]),
         ),
         (
-            "equiv_cache".into(),
+            "vp_ladder".into(),
             Json::Obj(vec![
-                ("models".into(), Json::Num(models as f64)),
-                ("levels".into(), Json::Num(levels as f64)),
+                ("levels".into(), Json::Num(vp_ladder.levels() as f64)),
+                (
+                    "spectrum_bytes".into(),
+                    Json::Num(vp_ladder.spectrum_bytes() as f64),
+                ),
             ]),
         ),
     ]);

@@ -27,7 +27,7 @@ use std::path::Path;
 
 use eprons_core::report::{
     journal_daycache_table, journal_epoch_table, journal_kind_table, journal_online_table,
-    journal_pods_table, Table,
+    journal_pods_table, journal_vp_table, Table,
 };
 use eprons_obs::{Event, JournalEntry, Snapshot};
 
@@ -238,6 +238,11 @@ pub fn summarize(entries: &[JournalEntry]) -> String {
     if !pods_table.is_empty() {
         out.push('\n');
         out.push_str(&pods_table.to_string());
+    }
+    let vp_table = journal_vp_table(entries);
+    if !vp_table.is_empty() {
+        out.push('\n');
+        out.push_str(&vp_table.to_string());
     }
     let online_table = journal_online_table(entries);
     if !online_table.is_empty() {
@@ -1588,6 +1593,39 @@ mod tests {
         assert!(s.contains("pod consolidation (net.pods.*)"), "{s}");
         assert!(s.contains("net.pods.cache_hits"), "{s}");
         assert!(s.contains("net.pods.balanced_stitches"), "{s}");
+    }
+
+    #[test]
+    fn summarize_tabulates_vp_kernel_counters() {
+        let j = Journal::with_capacity(16);
+        for (id, detail) in [
+            (
+                1,
+                "server=0 convolutions=16 spectra_built=3 spectra_reused=10",
+            ),
+            (
+                2,
+                "server=1 convolutions=16 spectra_built=0 spectra_reused=13",
+            ),
+        ] {
+            j.record(Event::SpanEnd {
+                id,
+                name: "server_shard".into(),
+                elapsed_s: 0.01,
+                detail: detail.into(),
+            });
+        }
+        let s = summarize(&j.snapshot());
+        assert!(s.contains("VP kernel (server.vp.*)"), "{s}");
+        for (name, sum) in [
+            ("server shards", 2),
+            ("server.vp.convolutions", 32),
+            ("server.vp.spectra_built", 3),
+            ("server.vp.spectra_reused", 23),
+        ] {
+            let row = s.lines().find(|l| l.contains(name)).unwrap_or("");
+            assert!(row.trim_end().ends_with(&sum.to_string()), "{name}: {s}");
+        }
     }
 
     #[test]

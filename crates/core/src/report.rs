@@ -187,6 +187,42 @@ pub fn journal_pods_table(entries: &[eprons_obs::JournalEntry]) -> Table {
     t
 }
 
+/// Tabulates the VP kernel's work in a cluster evaluation's server
+/// shards, summed from the `server_shard` spans' notes
+/// (`convolutions=… spectra_built=… spectra_reused=…`, what each shard's
+/// `simulate_core` added to the `server.vp.*` counters): arrival-instant
+/// convolutions, and how many of them built or reused a cached level
+/// spectrum. Each reuse is one forward FFT saved. Empty (no rows) when no
+/// shard span was journaled.
+pub fn journal_vp_table(entries: &[eprons_obs::JournalEntry]) -> Table {
+    const FIELDS: [&str; 3] = ["convolutions", "spectra_built", "spectra_reused"];
+    let mut t = Table::new("VP kernel (server.vp.*)", &["counter", "value"]);
+    let (mut shards, mut sums) = (0u64, [0u64; 3]);
+    for e in entries {
+        if let eprons_obs::Event::SpanEnd { name, detail, .. } = &e.event {
+            if name != "server_shard" {
+                continue;
+            }
+            shards += 1;
+            for tok in detail.split_whitespace() {
+                if let Some((key, v)) = tok.split_once('=') {
+                    if let Some(i) = FIELDS.iter().position(|&f| f == key) {
+                        sums[i] += v.parse::<u64>().unwrap_or(0);
+                    }
+                }
+            }
+        }
+    }
+    if shards == 0 {
+        return t;
+    }
+    t.row(&["server shards".to_string(), shards.to_string()]);
+    for (name, v) in FIELDS.iter().zip(sums) {
+        t.row(&[format!("server.vp.{name}"), v.to_string()]);
+    }
+    t
+}
+
 /// Tabulates the day-scoped cache reports of a journal: one row per
 /// [`eprons_obs::Event::DayCacheReport`] with the cache's day-long
 /// hit/miss/eviction counters, its hit rate, and the approximate bytes

@@ -48,7 +48,7 @@ use eprons_server::policy::DvfsPolicy;
 use eprons_server::request::budget_with_network_slack;
 use eprons_server::{
     simulate_core, ArrivalSpec, AvgVpPolicy, CoreSimConfig, DeepSleepPolicy, MaxFreqPolicy,
-    MaxVpPolicy, ServiceModel, TimeTraderPolicy, VpEngine,
+    MaxVpPolicy, ServiceModel, TimeTraderPolicy, VpEngine, VpLadder,
 };
 use eprons_sim::SimRng;
 use eprons_topo::{AggregationLevel, FatTree, NodeId};
@@ -206,7 +206,11 @@ pub(crate) struct ScenarioData {
     /// serial cost on a warm context.
     pub(crate) floor_cache: Mutex<HashMap<FloorKey, f64>>,
     pub(crate) hosts: Vec<NodeId>,
-    pub(crate) service: Arc<ServiceModel>,
+    /// The service model with its VP convolution ladder, shared by every
+    /// server shard of every evaluation on this context and by every
+    /// context rebound from it, so levels and their spectra are computed
+    /// once per model and die with the last context that holds them.
+    pub(crate) vp_ladder: Arc<VpLadder>,
     pub(crate) mean_service_s: f64,
     /// `spec.warmup_s` clamped to ≥ 0 (what the stages measure from).
     pub(crate) warmup_s: f64,
@@ -361,7 +365,7 @@ impl ScenarioContext {
                 server_evals: Mutex::new(Vec::new()),
                 floor_cache: Mutex::new(HashMap::new()),
                 hosts,
-                service: Arc::new(service),
+                vp_ladder: Arc::new(VpLadder::new(service)),
                 mean_service_s,
                 warmup_s,
                 horizon_s,
@@ -478,7 +482,7 @@ impl ScenarioContext {
                 server_evals: Mutex::new(Vec::new()),
                 floor_cache: Mutex::new(HashMap::new()),
                 hosts: d.hosts.clone(),
-                service: Arc::clone(&d.service),
+                vp_ladder: Arc::clone(&d.vp_ladder),
                 mean_service_s: d.mean_service_s,
                 warmup_s,
                 horizon_s,
@@ -515,6 +519,12 @@ impl ScenarioContext {
     /// Mean service time at `f_max` under the fitted service model.
     pub fn mean_service_s(&self) -> f64 {
         self.data.mean_service_s
+    }
+
+    /// The service model's VP convolution ladder, shared by every
+    /// evaluation on this context (and its rebinds and SLA clones).
+    pub fn vp_ladder(&self) -> &Arc<VpLadder> {
+        &self.data.vp_ladder
     }
 
     /// A context sharing all built state but evaluating under a different
@@ -1305,11 +1315,8 @@ impl ServerEvaluation {
         let shards: Vec<ServerShard> = parallel_map_range(n, |s| {
             let _t = eprons_obs::Timer::scoped("core.cluster.server_shard_s");
             let mut shard_span = eprons_obs::Span::enter_under(eval_span_id, "server_shard");
-            if eprons_obs::enabled() {
-                shard_span.note(format!("server={s}"));
-            }
             let arrivals = &per_server[s];
-            let mut engine = VpEngine::shared(Arc::clone(&d.service));
+            let mut engine = VpEngine::shared(Arc::clone(&d.vp_ladder));
             let mut policy: Box<dyn DvfsPolicy> = match scheme {
                 ServerScheme::NoPowerManagement => Box::new(MaxFreqPolicy),
                 ServerScheme::Rubik => Box::new(MaxVpPolicy::rubik()),
@@ -1327,6 +1334,15 @@ impl ServerEvaluation {
                 &core_cfg,
                 d.server_seeds[s],
             );
+            if eprons_obs::enabled() {
+                // A span note, not an event: which shard builds a shared
+                // spectrum first depends on thread timing.
+                let vp = engine.tally();
+                shard_span.note(format!(
+                    "server={s} convolutions={} spectra_built={} spectra_reused={}",
+                    vp.convolutions, vp.spectra_built, vp.spectra_reused
+                ));
+            }
             let end = r.sim_end_s.max(d.horizon_s);
             let span = end - d.warmup_s;
             let trailing_idle_w = policy

@@ -19,8 +19,10 @@ use eprons_core::{
     optimize_total_power, run_cluster, set_thread_budget, ClusterConfig, ClusterRun,
     ClusterRunResult, ConsolidationSpec, ServerScheme,
 };
-use eprons_server::clear_equiv_cache;
+use eprons_server::vp::InflightHead;
+use eprons_server::VpEngine;
 use eprons_topo::AggregationLevel;
+use std::sync::Arc;
 
 fn short_run(scheme: ServerScheme, consolidation: ConsolidationSpec) -> ClusterRun {
     ClusterRun {
@@ -327,15 +329,34 @@ fn plan_cache_hits_are_bit_identical_to_rebuilds() {
 }
 
 #[test]
-fn shared_equiv_cache_is_invisible_to_results() {
-    // Cold cache (first run computes the convolution ladder) and warm
-    // cache (second run inherits the published prefix) must agree exactly:
-    // each ladder level is a pure function of the previous one, so where
-    // the level came from can never leak into the numbers.
+fn pre_grown_vp_ladder_is_invisible_to_results() {
+    // A fresh context grows only the ladder levels and spectra its own
+    // evaluation needs. A context whose shared ladder was grown far deeper
+    // first — levels and their FFT spectra at several sizes — must agree
+    // with it exactly: each level is a pure function of the previous one
+    // and each spectrum of its level and FFT size, so where they came from
+    // can never leak into the numbers.
     let cfg = ClusterConfig::default();
     let run = short_run(ServerScheme::EpronsServer, ConsolidationSpec::GreedyK(2.0));
-    clear_equiv_cache();
-    let cold = run_cluster(&cfg, &run).unwrap();
-    let warm = run_cluster(&cfg, &run).unwrap();
-    assert_eq!(result_bits(&cold), result_bits(&warm));
+    let fresh = run_cluster(&cfg, &run).unwrap();
+
+    let ctx = ScenarioContext::for_template(&cfg, &run);
+    let ladder = ctx.vp_ladder();
+    let mut engine = VpEngine::shared(Arc::clone(ladder));
+    let top = engine.service().work_pmf().max_value();
+    let deadlines: Vec<f64> = (1..=48).map(|i| i as f64 * 1.0e-3).collect();
+    for eighth in 1..8 {
+        // Conditioned heads of different lengths need different FFT sizes.
+        let head = InflightHead {
+            done_work_gc: top * eighth as f64 / 8.0,
+            rem_fixed_s: 0.0,
+        };
+        let _ = engine.decision(0.0, Some(head), &deadlines);
+    }
+    let (levels, bytes) = (ladder.levels(), ladder.spectrum_bytes());
+    assert!(levels >= 47, "pre-grown to {levels} levels");
+    assert!(bytes > 0, "pre-grown spectra");
+
+    let warm = ctx.evaluate(run.scheme, run.consolidation).unwrap();
+    assert_eq!(result_bits(&fresh), result_bits(&warm));
 }

@@ -8,6 +8,7 @@
 //! convolution).
 
 use std::cell::RefCell;
+use std::sync::OnceLock;
 
 use crate::complex::Complex;
 use crate::fft::{next_pow2, FftPlan};
@@ -135,46 +136,122 @@ impl<'a> Prepared<'a> {
         }
     }
 
+    /// `true` iff [`convolve`]`(a, b)` takes the direct algorithm: below
+    /// [`FFT_THRESHOLD`] combined taps, or when either operand is a single
+    /// tap (or empty).
+    fn is_direct(&self, b: &[f64]) -> bool {
+        self.a.len().min(b.len()) < 2 || self.a.len() + b.len() < FFT_THRESHOLD
+    }
+
     /// [`convolve`]`(a, b)`: the direct algorithm below [`FFT_THRESHOLD`]
     /// combined taps (or when either operand is a single tap), FFT above.
     pub fn convolve(&mut self, b: &[f64]) -> Vec<f64> {
-        let a = self.a;
-        if a.len().min(b.len()) < 2 || a.len() + b.len() < FFT_THRESHOLD {
-            convolve_direct(a, b)
+        if self.is_direct(b) {
+            convolve_direct(self.a, b)
         } else {
             self.convolve_fft(b)
         }
     }
 
+    /// [`convolve`]`(a, b)` to the bit, with `b`'s spectrum taken from
+    /// `b_spectra` (built there on its first use at each FFT size). On the
+    /// FFT path a call with a cached `b` spectrum pays one pointwise
+    /// product and one inverse transform. Every call with the same
+    /// `b_spectra` must pass the same `b`.
+    pub fn convolve_cached(&mut self, b: &[f64], b_spectra: &Spectra) -> (Vec<f64>, SpectrumUse) {
+        if self.is_direct(b) {
+            return (convolve_direct(self.a, b), SpectrumUse::Direct);
+        }
+        let out_len = self.a.len() + b.len() - 1;
+        let n = next_pow2(out_len);
+        let mut used = SpectrumUse::Reused;
+        let out = with_cached_plan(n, |plan| {
+            let fb = b_spectra.slots[n.trailing_zeros() as usize].get_or_init(|| {
+                used = SpectrumUse::Built;
+                transformed(b, plan).into_boxed_slice()
+            });
+            let fa = self.spectrum(plan);
+            let mut out: Vec<Complex> = fa.iter().zip(fb.iter()).map(|(x, y)| *x * *y).collect();
+            plan.inverse(&mut out);
+            out
+        });
+        (real_part(out, out_len), used)
+    }
+
     /// [`convolve_fft`]`(a, b)`, transforming `a` only on the first call
     /// at each FFT size.
     fn convolve_fft(&mut self, b: &[f64]) -> Vec<f64> {
-        let a = self.a;
-        if a.is_empty() || b.is_empty() {
+        if self.a.is_empty() || b.is_empty() {
             return Vec::new();
         }
-        let out_len = a.len() + b.len() - 1;
+        let out_len = self.a.len() + b.len() - 1;
         let n = next_pow2(out_len);
-        let idx = n.trailing_zeros() as usize;
-        if self.spectra.len() <= idx {
-            self.spectra.resize_with(idx + 1, || None);
-        }
-        let mut fb = padded(b, n);
-        with_cached_plan(n, |plan| {
-            let fa = self.spectra[idx].get_or_insert_with(|| {
-                let mut fa = padded(a, n);
-                plan.forward(&mut fa);
-                fa
-            });
-            plan.forward(&mut fb);
-            for (y, x) in fb.iter_mut().zip(fa.iter()) {
+        let out = with_cached_plan(n, |plan| {
+            let mut fb = transformed(b, plan);
+            for (y, x) in fb.iter_mut().zip(self.spectrum(plan)) {
                 *y = *x * *y;
             }
             plan.inverse(&mut fb);
+            fb
         });
-        fb.truncate(out_len);
-        fb.into_iter().map(|z| z.re.max(0.0)).collect()
+        real_part(out, out_len)
     }
+
+    /// The forward spectrum of `a` at the plan's size, transformed on
+    /// first use.
+    fn spectrum(&mut self, plan: &FftPlan) -> &[Complex] {
+        let idx = plan.len().trailing_zeros() as usize;
+        if self.spectra.len() <= idx {
+            self.spectra.resize_with(idx + 1, || None);
+        }
+        self.spectra[idx].get_or_insert_with(|| transformed(self.a, plan))
+    }
+}
+
+/// The zero-padded forward spectra of one right operand, built lazily at
+/// most once per power-of-two FFT size and shareable across threads; see
+/// [`Prepared::convolve_cached`]. Each spectrum is a pure function of the
+/// operand and the size, so where it was built never shows in a result.
+#[derive(Debug, Default)]
+pub struct Spectra {
+    /// `slots[log2(n)]`: the spectrum at FFT size `n` (up to 2^31).
+    slots: [OnceLock<Box<[Complex]>>; 32],
+}
+
+impl Spectra {
+    /// Bytes held by the spectra built so far.
+    pub fn bytes(&self) -> usize {
+        self.slots
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|s| std::mem::size_of_val(&**s))
+            .sum()
+    }
+}
+
+/// How [`Prepared::convolve_cached`] served its right operand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpectrumUse {
+    /// The direct algorithm ran; no spectrum was needed.
+    Direct,
+    /// The FFT ran on a spectrum this call built and cached.
+    Built,
+    /// The FFT ran on a spectrum an earlier call had cached.
+    Reused,
+}
+
+/// The forward spectrum of `x` zero-padded to the plan's size.
+fn transformed(x: &[f64], plan: &FftPlan) -> Vec<Complex> {
+    let mut out = padded(x, plan.len());
+    plan.forward(&mut out);
+    out
+}
+
+/// The first `len` real parts of an inverse transform, with negative
+/// round-off dust clamped to zero.
+fn real_part(mut z: Vec<Complex>, len: usize) -> Vec<f64> {
+    z.truncate(len);
+    z.into_iter().map(|z| z.re.max(0.0)).collect()
 }
 
 /// `x` as complex values, zero-padded to length `n`.
@@ -322,6 +399,70 @@ mod tests {
                     "case {case}"
                 );
             }
+        });
+    }
+
+    #[test]
+    fn cached_right_operand_matches_convolve_to_the_bit() {
+        eprons_proplite::cases(24, |g, case| {
+            // One right operand per case, 1-tap some of the time, whose
+            // spectra are cached across every left operand below.
+            let lb = *g.choose(&[1, 2, 17, 47, 95, 150]);
+            let b = g.vec_f64(lb, 0.0, 1.0);
+            let spectra = Spectra::default();
+            let mut fft_sizes = Vec::new();
+            // Left operands from 1 tap to both sides of the threshold and
+            // on to FFT sizes up to 2048; the second pass reuses them all.
+            let lens = [
+                1,
+                2,
+                5,
+                FFT_THRESHOLD.saturating_sub(lb + 1).max(1),
+                FFT_THRESHOLD,
+                300,
+                700,
+                1500,
+            ];
+            let lefts: Vec<Vec<f64>> = lens.iter().map(|&la| g.vec_f64(la, 0.0, 1.0)).collect();
+            for pass in 0..2 {
+                for a in &lefts {
+                    let (got, used) = Prepared::new(a).convolve_cached(&b, &spectra);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&convolve(a, &b)),
+                        "case {case}, {}x{lb}",
+                        a.len()
+                    );
+                    let n = next_pow2(a.len() + lb - 1);
+                    let direct = a.len().min(lb) < 2 || a.len() + lb < FFT_THRESHOLD;
+                    if !direct {
+                        let reference = convolve_fft_unprepared(a, &b);
+                        assert_eq!(
+                            bits(&got),
+                            bits(&reference),
+                            "case {case}, {}x{lb}",
+                            a.len()
+                        );
+                    }
+                    let expected = if direct {
+                        SpectrumUse::Direct
+                    } else if pass == 0 && !fft_sizes.contains(&n) {
+                        fft_sizes.push(n);
+                        SpectrumUse::Built
+                    } else {
+                        SpectrumUse::Reused
+                    };
+                    assert_eq!(used, expected, "case {case}, pass {pass}, {}x{lb}", a.len());
+                }
+            }
+            if lb > 1 {
+                assert!(fft_sizes.len() >= 3, "case {case}: sizes {fft_sizes:?}");
+            }
+            let bytes: usize = fft_sizes
+                .iter()
+                .map(|n| n * std::mem::size_of::<Complex>())
+                .sum();
+            assert_eq!(spectra.bytes(), bytes);
         });
     }
 

@@ -341,15 +341,40 @@ impl PreparedPmf<'_> {
     /// # Panics
     /// Panics if the steps differ by more than a relative `1e-9`.
     pub fn convolve(&mut self, other: &Pmf) -> Pmf {
-        let pmf = self.pmf;
+        self.check_step(other);
+        let mass = self.op.convolve(&other.mass);
+        self.sum_with(other, mass)
+    }
+
+    /// [`PreparedPmf::convolve`] to the bit, with `other`'s spectra cached
+    /// in `other_spectra` (see [`conv::Prepared::convolve_cached`]); every
+    /// call with the same `other_spectra` must pass the same `other`.
+    ///
+    /// # Panics
+    /// Panics if the steps differ by more than a relative `1e-9`.
+    pub fn convolve_cached(
+        &mut self,
+        other: &Pmf,
+        other_spectra: &conv::Spectra,
+    ) -> (Pmf, conv::SpectrumUse) {
+        self.check_step(other);
+        let (mass, used) = self.op.convolve_cached(&other.mass, other_spectra);
+        (self.sum_with(other, mass), used)
+    }
+
+    fn check_step(&self, other: &Pmf) {
+        let step = self.pmf.step;
         assert!(
-            (pmf.step - other.step).abs() <= STEP_TOL * pmf.step.max(other.step),
+            (step - other.step).abs() <= STEP_TOL * step.max(other.step),
             "convolving PMFs requires identical grid steps ({} vs {})",
-            pmf.step,
+            step,
             other.step
         );
-        let mass = self.op.convolve(&other.mass);
-        Pmf::from_masses(pmf.origin + other.origin, pmf.step, mass)
+    }
+
+    /// The PMF of the sum given the convolved masses.
+    fn sum_with(&self, other: &Pmf, mass: Vec<f64>) -> Pmf {
+        Pmf::from_masses(self.pmf.origin + other.origin, self.pmf.step, mass)
     }
 }
 

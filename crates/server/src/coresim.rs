@@ -189,6 +189,7 @@ pub fn simulate_core(
     // Telemetry is aggregated locally and flushed once at the end of the
     // run so the event loop stays allocation- and lock-free.
     let obs_on = eprons_obs::enabled();
+    let tally_at_start = engine.tally();
     let mut freq_transitions = 0u64;
     let mut decisions = 0u64;
 
@@ -341,9 +342,16 @@ pub fn simulate_core(
     }
 
     if obs_on {
+        let tally = engine.tally().since(tally_at_start);
         let reg = eprons_obs::registry();
         reg.counter("server.dvfs.transitions").add(freq_transitions);
         reg.counter("server.vp.decisions").add(decisions);
+        reg.counter("server.vp.convolutions")
+            .add(tally.convolutions);
+        reg.counter("server.vp.spectra_built")
+            .add(tally.spectra_built);
+        reg.counter("server.vp.spectra_reused")
+            .add(tally.spectra_reused);
         eprons_obs::record(eprons_obs::Event::FreqTransition {
             policy: policy.name().to_string(),
             transitions: freq_transitions,

@@ -47,4 +47,4 @@ pub use policy::{
 pub use power::CpuPowerModel;
 pub use request::ArrivalSpec;
 pub use service::ServiceModel;
-pub use vp::{clear_equiv_cache, equiv_cache_stats, VpEngine};
+pub use vp::{VpEngine, VpLadder, VpTally};

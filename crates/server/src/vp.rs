@@ -15,8 +15,8 @@
 //!   has already received (`R0e` with "the distribution of the work left",
 //!   §III-B) and then pay the `n` fresh convolutions the paper describes.
 //!
-//! Two exact shortcuts keep the per-decision kernel cheap without moving a
-//! bit of any result:
+//! Three exact shortcuts keep the per-decision kernel cheap without moving
+//! a bit of any result:
 //!
 //! * **dispatch instants** — a head that has executed nothing yet has the
 //!   work PMF itself as its remaining distribution. Convolution is
@@ -25,8 +25,10 @@
 //!   instants are served from the ladder like departures;
 //! * **conditioned heads** are prepared once per decision
 //!   ([`Pmf::prepare`]): the head's spectrum is computed once per FFT
-//!   size, and only each level's transform and the inverse are paid per
-//!   queued request.
+//!   size;
+//! * **level spectra** are cached with their level ([`VpLadder`]), so each
+//!   queued request behind a conditioned head pays one pointwise product
+//!   and one inverse transform.
 //!
 //! Items share the ladder's levels by `Arc`, so a decision copies no
 //! distribution.
@@ -35,9 +37,9 @@
 //! handled by shrinking the time budget before converting to cycles, per
 //! the footnote-1 model.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
+use eprons_num::conv::{Spectra, SpectrumUse};
 use eprons_num::Pmf;
 
 use crate::service::ServiceModel;
@@ -46,62 +48,72 @@ use crate::service::ServiceModel;
 /// convolution lengths bounded.
 const TRUNC_EPS: f64 = 1e-10;
 
-/// One convolution ladder: `ladder[n-1]` = n-fold self-convolution.
-type Ladder = Vec<Arc<Pmf>>;
-
-/// Process-wide cache of precomputed self-convolution ladders, keyed by
-/// the exact bits of the service model. A cluster run builds one engine
-/// per server (and the optimizer one cluster per candidate) over the
-/// *same* service model; the paper notes the equivalent distributions
-/// "can be reused once computed" (§III-C), so they are computed once per
-/// model here rather than once per server × candidate.
-static EQUIV_CACHE: OnceLock<Mutex<HashMap<ModelKey, Arc<Ladder>>>> = OnceLock::new();
-
-fn equiv_cache() -> &'static Mutex<HashMap<ModelKey, Arc<Ladder>>> {
-    EQUIV_CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// One ladder level: an n-fold self-convolution and its FFT spectra.
+#[derive(Debug)]
+struct Level {
+    pmf: Arc<Pmf>,
+    spectra: Spectra,
 }
 
-/// Exact identity of a service model: the bit patterns of the work PMF's
-/// grid and masses plus the fixed time. Two models share a ladder iff
-/// every input to the self-convolution recurrence is identical, which
-/// makes prefix sharing invisible to results — and, unlike a hash, two
-/// different models can never collide onto one ladder.
-#[derive(Debug, PartialEq, Eq, Hash)]
-struct ModelKey {
-    origin: u64,
-    step: u64,
-    fixed: u64,
-    masses: Box<[u64]>,
-}
-
-impl ModelKey {
-    fn of(service: &ServiceModel) -> Self {
-        let pmf = service.work_pmf();
-        ModelKey {
-            origin: pmf.origin().to_bits(),
-            step: pmf.step().to_bits(),
-            fixed: service.fixed_s().to_bits(),
-            masses: pmf.masses().iter().map(|m| m.to_bits()).collect(),
-        }
+impl Level {
+    fn new(pmf: Pmf) -> Arc<Self> {
+        Arc::new(Level {
+            pmf: Arc::new(pmf),
+            spectra: Spectra::default(),
+        })
     }
 }
 
-/// Empties the shared equivalent-distribution cache (for benchmarks that
-/// want to measure cold-start cost).
-pub fn clear_equiv_cache() {
-    equiv_cache()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clear();
+/// The self-convolution ladder of one service model, shared by every
+/// engine over that model (the paper's "can be reused once computed",
+/// §III-C): a scenario builds one and hands it to each server shard of
+/// every candidate it evaluates, and it dies with the scenario.
+///
+/// Levels are grown on demand and never change; each is a pure function
+/// of the previous one (`prev ∗ base`, truncated at [`TRUNC_EPS`]) and
+/// each spectrum a pure function of its level and FFT size, so whichever
+/// engine or thread grew a level, every engine reads the same bits.
+#[derive(Debug)]
+pub struct VpLadder {
+    service: ServiceModel,
+    /// `levels[n-1]` = n-fold self-convolution; append-only.
+    levels: Mutex<Vec<Arc<Level>>>,
 }
 
-/// `(distinct service models, total cached convolution levels)` currently
-/// in the shared cache — introspection for tests and perfbench.
-pub fn equiv_cache_stats() -> (usize, usize) {
-    let map = equiv_cache().lock().unwrap_or_else(|e| e.into_inner());
-    let models = map.len();
-    let levels = map.values().map(|v| v.len()).sum();
-    (models, levels)
+impl VpLadder {
+    /// A ladder holding the 1-fold level (the work PMF itself).
+    pub fn new(service: ServiceModel) -> Self {
+        let base = Level::new(service.work_pmf().clone());
+        VpLadder {
+            service,
+            levels: Mutex::new(vec![base]),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Arc<Level>>> {
+        self.levels.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Levels grown so far.
+    pub fn levels(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// Bytes held by the levels' cached FFT spectra.
+    pub fn spectrum_bytes(&self) -> usize {
+        self.lock().iter().map(|l| l.spectra.bytes()).sum()
+    }
+
+    /// Appends levels `view.len() + 1 ..= n` to `view`, growing the ladder
+    /// to `n` levels first if it is shorter.
+    fn extend(&self, view: &mut Vec<Arc<Level>>, n: usize) {
+        let mut levels = self.lock();
+        while levels.len() < n {
+            let next = levels[levels.len() - 1].pmf.convolve(&levels[0].pmf);
+            levels.push(Level::new(next.truncated(TRUNC_EPS)));
+        }
+        view.extend(levels[view.len()..n].iter().cloned());
+    }
 }
 
 /// `true` iff `a` and `b` are the same PMF to the bit.
@@ -124,127 +136,82 @@ pub struct InflightHead {
     pub rem_fixed_s: f64,
 }
 
-/// Cached-convolution VP engine.
+/// Kernel work an engine has done since it was made.
 ///
-/// The n-fold self-convolution ladder is split in two: a frozen prefix
-/// (`Arc`-shared with every other engine over the same service model, via
-/// the process-wide cache) and a private copy-on-grow tail for levels the
-/// prefix does not cover yet. Because each level is a pure function of the
-/// previous one (`prev ∗ base`, truncated at [`TRUNC_EPS`]), an engine
-/// computes bit-identical distributions whether it finds them in the
-/// shared prefix or grows them locally — sharing changes wall-clock time,
-/// never results.
+/// `convolutions` is a pure function of the decisions asked for, but the
+/// split between `spectra_built` and `spectra_reused` is not: on a shared
+/// ladder, whichever engine first needs a spectrum builds it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct VpTally {
+    /// Convolutions behind a conditioned head (arrival instants).
+    pub convolutions: u64,
+    /// Level spectra those convolutions built.
+    pub spectra_built: u64,
+    /// Level spectra those convolutions found already cached.
+    pub spectra_reused: u64,
+}
+
+impl VpTally {
+    /// The work counted after `earlier`, a tally of the same engine.
+    pub fn since(self, earlier: VpTally) -> VpTally {
+        VpTally {
+            convolutions: self.convolutions - earlier.convolutions,
+            spectra_built: self.spectra_built - earlier.spectra_built,
+            spectra_reused: self.spectra_reused - earlier.spectra_reused,
+        }
+    }
+}
+
+/// Cached-convolution VP engine over a shared [`VpLadder`].
 #[derive(Debug, Clone)]
 pub struct VpEngine {
-    service: Arc<ServiceModel>,
-    /// Frozen shared levels: `prefix[n-1]` = n-fold self-convolution.
-    prefix: Arc<Ladder>,
-    /// Locally grown levels `prefix.len()+1 ..= prefix.len()+tail.len()`.
-    tail: Ladder,
+    ladder: Arc<VpLadder>,
+    /// The ladder levels this engine has seen, read without the lock.
+    levels: Vec<Arc<Level>>,
+    tally: VpTally,
 }
 
 impl VpEngine {
-    /// Creates an engine for a service model, attaching to the shared
-    /// convolution prefix for that model (and seeding the shared cache
-    /// with the 1-fold level on first sight).
+    /// Creates an engine on a fresh ladder of its own.
     pub fn new(service: ServiceModel) -> Self {
-        Self::shared(Arc::new(service))
+        Self::shared(Arc::new(VpLadder::new(service)))
     }
 
-    /// [`VpEngine::new`] over an already-shared model: the staged cluster
-    /// pipeline builds one `Arc<ServiceModel>` per scenario and hands it
-    /// to every server shard of every candidate, so the work PMF is never
-    /// deep-cloned per engine.
-    pub fn shared(service: Arc<ServiceModel>) -> Self {
-        let prefix = {
-            let mut map = equiv_cache().lock().unwrap_or_else(|e| e.into_inner());
-            map.entry(ModelKey::of(&service))
-                .or_insert_with(|| Arc::new(vec![Arc::new(service.work_pmf().clone())]))
-                .clone()
-        };
+    /// An engine on a shared ladder: levels and spectra any engine on it
+    /// computes serve all of them.
+    pub fn shared(ladder: Arc<VpLadder>) -> Self {
         VpEngine {
-            service,
-            prefix,
-            tail: Vec::new(),
+            ladder,
+            levels: Vec::new(),
+            tally: VpTally::default(),
         }
     }
 
     /// The underlying service model.
     #[inline]
     pub fn service(&self) -> &ServiceModel {
-        &self.service
-    }
-
-    /// Levels currently visible through the shared frozen prefix.
-    #[inline]
-    pub fn prefix_len(&self) -> usize {
-        self.prefix.len()
-    }
-
-    /// Total convolution levels this engine can serve without computing
-    /// (shared prefix + private tail).
-    #[inline]
-    pub fn cached_levels(&self) -> usize {
-        self.prefix.len() + self.tail.len()
+        &self.ladder.service
     }
 
     /// The cached n-fold self-convolution (n ≥ 1).
     pub fn equivalent(&mut self, n: usize) -> &Pmf {
-        self.level(n)
+        &self.level(n).pmf
     }
 
-    /// The shared handle of the n-fold self-convolution (n ≥ 1), growing
-    /// the private tail up to it.
-    fn level(&mut self, n: usize) -> &Arc<Pmf> {
+    /// The kernel work this engine has done so far.
+    pub fn tally(&self) -> VpTally {
+        self.tally
+    }
+
+    /// Ladder level `n` (n ≥ 1), growing the ladder up to it.
+    fn level(&mut self, n: usize) -> &Arc<Level> {
         assert!(n >= 1, "equivalent distribution needs at least one request");
-        if n <= self.prefix.len() {
-            return &self.prefix[n - 1];
+        if self.levels.len() < n {
+            self.ladder.extend(&mut self.levels, n);
         }
-        let base = &self.prefix[0];
-        while self.prefix.len() + self.tail.len() < n {
-            let prev = self
-                .tail
-                .last()
-                .unwrap_or_else(|| self.prefix.last().expect("prefix holds at least level 1"));
-            let next = prev.convolve(base).truncated(TRUNC_EPS);
-            self.tail.push(Arc::new(next));
-        }
-        &self.tail[n - 1 - self.prefix.len()]
+        &self.levels[n - 1]
     }
 
-    /// Publishes this engine's privately grown tail back to the shared
-    /// cache, so later engines over the same model start with a longer
-    /// frozen prefix. Called automatically on drop; idempotent, and a
-    /// no-op when another engine already published at least as many
-    /// levels (the recurrence is deterministic, so equal-length ladders
-    /// are bit-identical and there is nothing to reconcile).
-    pub fn publish(&mut self) {
-        if self.tail.is_empty() {
-            return;
-        }
-        let mut map = equiv_cache().lock().unwrap_or_else(|e| e.into_inner());
-        let entry = map
-            .entry(ModelKey::of(&self.service))
-            .or_insert_with(|| self.prefix.clone());
-        if entry.len() < self.prefix.len() + self.tail.len() {
-            let mut full = Vec::with_capacity(self.prefix.len() + self.tail.len());
-            full.extend(self.prefix.iter().cloned());
-            full.append(&mut self.tail);
-            *entry = Arc::new(full);
-        } else {
-            self.tail.clear();
-        }
-        self.prefix = entry.clone();
-    }
-}
-
-impl Drop for VpEngine {
-    fn drop(&mut self) {
-        self.publish();
-    }
-}
-
-impl VpEngine {
     /// Builds the per-position distributions for one decision instant.
     ///
     /// `head` describes the in-flight request, if the core is busy;
@@ -257,7 +224,7 @@ impl VpEngine {
         head: Option<InflightHead>,
         deadlines: &[f64],
     ) -> Decision {
-        let fixed = self.service.fixed_s();
+        let fixed = self.service().fixed_s();
         let mut items: Vec<DecisionItem> = Vec::with_capacity(deadlines.len());
         match head {
             Some(h) => {
@@ -266,7 +233,7 @@ impl VpEngine {
                 // cycles. If the head has (numerically) exhausted its
                 // support it is about to finish: treat remaining work as a
                 // half-bin delta.
-                let base = self.level(1).clone();
+                let base = self.level(1).pmf.clone();
                 let step = base.step();
                 let head_rem = base
                     .remaining_given_done(h.done_work_gc)
@@ -277,21 +244,30 @@ impl VpEngine {
                     // cached level `i + 1`.
                     for (i, &d) in deadlines.iter().enumerate() {
                         items.push(DecisionItem {
-                            dist: self.level(i + 1).clone(),
+                            dist: self.level(i + 1).pmf.clone(),
                             budget_s: budget(i, d),
                         });
                     }
                 } else {
                     // The paper's arrival-instant cost: one convolution
-                    // per queued request behind the head, with the head
-                    // transformed once.
+                    // per queued request behind the head, against the
+                    // level's cached spectrum, with the head transformed
+                    // once.
                     let head_rem = Arc::new(head_rem);
                     let mut prepared = head_rem.prepare();
                     for (i, &d) in deadlines.iter().enumerate() {
                         let dist = if i == 0 {
                             head_rem.clone()
                         } else {
-                            Arc::new(prepared.convolve(self.equivalent(i)).truncated(TRUNC_EPS))
+                            let level = self.level(i);
+                            let (sum, used) = prepared.convolve_cached(&level.pmf, &level.spectra);
+                            self.tally.convolutions += 1;
+                            match used {
+                                SpectrumUse::Built => self.tally.spectra_built += 1,
+                                SpectrumUse::Reused => self.tally.spectra_reused += 1,
+                                SpectrumUse::Direct => {}
+                            }
+                            Arc::new(sum.truncated(TRUNC_EPS))
                         };
                         items.push(DecisionItem {
                             dist,
@@ -303,7 +279,7 @@ impl VpEngine {
             None => {
                 for (i, &d) in deadlines.iter().enumerate() {
                     items.push(DecisionItem {
-                        dist: self.level(i + 1).clone(),
+                        dist: self.level(i + 1).pmf.clone(),
                         budget_s: d - now - (i + 1) as f64 * fixed,
                     });
                 }
@@ -343,7 +319,7 @@ impl Decision {
 
     /// Violation probability of pending request `i` at frequency `f_ghz`:
     /// `P(equivalent work > f · budget)` (eq. 1 + CCDF). A non-positive
-    /// budget yields VP 1 unless the equivalent work is zero.
+    /// budget yields VP 1, whatever the equivalent work.
     pub fn vp(&self, i: usize, f_ghz: f64) -> f64 {
         let it = &self.items[i];
         if it.budget_s <= 0.0 {
@@ -573,7 +549,6 @@ mod tests {
 
     #[test]
     fn decision_kernel_is_bit_identical_to_fresh_convolutions() {
-        let ladder = crate::freq::FreqLadder::paper_default();
         eprons_proplite::cases(40, |g, case| {
             // Work PMFs on both sides of the FFT threshold: short ones
             // convolve directly against short levels, long ones by FFT.
@@ -602,35 +577,80 @@ mod tests {
                     });
                     let fast = engine.decision(0.0, head, &deadlines);
                     let reference = reference_decision(&mut engine, 0.0, head, &deadlines);
-                    assert_eq!(fast.len(), reference.len());
-                    for i in 0..fast.len() {
-                        for &f in ladder.steps() {
-                            assert_eq!(
-                                fast.vp(i, f).to_bits(),
-                                reference.vp(i, f).to_bits(),
-                                "case {case}: depth {depth}, head {done:?}, item {i}, {f} GHz"
-                            );
-                        }
-                    }
+                    let what = format!("case {case}: depth {depth}, head {done:?}");
+                    assert_same_vps(&fast, &reference, &what);
                 }
             }
         });
     }
 
+    /// Every VP of `fast` at every ladder frequency equals `reference`'s
+    /// to the bit.
+    fn assert_same_vps(fast: &Decision, reference: &Decision, what: &str) {
+        assert_eq!(fast.len(), reference.len(), "{what}");
+        for i in 0..fast.len() {
+            for &f in crate::freq::FreqLadder::paper_default().steps() {
+                assert_eq!(
+                    fast.vp(i, f).to_bits(),
+                    reference.vp(i, f).to_bits(),
+                    "{what}: item {i}, {f} GHz"
+                );
+            }
+        }
+    }
+
     #[test]
-    fn ladder_cache_keys_on_exact_model_bits() {
-        // A model seen only by this test, and a twin one ulp away in its
-        // fixed time: the twin must not see the first model's ladder.
-        let pmf = Pmf::from_masses(1.25e-3, 3.0e-5, vec![0.3, 0.1, 0.45, 0.15]);
-        let fixed = 0.37e-3;
-        let mut first = VpEngine::new(ServiceModel::new(pmf.clone(), fixed));
-        let _ = first.equivalent(6);
-        drop(first);
-        let again = VpEngine::new(ServiceModel::new(pmf.clone(), fixed));
-        assert!(again.prefix_len() >= 6, "same bits share the ladder");
-        let twin = ServiceModel::new(pmf, f64::from_bits(fixed.to_bits() + 1));
-        assert_ne!(ModelKey::of(&twin), ModelKey::of(again.service()));
-        assert_eq!(VpEngine::new(twin).prefix_len(), 1);
+    fn engines_on_one_shared_ladder_match_the_reference_across_threads() {
+        // 120 bins: deep levels and conditioned heads take the FFT path.
+        let masses = (0..120).map(|i| ((i * 37) % 11 + 1) as f64).collect();
+        let pmf = Pmf::from_masses(0.4e-3, 2.0e-5, masses);
+        let shared = Arc::new(VpLadder::new(ServiceModel::new(pmf, 0.2e-3)));
+        let tallies: Vec<VpTally> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2u64)
+                .map(|t| {
+                    let shared = Arc::clone(&shared);
+                    s.spawn(move || {
+                        let mut engine = VpEngine::shared(shared);
+                        // The reference grows a private ladder and
+                        // convolves from scratch.
+                        let mut private = VpEngine::new(engine.service().clone());
+                        let top = engine.service().work_pmf().max_value();
+                        let mut g = eprons_proplite::Gen::from_seed(t);
+                        for round in 0..24usize {
+                            // The threads walk the depths in opposite
+                            // orders, so each grows levels and spectra the
+                            // other then reads.
+                            let depth = if t == 0 { round % 13 } else { 12 - round % 13 };
+                            let deadlines: Vec<f64> =
+                                (0..=depth).map(|_| g.f64_in(1.0e-3, 60.0e-3)).collect();
+                            let head = Some(InflightHead {
+                                done_work_gc: g.f64_in(0.0, top),
+                                rem_fixed_s: 0.1e-3,
+                            });
+                            let fast = engine.decision(0.0, head, &deadlines);
+                            let reference = reference_decision(&mut private, 0.0, head, &deadlines);
+                            assert_same_vps(
+                                &fast,
+                                &reference,
+                                &format!("thread {t}, round {round}"),
+                            );
+                        }
+                        engine.tally()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(shared.levels() >= 12);
+        assert!(shared.spectrum_bytes() > 0);
+        let built: u64 = tallies.iter().map(|t| t.spectra_built).sum();
+        let reused: u64 = tallies.iter().map(|t| t.spectra_reused).sum();
+        let convolutions: u64 = tallies.iter().map(|t| t.convolutions).sum();
+        assert!(
+            built > 0 && reused > built,
+            "built {built}, reused {reused}"
+        );
+        assert!(built + reused <= convolutions);
     }
 
     #[test]
