@@ -3,9 +3,10 @@
 //! Paper anchors (§III-C): equivalent distributions are cached at
 //! departure instants; arrival instants pay n fresh convolutions (here one
 //! product and one inverse transform each against a cached level
-//! spectrum); "the time it takes to determine the operating frequency is
-//! shortened by applying binary search on the average VP … it takes less
-//! than 30 µs".
+//! spectrum, and none for the first two levels once a head of the same
+//! bin has been seen); "the time it takes to determine the operating
+//! frequency is shortened by applying binary search on the average VP … it
+//! takes less than 30 µs".
 
 use eprons_bench::harness::Runner;
 use eprons_server::policy::DvfsPolicy;
@@ -31,36 +32,65 @@ fn main() {
         });
     }
     // Arrival instants condition the in-flight head and convolve it with
-    // each level — the expensive path the paper describes; after the
-    // first iteration every level spectrum is cached. Dispatch instants (a
-    // head that has executed nothing yet) are served from the cached
-    // ladder.
-    for (instant, head_done) in [("arrival", 0.5), ("dispatch", 0.0)] {
-        for depth in [1usize, 2, 4, 8] {
-            let mut engine = VpEngine::new(service());
-            let _ = engine.equivalent(depth + 1);
-            let head = InflightHead {
-                done_work_gc: engine.service().work_pmf().mean() * head_done,
-                rem_fixed_s: 0.0,
-            };
-            let deadlines: Vec<f64> = (0..=depth).map(|i| 10.0e-3 + 3.0e-3 * i as f64).collect();
-            r.bench(&format!("decision_{instant}/queue/{depth}"), || {
-                engine.decision(black_box(0.0), Some(head), black_box(&deadlines))
-            });
-        }
+    // each level — the expensive path the paper describes. Each timed
+    // decision gets a fresh ladder that a head one bin further on has
+    // grown: every level and spectrum is cached, no conditioned slot of
+    // this head's bin is filled.
+    let svc = service();
+    let arrival = |done_work_gc| InflightHead {
+        done_work_gc,
+        rem_fixed_s: 0.0,
+    };
+    let mid = svc.work_pmf().mean() * 0.5;
+    let next_bin = mid + svc.work_pmf().step();
+    for depth in [1usize, 2, 4, 8] {
+        let deadlines: Vec<f64> = (0..=depth).map(|i| 10.0e-3 + 3.0e-3 * i as f64).collect();
+        let setup = || {
+            let mut engine = VpEngine::new(svc.clone());
+            let _ = engine.decision(0.0, Some(arrival(next_bin)), &deadlines);
+            engine
+        };
+        let mut probe = setup();
+        let before = probe.tally();
+        let _ = probe.decision(0.0, Some(arrival(mid)), &deadlines);
+        let work = probe.tally().since(before);
+        assert_eq!(
+            (work.convolutions, work.conditioned_hits, work.spectra_built),
+            (depth as u64, 0, 0),
+            "the arrival suite must convolve every level on cached spectra"
+        );
+        r.bench_with_setup(
+            &format!("decision_arrival/queue/{depth}"),
+            setup,
+            |mut engine| engine.decision(black_box(0.0), Some(arrival(mid)), black_box(&deadlines)),
+        );
+    }
+    // The same head bin again on a warm engine: levels 1–2 come from
+    // their conditioned slots, deeper levels still convolve.
+    for depth in [1usize, 8] {
+        let mut engine = VpEngine::new(svc.clone());
+        let deadlines: Vec<f64> = (0..=depth).map(|i| 10.0e-3 + 3.0e-3 * i as f64).collect();
+        r.bench(&format!("decision_arrival_repeat/queue/{depth}"), || {
+            engine.decision(black_box(0.0), Some(arrival(mid)), black_box(&deadlines))
+        });
+    }
+    // Dispatch instants (a head that has executed nothing yet) are served
+    // from the cached ladder.
+    for depth in [1usize, 2, 4, 8] {
+        let mut engine = VpEngine::new(svc.clone());
+        let _ = engine.equivalent(depth + 1);
+        let deadlines: Vec<f64> = (0..=depth).map(|i| 10.0e-3 + 3.0e-3 * i as f64).collect();
+        r.bench(&format!("decision_dispatch/queue/{depth}"), || {
+            engine.decision(black_box(0.0), Some(arrival(0.0)), black_box(&deadlines))
+        });
     }
     // The first arrival-instant decision on a fresh ladder: it grows the
     // levels and builds their spectra, which the warm suites above reuse.
-    let svc = service();
     for depth in [1usize, 8] {
         let deadlines: Vec<f64> = (0..=depth).map(|i| 10.0e-3 + 3.0e-3 * i as f64).collect();
-        let head = InflightHead {
-            done_work_gc: svc.work_pmf().mean() * 0.5,
-            rem_fixed_s: 0.0,
-        };
         r.bench(&format!("decision_arrival_cold/queue/{depth}"), || {
             let mut engine = VpEngine::new(svc.clone());
-            engine.decision(black_box(0.0), Some(head), black_box(&deadlines))
+            engine.decision(black_box(0.0), Some(arrival(mid)), black_box(&deadlines))
         });
     }
     // The paper's "<30 µs" step: binary search over the ladder given a

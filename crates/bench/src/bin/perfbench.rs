@@ -16,7 +16,8 @@
 //!   `serial_warm` (one thread, shared context, plan memo on, the
 //!   bound-pruned sweep with the previous winner as ordering hint — the
 //!   controller's steady-state epoch shape; the report's `vp_ladder`
-//!   object gives its context's ladder levels and spectrum bytes), and
+//!   object gives its context's ladder levels, spectrum bytes and
+//!   conditioned-slot bytes), and
 //!   `parallel_warm` (the warm shape under a thread budget equal to host
 //!   parallelism; skipped with a recorded reason on a single-core host,
 //!   where it could only re-measure `serial_warm` plus thread overhead);
@@ -724,6 +725,10 @@ fn main() {
                 (
                     "spectrum_bytes".into(),
                     Json::Num(vp_ladder.spectrum_bytes() as f64),
+                ),
+                (
+                    "conditioned_bytes".into(),
+                    Json::Num(vp_ladder.conditioned_bytes() as f64),
                 ),
             ]),
         ),

@@ -79,9 +79,20 @@ impl Runner {
     /// closure's return value is passed through [`std::hint::black_box`]
     /// so the optimizer cannot elide the work.
     pub fn bench<T>(&mut self, name: &str, mut f: impl FnMut() -> T) -> &Sample {
+        self.bench_with_setup(name, || (), |()| f())
+    }
+
+    /// [`Runner::bench`] timing `f` on the output of an untimed `setup`
+    /// made afresh for each call, e.g. a cache state that `f` consumes.
+    pub fn bench_with_setup<S, T>(
+        &mut self,
+        name: &str,
+        mut setup: impl FnMut() -> S,
+        mut f: impl FnMut(S) -> T,
+    ) -> &Sample {
         // One untimed warm-up: fills caches (and, for the cluster suites,
         // the shared convolution prefix) exactly like a steady-state run.
-        std::hint::black_box(f());
+        std::hint::black_box(f(setup()));
         let started = Instant::now();
         let mut iters = 0u64;
         let mut total = 0.0f64;
@@ -90,8 +101,9 @@ impl Runner {
         while (iters < self.min_iters || started.elapsed().as_secs_f64() < self.target_s)
             && iters < self.max_iters
         {
+            let input = setup();
             let t0 = Instant::now();
-            std::hint::black_box(f());
+            std::hint::black_box(f(input));
             let dt = t0.elapsed().as_secs_f64();
             total += dt;
             min = min.min(dt);
@@ -168,6 +180,23 @@ mod tests {
         let s = &r.samples[0];
         assert_eq!(s.iters, 3);
         assert!(s.min_s <= s.mean_s && s.mean_s <= s.max_s);
+    }
+
+    #[test]
+    fn setup_runs_untimed_before_every_call() {
+        let mut r = Runner::new(0.0, 3);
+        let mut made = 0;
+        r.bench_with_setup(
+            "setup",
+            || {
+                made += 1;
+                made
+            },
+            |n| n,
+        );
+        // The warm-up call and each timed call get their own setup.
+        assert_eq!(made, 4);
+        assert_eq!(r.samples[0].iters, 3);
     }
 
     #[test]

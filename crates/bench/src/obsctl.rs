@@ -1601,11 +1601,11 @@ mod tests {
         for (id, detail) in [
             (
                 1,
-                "server=0 convolutions=16 spectra_built=3 spectra_reused=10",
+                "server=0 convolutions=16 conditioned_hits=40 spectra_built=3 spectra_reused=10",
             ),
             (
                 2,
-                "server=1 convolutions=16 spectra_built=0 spectra_reused=13",
+                "server=1 convolutions=16 conditioned_hits=2 spectra_built=0 spectra_reused=13",
             ),
         ] {
             j.record(Event::SpanEnd {
@@ -1620,6 +1620,7 @@ mod tests {
         for (name, sum) in [
             ("server shards", 2),
             ("server.vp.convolutions", 32),
+            ("server.vp.conditioned_hits", 42),
             ("server.vp.spectra_built", 3),
             ("server.vp.spectra_reused", 23),
         ] {

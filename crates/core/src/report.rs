@@ -189,15 +189,21 @@ pub fn journal_pods_table(entries: &[eprons_obs::JournalEntry]) -> Table {
 
 /// Tabulates the VP kernel's work in a cluster evaluation's server
 /// shards, summed from the `server_shard` spans' notes
-/// (`convolutions=… spectra_built=… spectra_reused=…`, what each shard's
-/// `simulate_core` added to the `server.vp.*` counters): arrival-instant
-/// convolutions, and how many of them built or reused a cached level
-/// spectrum. Each reuse is one forward FFT saved. Empty (no rows) when no
-/// shard span was journaled.
+/// (`convolutions=… conditioned_hits=… spectra_built=… spectra_reused=…`,
+/// what each shard's `simulate_core` added to the `server.vp.*` counters):
+/// arrival-instant convolutions run, the conditioned sums served from a
+/// ladder slot instead (each one convolution saved), and how many of the
+/// convolutions built or reused a cached level spectrum (each reuse one
+/// forward FFT saved). Empty (no rows) when no shard span was journaled.
 pub fn journal_vp_table(entries: &[eprons_obs::JournalEntry]) -> Table {
-    const FIELDS: [&str; 3] = ["convolutions", "spectra_built", "spectra_reused"];
+    const FIELDS: [&str; 4] = [
+        "convolutions",
+        "conditioned_hits",
+        "spectra_built",
+        "spectra_reused",
+    ];
     let mut t = Table::new("VP kernel (server.vp.*)", &["counter", "value"]);
-    let (mut shards, mut sums) = (0u64, [0u64; 3]);
+    let (mut shards, mut sums) = (0u64, [0u64; FIELDS.len()]);
     for e in entries {
         if let eprons_obs::Event::SpanEnd { name, detail, .. } = &e.event {
             if name != "server_shard" {

@@ -1335,12 +1335,14 @@ impl ServerEvaluation {
                 d.server_seeds[s],
             );
             if eprons_obs::enabled() {
-                // A span note, not an event: which shard builds a shared
-                // spectrum first depends on thread timing.
+                // A span note, not an event: which shard fills a shared
+                // conditioned slot or spectrum first depends on thread
+                // timing.
                 let vp = engine.tally();
                 shard_span.note(format!(
-                    "server={s} convolutions={} spectra_built={} spectra_reused={}",
-                    vp.convolutions, vp.spectra_built, vp.spectra_reused
+                    "server={s} convolutions={} conditioned_hits={} spectra_built={} \
+                     spectra_reused={}",
+                    vp.convolutions, vp.conditioned_hits, vp.spectra_built, vp.spectra_reused
                 ));
             }
             let end = r.sim_end_s.max(d.horizon_s);

@@ -330,12 +330,14 @@ fn plan_cache_hits_are_bit_identical_to_rebuilds() {
 
 #[test]
 fn pre_grown_vp_ladder_is_invisible_to_results() {
-    // A fresh context grows only the ladder levels and spectra its own
-    // evaluation needs. A context whose shared ladder was grown far deeper
-    // first — levels and their FFT spectra at several sizes — must agree
-    // with it exactly: each level is a pure function of the previous one
-    // and each spectrum of its level and FFT size, so where they came from
-    // can never leak into the numbers.
+    // A fresh context grows only the ladder levels, spectra and
+    // conditioned slots its own evaluation needs. A context whose shared
+    // ladder was grown far deeper first — levels, their FFT spectra at
+    // several sizes, and the conditioned sums of heads at every bin of the
+    // work PMF — must agree with it exactly: each level is a pure function
+    // of the previous one, each spectrum of its level and FFT size, and
+    // each conditioned sum's masses of its head class and level, so where
+    // they came from can never leak into the numbers.
     let cfg = ClusterConfig::default();
     let run = short_run(ServerScheme::EpronsServer, ConsolidationSpec::GreedyK(2.0));
     let fresh = run_cluster(&cfg, &run).unwrap();
@@ -353,9 +355,27 @@ fn pre_grown_vp_ladder_is_invisible_to_results() {
         };
         let _ = engine.decision(0.0, Some(head), &deadlines);
     }
+    // Heads at a third of the way into every bin fill the conditioned
+    // slots at origins the evaluation's heads will not share.
+    let work = engine.service().work_pmf().clone();
+    for bin in 0..=work.len() {
+        let head = InflightHead {
+            done_work_gc: work.origin() + (bin as f64 + 0.3) * work.step(),
+            rem_fixed_s: 0.0,
+        };
+        let _ = engine.decision(0.0, Some(head), &deadlines[..3]);
+    }
     let (levels, bytes) = (ladder.levels(), ladder.spectrum_bytes());
     assert!(levels >= 47, "pre-grown to {levels} levels");
     assert!(bytes > 0, "pre-grown spectra");
+    assert!(
+        ladder.conditioned_bytes() > 0,
+        "pre-filled conditioned slots"
+    );
+    assert!(
+        engine.tally().conditioned_hits > 0,
+        "repeated head bins hit"
+    );
 
     let warm = ctx.evaluate(run.scheme, run.consolidation).unwrap();
     assert_eq!(result_bits(&fresh), result_bits(&warm));

@@ -214,10 +214,27 @@ impl Pmf {
         }
     }
 
+    /// The same masses with the first bin at `origin`, not renormalized:
+    /// rebuilds a stored distribution at a new place on the value axis.
+    pub fn with_origin(&self, origin: f64) -> Pmf {
+        Pmf {
+            origin,
+            step: self.step,
+            mass: self.mass.clone(),
+        }
+    }
+
     /// Drops leading/trailing bins whose cumulative mass is below `eps` and
     /// renormalizes. Keeps equivalent-request distributions from growing
     /// unboundedly as convolutions accumulate.
     pub fn truncated(&self, eps: f64) -> Pmf {
+        self.truncated_with_lo(eps).0
+    }
+
+    /// [`Pmf::truncated`] and the number `lo` of leading bins it dropped:
+    /// the result's masses depend only on `self`'s, and its origin is
+    /// `self.value_at(lo)`.
+    pub fn truncated_with_lo(&self, eps: f64) -> (Pmf, usize) {
         let mut lo = 0usize;
         let mut cum = 0.0;
         while lo + 1 < self.mass.len() && cum + self.mass[lo] < eps / 2.0 {
@@ -230,7 +247,8 @@ impl Pmf {
             cum += self.mass[hi - 1];
             hi -= 1;
         }
-        Pmf::from_masses(self.value_at(lo), self.step, self.mass[lo..hi].to_vec())
+        let pmf = Pmf::from_masses(self.value_at(lo), self.step, self.mass[lo..hi].to_vec());
+        (pmf, lo)
     }
 
     /// Samples a value using the provided uniform(0,1) draw, with linear
@@ -304,11 +322,17 @@ impl Pmf {
     /// request arrives while `R0` is mid-service, the in-flight request is
     /// replaced by `R0e`, whose distribution is the work left of `R0`.
     ///
+    /// Returns the result with the first bin of `self` it keeps, `start`:
+    /// `0` when `done <= origin` (the whole PMF, shifted), else the first
+    /// bin above `done`. The result's masses depend on `done` only through
+    /// `start`, so `start` classifies conditioned distributions by their
+    /// masses.
+    ///
     /// Returns `None` if `P(X > done)` is (numerically) zero.
-    pub fn remaining_given_done(&self, done: f64) -> Option<Pmf> {
+    pub fn remaining_given_done(&self, done: f64) -> Option<(usize, Pmf)> {
         if done <= self.origin {
             // All mass already lies above `done`: no conditioning needed.
-            return Some(self.shift(-done));
+            return Some((0, self.shift(-done)));
         }
         // First bin index with value strictly greater than `done`.
         let start = (((done - self.origin) / self.step).floor() as usize) + 1;
@@ -319,11 +343,8 @@ impl Pmf {
         if tail.iter().sum::<f64>() <= 0.0 {
             return None;
         }
-        Some(Pmf::from_masses(
-            self.value_at(start) - done,
-            self.step,
-            tail,
-        ))
+        let rem = Pmf::from_masses(self.value_at(start) - done, self.step, tail);
+        Some((start, rem))
     }
 }
 
@@ -336,6 +357,11 @@ pub struct PreparedPmf<'a> {
 }
 
 impl PreparedPmf<'_> {
+    /// The prepared PMF.
+    pub fn pmf(&self) -> &Pmf {
+        self.pmf
+    }
+
     /// The distribution of the sum of the prepared PMF and `other`.
     ///
     /// # Panics
@@ -491,7 +517,8 @@ mod tests {
     fn remaining_given_done_conditional() {
         let d = die();
         // Given X > 3, remaining X-3 is uniform on {1,2,3}.
-        let r = d.remaining_given_done(3.0).unwrap();
+        let (start, r) = d.remaining_given_done(3.0).unwrap();
+        assert_eq!(start, 3);
         assert_eq!(r.origin(), 1.0);
         assert_eq!(r.len(), 3);
         for m in r.masses() {
@@ -500,8 +527,32 @@ mod tests {
         // Nothing remains past the maximum.
         assert!(d.remaining_given_done(6.0).is_none());
         // Zero work done returns the original distribution.
-        let full = d.remaining_given_done(0.0).unwrap();
+        let (start, full) = d.remaining_given_done(0.0).unwrap();
+        assert_eq!(start, 0);
         assert!((full.mean() - d.mean()).abs() < 1e-12);
+        // Two `done` values in one bin keep the same bins, so the same
+        // masses, at different origins.
+        let (a, ra) = d.remaining_given_done(3.2).unwrap();
+        let (b, rb) = d.remaining_given_done(3.9).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(bits(&ra).2, bits(&rb).2);
+        assert_ne!(ra.origin(), rb.origin());
+    }
+
+    #[test]
+    fn truncated_with_lo_locates_the_kept_bins() {
+        let mut mass = vec![1e-15; 10];
+        mass[4] = 1.0;
+        mass[6] = 1.0;
+        let p = Pmf::from_masses(2.0, 0.5, mass);
+        let (t, lo) = p.truncated_with_lo(1e-9);
+        assert_eq!(lo, 4);
+        assert_eq!(t.origin().to_bits(), p.value_at(lo).to_bits());
+        assert_eq!(bits(&t), bits(&p.truncated(1e-9)));
+        // Rebased at a new origin the masses are kept as they are.
+        let moved = t.with_origin(7.0);
+        assert_eq!(moved.origin(), 7.0);
+        assert_eq!(bits(&moved).2, bits(&t).2);
     }
 
     #[test]

@@ -348,6 +348,8 @@ pub fn simulate_core(
         reg.counter("server.vp.decisions").add(decisions);
         reg.counter("server.vp.convolutions")
             .add(tally.convolutions);
+        reg.counter("server.vp.conditioned_hits")
+            .add(tally.conditioned_hits);
         reg.counter("server.vp.spectra_built")
             .add(tally.spectra_built);
         reg.counter("server.vp.spectra_reused")

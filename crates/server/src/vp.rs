@@ -15,7 +15,7 @@
 //!   has already received (`R0e` with "the distribution of the work left",
 //!   §III-B) and then pay the `n` fresh convolutions the paper describes.
 //!
-//! Three exact shortcuts keep the per-decision kernel cheap without moving
+//! Four exact shortcuts keep the per-decision kernel cheap without moving
 //! a bit of any result:
 //!
 //! * **dispatch instants** — a head that has executed nothing yet has the
@@ -28,19 +28,25 @@
 //!   size;
 //! * **level spectra** are cached with their level ([`VpLadder`]), so each
 //!   queued request behind a conditioned head pays one pointwise product
-//!   and one inverse transform.
+//!   and one inverse transform;
+//! * **conditioned sums** with the first [`CONDITIONED_DEPTH`] levels are
+//!   memoized per head class: a conditioned head's masses depend only on
+//!   the first bin of the work PMF it keeps, so `head ∗ level(i)` is
+//!   computed once per class and level, and a repeat recomputes only its
+//!   origin (the "can be reused once computed" of §III-C, carried over to
+//!   arrival instants).
 //!
-//! Items share the ladder's levels by `Arc`, so a decision copies no
-//! distribution.
+//! Departure and dispatch items share the ladder's levels by `Arc`; a
+//! memoized conditioned sum is copied out of its slot.
 //!
 //! The frequency-independent part of service (`t_fixed` per request) is
 //! handled by shrinking the time budget before converting to cycles, per
 //! the footnote-1 model.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use eprons_num::conv::{Spectra, SpectrumUse};
-use eprons_num::Pmf;
+use eprons_num::{Pmf, PreparedPmf};
 
 use crate::service::ServiceModel;
 
@@ -48,11 +54,36 @@ use crate::service::ServiceModel;
 /// convolution lengths bounded.
 const TRUNC_EPS: f64 = 1e-10;
 
-/// One ladder level: an n-fold self-convolution and its FFT spectra.
+/// Ladder levels `1..=CONDITIONED_DEPTH` memoize their sums with
+/// conditioned heads. Two, because on day seed 7000 levels 1–2 carry 82%
+/// (`flashcrowd_k4`), 90% (`diurnal_k8`) and 90% (`replay_k8`) of the
+/// conditioned lookups, while memoizing every level took `flashcrowd_k4`'s
+/// peak RSS from 5.03 to 6.51 MB (+29%, 8-seed medians) against +12% for
+/// levels 1–2. A work PMF of `bins` bins has `bins + 1` head classes, and
+/// the two tables hold at most `(bins + 1) × ((2·bins − 1) + (3·bins − 2))`
+/// masses: ≈1.0 MB per ladder at 160 bins.
+const CONDITIONED_DEPTH: usize = 2;
+
+/// `(head ∗ level).truncated(TRUNC_EPS)` for one head class: its masses,
+/// and how many leading bins truncation dropped. The masses depend only on
+/// the class and the level; the origin on the head's too, so a hit
+/// recomputes only that.
+#[derive(Debug)]
+struct Conditioned {
+    /// The sum as first computed; only its masses are reused.
+    pmf: Pmf,
+    lo: usize,
+}
+
+/// One ladder level: an n-fold self-convolution, its FFT spectra and, for
+/// the first [`CONDITIONED_DEPTH`] levels, its conditioned sums.
 #[derive(Debug)]
 struct Level {
     pmf: Arc<Pmf>,
     spectra: Spectra,
+    /// One slot per head class, allocated by the first conditioned
+    /// decision that reaches this level.
+    conditioned: OnceLock<Box<[OnceLock<Conditioned>]>>,
 }
 
 impl Level {
@@ -60,6 +91,25 @@ impl Level {
         Arc::new(Level {
             pmf: Arc::new(pmf),
             spectra: Spectra::default(),
+            conditioned: OnceLock::new(),
+        })
+    }
+
+    /// The slot of head class `class`, one of `classes`.
+    fn conditioned(&self, class: usize, classes: usize) -> &OnceLock<Conditioned> {
+        &self
+            .conditioned
+            .get_or_init(|| (0..classes).map(|_| OnceLock::new()).collect())[class]
+    }
+
+    /// Bytes held by the conditioned sums' masses.
+    fn conditioned_bytes(&self) -> usize {
+        self.conditioned.get().map_or(0, |slots| {
+            slots
+                .iter()
+                .filter_map(OnceLock::get)
+                .map(|c| std::mem::size_of_val(c.pmf.masses()))
+                .sum()
         })
     }
 }
@@ -104,6 +154,11 @@ impl VpLadder {
         self.lock().iter().map(|l| l.spectra.bytes()).sum()
     }
 
+    /// Bytes held by the memoized conditioned sums' masses.
+    pub fn conditioned_bytes(&self) -> usize {
+        self.lock().iter().map(|l| l.conditioned_bytes()).sum()
+    }
+
     /// Appends levels `view.len() + 1 ..= n` to `view`, growing the ladder
     /// to `n` levels first if it is shorter.
     fn extend(&self, view: &mut Vec<Arc<Level>>, n: usize) {
@@ -138,13 +193,17 @@ pub struct InflightHead {
 
 /// Kernel work an engine has done since it was made.
 ///
-/// `convolutions` is a pure function of the decisions asked for, but the
-/// split between `spectra_built` and `spectra_reused` is not: on a shared
-/// ladder, whichever engine first needs a spectrum builds it.
+/// `convolutions + conditioned_hits` is a pure function of the decisions
+/// asked for, and so is each ladder's total of `convolutions` (every
+/// conditioned slot is filled once), but the split between engines is
+/// not: on a shared ladder, whichever engine first needs a conditioned sum
+/// or a spectrum computes it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VpTally {
-    /// Convolutions behind a conditioned head (arrival instants).
+    /// Convolutions run behind a conditioned head (arrival instants).
     pub convolutions: u64,
+    /// Conditioned sums served from a ladder slot instead.
+    pub conditioned_hits: u64,
     /// Level spectra those convolutions built.
     pub spectra_built: u64,
     /// Level spectra those convolutions found already cached.
@@ -156,6 +215,7 @@ impl VpTally {
     pub fn since(self, earlier: VpTally) -> VpTally {
         VpTally {
             convolutions: self.convolutions - earlier.convolutions,
+            conditioned_hits: self.conditioned_hits - earlier.conditioned_hits,
             spectra_built: self.spectra_built - earlier.spectra_built,
             spectra_reused: self.spectra_reused - earlier.spectra_reused,
         }
@@ -212,6 +272,41 @@ impl VpEngine {
         &self.levels[n - 1]
     }
 
+    /// `(head ∗ level(i)).truncated(TRUNC_EPS)` for a conditioned head of
+    /// class `class`: served from the level's slot for that class when it
+    /// is filled, else convolved (and, up to [`CONDITIONED_DEPTH`], stored).
+    fn behind_head(&mut self, head: &mut PreparedPmf<'_>, class: usize, i: usize) -> Pmf {
+        let level = Arc::clone(self.level(i));
+        let classes = self.levels[0].pmf.len() + 1;
+        let tally = &mut self.tally;
+        let mut convolve = || {
+            let (sum, used) = head.convolve_cached(&level.pmf, &level.spectra);
+            tally.convolutions += 1;
+            match used {
+                SpectrumUse::Built => tally.spectra_built += 1,
+                SpectrumUse::Reused => tally.spectra_reused += 1,
+                SpectrumUse::Direct => {}
+            }
+            sum.truncated_with_lo(TRUNC_EPS)
+        };
+        if i > CONDITIONED_DEPTH {
+            return convolve().0;
+        }
+        let mut hit = true;
+        let memo = level.conditioned(class, classes).get_or_init(|| {
+            hit = false;
+            let (pmf, lo) = convolve();
+            Conditioned { pmf, lo }
+        });
+        self.tally.conditioned_hits += u64::from(hit);
+        // The origin `convolve_cached` gives the sum, moved up `lo` bins as
+        // `truncated` moves it (`Pmf::value_at`); on a miss, `memo.pmf`'s
+        // own origin.
+        let origin = head.pmf().origin() + level.pmf.origin();
+        memo.pmf
+            .with_origin(origin + memo.lo as f64 * memo.pmf.step())
+    }
+
     /// Builds the per-position distributions for one decision instant.
     ///
     /// `head` describes the in-flight request, if the core is busy;
@@ -230,14 +325,15 @@ impl VpEngine {
             Some(h) => {
                 let budget = |i: usize, d: f64| d - now - (h.rem_fixed_s + i as f64 * fixed);
                 // Remaining distribution of the head, conditioned on done
-                // cycles. If the head has (numerically) exhausted its
+                // cycles, and its class: the first bin of the work PMF it
+                // keeps. If the head has (numerically) exhausted its
                 // support it is about to finish: treat remaining work as a
-                // half-bin delta.
+                // half-bin delta, the last class.
                 let base = self.level(1).pmf.clone();
                 let step = base.step();
-                let head_rem = base
+                let (class, head_rem) = base
                     .remaining_given_done(h.done_work_gc)
-                    .unwrap_or_else(|| Pmf::delta(step / 2.0, step));
+                    .unwrap_or_else(|| (base.len(), Pmf::delta(step / 2.0, step)));
                 if same_bits(&head_rem, &base) {
                     // Dispatch instant: `head_rem ∗ equivalent(i)` equals
                     // `equivalent(i) ∗ base` to the bit, which is the
@@ -252,22 +348,14 @@ impl VpEngine {
                     // The paper's arrival-instant cost: one convolution
                     // per queued request behind the head, against the
                     // level's cached spectrum, with the head transformed
-                    // once.
+                    // once — unless the level holds this head class's sum.
                     let head_rem = Arc::new(head_rem);
                     let mut prepared = head_rem.prepare();
                     for (i, &d) in deadlines.iter().enumerate() {
                         let dist = if i == 0 {
                             head_rem.clone()
                         } else {
-                            let level = self.level(i);
-                            let (sum, used) = prepared.convolve_cached(&level.pmf, &level.spectra);
-                            self.tally.convolutions += 1;
-                            match used {
-                                SpectrumUse::Built => self.tally.spectra_built += 1,
-                                SpectrumUse::Reused => self.tally.spectra_reused += 1,
-                                SpectrumUse::Direct => {}
-                            }
-                            Arc::new(sum.truncated(TRUNC_EPS))
+                            Arc::new(self.behind_head(&mut prepared, class, i))
                         };
                         items.push(DecisionItem {
                             dist,
@@ -522,7 +610,7 @@ mod tests {
                     .service()
                     .work_pmf()
                     .remaining_given_done(h.done_work_gc)
-                    .unwrap_or_else(|| Pmf::delta(step / 2.0, step));
+                    .map_or_else(|| Pmf::delta(step / 2.0, step), |(_, rem)| rem);
                 for (i, &d) in deadlines.iter().enumerate() {
                     let dist = if i == 0 {
                         head_rem.clone()
@@ -582,6 +670,85 @@ mod tests {
                 }
             }
         });
+    }
+
+    #[test]
+    fn conditioned_slots_are_bit_identical_to_fresh_convolutions() {
+        eprons_proplite::cases(12, |g, case| {
+            // Short PMFs convolve directly, long ones by FFT; the trailing
+            // zeros make every head that keeps only them the exhausted
+            // delta.
+            let len = *g.choose(&[5, 20, 60, 160]);
+            let mut masses = g.vec_f64(len, 0.0, 1.0);
+            masses[0] += 0.5;
+            let zeros = len / 5;
+            for m in &mut masses[len - zeros..] {
+                *m = 0.0;
+            }
+            let origin = g.f64_in(0.2e-3, 2.0e-3);
+            let step = g.f64_in(1.0e-5, 1.0e-4);
+            let pmf = Pmf::from_masses(origin, step, masses);
+            let top = pmf.max_value();
+            let mut engine = VpEngine::new(ServiceModel::new(pmf, 0.1e-3));
+            // Each bin's head at a quarter and three quarters of the bin:
+            // the second is a hit at another origin, and a class computed
+            // by rounding would mix neighbouring bins' masses. Then heads
+            // in `(0, origin]`, in the zero tail and past the support.
+            let mut dones: Vec<f64> = (0..len)
+                .flat_map(|b| [0.25, 0.75].map(|f| origin + (b as f64 + f) * step))
+                .collect();
+            dones.extend([
+                origin / 3.0,
+                origin,
+                top - 0.5 * step,
+                top + step,
+                2.0 * top,
+            ]);
+            for round in 0..2 {
+                for &done in &dones {
+                    let depth = g.usize_in(1, 12);
+                    let deadlines: Vec<f64> =
+                        (0..=depth).map(|_| g.f64_in(1.0e-3, 60.0e-3)).collect();
+                    let head = Some(InflightHead {
+                        done_work_gc: done,
+                        rem_fixed_s: 0.05e-3,
+                    });
+                    let fast = engine.decision(0.0, head, &deadlines);
+                    let reference = reference_decision(&mut engine, 0.0, head, &deadlines);
+                    let what = format!("case {case}, round {round}: depth {depth}, done {done}");
+                    assert_same_vps(&fast, &reference, &what);
+                }
+            }
+            let tally = engine.tally();
+            assert!(tally.conditioned_hits > 0, "case {case}: {tally:?}");
+            assert!(engine.ladder.conditioned_bytes() > 0, "case {case}");
+        });
+    }
+
+    #[test]
+    fn conditioned_hits_replace_convolutions() {
+        let pmf = Pmf::from_masses(0.4e-3, 2.0e-5, (1..=40).map(f64::from).collect());
+        let mut engine = VpEngine::new(ServiceModel::new(pmf, 0.0));
+        let deadlines = [5.0e-3; 6];
+        let head = |done_work_gc| {
+            Some(InflightHead {
+                done_work_gc,
+                rem_fixed_s: 0.0,
+            })
+        };
+        // The first decision fills levels 1–2 and convolves levels 3–5.
+        let _ = engine.decision(0.0, head(0.51e-3), &deadlines);
+        assert_eq!(engine.tally().convolutions, 5);
+        assert_eq!(engine.tally().conditioned_hits, 0);
+        assert_eq!(engine.ladder.levels(), 5);
+        // Another head in the same bin hits levels 1–2 only.
+        let _ = engine.decision(0.0, head(0.515e-3), &deadlines);
+        assert_eq!(engine.tally().convolutions, 8);
+        assert_eq!(engine.tally().conditioned_hits, 2);
+        // A head in another bin misses.
+        let _ = engine.decision(0.0, head(0.61e-3), &deadlines);
+        assert_eq!(engine.tally().convolutions, 13);
+        assert_eq!(engine.tally().conditioned_hits, 2);
     }
 
     /// Every VP of `fast` at every ladder frequency equals `reference`'s
