@@ -6,15 +6,23 @@
 //! algorithm … to accelerate the latency-aware traffic consolidation."
 //! This bench shows the same scaling gap in miniature: MILP solve time
 //! explodes with the flow count while greedy stays near-linear.
+//!
+//! The `mesh_k8` kernels run one consolidation pass of a k=8 controller
+//! day's flow set (16,384 flows) through a `PathArena`, as every epoch of
+//! the k=8 perfbench days does: greedy at `K = 2`, and the aggregation
+//! router on the mildest and the tightest preset.
 
 use eprons_bench::harness::Runner;
 use eprons_net::consolidate::path::build_path_model;
+use eprons_net::consolidate::AggregationRouter;
 use eprons_net::flow::FlowSet;
 use eprons_net::{
-    ConsolidationConfig, Consolidator, FlowClass, GreedyConsolidator, PathMilpConsolidator,
+    ConsolidationConfig, Consolidator, FlowClass, GreedyConsolidator, PathArena,
+    PathMilpConsolidator,
 };
 use eprons_sim::SimRng;
-use eprons_topo::FatTree;
+use eprons_topo::{AggregationLevel, FatTree};
+use eprons_workload::background::background_flows;
 use std::hint::black_box;
 
 fn random_flows(ft: &FatTree, n: usize, seed: u64) -> FlowSet {
@@ -47,6 +55,27 @@ fn random_flows(ft: &FatTree, n: usize, seed: u64) -> FlowSet {
     fs
 }
 
+/// A k=8 day's flows: one background elephant per host at 20% of its
+/// link, plus the all-pairs query mesh at the egress-capped
+/// 300/127 Mbps per flow — 128 + 128·127 = 16,384 flows.
+fn day_mesh(ft: &FatTree) -> FlowSet {
+    let hosts = ft.hosts();
+    let mut fs = FlowSet::new();
+    let mut rng = SimRng::seed_from_u64(7000);
+    for bf in background_flows(ft, &mut rng, 0.2, 1000.0) {
+        fs.add(bf.src, bf.dst, bf.demand_mbps, FlowClass::LatencyTolerant);
+    }
+    let query_mbps = 300.0 / (hosts.len() - 1) as f64;
+    for &a in hosts {
+        for &b in hosts {
+            if a != b {
+                fs.add(a, b, query_mbps, FlowClass::LatencySensitive);
+            }
+        }
+    }
+    fs
+}
+
 fn main() {
     let ft = FatTree::new(4, 1000.0);
     let cfg = ConsolidationConfig::with_k(2.0);
@@ -65,6 +94,24 @@ fn main() {
         });
         r.bench(&format!("path_milp/build_model/{n}"), || {
             build_path_model(black_box(&ft), black_box(&flows), &cfg)
+        });
+    }
+
+    let ft8 = FatTree::new(8, 1000.0);
+    let arena = PathArena::build(&ft8);
+    let mesh = day_mesh(&ft8);
+    assert_eq!(mesh.len(), 16_384);
+    assert!(
+        GreedyConsolidator.consolidate(&arena, &mesh, &cfg).is_ok(),
+        "the k=8 day mesh must be feasible, or the kernel times an early error"
+    );
+    r.bench("greedy/mesh_k8", || {
+        GreedyConsolidator.consolidate(black_box(&arena), black_box(&mesh), &cfg)
+    });
+    for level in [AggregationLevel::Agg0, AggregationLevel::Agg3] {
+        let router = AggregationRouter::for_level(&ft8, level);
+        r.bench(&format!("aggregation/agg{}/mesh_k8", level.index()), || {
+            router.consolidate(black_box(&arena), black_box(&mesh), &cfg)
         });
     }
 }

@@ -17,6 +17,7 @@
 //! the template-taking entry points build it for you.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 
 use eprons_topo::{AggregationLevel, LinkId, MultipathTopology, NodeId};
 
@@ -290,6 +291,7 @@ pub fn candidate_power_floor_w(
                                 sw.retain(|x| psw.contains(x));
                                 ln.retain(|x| pln.contains(x));
                             }
+                            ControlFlow::Continue(())
                         });
                         (sw, ln)
                     });
@@ -316,6 +318,7 @@ pub fn candidate_power_floor_w(
                         sw.retain(|x| psw.contains(x));
                         ln.retain(|x| pln.contains(x));
                     }
+                    ControlFlow::Continue(())
                 });
                 m_sw.extend(sw);
                 m_ln.extend(ln);

@@ -23,6 +23,7 @@
 //! host falls back to per-host-pair owned paths.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 use eprons_topo::{LinkId, MultipathTopology, NodeId, Path, PathRef, Topology};
 
@@ -445,20 +446,29 @@ impl<T: MultipathTopology> MultipathTopology for PathArena<T> {
         }
     }
 
-    fn for_each_candidate(&self, src: NodeId, dst: NodeId, f: &mut dyn FnMut(PathRef<'_>)) {
+    fn for_each_candidate(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        f: &mut dyn FnMut(PathRef<'_>) -> ControlFlow<()>,
+    ) {
         match &self.store {
             Store::Shared(s) => match s.pair_candidates(src, dst) {
                 Some(range) => {
                     // Two scratch buffers per call, reused across
-                    // candidates — no per-path allocation.
+                    // candidates — no per-path allocation. A break skips
+                    // assembling the rest.
                     let mut nodes = Vec::with_capacity(s.max_seg + 2);
                     let mut links = Vec::with_capacity(s.max_seg + 1);
                     for c in range {
                         s.assemble(src, dst, c, &mut nodes, &mut links);
-                        f(PathRef {
+                        let step = f(PathRef {
                             nodes: &nodes,
                             links: &links,
                         });
+                        if step.is_break() {
+                            return;
+                        }
                     }
                 }
                 None => self.inner.for_each_candidate(src, dst, f),
@@ -466,7 +476,9 @@ impl<T: MultipathTopology> MultipathTopology for PathArena<T> {
             Store::PerPair(map) => match map.get(&(src, dst)) {
                 Some(ps) => {
                     for p in ps {
-                        f(PathRef::of(p));
+                        if f(PathRef::of(p)).is_break() {
+                            return;
+                        }
                     }
                 }
                 None => self.inner.for_each_candidate(src, dst, f),
@@ -582,8 +594,18 @@ mod tests {
                 }
                 let owned = ls.candidate_paths(src, dst);
                 let mut seen = Vec::new();
-                arena.for_each_candidate(src, dst, &mut |p| seen.push(p.to_path()));
+                arena.for_each_candidate(src, dst, &mut |p| {
+                    seen.push(p.to_path());
+                    ControlFlow::Continue(())
+                });
                 assert_eq!(seen, owned);
+                // Breaking after the first candidate visits only it.
+                let mut first = Vec::new();
+                arena.for_each_candidate(src, dst, &mut |p| {
+                    first.push(p.to_path());
+                    ControlFlow::Break(())
+                });
+                assert_eq!(first[..], owned[..1]);
                 for (i, p) in owned.iter().enumerate() {
                     assert_eq!(arena.nth_candidate(src, dst, i).as_ref(), Some(p));
                 }
@@ -694,8 +716,17 @@ mod tests {
         let (a, b) = (fabric.hosts[0], fabric.hosts[1]);
         assert_eq!(arena.candidate_paths(a, b), fabric.candidate_paths(a, b));
         let mut seen = Vec::new();
-        arena.for_each_candidate(a, b, &mut |p| seen.push(p.to_path()));
+        arena.for_each_candidate(a, b, &mut |p| {
+            seen.push(p.to_path());
+            ControlFlow::Continue(())
+        });
         assert_eq!(seen, fabric.candidate_paths(a, b));
+        let mut first = Vec::new();
+        arena.for_each_candidate(a, b, &mut |p| {
+            first.push(p.to_path());
+            ControlFlow::Break(())
+        });
+        assert_eq!(first[..], fabric.candidate_paths(a, b)[..1]);
         assert_eq!(
             arena.nth_candidate(a, b, 1),
             Some(fabric.candidate_paths(a, b)[1].clone())

@@ -7,6 +7,10 @@
 //! every link's usable capacity, (2) activates the fewest *new* switches,
 //! and (3) among ties prefers the leftmost (lowest-index) candidate — the
 //! deterministic bias that concentrates traffic on a minimal subtree.
+//! The first fitting candidate that activates no new switch is therefore
+//! the winner, and the scan stops there.
+
+use std::ops::ControlFlow;
 
 use eprons_topo::{MultipathTopology, PathRef};
 
@@ -56,10 +60,15 @@ impl Consolidator for GreedyConsolidator {
         });
 
         let mut reserved = vec![0.0; topo.num_links() * 2];
+        let usable: Vec<f64> = topo
+            .links()
+            .map(|(_, l)| cfg.usable_capacity(l.capacity_mbps))
+            .collect();
         let mut switch_active = vec![false; topo.num_nodes()];
         let mut chosen = PathCollector::for_flows(flows.len());
         let mut nbuf = Vec::new();
         let mut lbuf = Vec::new();
+        let mut candidates = 0u64;
 
         for &fi in &order {
             let flow = &flows.flows()[fi];
@@ -72,15 +81,14 @@ impl Consolidator for GreedyConsolidator {
                 let this = idx;
                 idx += 1;
                 if p.nodes.iter().any(|&n| cfg.is_excluded(n)) {
-                    return;
+                    return ControlFlow::Continue(());
                 }
                 let fits = p.hops().all(|(from, _, l)| {
-                    let usable = cfg.usable_capacity(topo.link(l).capacity_mbps);
                     let dir = crate::links::direction_from(topo, l, from);
-                    reserved[l.0 * 2 + dir] + demand <= usable + 1e-9
+                    reserved[l.0 * 2 + dir] + demand <= usable[l.0] + 1e-9
                 });
                 if !fits {
-                    return;
+                    return ControlFlow::Continue(());
                 }
                 let new_switches = p
                     .interior()
@@ -91,12 +99,20 @@ impl Consolidator for GreedyConsolidator {
                 if best.is_none_or(|b| key < b) {
                     best = Some(key);
                 }
+                // Indices only grow, so a fitting candidate that powers
+                // nothing new is the minimum of (new_switches, idx).
+                if new_switches == 0 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
             });
+            candidates += idx as u64;
             let Some((_, idx)) = best else {
                 if eprons_obs::enabled() {
-                    eprons_obs::registry()
-                        .counter("net.consolidate.infeasible")
-                        .inc();
+                    let reg = eprons_obs::registry();
+                    reg.counter("net.consolidate.candidates").add(candidates);
+                    reg.counter("net.consolidate.infeasible").inc();
                 }
                 return Err(ConsolidationError::NoFeasiblePath { flow: fi });
             };
@@ -120,9 +136,9 @@ impl Consolidator for GreedyConsolidator {
 
         let assignment = Assignment::from_collector(net, flows, chosen);
         if eprons_obs::enabled() {
-            eprons_obs::registry()
-                .counter("net.consolidate.passes")
-                .inc();
+            let reg = eprons_obs::registry();
+            reg.counter("net.consolidate.candidates").add(candidates);
+            reg.counter("net.consolidate.passes").inc();
             eprons_obs::record(eprons_obs::Event::ConsolidationPass {
                 algo: "greedy".into(),
                 flows: flows.len() as u64,

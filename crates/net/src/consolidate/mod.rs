@@ -24,6 +24,8 @@ pub mod greedy;
 pub mod path;
 pub mod pod;
 
+use std::ops::ControlFlow;
+
 use eprons_topo::{FatTree, LinkId, MultipathTopology, NodeId, Path, PathRef};
 
 use crate::flow::FlowSet;
@@ -423,7 +425,7 @@ impl Assignment {
                 let this = idx;
                 idx += 1;
                 if p.nodes.contains(&failed) {
-                    return;
+                    return ControlFlow::Continue(());
                 }
                 let new_switches = p
                     .interior()
@@ -438,6 +440,7 @@ impl Assignment {
                 if best.is_none_or(|b| key < b) {
                     best = Some(key);
                 }
+                ControlFlow::Continue(())
             });
             let Some((_, _, idx)) = best else {
                 *self = checkpoint;
@@ -511,22 +514,40 @@ impl Consolidator for AggregationRouter {
             sp.note(format!("algo=aggregation flows={}", flows.len()));
         }
         let topo = net.topology();
-        let allowed = |n: NodeId| {
-            !topo.node(n).kind.is_switch() || (self.active.contains(&n) && !cfg.is_excluded(n))
-        };
+        // Hosts, plus the preset's switches the failure mask spares.
+        let allowed = topo.node_mask(
+            self.active
+                .iter()
+                .copied()
+                .filter(|&s| !cfg.is_excluded(s)),
+        );
         let mut reserved = vec![0.0; topo.num_links() * 2];
         let mut chosen = PathCollector::new();
         let mut nbuf = Vec::new();
         let mut lbuf = Vec::new();
+        let mut candidates = 0u64;
         for flow in flows.flows() {
             let demand = flow.scaled_demand(cfg.scale_k);
+            // A single-homed endpoint's one link is on every candidate, so
+            // its directional reservation bounds every bottleneck from
+            // below. Once the best is within 1e-9 of that bound, no later
+            // candidate can beat it by the 1e-9 the scan requires.
+            let floor = match (topo.neighbors(flow.src), topo.neighbors(flow.dst)) {
+                (&[(_, up)], &[(access, down)]) => {
+                    let up_dir = crate::links::direction_from(topo, up, flow.src);
+                    let down_dir = crate::links::direction_from(topo, down, access);
+                    (reserved[up.0 * 2 + up_dir] + demand)
+                        .max(reserved[down.0 * 2 + down_dir] + demand)
+                }
+                _ => f64::NEG_INFINITY,
+            };
             let mut best: Option<(f64, usize)> = None;
             let mut idx = 0usize;
             net.for_each_candidate(flow.src, flow.dst, &mut |p| {
                 let this = idx;
                 idx += 1;
-                if !p.nodes.iter().all(|&n| allowed(n)) {
-                    return;
+                if !p.nodes.iter().all(|&n| allowed[n.0]) {
+                    return ControlFlow::Continue(());
                 }
                 // Bottleneck directional reservation if this path were
                 // chosen (full-duplex links: only the traversal direction
@@ -541,8 +562,18 @@ impl Consolidator for AggregationRouter {
                 if best.is_none_or(|(b, _)| bottleneck < b - 1e-9) {
                     best = Some((bottleneck, this));
                 }
+                match best {
+                    Some((b, _)) if floor >= b - 1e-9 => ControlFlow::Break(()),
+                    _ => ControlFlow::Continue(()),
+                }
             });
+            candidates += idx as u64;
             let Some((_, idx)) = best else {
+                if eprons_obs::enabled() {
+                    eprons_obs::registry()
+                        .counter("net.consolidate.candidates")
+                        .add(candidates);
+                }
                 return Err(ConsolidationError::NoFeasiblePath { flow: flow.id.0 });
             };
             assert!(
@@ -570,9 +601,9 @@ impl Consolidator for AggregationRouter {
         }
         assignment.state.refresh_links(topo);
         if eprons_obs::enabled() {
-            eprons_obs::registry()
-                .counter("net.consolidate.passes")
-                .inc();
+            let reg = eprons_obs::registry();
+            reg.counter("net.consolidate.candidates").add(candidates);
+            reg.counter("net.consolidate.passes").inc();
             eprons_obs::record(eprons_obs::Event::ConsolidationPass {
                 algo: "aggregation".into(),
                 flows: flows.len() as u64,

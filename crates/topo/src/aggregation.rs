@@ -83,11 +83,10 @@ impl AggregationLevel {
 
     /// The links whose both endpoints are active (hosts count as active).
     pub fn active_links(self, ft: &FatTree) -> Vec<LinkId> {
-        let active = self.active_switches(ft);
-        let is_on = |n: NodeId| !ft.topology().node(n).kind.is_switch() || active.contains(&n);
-        ft.topology()
-            .links()
-            .filter(|(_, l)| is_on(l.a) && is_on(l.b))
+        let topo = ft.topology();
+        let on = topo.node_mask(self.active_switches(ft));
+        topo.links()
+            .filter(|(_, l)| on[l.a.0] && on[l.b.0])
             .map(|(id, _)| id)
             .collect()
     }
@@ -175,6 +174,25 @@ mod tests {
             AggregationLevel::Agg0.active_links(&ft).len(),
             ft.topology().num_links()
         );
+    }
+
+    #[test]
+    fn active_links_match_a_membership_scan() {
+        for k in [4usize, 8] {
+            let ft = FatTree::new(k, 1000.0);
+            for level in AggregationLevel::ALL {
+                let active = level.active_switches(&ft);
+                let is_on =
+                    |n: NodeId| !ft.topology().node(n).kind.is_switch() || active.contains(&n);
+                let scan: Vec<LinkId> = ft
+                    .topology()
+                    .links()
+                    .filter(|(_, l)| is_on(l.a) && is_on(l.b))
+                    .map(|(id, _)| id)
+                    .collect();
+                assert_eq!(level.active_links(&ft), scan, "k={k} {level:?}");
+            }
+        }
     }
 
     #[test]

@@ -227,6 +227,17 @@ impl Topology {
             .collect()
     }
 
+    /// Per-node flags indexed by `NodeId.0`: `true` for every non-switch
+    /// node and for each of `switches`. Turns "is this node on?" against
+    /// a switch set into one load.
+    pub fn node_mask(&self, switches: impl IntoIterator<Item = NodeId>) -> Vec<bool> {
+        let mut on: Vec<bool> = self.nodes.iter().map(|n| !n.kind.is_switch()).collect();
+        for s in switches {
+            on[s.0] = true;
+        }
+        on
+    }
+
     /// The link between `a` and `b`, if any (first match).
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
         self.neighbors(a)

@@ -6,6 +6,8 @@
 //! ECMP candidate-path set — so the same greedy/MILP machinery runs on any
 //! multipath fabric ([`crate::FatTree`], [`crate::LeafSpine`], …).
 
+use std::ops::ControlFlow;
+
 use crate::graph::{NodeId, Topology};
 use crate::paths::{Path, PathRef};
 
@@ -24,12 +26,22 @@ pub trait MultipathTopology {
     fn candidate_paths(&self, src: NodeId, dst: NodeId) -> Vec<Path>;
 
     /// Visits each candidate path as a borrowed [`PathRef`], in the same
-    /// order as [`candidate_paths`](Self::candidate_paths). Implementors
-    /// with arena-backed storage override this to avoid allocating a
-    /// `Vec<Path>` per pair; the default delegates to `candidate_paths`.
-    fn for_each_candidate(&self, src: NodeId, dst: NodeId, f: &mut dyn FnMut(PathRef<'_>)) {
+    /// order as [`candidate_paths`](Self::candidate_paths), until `f`
+    /// returns [`ControlFlow::Break`]: a selection loop that knows no
+    /// later candidate can win stops there, and the rest are never
+    /// assembled. Implementors with arena-backed storage override this to
+    /// avoid allocating a `Vec<Path>` per pair; the default delegates to
+    /// `candidate_paths`.
+    fn for_each_candidate(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        f: &mut dyn FnMut(PathRef<'_>) -> ControlFlow<()>,
+    ) {
         for p in self.candidate_paths(src, dst) {
-            f(PathRef::of(&p));
+            if f(PathRef::of(&p)).is_break() {
+                return;
+            }
         }
     }
 
@@ -80,7 +92,12 @@ impl<T: MultipathTopology + ?Sized> MultipathTopology for &T {
         (**self).candidate_paths(src, dst)
     }
 
-    fn for_each_candidate(&self, src: NodeId, dst: NodeId, f: &mut dyn FnMut(PathRef<'_>)) {
+    fn for_each_candidate(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        f: &mut dyn FnMut(PathRef<'_>) -> ControlFlow<()>,
+    ) {
         (**self).for_each_candidate(src, dst, f)
     }
 
@@ -113,7 +130,12 @@ impl<T: MultipathTopology + ?Sized> MultipathTopology for std::sync::Arc<T> {
         (**self).candidate_paths(src, dst)
     }
 
-    fn for_each_candidate(&self, src: NodeId, dst: NodeId, f: &mut dyn FnMut(PathRef<'_>)) {
+    fn for_each_candidate(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        f: &mut dyn FnMut(PathRef<'_>) -> ControlFlow<()>,
+    ) {
         (**self).for_each_candidate(src, dst, f)
     }
 
@@ -168,7 +190,10 @@ mod tests {
         let (a, b) = (ft.hosts()[0], ft.hosts()[15]);
         let owned = ft.candidate_paths(a, b);
         let mut seen = Vec::new();
-        ft.for_each_candidate(a, b, &mut |p| seen.push(p.to_path()));
+        ft.for_each_candidate(a, b, &mut |p| {
+            seen.push(p.to_path());
+            ControlFlow::Continue(())
+        });
         assert_eq!(seen, owned);
         for (i, p) in owned.iter().enumerate() {
             assert_eq!(ft.nth_candidate(a, b, i).as_ref(), Some(p));
@@ -177,7 +202,21 @@ mod tests {
         // Blanket impls forward the visitors too.
         let arc = std::sync::Arc::new(FatTree::new(4, 1000.0));
         let mut n = 0usize;
-        arc.for_each_candidate(arc.host_list()[0], arc.host_list()[15], &mut |_| n += 1);
+        arc.for_each_candidate(arc.host_list()[0], arc.host_list()[15], &mut |_| {
+            n += 1;
+            ControlFlow::Continue(())
+        });
         assert_eq!(n, 4);
+        // A visitor that breaks sees no later candidate.
+        let mut n = 0usize;
+        arc.for_each_candidate(arc.host_list()[0], arc.host_list()[15], &mut |_| {
+            n += 1;
+            if n == 2 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!(n, 2);
     }
 }
