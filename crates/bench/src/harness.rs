@@ -1,10 +1,11 @@
 //! In-repo wall-clock benchmark harness.
 //!
-//! The workspace builds with zero external crates, so the old `criterion`
-//! benches and the `perfbench` binary both run on this: warm up, run until
-//! a time target (or an iteration floor) is hit, and report mean/min/max
+//! The workspace builds with zero external crates, so the `cargo bench`
+//! targets and the `replay_day` binary run on this: warm up, run until a
+//! time target (or an iteration floor) is hit, and report mean/min/max
 //! per-iteration wall time. Results accumulate in a [`Runner`] and can be
-//! exported as a [`Json`] object (the `BENCH_cluster.json` schema).
+//! exported as a [`Json`] array (the `suites` field of
+//! `BENCH_replay.json`).
 
 use std::time::Instant;
 
@@ -129,28 +130,8 @@ impl Runner {
         self.samples.last().expect("just pushed")
     }
 
-    /// The mean of the most recent sample named `name`.
-    pub fn mean_of(&self, name: &str) -> Option<f64> {
-        self.samples
-            .iter()
-            .rev()
-            .find(|s| s.name == name)
-            .map(|s| s.mean_s)
-    }
-
-    /// The fastest iteration of the most recent sample named `name` —
-    /// the statistic ratio gates compare (means absorb scheduler noise,
-    /// minima track the work itself).
-    pub fn min_of(&self, name: &str) -> Option<f64> {
-        self.samples
-            .iter()
-            .rev()
-            .find(|s| s.name == name)
-            .map(|s| s.min_s)
-    }
-
     /// All samples as a JSON array (the `suites` field of
-    /// `BENCH_cluster.json`).
+    /// `BENCH_replay.json`).
     pub fn to_json(&self) -> Json {
         Json::Arr(self.samples.iter().map(Sample::to_json).collect())
     }

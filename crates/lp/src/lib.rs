@@ -4,19 +4,15 @@
 //! The paper formulates latency-aware traffic consolidation as a linear
 //! program (eqs. 2–9) and solves it with CPLEX (§IV-B). Mature LP crates
 //! being unavailable in this environment (see DESIGN.md), this crate
-//! provides the solver substrate in-house:
+//! provides the exact oracle in-house, on one path:
 //!
 //! * [`model`] — a problem builder: variables with bounds (continuous or
 //!   integer/binary), linear constraints, minimize/maximize objective.
 //! * [`standard`] — conversion to standard form (`min c·x`, `Ax = b`,
-//!   `x ≥ 0`) with slack/surplus variables and bound shifting.
-//! * [`simplex`] — a dense two-phase primal simplex (flat row-major
-//!   tableau) with Bland's anti-cycling rule: the solver of record for
-//!   tiny models and the differential-test oracle.
-//! * [`sparse`] — a sparse revised simplex over a CSC constraint matrix
-//!   with a product-form LU basis and refactorization-on-threshold
-//!   updates: the solver of record past the size cutoff (k≥8
-//!   consolidation LPs are >99% zeros).
+//!   `x ≥ 0`) with slack/surplus variables and bound shifting, and
+//!   [`standard::solve_lp`] for the LP relaxation.
+//! * a dense two-phase primal simplex (flat row-major tableau) with
+//!   Bland's anti-cycling rule.
 //! * [`milp`] — branch-and-bound over the integer variables (the paper's
 //!   X/Y/Z on-off indicators are binary), with most-fractional branching
 //!   and incumbent pruning.
@@ -25,21 +21,19 @@
 //!
 //! The paper's own data point is that the exact model is *slow* (42 min
 //! for 3000 flows on CPLEX) and a greedy heuristic is used in deployment
-//! — reproduced in `eprons-net::consolidate`. The sparse core exists so
-//! the exact model stays solvable while the substrate scales to k=16–24
-//! fat-trees; [`standard::LpEngine`] picks the core per model size.
+//! — reproduced in `eprons-net::consolidate`. The exact model is solved
+//! only on small instances: the fig02 table, fig15's k=2 cross-check and
+//! the tests that hold the heuristics against it.
 
 #![warn(missing_docs)]
 
 pub mod diagnostics;
 pub mod milp;
 pub mod model;
-pub mod simplex;
-pub mod sparse;
+mod simplex;
 pub mod standard;
 
-pub use milp::{solve_milp, solve_milp_with_incumbent, MilpOptions};
+pub use milp::{solve_milp, MilpOptions};
 pub use model::{Cmp, Model, Sense, VarId};
-pub use simplex::{Basis, SolveError, SolveStats};
-pub use sparse::CscMatrix;
-pub use standard::{LpEngine, Solution, Standardized};
+pub use simplex::SolveError;
+pub use standard::Solution;

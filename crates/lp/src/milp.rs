@@ -70,36 +70,10 @@ impl Ord for Node {
 /// solution. Errors mirror the LP relaxation: `Infeasible` when no integral
 /// point exists, `Unbounded` when the relaxation is unbounded at the root,
 /// `IterationLimit` when the budget is exhausted without any incumbent.
+///
+/// Each node's relaxation is a fresh [`solve_lp`] of the model under
+/// that branch's bounds.
 pub fn solve_milp(model: &Model, opts: &MilpOptions) -> Result<Solution, SolveError> {
-    solve_milp_with_incumbent(model, opts, None)
-}
-
-/// [`solve_milp`] seeded with an initial integer incumbent.
-///
-/// `incumbent_hint` is a candidate assignment for *all* model variables —
-/// typically the previous K candidate's feasible consolidation, whose
-/// structure matches because adjacent candidates share the constraint
-/// matrix. When the hint (after snapping integer variables) is feasible,
-/// branch-and-bound starts with its objective as the incumbent bound and
-/// prunes dominated subtrees immediately; when it is infeasible (or the
-/// wrong arity) the solve silently proceeds exactly like the cold path.
-///
-/// Note that with alternate optima the returned assignment may differ
-/// from a cold solve's (the injected incumbent wins ties); the objective
-/// value never does.
-///
-/// Node relaxations deliberately stay on the cold [`solve_lp`] path:
-/// branching tightens variable *bounds*, which almost always breaks the
-/// parent basis's primal feasibility, so a primal-simplex basis chain
-/// inside the tree just pays injection overhead and falls back (a dual
-/// simplex would be needed to absorb bound cuts). Warm-basis chaining
-/// pays off *across* adjacent K-ladder models instead — see
-/// [`crate::standard::Standardized::solve_warm`].
-pub fn solve_milp_with_incumbent(
-    model: &Model,
-    opts: &MilpOptions,
-    incumbent_hint: Option<&[f64]>,
-) -> Result<Solution, SolveError> {
     // Minimization key: +objective for Minimize, -objective for Maximize.
     let key_sign = match model.sense() {
         Sense::Minimize => 1.0,
@@ -128,28 +102,6 @@ pub fn solve_milp_with_incumbent(
 
     let mut incumbent: Option<Solution> = None;
     let mut incumbent_key = f64::INFINITY;
-    if let Some(hint) = incumbent_hint {
-        if hint.len() == model.vars().len() {
-            let mut vals = hint.to_vec();
-            for &v in &int_vars {
-                vals[v.index()] = vals[v.index()].round();
-            }
-            if model.is_feasible(&vals, 1e-7) {
-                let obj = model.objective_value(&vals);
-                incumbent_key = key_sign * obj;
-                incumbent = Some(Solution {
-                    objective: obj,
-                    values: vals,
-                });
-                if eprons_obs::enabled() {
-                    eprons_obs::registry()
-                        .counter("lp.milp.incumbent_injected")
-                        .inc();
-                }
-            }
-            // Infeasible hint: fall through to the cold path unchanged.
-        }
-    }
     let mut nodes = 0usize;
     let mut root_infeasible = true;
     // Fetched once: handles are lock-free, lookups are not.
@@ -391,53 +343,6 @@ mod tests {
             Err(SolveError::IterationLimit) => {}
             Err(e) => panic!("unexpected error {e:?}"),
         }
-    }
-
-    #[test]
-    fn incumbent_injection_never_worsens_the_answer() {
-        // Knapsack from above; inject the known optimum {b, c} and a
-        // deliberately infeasible hint, both must land on objective 20.
-        let mut m = Model::new(Sense::Maximize);
-        let a = m.add_binary("a", 10.0);
-        let b = m.add_binary("b", 13.0);
-        let c = m.add_binary("c", 7.0);
-        m.add_constraint("cap", vec![(a, 3.0), (b, 4.0), (c, 2.0)], Cmp::Le, 6.0);
-        let opts = MilpOptions::default();
-
-        let good_hint = vec![0.0, 1.0, 1.0];
-        let sol = solve_milp_with_incumbent(&m, &opts, Some(&good_hint)).unwrap();
-        assert!((sol.objective - 20.0).abs() < 1e-6);
-        assert!(m.is_feasible(&sol.values, 1e-6));
-
-        // Infeasible hint (violates the capacity row): cold behavior.
-        let bad_hint = vec![1.0, 1.0, 1.0];
-        let sol = solve_milp_with_incumbent(&m, &opts, Some(&bad_hint)).unwrap();
-        assert!((sol.objective - 20.0).abs() < 1e-6);
-
-        // Wrong arity: also cold behavior, never a panic.
-        let sol = solve_milp_with_incumbent(&m, &opts, Some(&[1.0])).unwrap();
-        assert!((sol.objective - 20.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn injected_incumbent_survives_a_tiny_node_budget() {
-        // With max_nodes = 1 the cold solve may fail with IterationLimit;
-        // an injected feasible incumbent guarantees *a* feasible answer.
-        let mut m = Model::new(Sense::Maximize);
-        let vars: Vec<_> = (0..8)
-            .map(|i| m.add_binary(format!("x{i}"), (i + 1) as f64))
-            .collect();
-        let terms: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
-        m.add_constraint("cap", terms, Cmp::Le, 3.0);
-        let tiny = MilpOptions {
-            max_nodes: 1,
-            ..Default::default()
-        };
-        let mut hint = vec![0.0; 8];
-        hint[0] = 1.0; // feasible but far from optimal
-        let sol = solve_milp_with_incumbent(&m, &tiny, Some(&hint)).unwrap();
-        assert!(m.is_feasible(&sol.values, 1e-6));
-        assert!(sol.objective >= 1.0 - 1e-9);
     }
 
     #[test]

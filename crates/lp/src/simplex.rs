@@ -11,9 +11,7 @@
 //! The tableau lives in a single flat row-major buffer (`m × (n+1)`
 //! doubles, stride `n+1`) rather than a `Vec<Vec<f64>>`: one allocation,
 //! no per-row pointer chase, and the pivot's row updates walk contiguous
-//! memory. This dense path remains the solver of record for tiny models
-//! and the differential-test oracle for the sparse revised simplex in
-//! [`crate::sparse`]; [`crate::standard`] picks between them by size.
+//! memory.
 
 // Dense-tableau pivoting is clearer with explicit indices than with
 // iterator adapters; silence the style lint for this module.
@@ -29,11 +27,6 @@ pub enum SolveError {
     /// The pivot limit was exhausted (should not happen with Bland's rule;
     /// kept as a defensive backstop).
     IterationLimit,
-    /// A warm-start [`Basis`] was offered to a model with different
-    /// dimensions. Structural changes invalidate a basis outright, so this
-    /// is reported as an error rather than silently re-solving: the caller
-    /// is holding a basis from the wrong model.
-    BasisMismatch,
 }
 
 impl std::fmt::Display for SolveError {
@@ -42,83 +35,15 @@ impl std::fmt::Display for SolveError {
             SolveError::Infeasible => write!(f, "problem is infeasible"),
             SolveError::Unbounded => write!(f, "objective is unbounded"),
             SolveError::IterationLimit => write!(f, "simplex iteration limit reached"),
-            SolveError::BasisMismatch => {
-                write!(f, "warm-start basis does not match the model dimensions")
-            }
         }
     }
 }
 
 impl std::error::Error for SolveError {}
 
-pub(crate) const TOL: f64 = 1e-9;
+const TOL: f64 = 1e-9;
 /// Consecutive degenerate pivots tolerated before switching to Bland's rule.
-pub(crate) const DEGENERATE_LIMIT: u32 = 32;
-
-/// Pivot cap shared by the dense and sparse cores so neither can spin.
-pub(crate) fn max_iters(n_total: usize, m: usize) -> usize {
-    50_000 + 200 * (n_total + m)
-}
-
-/// Work counters for one standard-form solve (both phases).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolveStats {
-    /// Total pivots performed, including phase-1 artificial cleanup and
-    /// warm-start basis injection.
-    pub iterations: u64,
-    /// `true` iff a warm-start basis was successfully injected and phase 1
-    /// was skipped. A basis that was offered but fell back to the cold
-    /// path reports `false`.
-    pub warm_started: bool,
-    /// Basis refactorizations performed by the sparse revised simplex
-    /// (always 0 on the dense tableau path, which carries the explicit
-    /// inverse in the tableau itself).
-    pub refactorizations: u64,
-}
-
-/// A simplex basis snapshot: the set of basic columns of a solved
-/// standard-form tableau, one per row.
-///
-/// Extracted by [`solve_counted_warm`] after a successful solve and
-/// re-injectable into a *structurally identical* model — same row and
-/// column counts, which is exactly the relationship between adjacent
-/// K-ladder candidates (they scale demands but share the fat-tree
-/// constraint matrix). Offering a basis to a model with different
-/// dimensions returns [`SolveError::BasisMismatch`]; an injection that
-/// turns out numerically singular or primal-infeasible for the new RHS
-/// silently falls back to the cold two-phase path, so a stale basis can
-/// cost time but never correctness.
-///
-/// The dense tableau and the sparse revised simplex share this type:
-/// a basis extracted from either core injects into the other, because
-/// both number columns identically (structural+slack first, artificials
-/// past `n`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Basis {
-    /// Basic column per row of the source tableau (may include artificial
-    /// columns when the source model had redundant rows; those bases are
-    /// rejected at injection time and solved cold).
-    pub(crate) cols: Vec<usize>,
-    /// Structural + slack column count (excluding artificials and rhs).
-    pub(crate) n: usize,
-}
-
-impl Basis {
-    /// Rows of the model this basis was extracted from.
-    pub fn num_rows(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// Columns (structural + slack, excluding artificials and the rhs) of
-    /// the model this basis was extracted from.
-    pub fn num_cols(&self) -> usize {
-        self.n
-    }
-}
-
-/// Outcome of a counted solve: primal values, pivot statistics, and the
-/// final basis for reuse on the next structurally-identical model.
-pub type CountedSolve = Result<(Vec<f64>, SolveStats, Basis), SolveError>;
+const DEGENERATE_LIMIT: u32 = 32;
 
 /// The working tableau: one flat row-major buffer, stride `n+1` (last
 /// column is the rhs), plus the reduced-cost row.
@@ -220,7 +145,7 @@ impl Tableau {
     /// `allowed` masks columns that may enter the basis.
     fn optimize(&mut self, allowed: &[bool]) -> Result<(), SolveError> {
         let m = self.m;
-        let max_iters = max_iters(self.n, m);
+        let max_iters = 50_000 + 200 * (self.n + m);
         let mut degenerate_run = 0u32;
         let mut bland = false;
         let mut last_obj = self.cost[self.n];
@@ -286,7 +211,9 @@ impl Tableau {
     }
 }
 
-/// Solves `min c·y` s.t. `A·y = b`, `y ≥ 0` and returns the optimal `y`.
+/// Solves `min c·y` s.t. `A·y = b`, `y ≥ 0` over a flat row-major
+/// `m × n` matrix and returns the optimal `y` with the pivot count (both
+/// phases; `LpSolve` journal events carry it).
 ///
 /// `slack_basis[i]`, when present, names a column of row `i` whose
 /// coefficient is `+1` and which appears in no other row — a ready-made
@@ -295,231 +222,20 @@ impl Tableau {
 ///
 /// # Panics
 /// Panics on dimension mismatches or negative `b`.
-pub fn solve(
-    a: &[Vec<f64>],
-    b: &[f64],
-    c: &[f64],
-    slack_basis: &[Option<usize>],
-) -> Result<Vec<f64>, SolveError> {
-    solve_counted(a, b, c, slack_basis).map(|(y, _)| y)
-}
-
-/// [`solve`], additionally reporting pivot counts for telemetry
-/// (`LpSolve` journal events carry `SolveStats::iterations`).
-///
-/// # Errors
-/// Same failure modes as [`solve`].
-///
-/// # Panics
-/// Panics on dimension mismatches or negative `b`.
-pub fn solve_counted(
-    a: &[Vec<f64>],
-    b: &[f64],
-    c: &[f64],
-    slack_basis: &[Option<usize>],
-) -> Result<(Vec<f64>, SolveStats), SolveError> {
-    solve_counted_warm(a, b, c, slack_basis, None).map(|(y, stats, _)| (y, stats))
-}
-
-/// [`solve_counted`] with an optional warm-start basis, additionally
-/// returning the final [`Basis`] so the caller can chain solves across a
-/// family of structurally-identical models (the K ladder).
-///
-/// When `warm` is `Some`, the stored basis is injected by Gauss–Jordan
-/// reduction and phase 1 is skipped entirely; if the injection turns out
-/// numerically singular or primal-infeasible for the new RHS the solve
-/// falls back to the cold two-phase path (correct, just slower), reported
-/// via [`SolveStats::warm_started`].
-///
-/// # Errors
-/// Same failure modes as [`solve`], plus [`SolveError::BasisMismatch`]
-/// when the offered basis comes from a model with different dimensions.
-///
-/// # Panics
-/// Panics on dimension mismatches or negative `b`.
-pub fn solve_counted_warm(
-    a: &[Vec<f64>],
-    b: &[f64],
-    c: &[f64],
-    slack_basis: &[Option<usize>],
-    warm: Option<&Basis>,
-) -> CountedSolve {
-    let m = a.len();
-    let n = c.len();
-    assert_eq!(b.len(), m, "b length mismatch");
-    for (i, row) in a.iter().enumerate() {
-        assert_eq!(row.len(), n, "row {i} length mismatch");
-    }
-    let mut flat = Vec::with_capacity(m * n);
-    for row in a {
-        flat.extend_from_slice(row);
-    }
-    solve_counted_warm_flat(&flat, m, n, b, c, slack_basis, warm)
-}
-
-/// The dense core over a flat row-major `m × n` matrix. Shared by the
-/// slice-of-rows front above and [`crate::standard`]'s CSC dispatch
-/// (which densifies only when the model is small enough for the tableau
-/// to win).
-///
-/// # Errors
-/// Same failure modes as [`solve_counted_warm`].
-///
-/// # Panics
-/// Panics on dimension mismatches or negative `b`.
-pub(crate) fn solve_counted_warm_flat(
+pub(crate) fn solve_flat(
     a_flat: &[f64],
     m: usize,
     n: usize,
     b: &[f64],
     c: &[f64],
     slack_basis: &[Option<usize>],
-    warm: Option<&Basis>,
-) -> CountedSolve {
+) -> Result<(Vec<f64>, u64), SolveError> {
     assert_eq!(a_flat.len(), m * n, "flat matrix size mismatch");
     assert_eq!(b.len(), m, "b length mismatch");
     assert_eq!(c.len(), n, "c length mismatch");
     assert_eq!(slack_basis.len(), m, "slack_basis length mismatch");
     assert!(b.iter().all(|&v| v >= 0.0), "standard form requires b >= 0");
 
-    if let Some(basis) = warm {
-        if basis.cols.len() != m || basis.n != n {
-            return Err(SolveError::BasisMismatch);
-        }
-        if let Some(result) = try_warm(a_flat, m, n, b, c, basis) {
-            return result;
-        }
-        // Injection failed structurally (artificial column, singular
-        // pivot, or negative warm RHS): solve cold below.
-    }
-
-    solve_cold(a_flat, m, n, b, c, slack_basis)
-}
-
-/// Attempts a warm-started solve from `basis`. Returns `None` when the
-/// basis cannot be injected (fall back to the cold path), `Some(result)`
-/// when injection succeeded and phase 2 ran to completion or hit a
-/// genuine solver error.
-fn try_warm(
-    a_flat: &[f64],
-    m: usize,
-    n: usize,
-    b: &[f64],
-    c: &[f64],
-    basis: &Basis,
-) -> Option<CountedSolve> {
-    // Artificial columns in the stored basis (redundant source rows)
-    // don't exist in the warm tableau.
-    if basis.cols.iter().any(|&col| col >= n) {
-        return None;
-    }
-    let mut cols = basis.cols.clone();
-    cols.sort_unstable();
-    if cols.windows(2).any(|w| w[0] == w[1]) {
-        return None; // duplicate column: not a valid basis
-    }
-
-    let mut tab = Tableau::zeroed(m, n);
-    for i in 0..m {
-        let src = &a_flat[i * n..(i + 1) * n];
-        let r = tab.row_mut(i);
-        r[..n].copy_from_slice(src);
-        r[n] = b[i];
-    }
-
-    // Gauss–Jordan on the basis columns. The row↔column pairing of the
-    // stored basis is re-derived here with partial pivoting: the basis is
-    // a *set* of columns, and fixing the old pairing could hit a zero
-    // pivot that a permutation avoids. Columns already in reduced form
-    // (untouched slacks, typically most of the basis between adjacent K
-    // candidates) are recognized and skipped outright.
-    let mut assigned = vec![false; m];
-    for &col in &cols {
-        let mut ready: Option<usize> = None;
-        let mut best: Option<(usize, f64)> = None;
-        for r in 0..m {
-            if assigned[r] {
-                continue;
-            }
-            let v = tab.at(r, col);
-            if (v - 1.0).abs() <= TOL && (0..m).all(|k| k == r || tab.at(k, col).abs() <= TOL) {
-                ready = Some(r);
-                break;
-            }
-            if v.abs() > best.map_or(1e-7, |(_, bv): (usize, f64)| bv) {
-                best = Some((r, v.abs()));
-            }
-        }
-        if let Some(r) = ready {
-            assigned[r] = true;
-            tab.basis[r] = col;
-            continue;
-        }
-        let Some((r, _)) = best else {
-            return None; // singular injection
-        };
-        tab.pivot(r, col);
-        assigned[r] = true;
-    }
-
-    // Primal feasibility of the injected basis for the new RHS.
-    for i in 0..m {
-        let rhs = tab.at(i, n);
-        if rhs < -TOL {
-            return None; // warm basis infeasible here: solve cold
-        }
-        if rhs < 0.0 {
-            tab.row_mut(i)[n] = 0.0;
-        }
-    }
-
-    // Phase 2 directly (no artificials exist in the warm tableau).
-    tab.cost.fill(0.0);
-    tab.cost[..n].copy_from_slice(c);
-    for i in 0..m {
-        let cb = c[tab.basis[i]];
-        if cb != 0.0 {
-            tab.price_out(i, cb);
-        }
-    }
-    let allowed = vec![true; n];
-    match tab.optimize(&allowed) {
-        Ok(()) => {}
-        // Unboundedness is a property of the model, not of the start.
-        Err(SolveError::Unbounded) => return Some(Err(SolveError::Unbounded)),
-        // Anything else: let the cold path have a clean try.
-        Err(_) => return None,
-    }
-
-    let mut y = vec![0.0; n];
-    for i in 0..m {
-        y[tab.basis[i]] = tab.at(i, n);
-    }
-    let out_basis = Basis {
-        cols: tab.basis.clone(),
-        n,
-    };
-    Some(Ok((
-        y,
-        SolveStats {
-            iterations: tab.pivots,
-            warm_started: true,
-            refactorizations: 0,
-        },
-        out_basis,
-    )))
-}
-
-/// The cold two-phase path: phase-1 artificials where no slack basis is
-/// available, then phase 2 on the true objective.
-fn solve_cold(
-    a_flat: &[f64],
-    m: usize,
-    n: usize,
-    b: &[f64],
-    c: &[f64],
-    slack_basis: &[Option<usize>],
-) -> CountedSolve {
     // Count artificials.
     let artificials: Vec<usize> = (0..m).filter(|&i| slack_basis[i].is_none()).collect();
     let n_art = artificials.len();
@@ -598,24 +314,24 @@ fn solve_cold(
             y[tab.basis[i]] = tab.at(i, total);
         }
     }
-    let basis = Basis {
-        cols: tab.basis.clone(),
-        n,
-    };
-    Ok((
-        y,
-        SolveStats {
-            iterations: tab.pivots,
-            warm_started: false,
-            refactorizations: 0,
-        },
-        basis,
-    ))
+    Ok((y, tab.pivots))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`solve_flat`] over a slice-of-rows matrix, discarding the pivot
+    /// count.
+    fn solve(
+        a: &[Vec<f64>],
+        b: &[f64],
+        c: &[f64],
+        slack_basis: &[Option<usize>],
+    ) -> Result<Vec<f64>, SolveError> {
+        let flat: Vec<f64> = a.concat();
+        solve_flat(&flat, a.len(), c.len(), b, c, slack_basis).map(|(y, _)| y)
+    }
 
     /// min -x1 - 2x2 s.t. x1 + x2 + s = 3  → x2 = 3, obj -6.
     #[test]
@@ -673,80 +389,11 @@ mod tests {
 
     #[test]
     fn counted_solve_reports_pivots() {
-        let a = vec![vec![1.0, 1.0, 1.0]];
-        let b = vec![3.0];
-        let c = vec![-1.0, -2.0, 0.0];
-        let (y, stats) = solve_counted(&a, &b, &c, &[Some(2)]).unwrap();
+        let a = [1.0, 1.0, 1.0];
+        let c = [-1.0, -2.0, 0.0];
+        let (y, pivots) = solve_flat(&a, 1, 3, &[3.0], &c, &[Some(2)]).unwrap();
         assert!((y[1] - 3.0).abs() < 1e-9);
-        assert!(stats.iterations >= 1, "at least one pivot expected");
-    }
-
-    #[test]
-    fn warm_start_skips_phase_one_and_matches_cold() {
-        // Equality system that needs phase 1 when cold.
-        let a = vec![vec![1.0, 2.0, 0.0], vec![0.0, 1.0, 1.0]];
-        let c = vec![1.0, 1.0, 1.0];
-        let b1 = vec![4.0, 3.0];
-        let (y1, s1, basis) = solve_counted_warm(&a, &b1, &c, &[None, None], None).unwrap();
-        assert!(!s1.warm_started);
-        // Same structure, new RHS: warm start from the previous basis.
-        let b2 = vec![4.4, 3.3];
-        let (y2, s2, _) = solve_counted_warm(&a, &b2, &c, &[None, None], Some(&basis)).unwrap();
-        assert!(s2.warm_started, "warm injection should succeed");
-        assert!(
-            s2.iterations <= s1.iterations,
-            "warm solve should not pivot more than cold ({} vs {})",
-            s2.iterations,
-            s1.iterations
-        );
-        // And the warm answer equals a cold solve of the same model.
-        let (y2_cold, _, _) = solve_counted_warm(&a, &b2, &c, &[None, None], None).unwrap();
-        for (w, c) in y2.iter().zip(&y2_cold) {
-            assert!((w - c).abs() < 1e-9, "warm {w} vs cold {c}");
-        }
-        let _ = y1;
-    }
-
-    #[test]
-    fn mismatched_basis_is_an_error_not_a_wrong_answer() {
-        let a = vec![vec![1.0, 2.0]];
-        let b = vec![4.0];
-        let c = vec![1.0, 1.0];
-        let (_, _, basis) = solve_counted_warm(&a, &b, &c, &[None], None).unwrap();
-        // A structurally different model (extra column) must reject it.
-        let a2 = vec![vec![1.0, 2.0, 1.0]];
-        let c2 = vec![1.0, 1.0, 0.0];
-        assert_eq!(
-            solve_counted_warm(&a2, &b, &c2, &[Some(2)], Some(&basis)).unwrap_err(),
-            SolveError::BasisMismatch
-        );
-    }
-
-    #[test]
-    fn infeasible_warm_basis_falls_back_to_cold() {
-        // x1 <= b0 (slack s0), x1 >= b1 (surplus s1, needs phase 1);
-        // min -x1, so the optimum vertex sits at x1 = b0 with basis
-        // {x1, s1}.
-        let a = vec![vec![1.0, 1.0, 0.0], vec![1.0, 0.0, -1.0]];
-        let c = vec![-1.0, 0.0, 0.0];
-        let (y1, _, basis) =
-            solve_counted_warm(&a, &[4.0, 1.0], &c, &[Some(1), None], None).unwrap();
-        assert!((y1[0] - 4.0).abs() < 1e-9);
-        // b1 > b0 makes the whole model infeasible: the injected basis
-        // prices a negative basic value, falls back cold, and the cold
-        // path reports the genuine infeasibility (never a wrong answer).
-        assert_eq!(
-            solve_counted_warm(&a, &[4.0, 6.0], &c, &[Some(1), None], Some(&basis)).unwrap_err(),
-            SolveError::Infeasible
-        );
-        // A feasible new RHS warm-starts and matches the cold answer.
-        let (yw, sw, _) =
-            solve_counted_warm(&a, &[2.0, 1.0], &c, &[Some(1), None], Some(&basis)).unwrap();
-        assert!(sw.warm_started);
-        let (yc, _, _) = solve_counted_warm(&a, &[2.0, 1.0], &c, &[Some(1), None], None).unwrap();
-        for (w, cold) in yw.iter().zip(&yc) {
-            assert!((w - cold).abs() < 1e-9);
-        }
+        assert!(pivots >= 1, "at least one pivot expected");
     }
 
     #[test]

@@ -10,32 +10,8 @@
 //! * free: `x = y⁺ − y⁻`.
 
 use crate::model::{Cmp, Model, Sense};
-use crate::simplex::{self, Basis, SolveError, SolveStats};
-use crate::sparse::{self, CscMatrix};
+use crate::simplex::{self, SolveError};
 use eprons_obs as obs;
-
-/// Which simplex core executes a [`Standardized`] solve.
-///
-/// The constraint matrices this crate sees are network-structured and
-/// overwhelmingly sparse, but the dense tableau has lower constant
-/// factors on tiny models and is the differential-test oracle; `Auto`
-/// picks by matrix area so k=4-scale models keep their historical dense
-/// path (and bit-exact results) while anything k≥8-sized runs on the
-/// sparse revised simplex.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LpEngine {
-    /// Size-based choice: dense when `m·n ≤ 150_000`, sparse otherwise.
-    #[default]
-    Auto,
-    /// Force the dense flat-tableau two-phase simplex.
-    Dense,
-    /// Force the sparse revised simplex (CSC + product-form LU).
-    Sparse,
-}
-
-/// `Auto` runs dense at or below this `m·n`: every k=4-scale
-/// consolidation model lands under it, the k=8 ladder and beyond above.
-const DENSE_CUTOFF_AREA: usize = 150_000;
 
 /// How an original variable maps onto standard-form column(s).
 #[derive(Debug, Clone, Copy)]
@@ -66,12 +42,10 @@ impl Solution {
 }
 
 /// A standard-form program plus the mapping back to model variables.
-pub struct Standardized {
-    /// Constraint matrix, `m × n`, stored sparse (CSC). Constraint rows
-    /// arrive as sparse term lists from [`Model`], so the matrix is
-    /// assembled as triplets without ever materializing dense rows; the
-    /// dense tableau path densifies on demand for small models only.
-    a: CscMatrix,
+pub(crate) struct Standardized {
+    /// Constraint matrix, `m × n`, flat row-major: the layout the dense
+    /// tableau copies its rows from.
+    a: Vec<f64>,
     /// Right-hand sides, all non-negative.
     b: Vec<f64>,
     /// Objective coefficients (always minimize).
@@ -87,7 +61,7 @@ pub struct Standardized {
 
 impl Standardized {
     /// Converts a model, ignoring integrality (the LP relaxation).
-    pub fn from_model(model: &Model) -> Self {
+    pub(crate) fn from_model(model: &Model) -> Self {
         let negated = model.sense == Sense::Maximize;
         let sign = if negated { -1.0 } else { 1.0 };
 
@@ -179,8 +153,8 @@ impl Standardized {
             });
         }
 
-        // Allocate slack/surplus columns and emit the matrix as sparse
-        // triplets with non-negative rhs.
+        // Allocate slack/surplus columns and emit the matrix as
+        // `(row, col, value)` triplets with non-negative rhs.
         let m = rows.len();
         let mut slack_cols = 0usize;
         let mut nnz_guess = 0usize;
@@ -226,7 +200,7 @@ impl Standardized {
                 Cmp::Eq => {}
             }
         }
-        let a = CscMatrix::from_triplets(m, total, trip);
+        let a = scatter_row_major(m, total, trip);
 
         // Slack columns carry zero cost.
         c.resize(total, 0.0);
@@ -243,108 +217,31 @@ impl Standardized {
     }
 
     /// Number of structural + slack columns.
-    pub fn num_cols(&self) -> usize {
+    pub(crate) fn num_cols(&self) -> usize {
         self.c.len()
     }
 
     /// Number of rows.
-    pub fn num_rows(&self) -> usize {
-        self.a.num_rows()
-    }
-
-    /// Stored nonzeros of the constraint matrix.
-    pub fn nnz(&self) -> usize {
-        self.a.nnz()
-    }
-
-    /// The engine `Auto` resolves to for this model's dimensions.
-    pub fn auto_engine(&self) -> LpEngine {
-        if self.num_rows() * self.num_cols() <= DENSE_CUTOFF_AREA {
-            LpEngine::Dense
-        } else {
-            LpEngine::Sparse
-        }
+    pub(crate) fn num_rows(&self) -> usize {
+        self.b.len()
     }
 
     /// Solves the standard-form program with the two-phase simplex and maps
-    /// the solution back onto the original model's variables.
-    pub fn solve(&self) -> Result<Solution, SolveError> {
-        self.solve_with_stats().map(|(sol, _)| sol)
-    }
-
-    /// [`Standardized::solve`], additionally reporting simplex work
-    /// counters.
-    ///
-    /// # Errors
-    /// Same failure modes as [`Standardized::solve`].
-    pub fn solve_with_stats(&self) -> Result<(Solution, SolveStats), SolveError> {
-        self.solve_warm(None).map(|(sol, stats, _)| (sol, stats))
-    }
-
-    /// [`Standardized::solve_with_stats`] with an optional warm-start
-    /// [`Basis`], additionally returning the final basis so callers can
-    /// chain solves across structurally-identical models (same variables
-    /// and constraints, different RHS / objective coefficients — the
-    /// relationship between adjacent K-ladder candidates).
-    ///
-    /// # Errors
-    /// Same failure modes as [`Standardized::solve`], plus
-    /// [`SolveError::BasisMismatch`] when `warm` comes from a model with
-    /// different standard-form dimensions.
-    pub fn solve_warm(
-        &self,
-        warm: Option<&Basis>,
-    ) -> Result<(Solution, SolveStats, Basis), SolveError> {
-        self.solve_warm_with(warm, LpEngine::Auto)
-    }
-
-    /// [`Standardized::solve_warm`] with an explicit engine choice.
-    /// `Auto` (the default everywhere else) picks dense for tiny models
-    /// and the sparse revised simplex past the size cutoff; forcing
-    /// `Dense`/`Sparse` is how the differential tests and the
-    /// `scale_ladder` bench compare the two cores on identical input.
-    ///
-    /// # Errors
-    /// Same failure modes as [`Standardized::solve_warm`].
-    pub fn solve_warm_with(
-        &self,
-        warm: Option<&Basis>,
-        engine: LpEngine,
-    ) -> Result<(Solution, SolveStats, Basis), SolveError> {
-        let engine = match engine {
-            LpEngine::Auto => self.auto_engine(),
-            e => e,
-        };
-        let (y, stats, basis) = match engine {
-            LpEngine::Sparse => {
-                sparse::solve_counted_warm_csc(&self.a, &self.b, &self.c, &self.slack_basis, warm)?
-            }
-            _ => simplex::solve_counted_warm_flat(
-                &self.a.to_row_major(),
-                self.num_rows(),
-                self.num_cols(),
-                &self.b,
-                &self.c,
-                &self.slack_basis,
-                warm,
-            )?,
-        };
+    /// the solution back onto the original model's variables, also
+    /// returning the pivot count.
+    pub(crate) fn solve(&self) -> Result<(Solution, u64), SolveError> {
+        let (y, pivots) = simplex::solve_flat(
+            &self.a,
+            self.num_rows(),
+            self.num_cols(),
+            &self.b,
+            &self.c,
+            &self.slack_basis,
+        )?;
         if obs::enabled() {
-            let reg = obs::registry();
-            reg.counter("lp.pivots").add(stats.iterations);
-            if stats.warm_started {
-                reg.counter("lp.warm_start_hits").inc();
-            } else if warm.is_some() {
-                reg.counter("lp.warm_start_misses").inc();
-            }
-            if engine == LpEngine::Sparse {
-                reg.counter("lp.sparse.solves").inc();
-                reg.counter("lp.sparse.nnz").add(self.nnz() as u64);
-                reg.counter("lp.sparse.refactorizations")
-                    .add(stats.refactorizations);
-            }
+            obs::registry().counter("lp.pivots").add(pivots);
         }
-        Ok((self.recover(&y), stats, basis))
+        Ok((self.recover(&y), pivots))
     }
 
     /// Maps a standard-form point back onto the original model variables.
@@ -365,6 +262,31 @@ impl Standardized {
     }
 }
 
+/// Scatters `(row, col, value)` triplets into a flat row-major `m × n`
+/// matrix, summing duplicate coordinates. The triplets are sorted by
+/// `(col, row)` first and duplicates summed in that sorted order: this
+/// fixes the bits of every coefficient assembled from several terms, and
+/// they are the bits the figure goldens were produced with.
+///
+/// # Panics
+/// Panics when a triplet indexes outside `m × n`.
+fn scatter_row_major(m: usize, n: usize, mut trip: Vec<(u32, u32, f64)>) -> Vec<f64> {
+    trip.sort_unstable_by_key(|&(r, c, _)| (c, r));
+    let mut flat = vec![0.0; m * n];
+    let mut last: Option<(u32, u32)> = None;
+    for (r, c, v) in trip {
+        assert!((r as usize) < m && (c as usize) < n, "triplet out of range");
+        let cell = &mut flat[r as usize * n + c as usize];
+        if last == Some((c, r)) {
+            *cell += v;
+        } else {
+            *cell = v;
+        }
+        last = Some((c, r));
+    }
+    flat
+}
+
 /// Solves the LP relaxation of `model` (integrality ignored).
 ///
 /// With telemetry enabled this times the solve (`lp.solve_s`), counts
@@ -373,24 +295,22 @@ impl Standardized {
 pub fn solve_lp(model: &Model) -> Result<Solution, SolveError> {
     let std_form = Standardized::from_model(model);
     if !obs::enabled() {
-        return std_form.solve();
+        return std_form.solve().map(|(sol, _)| sol);
     }
     let _t = obs::Timer::scoped("lp.solve_s");
     let mut sp = obs::Span::enter("lp.solve");
-    match std_form.solve_with_stats() {
-        Ok((sol, stats)) => {
+    match std_form.solve() {
+        Ok((sol, pivots)) => {
             sp.note(format!(
-                "rows={} cols={} pivots={} warm={}",
+                "rows={} cols={} pivots={pivots}",
                 std_form.num_rows(),
                 std_form.num_cols(),
-                stats.iterations,
-                stats.warm_started
             ));
             obs::registry().counter("lp.solve.ok").inc();
             obs::record(obs::Event::LpSolve {
                 rows: std_form.num_rows() as u64,
                 cols: std_form.num_cols() as u64,
-                iters: stats.iterations,
+                iters: pivots,
                 binding_constraints: crate::diagnostics::binding_constraints(model, &sol, 1e-7),
             });
             Ok(sol)
@@ -530,45 +450,13 @@ mod tests {
     }
 
     #[test]
-    fn warm_chain_matches_cold_solves() {
-        // Two structurally identical models differing only in RHS — the
-        // K-ladder relationship — chained through one basis.
-        let build = |cap: f64| {
-            let mut m = Model::new(Sense::Minimize);
-            let x = m.add_var("x", 0.0, f64::INFINITY, 2.0);
-            let y = m.add_var("y", 0.0, f64::INFINITY, 3.0);
-            m.add_constraint("sum", vec![(x, 1.0), (y, 1.0)], Cmp::Ge, cap);
-            m.add_constraint("cap", vec![(x, 1.0)], Cmp::Le, cap * 0.75);
-            m
-        };
-        let first = Standardized::from_model(&build(8.0));
-        let (sol1, _, basis) = first.solve_warm(None).unwrap();
-        let second = Standardized::from_model(&build(10.0));
-        let (warm_sol, stats, _) = second.solve_warm(Some(&basis)).unwrap();
-        assert!(stats.warm_started, "identical structure should warm-start");
-        let (cold_sol, _) = second.solve_with_stats().unwrap();
-        assert!((warm_sol.objective - cold_sol.objective).abs() < 1e-9);
-        for (w, c) in warm_sol.values.iter().zip(&cold_sol.values) {
-            assert!((w - c).abs() < 1e-9);
-        }
-        assert!(sol1.objective < cold_sol.objective);
-    }
-
-    #[test]
-    fn structural_change_rejects_stale_basis() {
-        let mut m1 = Model::new(Sense::Minimize);
-        let x = m1.add_var("x", 0.0, f64::INFINITY, 1.0);
-        m1.add_constraint("c", vec![(x, 1.0)], Cmp::Ge, 2.0);
-        let (_, _, basis) = Standardized::from_model(&m1).solve_warm(None).unwrap();
-        // Add a variable: the standard-form shape changes.
-        let mut m2 = Model::new(Sense::Minimize);
-        let x2 = m2.add_var("x", 0.0, f64::INFINITY, 1.0);
-        let y2 = m2.add_var("y", 0.0, f64::INFINITY, 1.0);
-        m2.add_constraint("c", vec![(x2, 1.0), (y2, 1.0)], Cmp::Ge, 2.0);
-        let err = Standardized::from_model(&m2)
-            .solve_warm(Some(&basis))
-            .unwrap_err();
-        assert_eq!(err, SolveError::BasisMismatch);
+    fn triplets_merge_duplicates() {
+        let flat = scatter_row_major(
+            2,
+            2,
+            vec![(0, 0, 1.0), (1, 1, 2.0), (0, 0, 3.0), (1, 0, 0.5)],
+        );
+        assert_eq!(flat, vec![4.0, 0.0, 0.5, 2.0]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! instances and cross-validated against [`super::path`], which is the
 //! tractable equivalent on fat-trees.
 
-use eprons_lp::{solve_milp_with_incumbent, Cmp, MilpOptions, Model, Sense, SolveError, VarId};
+use eprons_lp::{solve_milp, Cmp, MilpOptions, Model, Sense, SolveError, VarId};
 use eprons_topo::{LinkId, MultipathTopology, Path};
 
 use super::{Assignment, ConsolidationConfig, ConsolidationError, Consolidator};
@@ -45,7 +45,7 @@ impl Default for ArcMilpConsolidator {
 }
 
 /// The built arc MILP plus variable handles, mirroring
-/// [`super::path::PathModel`] so solves can be chained across candidates.
+/// [`super::path::PathModel`].
 pub struct ArcModel {
     /// The MILP.
     pub model: Model,
@@ -63,37 +63,6 @@ impl ArcModel {
     /// The Z selector of flow `fi` on link `l`, direction `dir`.
     pub fn z_at(&self, fi: usize, l: LinkId, dir: usize) -> VarId {
         self.z[(fi * self.nl + l.0) * 2 + dir]
-    }
-
-    /// Expands a previous assignment's paths (one per flow, same flow
-    /// order, from a structurally-identical instance) into a full variable
-    /// vector usable as a MILP incumbent. Returns `None` on a shape
-    /// mismatch; the result may still be infeasible for this instance
-    /// (higher `K`, masked switch), which the MILP detects and ignores.
-    pub fn incumbent_from_paths<'a>(
-        &self,
-        topo: &eprons_topo::Topology,
-        paths: impl ExactSizeIterator<Item = eprons_topo::PathRef<'a>>,
-        num_flows: usize,
-    ) -> Option<Vec<f64>> {
-        if paths.len() != num_flows {
-            return None;
-        }
-        let mut vals = vec![0.0; self.model.num_vars()];
-        for (fi, p) in paths.enumerate() {
-            for (from, to, l) in p.hops() {
-                let link = topo.link(l);
-                let dir = if from == link.a { 0 } else { 1 };
-                vals[self.z_at(fi, l, dir).index()] = 1.0;
-                vals[self.x[l.0].index()] = 1.0;
-                for endpoint in [from, to] {
-                    if let Some(yv) = self.y[endpoint.0] {
-                        vals[yv.index()] = 1.0;
-                    }
-                }
-            }
-        }
-        Some(vals)
     }
 }
 
@@ -212,29 +181,17 @@ pub fn build_arc_model(
     ArcModel { model, x, y, z, nl }
 }
 
-impl ArcMilpConsolidator {
-    /// [`Consolidator::consolidate`] with warm-start chaining: a previous
-    /// assignment from a structurally-identical instance (same flows and
-    /// topology, different `K` or power weights) seeds the branch-and-
-    /// bound's initial incumbent so dominated subtrees prune immediately.
-    /// An infeasible or mismatched hint degrades silently to the cold
-    /// path; with alternate optima a warm solve may return a different
-    /// equal-power assignment than a cold one.
-    ///
-    /// # Errors
-    /// Same failure modes as [`Consolidator::consolidate`].
-    pub fn consolidate_warm(
+impl Consolidator for ArcMilpConsolidator {
+    fn consolidate(
         &self,
         net: &dyn MultipathTopology,
         flows: &FlowSet,
         cfg: &ConsolidationConfig,
-        prev: Option<&Assignment>,
     ) -> Result<Assignment, ConsolidationError> {
         let topo = net.topology();
         let am = build_arc_model(net, flows, cfg);
         let nf = flows.len();
-        let incumbent = prev.and_then(|a| am.incumbent_from_paths(topo, a.iter_paths(), nf));
-        let sol = match solve_milp_with_incumbent(&am.model, &self.options, incumbent.as_deref()) {
+        let sol = match solve_milp(&am.model, &self.options) {
             Ok(s) => s,
             Err(SolveError::Infeasible) => return Err(ConsolidationError::Infeasible),
             Err(e) => return Err(ConsolidationError::SolverFailed(e.to_string())),
@@ -275,17 +232,6 @@ impl ArcMilpConsolidator {
             chosen.push(Path { nodes, links });
         }
         Ok(Assignment::from_paths(net, flows, chosen))
-    }
-}
-
-impl Consolidator for ArcMilpConsolidator {
-    fn consolidate(
-        &self,
-        net: &dyn MultipathTopology,
-        flows: &FlowSet,
-        cfg: &ConsolidationConfig,
-    ) -> Result<Assignment, ConsolidationError> {
-        self.consolidate_warm(net, flows, cfg, None)
     }
 }
 
@@ -360,35 +306,6 @@ mod tests {
         // Same-pod route: 3 switches (2 edges + 1 agg), 4 hops.
         assert_eq!(arc.active_switch_count(&ft), 3);
         arc.validate(&ft, &fs, &cfg).unwrap();
-    }
-
-    #[test]
-    fn warm_incumbent_chain_matches_cold_power() {
-        let ft = FatTree::new(2, 1000.0);
-        let mut fs = FlowSet::new();
-        fs.add(
-            ft.hosts()[0],
-            ft.hosts()[1],
-            100.0,
-            FlowClass::LatencySensitive,
-        );
-        let milp = ArcMilpConsolidator::default();
-        let power = NetworkPowerModel::default();
-        let mut prev: Option<Assignment> = None;
-        for k in [1.0, 2.0, 3.0] {
-            let cfg = ConsolidationConfig::with_k(k);
-            let warm = milp
-                .consolidate_warm(&ft, &fs, &cfg, prev.as_ref())
-                .unwrap();
-            warm.validate(&ft, &fs, &cfg).unwrap();
-            let cold = milp.consolidate(&ft, &fs, &cfg).unwrap();
-            assert!(
-                (warm.network_power_w(&ft, &power) - cold.network_power_w(&ft, &power)).abs()
-                    < 1e-6,
-                "K={k}: warm and cold optima disagree on power"
-            );
-            prev = Some(warm);
-        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! and the minimized power objective pins them to 0 otherwise. The optimum
 //! therefore equals the arc model's at a fraction of the binaries.
 
-use eprons_lp::{solve_milp_with_incumbent, Cmp, MilpOptions, Model, Sense, SolveError, VarId};
+use eprons_lp::{solve_milp, Cmp, MilpOptions, Model, Sense, SolveError, VarId};
 use eprons_topo::{MultipathTopology, Path};
 
 use super::{Assignment, ConsolidationConfig, ConsolidationError, Consolidator};
@@ -36,36 +36,6 @@ pub struct PathModel {
     pub x: Vec<VarId>,
     /// Y variable per node (`None` for hosts), indexed by `NodeId`.
     pub y: Vec<Option<VarId>>,
-}
-
-impl PathModel {
-    /// Expands chosen path indices (one per flow, from a previous solve of
-    /// a structurally-identical model) into a full variable assignment
-    /// usable as a MILP incumbent: `z` selectors set per choice, `X`/`Y`
-    /// set to the cost-minimal indicator of the used links/switches.
-    ///
-    /// Returns `None` when the choices don't match this model's shape; a
-    /// returned vector may still be infeasible here (e.g. the new `K`
-    /// overflows a link), which the MILP detects and ignores.
-    pub fn incumbent_from_choices(&self, choices: &[usize]) -> Option<Vec<f64>> {
-        if choices.len() != self.candidates.len() {
-            return None;
-        }
-        let mut vals = vec![0.0; self.model.num_vars()];
-        for (fi, &pi) in choices.iter().enumerate() {
-            let path = self.candidates[fi].get(pi)?;
-            vals[self.z[fi][pi].index()] = 1.0;
-            for (from, to, l) in path.hops() {
-                vals[self.x[l.0].index()] = 1.0;
-                for endpoint in [from, to] {
-                    if let Some(yv) = self.y[endpoint.0] {
-                        vals[yv.index()] = 1.0;
-                    }
-                }
-            }
-        }
-        Some(vals)
-    }
 }
 
 /// Builds the path-based consolidation MILP.
@@ -170,53 +140,6 @@ pub fn build_path_model(
     }
 }
 
-impl PathMilpConsolidator {
-    /// [`Consolidator::consolidate`] with warm-start chaining: an optional
-    /// previous solution's path choices seed the branch-and-bound's
-    /// initial incumbent (adjacent K candidates share the model structure,
-    /// so the old assignment is a ready feasibility certificate), and the
-    /// new solution's choices are returned for the next candidate.
-    ///
-    /// An infeasible or mismatched hint degrades silently to the cold
-    /// path. Note that with alternate optima a warm solve may pick a
-    /// different equal-power assignment than a cold one — callers needing
-    /// bit-identical sweeps (the core optimizer) use [`Consolidator::consolidate`].
-    ///
-    /// # Errors
-    /// Same failure modes as [`Consolidator::consolidate`].
-    pub fn consolidate_warm(
-        &self,
-        net: &dyn MultipathTopology,
-        flows: &FlowSet,
-        cfg: &ConsolidationConfig,
-        prev_choices: Option<&[usize]>,
-    ) -> Result<(Assignment, Vec<usize>), ConsolidationError> {
-        let pm = build_path_model(net, flows, cfg);
-        // A flow whose every candidate crosses a masked switch has an
-        // empty route constraint; report it before solving.
-        if let Some(fi) = pm.candidates.iter().position(|c| c.is_empty()) {
-            return Err(ConsolidationError::NoFeasiblePath { flow: fi });
-        }
-        let incumbent = prev_choices.and_then(|ch| pm.incumbent_from_choices(ch));
-        let sol = match solve_milp_with_incumbent(&pm.model, &self.options, incumbent.as_deref()) {
-            Ok(s) => s,
-            Err(SolveError::Infeasible) => return Err(ConsolidationError::Infeasible),
-            Err(e) => return Err(ConsolidationError::SolverFailed(e.to_string())),
-        };
-        let mut chosen = Vec::with_capacity(flows.len());
-        let mut choices = Vec::with_capacity(flows.len());
-        for (fi, zf) in pm.z.iter().enumerate() {
-            let pi = zf
-                .iter()
-                .position(|&zv| sol.value(zv) > 0.5)
-                .expect("route constraint guarantees one chosen path");
-            chosen.push(pm.candidates[fi][pi].clone());
-            choices.push(pi);
-        }
-        Ok((Assignment::from_paths(net, flows, chosen), choices))
-    }
-}
-
 impl Consolidator for PathMilpConsolidator {
     fn consolidate(
         &self,
@@ -224,7 +147,26 @@ impl Consolidator for PathMilpConsolidator {
         flows: &FlowSet,
         cfg: &ConsolidationConfig,
     ) -> Result<Assignment, ConsolidationError> {
-        self.consolidate_warm(net, flows, cfg, None).map(|(a, _)| a)
+        let pm = build_path_model(net, flows, cfg);
+        // A flow whose every candidate crosses a masked switch has an
+        // empty route constraint; report it before solving.
+        if let Some(fi) = pm.candidates.iter().position(|c| c.is_empty()) {
+            return Err(ConsolidationError::NoFeasiblePath { flow: fi });
+        }
+        let sol = match solve_milp(&pm.model, &self.options) {
+            Ok(s) => s,
+            Err(SolveError::Infeasible) => return Err(ConsolidationError::Infeasible),
+            Err(e) => return Err(ConsolidationError::SolverFailed(e.to_string())),
+        };
+        let mut chosen = Vec::with_capacity(flows.len());
+        for (fi, zf) in pm.z.iter().enumerate() {
+            let pi = zf
+                .iter()
+                .position(|&zv| sol.value(zv) > 0.5)
+                .expect("route constraint guarantees one chosen path");
+            chosen.push(pm.candidates[fi][pi].clone());
+        }
+        Ok(Assignment::from_paths(net, flows, chosen))
     }
 }
 
@@ -340,48 +282,6 @@ mod tests {
         // 48 X + 20 Y + z variables (4 candidates per cross-pod flow × 3).
         assert_eq!(pm.model.num_vars(), 48 + 20 + 12);
         assert_eq!(pm.z.iter().map(|z| z.len()).sum::<usize>(), 12);
-    }
-
-    #[test]
-    fn warm_chain_across_the_k_ladder_matches_cold_power() {
-        let ft = FatTree::new(4, 1000.0);
-        let fs = fig2_flows(&ft);
-        let milp = PathMilpConsolidator::default();
-        let power = NetworkPowerModel::default();
-        let mut prev: Option<Vec<usize>> = None;
-        for k in [1.0, 2.0, 3.0] {
-            let cfg = ConsolidationConfig::with_k(k);
-            let (warm_a, choices) = milp
-                .consolidate_warm(&ft, &fs, &cfg, prev.as_deref())
-                .unwrap();
-            warm_a.validate(&ft, &fs, &cfg).unwrap();
-            let cold_a = milp.consolidate(&ft, &fs, &cfg).unwrap();
-            // Alternate optima may differ in routing, never in power.
-            assert!(
-                (warm_a.network_power_w(&ft, &power) - cold_a.network_power_w(&ft, &power)).abs()
-                    < 1e-6,
-                "K={k}: warm and cold optima disagree on power"
-            );
-            prev = Some(choices);
-        }
-    }
-
-    #[test]
-    fn incumbent_expansion_is_feasible_for_the_same_model() {
-        let ft = FatTree::new(4, 1000.0);
-        let fs = fig2_flows(&ft);
-        let cfg = ConsolidationConfig::with_k(1.0);
-        let milp = PathMilpConsolidator::default();
-        let (_, choices) = milp.consolidate_warm(&ft, &fs, &cfg, None).unwrap();
-        let pm = build_path_model(&ft, &fs, &cfg);
-        let vals = pm.incumbent_from_choices(&choices).unwrap();
-        assert!(
-            pm.model.is_feasible(&vals, 1e-6),
-            "expanded incumbent must satisfy its own model"
-        );
-        // Mismatched shape degrades to None, not a panic.
-        assert!(pm.incumbent_from_choices(&[0]).is_none());
-        assert!(pm.incumbent_from_choices(&[99, 99, 99]).is_none());
     }
 
     #[test]

@@ -190,7 +190,7 @@ pub enum Event {
         start_s: f64,
     },
     /// The matching span closed after `elapsed_s` wall seconds. `detail`
-    /// carries stage-specific stats (e.g. `pivots=131 warm=true`), empty
+    /// carries stage-specific stats (e.g. `rows=257 cols=334 pivots=327`), empty
     /// when unset.
     SpanEnd {
         id: u64,

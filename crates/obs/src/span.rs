@@ -133,7 +133,7 @@ impl Span {
     }
 
     /// Attaches a detail string reported in the span's `SpanEnd` (e.g.
-    /// `"pivots=131 warm=true"`). Last call wins; a no-op on an inert
+    /// `"rows=257 cols=334 pivots=327"`). Last call wins; a no-op on an inert
     /// guard.
     pub fn note(&mut self, detail: impl Into<String>) {
         if let Some(a) = &mut self.armed {
