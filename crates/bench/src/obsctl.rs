@@ -637,8 +637,6 @@ pub struct AuditReport {
     /// Pod-decomposed consolidation passes checked for per-pod span
     /// coverage and round-0 conservation.
     pub pod_passes: usize,
-    /// Hysteresis holds seen (online-controller days).
-    pub holds: usize,
     /// Megabit-minutes of deferred demand whose conservation was checked.
     pub deferred_mbps_min: f64,
 }
@@ -661,11 +659,10 @@ impl AuditReport {
                 self.pod_passes
             ));
         }
-        if self.holds > 0 || self.deferred_mbps_min > 0.0 {
+        if self.deferred_mbps_min > 0.0 {
             out.push_str(&format!(
-                "audited online controller: {} hysteresis hold(s), \
-                 {:.1} mbps-min deferred\n",
-                self.holds, self.deferred_mbps_min
+                "audited online controller: {:.1} mbps-min deferred\n",
+                self.deferred_mbps_min
             ));
         }
         for n in &self.notes {
@@ -1044,14 +1041,6 @@ fn audit_day(group: &[JournalEntry], tag: &str, epochs: u64, rel_tol: f64, r: &m
         }
     }
 
-    // --- Hysteresis holds: tallied here, and consumed below to relax
-    // the winner check on epochs where the online controller overrode
-    // the optimizer's committed winner. ---
-    r.holds += group
-        .iter()
-        .filter(|e| matches!(&e.event, Event::HysteresisHold { .. }))
-        .count();
-
     // --- Winner uniqueness per serial epoch window. ---
     let epoch_starts: BTreeMap<u64, usize> = group
         .iter()
@@ -1114,24 +1103,11 @@ fn audit_day(group: &[JournalEntry], tag: &str, epochs: u64, rel_tol: f64, r: &m
         }
         let last = choices[choices.len() - 1];
         if last != snap.choice {
-            // An online hysteresis hold legitimately overrides the
-            // optimizer's committed winner: accept the mismatch iff a
-            // HysteresisHold inside this epoch's window held exactly the
-            // snapshot's configuration against exactly that winner.
-            let overridden = window.iter().any(|e| {
-                matches!(
-                    &e.event,
-                    Event::HysteresisHold { desired, held, .. }
-                        if desired == last && held == &snap.choice
-                )
-            });
-            if !overridden {
-                r.violations.push(format!(
-                    "{tag}: epoch {epoch} snapshot carries '{}' but the last \
-                     committed winner was '{last}'",
-                    snap.choice
-                ));
-            }
+            r.violations.push(format!(
+                "{tag}: epoch {epoch} snapshot carries '{}' but the last \
+                 committed winner was '{last}'",
+                snap.choice
+            ));
         }
     }
 }
@@ -1307,52 +1283,11 @@ mod tests {
         );
     }
 
-    /// `clean_day` with epoch 1 held by hysteresis: the snapshot keeps
-    /// epoch 0's configuration while the optimizer committed `agg1`.
-    fn held_day(held: &str) -> Vec<JournalEntry> {
+    #[test]
+    fn audit_flags_a_snapshot_that_is_not_the_committed_winner() {
+        // Epoch 1's optimizer committed "agg1"; a snapshot carrying any
+        // other configuration is a winner/snapshot divergence.
         let mut entries = clean_day();
-        let snap_pos = entries
-            .iter()
-            .position(|e| matches!(&e.event, Event::EpochSnapshot(s) if s.epoch == 1))
-            .expect("epoch 1 snapshot");
-        entries.insert(
-            snap_pos,
-            JournalEntry {
-                seq: 900,
-                event: Event::HysteresisHold {
-                    epoch: 1,
-                    desired: "agg1".into(),
-                    held: held.to_string(),
-                    saving_w: 2.0,
-                    transition_j: 400.0,
-                    reason: "payback".into(),
-                },
-            },
-        );
-        for e in &mut entries {
-            if let Event::EpochSnapshot(s) = &mut e.event {
-                if s.epoch == 1 {
-                    s.choice = held.to_string();
-                }
-            }
-        }
-        entries
-    }
-
-    #[test]
-    fn audit_accepts_hysteresis_override_of_the_committed_winner() {
-        let r = audit(&held_day("agg2"), 1.0e-9);
-        assert!(r.is_clean(), "unexpected violations: {:?}", r.violations);
-        assert_eq!(r.holds, 1);
-        assert!(r.render().contains("hysteresis hold"));
-    }
-
-    #[test]
-    fn audit_still_flags_a_snapshot_the_hold_does_not_explain() {
-        // The hold says the controller kept "agg4"; the snapshot carries
-        // "agg8". Neither matches the committed winner, so this is a
-        // genuine winner/snapshot divergence, not a hysteresis override.
-        let mut entries = held_day("agg4");
         for e in &mut entries {
             if let Event::EpochSnapshot(s) = &mut e.event {
                 if s.epoch == 1 {

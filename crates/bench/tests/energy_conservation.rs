@@ -9,7 +9,7 @@
 //! here before it corrupts a published figure.
 //!
 //! Phase B replays a flash-crowd day with ramp-correlated switch
-//! failures through the online controller (hysteresis + deferral) and
+//! failures through the online controller (workload deferral) and
 //! requires `obsctl audit` to pass clean — including the deferral
 //! conservation check (every megabit-minute enqueued is drained or
 //! dropped) — on the resulting journal.

@@ -36,40 +36,6 @@ impl Default for FailurePolicyConfig {
     }
 }
 
-/// Hysteresis on epoch-boundary switch transitions (the online
-/// controller's flap damper).
-///
-/// The epoch-batch day loop re-decides every epoch from scratch, so a
-/// demand point sitting on a candidate boundary toggles switches each
-/// epoch even though [`TransitionModel`] prices every toggle. Under
-/// hysteresis the controller only commits a reconfiguration when the
-/// priced transition energy is recovered within `payback_horizon_epochs`
-/// (the projected saving `saving_w × horizon` must exceed
-/// `margin × transition_energy_j`), and every switch a transition
-/// toggles enters a `cooldown_epochs`-epoch quarantine during which
-/// further toggles of that switch are held. Holding is never allowed to
-/// break the SLA: when the held configuration is infeasible and the
-/// optimizer's pick is feasible, the controller switches regardless.
-#[derive(Debug, Clone)]
-pub struct HysteresisConfig {
-    /// Epochs over which a transition's energy must pay for itself.
-    pub payback_horizon_epochs: usize,
-    /// Per-switch quarantine after a toggle, epochs.
-    pub cooldown_epochs: usize,
-    /// Multiplier on the priced transition energy (>1 = more reluctant).
-    pub margin: f64,
-}
-
-impl Default for HysteresisConfig {
-    fn default() -> Self {
-        HysteresisConfig {
-            payback_horizon_epochs: 3,
-            cooldown_epochs: 2,
-            margin: 1.0,
-        }
-    }
-}
-
 /// Temporal deferral of latency-tolerant background flows into demand
 /// troughs ("Dynamic Deferral of Workload for Capacity Provisioning in
 /// Data Centers", PAPERS.md).
@@ -111,23 +77,20 @@ impl Default for DeferralConfig {
     }
 }
 
-/// The online streaming controller's knobs: hysteresis on switch
-/// transitions and workload deferral, each independently optional.
-/// `OnlineConfig::default()` leaves both off (sequential streaming only);
-/// [`OnlineConfig::enabled`] turns both on with their default tuning.
+/// The online streaming controller's knobs: workload deferral, the one
+/// cross-epoch mechanism. `OnlineConfig::default()` leaves it off
+/// (sequential streaming only, every epoch identical to the batch
+/// loop's); [`OnlineConfig::enabled`] turns it on with its default tuning.
 #[derive(Debug, Clone, Default)]
 pub struct OnlineConfig {
-    /// Transition hysteresis; `None` commits every optimizer pick.
-    pub hysteresis: Option<HysteresisConfig>,
     /// Background-flow deferral; `None` admits all demand immediately.
     pub deferral: Option<DeferralConfig>,
 }
 
 impl OnlineConfig {
-    /// Both mechanisms on, default tuning.
+    /// Deferral on, default tuning.
     pub fn enabled() -> Self {
         OnlineConfig {
-            hysteresis: Some(HysteresisConfig::default()),
             deferral: Some(DeferralConfig::default()),
         }
     }
@@ -438,10 +401,7 @@ mod tests {
 
     #[test]
     fn online_defaults_are_coherent() {
-        let o = OnlineConfig::enabled();
-        let h = o.hysteresis.unwrap();
-        let d = o.deferral.unwrap();
-        assert!(h.payback_horizon_epochs >= 1 && h.margin > 0.0);
+        let d = OnlineConfig::enabled().deferral.unwrap();
         // Draining must stop below the defer threshold or the controller
         // would re-defer what it just drained, ping-ponging the queue.
         assert!(d.drain_headroom <= d.defer_threshold);
@@ -449,7 +409,7 @@ mod tests {
         assert!(d.queue_cap_mbps_min > 0.0 && d.slack_epochs >= 1);
         // Off by default: the epoch-batch day loop stays the default path.
         let off = OnlineConfig::default();
-        assert!(off.hysteresis.is_none() && off.deferral.is_none());
+        assert!(off.deferral.is_none());
     }
 
     #[test]

@@ -14,29 +14,30 @@
 //! failure, all-on fallback, or, when even that cannot route, an
 //! unprotected epoch whose SLA flag is forced false.
 //!
-//! Each epoch runs five named stages: **demand** (predict, defer,
+//! Each epoch runs four named stages: **demand** (predict, defer,
 //! day-scope quantize), **choose** (the pruned candidate ladder),
-//! **hold** (hysteresis), **survive** (the degradation ladder and its
-//! power segments) and **record** (snapshot and journal).
+//! **survive** (the degradation ladder and its power segments) and
+//! **record** (snapshot and journal).
 //!
 //! Setting [`DayConfig::online`] turns the loop into an **online
-//! streaming controller**: epochs run strictly in sequence carrying
-//! state across boundaries — per-switch cooldowns and a payback-priced
-//! hysteresis filter on reconfigurations ([`HysteresisConfig`]), plus a
-//! bounded deferral queue that shaves latency-tolerant background demand
-//! off peaks and drains it into troughs ([`DeferralConfig`]). Demand is
+//! streaming controller**: epochs run strictly in sequence carrying a
+//! bounded deferral queue across boundaries, which shaves
+//! latency-tolerant background demand off peaks and drains it into
+//! troughs ([`DeferralConfig`]). Every optimizer pick commits: at §IV-B's
+//! 72.52 s power-on a switch boot costs ≈2.6 kJ, which one 10-minute
+//! epoch of a 36 W switch repays several times over. Demand is
 //! still observed per minute through [`DemandPredictor`] (§II's 90th
 //! percentile); predictions are exogenous to the control decisions, so
 //! the streamed timeline stays a deterministic pure function of its
 //! inputs and is bit-identical across thread budgets.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use eprons_net::failure::{
     DegradationPolicy, DegradationStage, FailureEvent, FailureEventKind, FailureSchedule,
 };
 use eprons_net::flow::FlowId;
-use eprons_net::transition::{worth_switching, Churn, TransitionModel};
+use eprons_net::transition::{Churn, TransitionModel};
 use eprons_net::{Assignment, DemandPredictor, NetworkState};
 use eprons_sim::SimRng;
 use eprons_topo::{FatTree, NodeId};
@@ -45,9 +46,7 @@ use eprons_workload::diurnal::{DiurnalProfile, MINUTES_PER_DAY};
 
 use crate::accounting::PowerBreakdown;
 use crate::cluster::{ClusterRun, ClusterRunResult, ConsolidationSpec, ServerScheme};
-use crate::config::{
-    ClusterConfig, DayScopeConfig, DeferralConfig, HysteresisConfig, OnlineConfig,
-};
+use crate::config::{ClusterConfig, DayScopeConfig, DeferralConfig, OnlineConfig};
 use crate::optimizer::optimize_in_context_pruned;
 use crate::parallel::parallel_map;
 use crate::scenario::{DayContext, ScenarioContext, ScenarioSpec};
@@ -116,8 +115,10 @@ pub struct DayRecord {
     /// Megabit-minutes of previously deferred demand drained into this
     /// epoch's trough (always 0 in epoch-batch mode).
     pub drained_mbps_min: f64,
-    /// True when the hysteresis filter held the previous epoch's
-    /// configuration against the optimizer's preferred pick.
+    /// Always false: the controller commits every optimizer pick. The
+    /// field remains because `perfbench` reads it for `controller.holds`,
+    /// and the timeline CSV's `held` column remains because the committed
+    /// timelines are byte-compared goldens.
     pub held_by_hysteresis: bool,
 }
 
@@ -146,7 +147,7 @@ pub struct DayConfig {
     pub search_trace: TraceScenario,
     /// Background-traffic trace (same default/options as `search_trace`).
     pub background_trace: TraceScenario,
-    /// Online streaming-controller extensions (hysteresis + deferral).
+    /// Online streaming-controller extensions (workload deferral).
     /// `None` keeps the epoch-batch loop; `Some` forces sequential
     /// epochs with cross-epoch state.
     pub online: Option<OnlineConfig>,
@@ -179,63 +180,6 @@ impl Default for DayConfig {
 /// operating point present bit-identical scenario specs.
 fn quantize_demand(x: f64) -> f64 {
     (x / 0.05).round() * 0.05
-}
-
-/// Cross-epoch hysteresis state: the configuration that was live when
-/// the previous epoch closed, plus per-switch cooldown counters.
-struct HysteresisState {
-    knobs: HysteresisConfig,
-    model: TransitionModel,
-    /// Epoch length in seconds (the payback horizon's time unit).
-    epoch_s: f64,
-    /// Spec live at the end of the previous epoch.
-    prev_spec: Option<ConsolidationSpec>,
-    /// Active switch ids at the end of the previous epoch.
-    prev_ids: Option<Vec<usize>>,
-    /// Switch id → epochs of quarantine left after its last toggle.
-    cooldown: BTreeMap<usize, usize>,
-}
-
-impl HysteresisState {
-    fn new(knobs: HysteresisConfig, model: TransitionModel, epoch_s: f64) -> Self {
-        HysteresisState {
-            knobs,
-            model,
-            epoch_s,
-            prev_spec: None,
-            prev_ids: None,
-            cooldown: BTreeMap::new(),
-        }
-    }
-
-    /// True if any switch the churn would toggle is still quarantined.
-    fn any_cooling(&self, churn: &Churn) -> bool {
-        churn
-            .turned_on
-            .iter()
-            .chain(churn.turned_off.iter())
-            .any(|s| self.cooldown.get(s).is_some_and(|&c| c > 0))
-    }
-
-    /// Closes an epoch: ages every cooldown by one epoch, then quarantines
-    /// the switches this epoch actually toggled (whether the toggle came
-    /// from the optimizer or from the mid-epoch failure ladder).
-    fn finish_epoch(&mut self, spec: ConsolidationSpec, live_ids: &[usize]) {
-        self.cooldown.retain(|_, c| {
-            *c -= 1;
-            *c > 0
-        });
-        if let Some(prev_ids) = &self.prev_ids {
-            let churn = Churn::between(prev_ids, live_ids);
-            for &s in churn.turned_on.iter().chain(churn.turned_off.iter()) {
-                if self.knobs.cooldown_epochs > 0 {
-                    self.cooldown.insert(s, self.knobs.cooldown_epochs);
-                }
-            }
-        }
-        self.prev_ids = Some(live_ids.to_vec());
-        self.prev_spec = Some(spec);
-    }
 }
 
 /// One slab of deferred background demand waiting for a trough.
@@ -400,8 +344,8 @@ pub fn simulate_day(
 /// recovered switch rejoins the candidate pool at the next epoch
 /// boundary (its 72.52 s boot makes it useless mid-epoch anyway).
 ///
-/// Every epoch runs the same five stages — **demand**, **choose**,
-/// **hold**, **survive**, **record**. A day that carries state across
+/// Every epoch runs the same four stages — **demand**, **choose**,
+/// **survive**, **record**. A day that carries state across
 /// epochs (an online controller, an incremental day cache, or a
 /// warm-started EPRONS search) runs them in sequence; any other day has
 /// independent epochs and fans them out over threads. Either way the
@@ -435,13 +379,9 @@ pub fn simulate_day_with_failures(
         }
     }
     let inputs = epoch_inputs(day, &search, &background);
-    let epoch_s = day.epoch_minutes as f64 * 60.0;
     let online = day.online.clone().unwrap_or_default();
     let mut carry = Carry {
         hint: None,
-        hyst: online
-            .hysteresis
-            .map(|knobs| HysteresisState::new(knobs, cfg.failure.transition.clone(), epoch_s)),
         queue: online.deferral.map(|knobs| {
             DeferralQueue::new(knobs, cfg.link_capacity_mbps, day.epoch_minutes as f64)
         }),
@@ -593,7 +533,6 @@ struct Carry {
     /// The configuration live when the previous epoch closed: an
     /// ordering hint for the pruned ladder, never a result change.
     hint: Option<ConsolidationSpec>,
-    hyst: Option<HysteresisState>,
     queue: Option<DeferralQueue>,
     /// The incremental day scope's context cache.
     day_ctx: Option<DayContext>,
@@ -617,7 +556,7 @@ struct Epoch {
     mask: Vec<NodeId>,
 }
 
-/// The day's fixed inputs, shared by the five epoch stages.
+/// The day's fixed inputs, shared by the four epoch stages.
 struct DayLoop<'a> {
     cfg: &'a ClusterConfig,
     strategy: &'a DayStrategy,
@@ -629,7 +568,7 @@ struct DayLoop<'a> {
 }
 
 impl DayLoop<'_> {
-    /// One epoch through the five stages. A pure function of `input` and
+    /// One epoch through the four stages. A pure function of `input` and
     /// `carry`; leaves in `carry` what the next epoch needs.
     fn epoch(&self, input: &EpochInput, carry: &mut Carry) -> DayRecord {
         let (run, deferral) = self.demand(input, carry.queue.as_mut());
@@ -667,7 +606,7 @@ impl DayLoop<'_> {
                 .map(NodeId)
                 .collect(),
         };
-        let (mut pick, degradation) = match self.choose(&ep.ctx, ep.scheme, &ep.mask, carry.hint) {
+        let (pick, degradation) = match self.choose(&ep.ctx, ep.scheme, &ep.mask, carry.hint) {
             Some(p) => (p, None),
             None => {
                 // The mask leaves no routable candidate (e.g. an edge
@@ -682,10 +621,6 @@ impl DayLoop<'_> {
                 };
                 (p, Some(DegradationStage::Unprotected))
             }
-        };
-        let held = match &carry.hyst {
-            Some(h) if degradation.is_none() => self.hold(&ep, h, &mut pick),
-            _ => false,
         };
         let Pick {
             spec,
@@ -706,13 +641,10 @@ impl DayLoop<'_> {
             degradation,
             deferred_mbps_min: deferral.enqueued_mbps_min,
             drained_mbps_min: deferral.drained_mbps_min,
-            held_by_hysteresis: held,
+            held_by_hysteresis: false,
         };
         let spec = self.survive(&ep, spec, &mut rec);
         self.record(e, spec, &rec, &mut epoch_span);
-        if let Some(h) = carry.hyst.as_mut() {
-            h.finish_epoch(spec, &rec.active_switch_ids);
-        }
         carry.hint = Some(spec);
         rec
     }
@@ -814,53 +746,6 @@ impl DayLoop<'_> {
             feasible: result.is_feasible(self.cfg),
             result,
         })
-    }
-
-    /// **hold**: hysteresis. Keeps the previous epoch's configuration in
-    /// place of `pick` when the reconfiguration's priced transition
-    /// energy does not pay back within the configured horizon, or a
-    /// switch it would toggle is still cooling down. Never trades an
-    /// SLA-feasible pick for an infeasible hold. Returns whether it held.
-    fn hold(&self, ep: &Epoch, h: &HysteresisState, pick: &mut Pick) -> bool {
-        let Some(prev_spec) = h.prev_spec.filter(|&s| s != pick.spec) else {
-            return false;
-        };
-        let Ok(hold) = ep.ctx.evaluate_masked(ep.scheme, prev_spec, &ep.mask) else {
-            return false;
-        };
-        let hold_feasible = hold.is_feasible(self.cfg);
-        let churn = Churn::between(&hold.active_switch_ids, &pick.result.active_switch_ids);
-        let saving_w = hold.breakdown.total_w() - pick.result.breakdown.total_w();
-        let transition_j = h.model.transition_energy_j(&churn);
-        let horizon_s = h.knobs.payback_horizon_epochs as f64 * h.epoch_s;
-        let pays_back = worth_switching(&h.model, &churn, saving_w, horizon_s, h.knobs.margin);
-        // A cooldown hold is anti-flap insurance; it is only worth buying
-        // while holding is cheap — one epoch of the forgone power saving
-        // must not exceed the transition energy the hold avoids re-paying.
-        let cooling =
-            h.any_cooling(&churn) && saving_w.max(0.0) * h.epoch_s <= h.knobs.margin * transition_j;
-        if !hold_feasible || (pays_back && !cooling) {
-            return false;
-        }
-        if self.obs_on {
-            eprons_obs::registry()
-                .counter("core.hysteresis.holds")
-                .inc();
-            eprons_obs::record(eprons_obs::Event::HysteresisHold {
-                epoch: ep.e as u64,
-                desired: pick.spec.label(),
-                held: prev_spec.label(),
-                saving_w,
-                transition_j,
-                reason: if cooling { "cooldown" } else { "payback" }.to_string(),
-            });
-        }
-        *pick = Pick {
-            spec: prev_spec,
-            result: hold,
-            feasible: hold_feasible,
-        };
-        true
     }
 
     /// **survive**: walks the degradation ladder for every failure event
@@ -1106,7 +991,7 @@ pub fn day_churn(records: &[DayRecord]) -> Vec<Churn> {
 }
 
 /// Total number of switch power toggles (on + off transitions) across a
-/// day timeline — the scalar the hysteresis controller is graded on.
+/// day timeline — the scalar the online controller is graded on.
 pub fn day_churn_count(records: &[DayRecord]) -> usize {
     day_churn(records)
         .iter()
@@ -1129,8 +1014,8 @@ pub fn day_transition_energy_j(records: &[DayRecord], model: &TransitionModel) -
 /// epoch with minute, loads, power split, switches, tail, feasibility,
 /// plus the failure columns (`;`-joined failed switch ids or `-`, the
 /// degradation-ladder rung or `-`, and in-epoch boot energy in joules)
-/// and the online-controller columns (deferred/drained megabit-minutes
-/// and whether hysteresis held the previous configuration).
+/// and the online-controller columns (deferred/drained megabit-minutes,
+/// and `held`, always false since every pick commits).
 pub fn save_day_csv(records: &[DayRecord], path: &std::path::Path) -> std::io::Result<()> {
     use std::io::Write;
     let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
@@ -1369,26 +1254,6 @@ mod tests {
     }
 
     #[test]
-    fn hysteresis_cooldown_quarantines_for_exactly_cooldown_epochs() {
-        let knobs = HysteresisConfig {
-            cooldown_epochs: 2,
-            ..HysteresisConfig::default()
-        };
-        let mut h = HysteresisState::new(knobs, TransitionModel::default(), 600.0);
-        let toggled = Churn::between(&[1, 2], &[1, 3]);
-        // Epoch 0 ends with switches 2 and 3 toggled.
-        h.finish_epoch(ConsolidationSpec::AllOn, &[1, 2]);
-        h.finish_epoch(ConsolidationSpec::AllOn, &[1, 3]);
-        // The next two epoch decisions see the quarantine...
-        assert!(h.any_cooling(&toggled));
-        h.finish_epoch(ConsolidationSpec::AllOn, &[1, 3]);
-        assert!(h.any_cooling(&toggled));
-        // ...and the one after does not.
-        h.finish_epoch(ConsolidationSpec::AllOn, &[1, 3]);
-        assert!(!h.any_cooling(&toggled));
-    }
-
-    #[test]
     fn online_day_is_deterministic_and_populates_new_fields() {
         let cfg = ClusterConfig::default();
         let day = DayConfig {
@@ -1406,17 +1271,14 @@ mod tests {
             assert_eq!(x.active_switch_ids, y.active_switch_ids);
             assert_eq!(x.deferred_mbps_min, y.deferred_mbps_min);
             assert_eq!(x.drained_mbps_min, y.drained_mbps_min);
-            assert_eq!(x.held_by_hysteresis, y.held_by_hysteresis);
         }
         // Batch mode leaves the online fields inert.
         let batch = simulate_day(&cfg, &strategy, &quick_day());
-        assert!(batch
-            .iter()
-            .all(|r| r.deferred_mbps_min == 0.0 && !r.held_by_hysteresis));
+        assert!(batch.iter().all(|r| r.deferred_mbps_min == 0.0));
     }
 
     #[test]
-    fn online_churn_never_exceeds_batch_on_the_same_day() {
+    fn online_day_without_deferral_matches_batch_bit_for_bit() {
         let cfg = ClusterConfig::default();
         let strategy = DayStrategy::Eprons {
             candidates: aggregation_candidates(),
@@ -1426,19 +1288,20 @@ mod tests {
             &cfg,
             &strategy,
             &DayConfig {
-                online: Some(OnlineConfig {
-                    hysteresis: Some(HysteresisConfig::default()),
-                    deferral: None,
-                }),
+                online: Some(OnlineConfig { deferral: None }),
                 ..quick_day()
             },
         );
-        assert!(
-            day_churn_count(&online) <= day_churn_count(&batch),
-            "hysteresis must not add churn: online {} vs batch {}",
-            day_churn_count(&online),
-            day_churn_count(&batch)
-        );
+        assert_eq!(online.len(), batch.len());
+        for (o, b) in online.iter().zip(&batch) {
+            assert_eq!(
+                o.breakdown.total_w().to_bits(),
+                b.breakdown.total_w().to_bits()
+            );
+            assert_eq!(o.active_switch_ids, b.active_switch_ids);
+            assert_eq!(o.feasible, b.feasible);
+            assert_eq!(o.e2e_p95_s.to_bits(), b.e2e_p95_s.to_bits());
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use cluster::ClusterError;
 pub use cluster::{run_cluster, ClusterRun, ClusterRunResult, ConsolidationSpec, ServerScheme};
 pub use config::{
     ClusterConfig, ConsolidateStrategy, DayScopeConfig, DeferralConfig, FailurePolicyConfig,
-    HysteresisConfig, OnlineConfig,
+    OnlineConfig,
 };
 pub use controller::{
     day_churn, day_churn_count, day_total_energy_j, day_transition_energy_j, simulate_day,

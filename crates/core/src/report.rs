@@ -267,20 +267,14 @@ pub fn journal_daycache_table(entries: &[eprons_obs::JournalEntry]) -> Table {
     t
 }
 
-/// Tabulates the online-controller activity of a journal: hysteresis
-/// holds (with the transition energy they avoided paying) and the
-/// deferral queue's megabit-minute ledger (enqueued, drained, dropped).
+/// Tabulates the online-controller activity of a journal: the deferral
+/// queue's megabit-minute ledger (enqueued, drained, dropped).
 /// Empty (no rows) when the run never used the online controller.
 pub fn journal_online_table(entries: &[eprons_obs::JournalEntry]) -> Table {
     let mut t = Table::new("online controller", &["counter", "value"]);
-    let (mut holds, mut avoided_j) = (0u64, 0.0f64);
     let (mut enq_n, mut enq, mut drained, mut dropped) = (0u64, 0.0f64, 0.0f64, 0.0f64);
     for e in entries {
         match &e.event {
-            eprons_obs::Event::HysteresisHold { transition_j, .. } => {
-                holds += 1;
-                avoided_j += transition_j;
-            }
             eprons_obs::Event::DeferralEnqueued { mbps_min, .. } => {
                 enq_n += 1;
                 enq += mbps_min;
@@ -296,14 +290,9 @@ pub fn journal_online_table(entries: &[eprons_obs::JournalEntry]) -> Table {
             _ => {}
         }
     }
-    if holds == 0 && enq_n == 0 && drained == 0.0 && dropped == 0.0 {
+    if enq_n == 0 && drained == 0.0 && dropped == 0.0 {
         return t;
     }
-    t.row(&["hysteresis holds".to_string(), holds.to_string()]);
-    t.row(&[
-        "transition energy avoided (J)".to_string(),
-        format!("{avoided_j:.1}"),
-    ]);
     t.row(&["deferral enqueues".to_string(), enq_n.to_string()]);
     t.row(&["deferred (mbps-min)".to_string(), format!("{enq:.1}")]);
     t.row(&["drained (mbps-min)".to_string(), format!("{drained:.1}")]);

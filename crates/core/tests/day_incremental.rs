@@ -268,8 +268,8 @@ fn constant_day_pins_cache_counter_arithmetic() {
         "failure day must revive the slot on every later epoch"
     );
 
-    // Result memo: one evaluation per epoch (a single candidate, no
-    // hysteresis re-pricing), so the clean day computes the operating
+    // Result memo: one evaluation per epoch (a single candidate), so
+    // the clean day computes the operating
     // point once and serves every later epoch from the cache. The
     // failure day adds exactly one more distinct point — the masked
     // evaluation of the failure window.

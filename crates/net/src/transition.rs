@@ -9,8 +9,7 @@
 //! This module provides the accounting the paper defers: energy spent
 //! during power-on ramps (a booting switch burns power but carries no
 //! traffic) and the reconfiguration churn between consecutive controller
-//! epochs — plus a hysteresis filter that emulates the "backup path"
-//! mitigation by suppressing switch flaps whose payoff is too small.
+//! epochs.
 
 use std::collections::BTreeSet;
 
@@ -87,24 +86,6 @@ impl TransitionModel {
     }
 }
 
-/// The "backup paths" mitigation as a planning filter: keep the previous
-/// active set unless the new plan's power saving over the epoch exceeds
-/// the transition energy by `margin` (> 1 demands a clear win). Returns
-/// `true` if the switch-over should proceed.
-pub fn worth_switching(
-    model: &TransitionModel,
-    churn: &Churn,
-    power_saving_w: f64,
-    epoch_s: f64,
-    margin: f64,
-) -> bool {
-    if churn.is_empty() {
-        return true; // no transition, nothing to pay
-    }
-    let gain_j = power_saving_w * epoch_s;
-    gain_j > margin * model.transition_energy_j(churn)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,35 +120,5 @@ mod tests {
             "booting one switch per epoch is cheap when amortized"
         );
         assert_eq!(m.amortized_power_w(&c, 0.0), 0.0);
-    }
-
-    #[test]
-    fn worth_switching_thresholds() {
-        let m = TransitionModel::default();
-        let c = Churn::between(&[1], &[2]); // one on, one off
-        let epoch = 600.0;
-        // Saving 36 W (one switch's worth) for 10 min = 21.6 kJ; transition
-        // costs ≈ 2.8 kJ → clearly worth it.
-        assert!(worth_switching(&m, &c, 36.0, epoch, 1.0));
-        // Saving 2 W = 1.2 kJ < 2.8 kJ → not worth it.
-        assert!(!worth_switching(&m, &c, 2.0, epoch, 1.0));
-        // No churn is always fine.
-        assert!(worth_switching(
-            &m,
-            &Churn::between(&[1], &[1]),
-            0.0,
-            epoch,
-            1.0
-        ));
-    }
-
-    #[test]
-    fn margin_raises_the_bar() {
-        let m = TransitionModel::default();
-        let c = Churn::between(&[], &[7]);
-        let epoch = 600.0;
-        // 5 W saving: 3 kJ gain vs 2.61 kJ cost — passes margin 1, fails 2.
-        assert!(worth_switching(&m, &c, 5.0, epoch, 1.0));
-        assert!(!worth_switching(&m, &c, 5.0, epoch, 2.0));
     }
 }

@@ -221,20 +221,6 @@ pub enum Event {
         energy_j: f64,
         boot_energy_j: f64,
     },
-    /// The online controller held the previous epoch's configuration
-    /// instead of switching to the optimizer's `desired` pick: either the
-    /// priced transition would not pay back its energy within the
-    /// configured horizon, or a switch it would toggle is still cooling
-    /// down. `saving_w` is what switching would have saved per second,
-    /// `transition_j` the priced cost of the toggle.
-    HysteresisHold {
-        epoch: u64,
-        desired: String,
-        held: String,
-        saving_w: f64,
-        transition_j: f64,
-        reason: String,
-    },
     /// The online controller deferred latency-tolerant background demand
     /// into the bounded queue: `mbps_min` megabit-minutes enqueued this
     /// epoch with a drain deadline `slack_epochs` epochs out;
@@ -299,7 +285,6 @@ impl Event {
             Event::SpanEnd { .. } => "SpanEnd",
             Event::PowerSegment { .. } => "PowerSegment",
             Event::DayEnergy { .. } => "DayEnergy",
-            Event::HysteresisHold { .. } => "HysteresisHold",
             Event::DeferralEnqueued { .. } => "DeferralEnqueued",
             Event::DeferralDrained { .. } => "DeferralDrained",
             Event::DayCacheReport { .. } => "DayCacheReport",
@@ -550,21 +535,6 @@ impl Event {
                 ("energy_j", n(*energy_j)),
                 ("boot_energy_j", n(*boot_energy_j)),
             ]),
-            Event::HysteresisHold {
-                epoch,
-                desired,
-                held,
-                saving_w,
-                transition_j,
-                reason,
-            } => f(vec![
-                ("epoch", u(*epoch)),
-                ("desired", s(desired)),
-                ("held", s(held)),
-                ("saving_w", n(*saving_w)),
-                ("transition_j", n(*transition_j)),
-                ("reason", s(reason)),
-            ]),
             Event::DeferralEnqueued {
                 epoch,
                 mbps_min,
@@ -780,14 +750,6 @@ impl Event {
                 epochs: fu("epochs")?,
                 energy_j: fn_("energy_j")?,
                 boot_energy_j: fn_("boot_energy_j")?,
-            },
-            "HysteresisHold" => Event::HysteresisHold {
-                epoch: fu("epoch")?,
-                desired: fs("desired")?,
-                held: fs("held")?,
-                saving_w: fn_("saving_w")?,
-                transition_j: fn_("transition_j")?,
-                reason: fs("reason")?,
             },
             "DeferralEnqueued" => Event::DeferralEnqueued {
                 epoch: fu("epoch")?,
@@ -1122,14 +1084,6 @@ mod tests {
                 epochs: 144,
                 energy_j: 4.42e8,
                 boot_energy_j: 5221.44,
-            },
-            Event::HysteresisHold {
-                epoch: 74,
-                desired: "agg2".into(),
-                held: "agg1".into(),
-                saving_w: 12.5,
-                transition_j: 5221.44,
-                reason: "payback".into(),
             },
             Event::DeferralEnqueued {
                 epoch: 75,

@@ -179,14 +179,6 @@ fn all_variants(g: &mut Gen) -> Vec<Event> {
             energy_j: arb_f64(g),
             boot_energy_j: arb_f64(g),
         },
-        Event::HysteresisHold {
-            epoch: arb_u64(g),
-            desired: arb_string(g),
-            held: arb_string(g),
-            saving_w: arb_f64(g),
-            transition_j: arb_f64(g),
-            reason: arb_string(g),
-        },
         Event::DeferralEnqueued {
             epoch: arb_u64(g),
             mbps_min: arb_f64(g),
@@ -259,7 +251,6 @@ fn kind_tags_are_distinct_and_stable() {
         "PowerSegment",
         "DayEnergy",
         "RepairOutcome",
-        "HysteresisHold",
         "DeferralEnqueued",
         "DeferralDrained",
     ] {
