@@ -1,28 +1,31 @@
 //! Asymptotic curves over fat-tree size, and the pod-decomposition
 //! head-to-head.
 //!
-//! * `scale_ladder/*` — four curves, bottom up: topology construction
+//! * `scale_ladder/*` — five curves, bottom up: topology construction
 //!   (`build`), candidate path materialization (`arena`), one greedy
 //!   consolidation pass over an all-hosts antipodal flow set
-//!   (`consolidate`), and one end-to-end joint optimizer epoch
-//!   (`optimize`). The optimizer keeps the default `Auto` strategy, so
-//!   k < 12 runs the monolithic consolidator and k >= 12 the
-//!   pod-decomposed one, as the controller would at each size.
+//!   (`consolidate`), the optimizer's `GreedyK` power floor over an
+//!   epoch context's flow set (`bounds`, the `optimizer.bounds` stage),
+//!   and one end-to-end joint optimizer epoch (`optimize`). The
+//!   optimizer keeps the default `Auto` strategy, so k < 12 runs the
+//!   monolithic consolidator and k >= 12 the pod-decomposed one, as the
+//!   controller would at each size.
 //! * `pod_decomp/optimize/{monolithic,decomposed}/k*` — the same epoch
 //!   with the strategy pinned each way, so their ratio is the
 //!   decomposition's win and nothing else.
 //!
 //! `EPRONS_QUICK=1` stops at k=8 (pod pair at k=8). A full run climbs to
-//! k=24 for build, consolidate and optimize, k=16 for the arena, and
-//! pins the pod pair at k=16. Points at k >= 16 and the pod pair are
-//! timed once: a second iteration would double the wall clock for a
-//! second point on a curve whose shape one point per k already fixes.
+//! k=24 for build, consolidate and optimize, k=16 for the arena and the
+//! bounds, and pins the pod pair at k=16. Points at k >= 16 and the pod
+//! pair are timed once: a second iteration would double the wall clock
+//! for a second point on a curve whose shape one point per k already
+//! fixes.
 
 use eprons_bench::harness::{format_secs, Runner};
 use eprons_bench::{quick, BASE_SEED};
 use eprons_core::{
-    optimize_total_power, ClusterConfig, ClusterRun, ConsolidateStrategy, ConsolidationSpec,
-    ServerScheme,
+    candidate_power_floor_w, optimize_total_power, ClusterConfig, ClusterRun, ConsolidateStrategy,
+    ConsolidationSpec, ScenarioContext, ServerScheme,
 };
 use eprons_net::flow::FlowSet;
 use eprons_net::{ConsolidationConfig, Consolidator, FlowClass, GreedyConsolidator, PathArena};
@@ -89,6 +92,16 @@ fn main() {
         if k <= 16 {
             runner.bench(&format!("scale_ladder/arena/k{k}"), || {
                 PathArena::build(black_box(&ft)).arena_bytes()
+            });
+            let ctx =
+                ScenarioContext::for_template(&epoch_cfg(k, ConsolidateStrategy::Auto), &EPOCH);
+            runner.bench(&format!("scale_ladder/bounds/k{k}"), || {
+                candidate_power_floor_w(
+                    black_box(&ctx),
+                    EPOCH.scheme,
+                    ConsolidationSpec::GreedyK(2.0),
+                    &[],
+                )
             });
         }
         let flows = antipodal_flows(&ft);

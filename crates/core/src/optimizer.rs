@@ -16,7 +16,6 @@
 //! context is already in hand (the day controller builds one per epoch);
 //! the template-taking entry points build it for you.
 
-use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 
 use eprons_topo::{AggregationLevel, LinkId, MultipathTopology, NodeId};
@@ -209,7 +208,11 @@ pub fn optimize_in_context_masked(
 ///   will report. For `GreedyK` the bound counts only the *mandatory*
 ///   elements: nodes/links present in every candidate path of a flow must
 ///   be powered by any assignment that routes it, and greedy never powers
-///   a link it does not use.
+///   a link it does not use. Flows of one access class
+///   ([`MultipathTopology::access_class`]) share their candidates'
+///   interiors, so the interior intersection runs once per class, and
+///   each flow adds its two host links, which every candidate carries. A
+///   flow without a class intersects its own candidates whole.
 /// * **Servers.** Every simulated core draws at least its policy's idle
 ///   floor at every instant ([`scheme_idle_floor_w`] is the same floor
 ///   stage 3 integrates through trailing idle), so each server reports at
@@ -227,7 +230,10 @@ pub fn candidate_power_floor_w(
     let cfg = ctx.cfg();
     let d = &*ctx.data;
     let topo = d.ft.topology();
-    let masked: HashSet<NodeId> = excluded.iter().copied().collect();
+    let mut masked = vec![false; topo.num_nodes()];
+    for &n in excluded {
+        masked[n.0] = true;
+    }
     let server_floor =
         ctx.num_servers() as f64 * cfg.cpu.server_w(scheme_idle_floor_w(cfg, scheme));
     let net_floor = match spec {
@@ -236,104 +242,99 @@ pub fn candidate_power_floor_w(
                 ConsolidationSpec::Level(l) => l,
                 _ => AggregationLevel::Agg0,
             };
-            let on: HashSet<NodeId> = level
-                .active_switches(&d.ft)
-                .into_iter()
-                .filter(|n| !masked.contains(n))
-                .collect();
-            let is_on = |n: NodeId| !topo.node(n).kind.is_switch() || on.contains(&n);
-            let links = topo
-                .links()
-                .filter(|(_, l)| is_on(l.a) && is_on(l.b))
+            let on = topo.node_mask(
+                level
+                    .active_switches(&d.ft)
+                    .into_iter()
+                    .filter(|n| !masked[n.0]),
+            );
+            let switches = topo
+                .nodes()
+                .filter(|(id, n)| n.kind.is_switch() && on[id.0])
                 .count();
-            cfg.net_power.power_w_for_counts(on.len(), links)
+            let links = topo.links().filter(|(_, l)| on[l.a.0] && on[l.b.0]).count();
+            cfg.net_power.power_w_for_counts(switches, links)
         }
         ConsolidationSpec::GreedyK(_) => {
-            let mut m_sw: HashSet<NodeId> = HashSet::new();
-            let mut m_ln: HashSet<LinkId> = HashSet::new();
-            let mut seen: HashSet<(NodeId, NodeId)> = HashSet::new();
-            // In the shared-segment arena a pair's interior candidates
-            // are a pure function of its ordered (access-src, access-dst)
-            // switch pair, so the candidate intersection collapses to one
-            // walk per access class (O((k²/2)²) classes) instead of one
-            // per host pair (O(hosts²) — the dominant cost of every bound
-            // at k ≥ 16). The per-pair leftovers are exactly the two host
-            // links, mandatory in any candidate of a single-homed fabric.
-            // A per-pair store has no class structure: keep the direct
-            // walk there (and for the no-candidate degenerate pair).
-            let shared = d.arena.is_shared();
-            let mut class: HashMap<(NodeId, NodeId), (Vec<NodeId>, Vec<LinkId>)> = HashMap::new();
-            let mut nodes_buf: Vec<NodeId> = Vec::new();
-            let mut links_buf: Vec<LinkId> = Vec::new();
+            let mut m_sw = vec![false; topo.num_nodes()];
+            let mut m_ln = vec![false; topo.num_links()];
+            let (mut sw, mut ln) = (Vec::new(), Vec::new());
+            // Per access class: 0 unseen, 1 walked, 2 walked and found
+            // without candidates (its flows then add nothing).
+            let mut class = vec![0u8; d.arena.access_classes()];
             for fl in d.flows.flows() {
-                if !seen.insert((fl.src, fl.dst)) {
-                    continue; // same pair ⇒ same candidate paths
-                }
-                if shared
-                    && d.arena
-                        .nth_candidate_into(fl.src, fl.dst, 0, &mut nodes_buf, &mut links_buf)
-                    && nodes_buf.len() >= 3
-                {
-                    let acc = (nodes_buf[1], nodes_buf[nodes_buf.len() - 2]);
-                    let (csw, cln) = class.entry(acc).or_insert_with(|| {
-                        let mut sw: Vec<NodeId> = Vec::new();
-                        let mut ln: Vec<LinkId> = Vec::new();
-                        let mut first = true;
-                        d.arena.for_each_candidate(fl.src, fl.dst, &mut |p| {
-                            let interior_ln = &p.links[1..p.links.len() - 1];
-                            if first {
-                                sw.extend_from_slice(p.interior());
-                                ln.extend_from_slice(interior_ln);
-                                first = false;
-                            } else {
-                                let psw: HashSet<NodeId> = p.interior().iter().copied().collect();
-                                let pln: HashSet<LinkId> = interior_ln.iter().copied().collect();
-                                sw.retain(|x| psw.contains(x));
-                                ln.retain(|x| pln.contains(x));
-                            }
-                            ControlFlow::Continue(())
-                        });
-                        (sw, ln)
-                    });
-                    m_sw.extend(csw.iter().copied());
-                    m_ln.extend(cln.iter().copied());
-                    m_ln.insert(links_buf[0]);
-                    m_ln.insert(links_buf[links_buf.len() - 1]);
-                    continue;
-                }
-                // Intersect interior switches / links across the pair's
-                // candidates without materializing them (borrowed walk
-                // straight out of the arena's segment store).
-                let mut sw: HashSet<NodeId> = HashSet::new();
-                let mut ln: HashSet<LinkId> = HashSet::new();
-                let mut first = true;
-                d.arena.for_each_candidate(fl.src, fl.dst, &mut |p| {
-                    if first {
-                        sw.extend(p.interior().iter().copied());
-                        ln.extend(p.hops().map(|(_, _, l)| l));
-                        first = false;
-                    } else {
-                        let psw: HashSet<NodeId> = p.interior().iter().copied().collect();
-                        let pln: HashSet<LinkId> = p.hops().map(|(_, _, l)| l).collect();
-                        sw.retain(|x| psw.contains(x));
-                        ln.retain(|x| pln.contains(x));
+                match d.arena.access_class(fl.src, fl.dst) {
+                    Some(c) => {
+                        sw.clear();
+                        ln.clear();
+                        if class[c] == 0 {
+                            let any =
+                                common_elements(&d.arena, fl.src, fl.dst, true, &mut sw, &mut ln);
+                            class[c] = if any { 1 } else { 2 };
+                        }
+                        if class[c] == 1 {
+                            // Single-homed by the class contract: each
+                            // host's one link is on every candidate.
+                            m_ln[topo.neighbors(fl.src)[0].1 .0] = true;
+                            m_ln[topo.neighbors(fl.dst)[0].1 .0] = true;
+                        }
                     }
-                    ControlFlow::Continue(())
-                });
-                m_sw.extend(sw);
-                m_ln.extend(ln);
+                    None => {
+                        common_elements(&d.arena, fl.src, fl.dst, false, &mut sw, &mut ln);
+                    }
+                }
+                for n in &sw {
+                    m_sw[n.0] = true;
+                }
+                for l in &ln {
+                    m_ln[l.0] = true;
+                }
             }
             // Masked elements can never be powered (a flow whose mandatory
             // hardware is dead makes the candidate fail instead).
-            m_sw.retain(|n| !masked.contains(n));
-            m_ln.retain(|&l| {
-                let lk = topo.link(l);
-                !masked.contains(&lk.a) && !masked.contains(&lk.b)
-            });
-            cfg.net_power.power_w_for_counts(m_sw.len(), m_ln.len())
+            let switches = (0..m_sw.len()).filter(|&i| m_sw[i] && !masked[i]).count();
+            let links = topo
+                .links()
+                .filter(|&(id, l)| m_ln[id.0] && !masked[l.a.0] && !masked[l.b.0])
+                .count();
+            cfg.net_power.power_w_for_counts(switches, links)
         }
     };
     server_floor + net_floor
+}
+
+/// Intersects the interior switches and the links of every candidate of
+/// `(src, dst)` into `sw` and `ln` (cleared first), without materializing
+/// a path; with `interior_links` the two host links are left out.
+/// Returns `false` when the pair has no candidate.
+fn common_elements(
+    net: &dyn MultipathTopology,
+    src: NodeId,
+    dst: NodeId,
+    interior_links: bool,
+    sw: &mut Vec<NodeId>,
+    ln: &mut Vec<LinkId>,
+) -> bool {
+    sw.clear();
+    ln.clear();
+    let mut first = true;
+    net.for_each_candidate(src, dst, &mut |p| {
+        let links = if interior_links {
+            &p.links[1..p.links.len() - 1]
+        } else {
+            p.links
+        };
+        if first {
+            sw.extend_from_slice(p.interior());
+            ln.extend_from_slice(links);
+            first = false;
+        } else {
+            sw.retain(|x| p.interior().contains(x));
+            ln.retain(|x| links.contains(x));
+        }
+        ControlFlow::Continue(())
+    });
+    !first
 }
 
 /// [`optimize_in_context_masked`] with lower-bound pruning and

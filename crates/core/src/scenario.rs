@@ -521,6 +521,18 @@ impl ScenarioContext {
         self.data.mean_service_s
     }
 
+    /// The flow set every consolidation of this context places:
+    /// background flows, then the all-pairs query mesh.
+    pub fn flows(&self) -> &FlowSet {
+        &self.data.flows
+    }
+
+    /// The candidate-path arena every consolidation of this context
+    /// routes through.
+    pub fn arena(&self) -> &PathArena<FatTree> {
+        &self.data.arena
+    }
+
     /// The service model's VP convolution ladder, shared by every
     /// evaluation on this context (and its rebinds and SLA clones).
     pub fn vp_ladder(&self) -> &Arc<VpLadder> {

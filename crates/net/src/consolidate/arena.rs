@@ -54,9 +54,9 @@ struct SharedStore {
 }
 
 impl SharedStore {
-    /// Candidate-id range for `(src, dst)` if both are known hosts with
-    /// distinct access info resolvable in this store.
-    fn pair_candidates(&self, src: NodeId, dst: NodeId) -> Option<std::ops::Range<usize>> {
+    /// The ordered access pair `i * n_acc + j` of `(src, dst)`, if both
+    /// are distinct known hosts.
+    fn access_pair(&self, src: NodeId, dst: NodeId) -> Option<usize> {
         if src == dst {
             return None;
         }
@@ -67,7 +67,13 @@ impl SharedStore {
         }
         let i = self.acc_idx[self.access[so as usize].0] as usize;
         let j = self.acc_idx[self.access[do_ as usize].0] as usize;
-        let p = i * self.n_acc + j;
+        Some(i * self.n_acc + j)
+    }
+
+    /// Candidate-id range for `(src, dst)` if both are known hosts with
+    /// distinct access info resolvable in this store.
+    fn pair_candidates(&self, src: NodeId, dst: NodeId) -> Option<std::ops::Range<usize>> {
+        let p = self.access_pair(src, dst)?;
         Some(self.pair_off[p] as usize..self.pair_off[p + 1] as usize)
     }
 
@@ -543,6 +549,24 @@ impl<T: MultipathTopology> MultipathTopology for PathArena<T> {
             },
         }
     }
+
+    /// The ordered access-switch pair in the shared store: every host
+    /// pair under the same two access switches is served the same
+    /// interior segments, so the pair is an access class by construction.
+    /// The per-pair store has no such grouping.
+    fn access_class(&self, src: NodeId, dst: NodeId) -> Option<usize> {
+        match &self.store {
+            Store::Shared(s) => s.access_pair(src, dst),
+            Store::PerPair(_) => None,
+        }
+    }
+
+    fn access_classes(&self) -> usize {
+        match &self.store {
+            Store::Shared(s) => s.n_acc * s.n_acc,
+            Store::PerPair(_) => 0,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -666,6 +690,52 @@ mod tests {
                 })
                 .collect()
         }
+    }
+
+    #[test]
+    fn access_classes_group_host_pairs_by_access_switches() {
+        let ft = FatTree::new(4, 1000.0);
+        let arena = PathArena::build(&ft);
+        assert_eq!(arena.access_classes(), 8 * 8);
+        let class = |a, b| arena.access_class(a, b);
+        let (a0, a1) = (ft.host(0, 0, 0), ft.host(0, 0, 1));
+        let (b0, b1) = (ft.host(2, 1, 0), ft.host(2, 1, 1));
+        assert!(class(a0, b0).is_some());
+        assert_eq!(class(a0, b0), class(a1, b1));
+        assert_eq!(class(a0, b1), class(a1, b0));
+        // Same access class ⇒ same interiors, in the same order.
+        let interiors = |a, b| {
+            arena
+                .candidate_paths(a, b)
+                .into_iter()
+                .map(|p| {
+                    (
+                        p.nodes[1..p.nodes.len() - 1].to_vec(),
+                        p.links[1..p.links.len() - 1].to_vec(),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(interiors(a0, b0), interiors(a1, b1));
+        // Direction and the access switch both matter; a host with itself
+        // has no class.
+        assert_ne!(class(a0, b0), class(b0, a0));
+        assert_ne!(class(a0, b0), class(a0, ft.host(2, 0, 0)));
+        assert_eq!(class(a0, a1), class(a1, a0));
+        assert_eq!(class(a0, a0), None);
+        // Forwarded through references and `Arc`, absent on the bare tree.
+        let arc = std::sync::Arc::new(PathArena::build(ft.clone()));
+        assert_eq!(arc.access_class(a0, b0), class(a0, b0));
+        assert_eq!(arc.access_classes(), 64);
+        assert_eq!(ft.access_class(a0, b0), None);
+        assert_eq!(ft.access_classes(), 0);
+        // The dual-homed fabric and its per-pair store offer none.
+        let fabric = DualHomed::new();
+        let pp = PathArena::build(&fabric);
+        let (a, b) = (fabric.hosts[0], fabric.hosts[1]);
+        assert_eq!(fabric.access_class(a, b), None);
+        assert_eq!(pp.access_class(a, b), None);
+        assert_eq!(pp.access_classes(), 0);
     }
 
     #[test]

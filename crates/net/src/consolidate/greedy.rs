@@ -9,12 +9,21 @@
 //! deterministic bias that concentrates traffic on a minimal subtree.
 //! The first fitting candidate that activates no new switch is therefore
 //! the winner, and the scan stops there.
+//!
+//! On a topology with access classes
+//! ([`MultipathTopology::access_class`]) the scan also starts late: a
+//! class's leading candidates that failed the mask or their fit for an
+//! earlier flow of the class at the same demand still fail, because
+//! reservations only grow, so they are skipped without being assembled.
 
 use std::ops::ControlFlow;
 
-use eprons_topo::{MultipathTopology, PathRef};
+use eprons_topo::{LinkId, MultipathTopology, PathRef};
 
-use super::{Assignment, ConsolidationConfig, ConsolidationError, Consolidator, PathCollector};
+use super::{
+    host_hops, scan_candidates, Assignment, ConsolidationConfig, ConsolidationError, Consolidator,
+    PathCollector, Scan,
+};
 use crate::flow::FlowSet;
 
 /// Greedy first-fit-decreasing consolidator.
@@ -69,52 +78,94 @@ impl Consolidator for GreedyConsolidator {
         let mut nbuf = Vec::new();
         let mut lbuf = Vec::new();
         let mut candidates = 0u64;
+        // Per access class: the dead-prefix cursor and the demand bits it
+        // advanced under. Every candidate below the cursor failed its
+        // interior fit or the mask for an earlier flow of the class at
+        // that demand; reservations only grow and the mask is fixed, so
+        // it still fails. A slot tagged with another demand reads as 0.
+        let mut dead: Vec<(u32, u64)> = vec![(0, 0); net.access_classes()];
+        let infeasible = |candidates: u64, fi: usize| {
+            if eprons_obs::enabled() {
+                let reg = eprons_obs::registry();
+                reg.counter("net.consolidate.candidates").add(candidates);
+                reg.counter("net.consolidate.infeasible").inc();
+            }
+            Err(ConsolidationError::NoFeasiblePath { flow: fi })
+        };
 
         for &fi in &order {
             let flow = &flows.flows()[fi];
             let demand = flow.scaled_demand(cfg.scale_k);
+            let fits =
+                |l: LinkId, dir: usize| reserved[l.0 * 2 + dir] + demand <= usable[l.0] + 1e-9;
+            // In an access class every candidate shares both endpoints
+            // and both host links: test them once, and if one fails no
+            // candidate fits.
+            let class = match (
+                net.access_class(flow.src, flow.dst),
+                host_hops(topo, flow.src, flow.dst),
+            ) {
+                (Some(c), Some(hops)) => {
+                    if cfg.is_excluded(flow.src)
+                        || cfg.is_excluded(flow.dst)
+                        || !hops.iter().all(|&(l, dir)| fits(l, dir))
+                    {
+                        return infeasible(candidates, fi);
+                    }
+                    Some(c)
+                }
+                _ => None,
+            };
+            let start = match class {
+                Some(c) if dead[c].1 == demand.to_bits() => dead[c].0 as usize,
+                _ => 0,
+            };
             // Selection pass: walk candidates as borrowed slices (no
             // allocation per path); only the winner is materialized.
             let mut best: Option<(usize, usize)> = None; // (new_switches, idx)
-            let mut idx = 0usize;
-            net.for_each_candidate(flow.src, flow.dst, &mut |p| {
-                let this = idx;
-                idx += 1;
-                if p.nodes.iter().any(|&n| cfg.is_excluded(n)) {
-                    return ControlFlow::Continue(());
-                }
-                let fits = p.hops().all(|(from, _, l)| {
-                    let dir = crate::links::direction_from(topo, l, from);
-                    reserved[l.0 * 2 + dir] + demand <= usable[l.0] + 1e-9
-                });
-                if !fits {
-                    return ControlFlow::Continue(());
-                }
-                let new_switches = p
-                    .interior()
-                    .iter()
-                    .filter(|&&n| !switch_active[n.0])
-                    .count();
-                let key = (new_switches, this);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-                // Indices only grow, so a fitting candidate that powers
-                // nothing new is the minimum of (new_switches, idx).
-                if new_switches == 0 {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            });
-            candidates += idx as u64;
+            let mut cursor = start;
+            candidates += scan_candidates(
+                net,
+                flow.src,
+                flow.dst,
+                Scan::From(start),
+                &mut nbuf,
+                &mut lbuf,
+                |this, p| {
+                    let live = !p.nodes.iter().any(|&n| cfg.is_excluded(n))
+                        && p.hops().all(|(from, _, l)| {
+                            fits(l, crate::links::direction_from(topo, l, from))
+                        });
+                    if !live {
+                        if this == cursor {
+                            cursor += 1;
+                        }
+                        return ControlFlow::Continue(());
+                    }
+                    let new_switches = p
+                        .interior()
+                        .iter()
+                        .filter(|&&n| !switch_active[n.0])
+                        .count();
+                    let key = (new_switches, this);
+                    if best.is_none_or(|b| key < b) {
+                        best = Some(key);
+                    }
+                    // Indices only grow, so a fitting candidate that
+                    // powers nothing new is the minimum of
+                    // (new_switches, idx).
+                    if new_switches == 0 {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                },
+            );
+            if let Some(c) = class {
+                dead[c] = (cursor as u32, demand.to_bits());
+            }
             let Some((_, idx)) = best else {
-                if eprons_obs::enabled() {
-                    let reg = eprons_obs::registry();
-                    reg.counter("net.consolidate.candidates").add(candidates);
-                    reg.counter("net.consolidate.infeasible").inc();
-                }
-                return Err(ConsolidationError::NoFeasiblePath { flow: fi });
+                return infeasible(candidates, fi);
             };
             assert!(
                 net.nth_candidate_into(flow.src, flow.dst, idx, &mut nbuf, &mut lbuf),

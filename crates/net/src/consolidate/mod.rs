@@ -304,12 +304,6 @@ impl Assignment {
         &self.state
     }
 
-    /// Mutable network state (for simulators adding transient load).
-    #[inline]
-    pub fn state_mut(&mut self) -> &mut NetworkState {
-        &mut self.state
-    }
-
     /// Number of active switches.
     pub fn active_switch_count(&self, net: &dyn MultipathTopology) -> usize {
         self.state.active_switch_count(net.topology())
@@ -480,6 +474,86 @@ pub trait Consolidator {
     ) -> Result<Assignment, ConsolidationError>;
 }
 
+/// The candidate indices a selection loop visits, in ascending order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Scan<'a> {
+    /// Every candidate from this index on.
+    From(usize),
+    /// Exactly these indices.
+    Only(&'a [u32]),
+}
+
+/// Hands the candidates of `(src, dst)` that `scan` names to `f`, with
+/// their indices, until `f` breaks; returns how many were assembled.
+///
+/// `Scan::From(0)` walks the topology's visitor. Any other scan
+/// assembles each named candidate into `nodes`/`links` on its own, so a
+/// skipped candidate costs nothing; callers use it only on topologies
+/// whose [`MultipathTopology::nth_candidate_into`] is a table lookup
+/// (those that offer access classes).
+pub(crate) fn scan_candidates(
+    net: &dyn MultipathTopology,
+    src: NodeId,
+    dst: NodeId,
+    scan: Scan<'_>,
+    nodes: &mut Vec<NodeId>,
+    links: &mut Vec<LinkId>,
+    mut f: impl FnMut(usize, PathRef<'_>) -> ControlFlow<()>,
+) -> u64 {
+    let mut assembled = 0usize;
+    let mut visit = |idx: usize, nodes: &[NodeId], links: &[LinkId]| {
+        assembled += 1;
+        f(idx, PathRef { nodes, links })
+    };
+    match scan {
+        Scan::From(0) => {
+            let mut idx = 0usize;
+            net.for_each_candidate(src, dst, &mut |p| {
+                idx += 1;
+                visit(idx - 1, p.nodes, p.links)
+            });
+        }
+        Scan::From(start) => {
+            let mut idx = start;
+            while net.nth_candidate_into(src, dst, idx, nodes, links)
+                && visit(idx, nodes, links).is_continue()
+            {
+                idx += 1;
+            }
+        }
+        Scan::Only(list) => {
+            for &idx in list {
+                let idx = idx as usize;
+                assert!(
+                    net.nth_candidate_into(src, dst, idx, nodes, links),
+                    "index valid"
+                );
+                if visit(idx, nodes, links).is_break() {
+                    break;
+                }
+            }
+        }
+    }
+    assembled as u64
+}
+
+/// The two links every candidate of `(src, dst)` shares when both hosts
+/// are single-homed: the source uplink and the destination downlink, each
+/// as `(link, direction)` in its traversal direction.
+pub(crate) fn host_hops(
+    topo: &eprons_topo::Topology,
+    src: NodeId,
+    dst: NodeId,
+) -> Option<[(LinkId, usize); 2]> {
+    match (topo.neighbors(src), topo.neighbors(dst)) {
+        (&[(_, up)], &[(access, down)]) => Some([
+            (up, crate::links::direction_from(topo, up, src)),
+            (down, crate::links::direction_from(topo, down, access)),
+        ]),
+        _ => None,
+    }
+}
+
 /// Routes flows on a *fixed* active topology (an aggregation level of
 /// Fig. 9), balancing load by picking, per flow, the available candidate
 /// path whose most-loaded link ends up least loaded. Unlike the optimizing
@@ -526,48 +600,73 @@ impl Consolidator for AggregationRouter {
         let mut nbuf = Vec::new();
         let mut lbuf = Vec::new();
         let mut candidates = 0u64;
+        // Per access class, built on the class's first flow: the indices
+        // of its candidates that lie wholly inside `allowed`, as a range
+        // of `pool`. Hosts are always allowed and a class shares its
+        // interiors, so the list holds for every flow of the class.
+        let mut lists: Vec<Option<(u32, u32)>> = vec![None; net.access_classes()];
+        let mut pool: Vec<u32> = Vec::new();
         for flow in flows.flows() {
             let demand = flow.scaled_demand(cfg.scale_k);
             // A single-homed endpoint's one link is on every candidate, so
             // its directional reservation bounds every bottleneck from
             // below. Once the best is within 1e-9 of that bound, no later
             // candidate can beat it by the 1e-9 the scan requires.
-            let floor = match (topo.neighbors(flow.src), topo.neighbors(flow.dst)) {
-                (&[(_, up)], &[(access, down)]) => {
-                    let up_dir = crate::links::direction_from(topo, up, flow.src);
-                    let down_dir = crate::links::direction_from(topo, down, access);
-                    (reserved[up.0 * 2 + up_dir] + demand)
-                        .max(reserved[down.0 * 2 + down_dir] + demand)
+            let floor = match host_hops(topo, flow.src, flow.dst) {
+                Some([(up, up_dir), (down, down_dir)]) => (reserved[up.0 * 2 + up_dir] + demand)
+                    .max(reserved[down.0 * 2 + down_dir] + demand),
+                None => f64::NEG_INFINITY,
+            };
+            let scan = match net.access_class(flow.src, flow.dst) {
+                Some(c) => {
+                    let (off, len) = *lists[c].get_or_insert_with(|| {
+                        let off = pool.len();
+                        let mut idx = 0u32;
+                        net.for_each_candidate(flow.src, flow.dst, &mut |p| {
+                            if p.nodes.iter().all(|&n| allowed[n.0]) {
+                                pool.push(idx);
+                            }
+                            idx += 1;
+                            ControlFlow::Continue(())
+                        });
+                        candidates += u64::from(idx);
+                        (off as u32, (pool.len() - off) as u32)
+                    });
+                    Scan::Only(&pool[off as usize..(off + len) as usize])
                 }
-                _ => f64::NEG_INFINITY,
+                None => Scan::From(0),
             };
             let mut best: Option<(f64, usize)> = None;
-            let mut idx = 0usize;
-            net.for_each_candidate(flow.src, flow.dst, &mut |p| {
-                let this = idx;
-                idx += 1;
-                if !p.nodes.iter().all(|&n| allowed[n.0]) {
-                    return ControlFlow::Continue(());
-                }
-                // Bottleneck directional reservation if this path were
-                // chosen (full-duplex links: only the traversal direction
-                // contends).
-                let bottleneck = p
-                    .hops()
-                    .map(|(from, _, l)| {
-                        let dir = crate::links::direction_from(topo, l, from);
-                        reserved[l.0 * 2 + dir] + demand
-                    })
-                    .fold(0.0, f64::max);
-                if best.is_none_or(|(b, _)| bottleneck < b - 1e-9) {
-                    best = Some((bottleneck, this));
-                }
-                match best {
-                    Some((b, _)) if floor >= b - 1e-9 => ControlFlow::Break(()),
-                    _ => ControlFlow::Continue(()),
-                }
-            });
-            candidates += idx as u64;
+            candidates += scan_candidates(
+                net,
+                flow.src,
+                flow.dst,
+                scan,
+                &mut nbuf,
+                &mut lbuf,
+                |this, p| {
+                    if !p.nodes.iter().all(|&n| allowed[n.0]) {
+                        return ControlFlow::Continue(());
+                    }
+                    // Bottleneck directional reservation if this path were
+                    // chosen (full-duplex links: only the traversal
+                    // direction contends).
+                    let bottleneck = p
+                        .hops()
+                        .map(|(from, _, l)| {
+                            let dir = crate::links::direction_from(topo, l, from);
+                            reserved[l.0 * 2 + dir] + demand
+                        })
+                        .fold(0.0, f64::max);
+                    if best.is_none_or(|(b, _)| bottleneck < b - 1e-9) {
+                        best = Some((bottleneck, this));
+                    }
+                    match best {
+                        Some((b, _)) if floor >= b - 1e-9 => ControlFlow::Break(()),
+                        _ => ControlFlow::Continue(()),
+                    }
+                },
+            );
             let Some((_, idx)) = best else {
                 if eprons_obs::enabled() {
                     eprons_obs::registry()

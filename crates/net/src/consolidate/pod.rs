@@ -75,11 +75,6 @@ impl PodSolve {
     pub fn choices(&self) -> &[(u32, u32)] {
         &self.choices
     }
-
-    /// Whether this pod's sub-problem was infeasible.
-    pub fn is_infeasible(&self) -> bool {
-        self.infeasible
-    }
 }
 
 /// Outcome of obtaining one pod's solve (fresh or cached).
@@ -107,8 +102,12 @@ type PodSolveKey = (u64, u64, usize, u32, Vec<u32>);
 /// The fingerprint hashes every flow's endpoints, demand bits, and
 /// class, so a cache may be shared across contexts whose flow sets
 /// differ (e.g. the epochs of a day-scoped incremental run, where
-/// background demand — and with it the flow set — drifts): entries are
-/// only ever served to a pass over the identical flow set. The config
+/// background demand — and with it the flow set — drifts). The key is
+/// one-way: a pass over an identical flow set always finds its entries,
+/// but a 64-bit hash can collide, and two different flow sets with the
+/// same fingerprint would share entries — one would be served the
+/// other's solve, silently. Keying on the exact flows is ROADMAP item 5.
+/// The config
 /// must still match modulo `scale_k`/`excluded`, which is true within
 /// one day (the `ClusterConfig` is fixed). The group bitmask is in the
 /// key because the round-0 floors reserve capacity only across
@@ -248,9 +247,11 @@ struct Prep {
 
 /// Order-sensitive fingerprint of a flow set: endpoints, exact demand
 /// bits, and class of every flow, hashed with the (deterministically
-/// keyed) [`DefaultHasher`]. Two passes see the same fingerprint iff
-/// they consolidate the same flows, which is what makes a
-/// [`PodSolveCache`] safely shareable across scenario contexts.
+/// keyed) [`DefaultHasher`]. Two passes over the same flows always see
+/// the same fingerprint; the converse holds only up to a 64-bit hash
+/// collision, so two different flow sets *can* share a fingerprint, and
+/// a [`PodSolveCache`] shared across scenario contexts would then serve
+/// one set's solve to the other (ROADMAP item 5 keys the cache exactly).
 pub fn flow_set_fingerprint(flows: &FlowSet) -> u64 {
     let mut h = DefaultHasher::new();
     flows.len().hash(&mut h);

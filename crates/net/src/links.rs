@@ -162,11 +162,6 @@ impl NetworkState {
         }
     }
 
-    /// Clears all load.
-    pub fn clear_load(&mut self) {
-        self.load_mbps.iter_mut().for_each(|x| *x = 0.0);
-    }
-
     /// Utilizations along a path in hop order, each taken in the traversal
     /// direction.
     pub fn path_utilizations<'a>(&self, topo: &Topology, path: impl Into<PathRef<'a>>) -> Vec<f64> {

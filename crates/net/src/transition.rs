@@ -75,15 +75,6 @@ impl TransitionModel {
         churn.turned_on.len() as f64 * self.boot_power_w * self.power_on_s
             + churn.turned_off.len() as f64 * self.boot_power_w * self.power_off_s
     }
-
-    /// Average extra watts a reconfiguration adds when amortized over an
-    /// epoch of the given length.
-    pub fn amortized_power_w(&self, churn: &Churn, epoch_s: f64) -> f64 {
-        if epoch_s <= 0.0 {
-            return 0.0;
-        }
-        self.transition_energy_j(churn) / epoch_s
-    }
 }
 
 #[cfg(test)]
@@ -106,19 +97,5 @@ mod tests {
         let c = Churn::between(&[], &[0]);
         // One switch booting: 36 W × 72.52 s ≈ 2611 J.
         assert!((m.transition_energy_j(&c) - 36.0 * 72.52).abs() < 1e-9);
-    }
-
-    #[test]
-    fn amortization_over_epoch() {
-        let m = TransitionModel::default();
-        let c = Churn::between(&[], &[0]);
-        // Amortized over the paper's 10-minute epoch: ≈4.35 W.
-        let w = m.amortized_power_w(&c, 600.0);
-        assert!((w - 36.0 * 72.52 / 600.0).abs() < 1e-9);
-        assert!(
-            w < 5.0,
-            "booting one switch per epoch is cheap when amortized"
-        );
-        assert_eq!(m.amortized_power_w(&c, 0.0), 0.0);
     }
 }

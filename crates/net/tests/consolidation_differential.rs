@@ -185,8 +185,45 @@ fn configs(topo: &Topology, rng: &mut SimRng) -> Vec<ConsolidationConfig> {
     out
 }
 
-/// Checks both consolidators against their references on `net` for
-/// every config, with `presets` as the router's active sets.
+/// Checks both consolidators against their references on `net` under
+/// `cfg`, with `presets` as the router's active sets; returns how many
+/// of the references were infeasible, (greedy, aggregation).
+fn compare(
+    net: &dyn MultipathTopology,
+    presets: &[Vec<NodeId>],
+    flows: &FlowSet,
+    cfg: &ConsolidationConfig,
+    what: &str,
+) -> (usize, usize) {
+    let mut infeasible = (0, 0);
+    let want = reference_greedy(net, flows, cfg);
+    infeasible.0 += want.is_err() as usize;
+    assert_eq!(
+        run(&GreedyConsolidator, net, flows, cfg),
+        want,
+        "greedy {what} K={} mask={:?}",
+        cfg.scale_k,
+        cfg.excluded
+    );
+    for active in presets {
+        let want = reference_aggregation(net, active, flows, cfg);
+        infeasible.1 += want.is_err() as usize;
+        let router = AggregationRouter {
+            active: active.clone(),
+        };
+        assert_eq!(
+            run(&router, net, flows, cfg),
+            want,
+            "aggregation {what} K={} mask={:?} active={}",
+            cfg.scale_k,
+            cfg.excluded,
+            active.len()
+        );
+    }
+    infeasible
+}
+
+/// [`compare`] under every config [`configs`] draws.
 fn check(
     net: &dyn MultipathTopology,
     presets: &[Vec<NodeId>],
@@ -196,30 +233,8 @@ fn check(
 ) -> (usize, usize) {
     let mut infeasible = (0, 0);
     for cfg in configs(net.topology(), rng) {
-        let want = reference_greedy(net, flows, &cfg);
-        infeasible.0 += want.is_err() as usize;
-        assert_eq!(
-            run(&GreedyConsolidator, net, flows, &cfg),
-            want,
-            "greedy {what} K={} mask={:?}",
-            cfg.scale_k,
-            cfg.excluded
-        );
-        for active in presets {
-            let want = reference_aggregation(net, active, flows, &cfg);
-            infeasible.1 += want.is_err() as usize;
-            let router = AggregationRouter {
-                active: active.clone(),
-            };
-            assert_eq!(
-                run(&router, net, flows, &cfg),
-                want,
-                "aggregation {what} K={} mask={:?} active={}",
-                cfg.scale_k,
-                cfg.excluded,
-                active.len()
-            );
-        }
+        let (g, a) = compare(net, presets, flows, &cfg, what);
+        infeasible = (infeasible.0 + g, infeasible.1 + a);
     }
     infeasible
 }
@@ -294,6 +309,123 @@ fn leaf_spine_matches_full_scan() {
             );
         }
     }
+}
+
+/// Many flows in few access classes: every flow runs between a host
+/// under one of three (source edge, destination edge) pairs, with
+/// demands drawn from three values so equal-demand runs repeat within a
+/// class. Greedy's dead-prefix cursor and the router's allowed lists are
+/// per-class state; these sets reuse them across dozens of flows.
+fn class_heavy_flows(ft: &FatTree, n: usize, rng: &mut SimRng) -> FlowSet {
+    let half = ft.k() / 2;
+    let pods = ft.num_pods();
+    let edges: Vec<((usize, usize), (usize, usize))> = (0..3)
+        .map(|_| {
+            let sp = rng.index(pods);
+            let mut dp = rng.index(pods);
+            if rng.bernoulli(0.8) {
+                while dp == sp {
+                    dp = rng.index(pods);
+                }
+            }
+            ((sp, rng.index(half)), (dp, rng.index(half)))
+        })
+        .collect();
+    let mut fs = FlowSet::new();
+    while fs.len() < n {
+        let ((sp, se), (dp, de)) = edges[rng.index(edges.len())];
+        let src = ft.host(sp, se, rng.index(half));
+        let dst = ft.host(dp, de, rng.index(half));
+        if src == dst {
+            continue;
+        }
+        let demand = [40.0, 40.0, 90.0, 150.0][rng.index(4)];
+        let class = if rng.bernoulli(0.5) {
+            FlowClass::LatencySensitive
+        } else {
+            FlowClass::LatencyTolerant
+        };
+        fs.add(src, dst, demand, class);
+    }
+    fs
+}
+
+#[test]
+fn greedy_cursor_resets_when_the_demand_drops() {
+    let ft = FatTree::new(4, 1000.0);
+    let arena = PathArena::build(&ft);
+    let (a0, a1) = (ft.host(0, 0, 0), ft.host(0, 0, 1));
+    let (b0, b1) = (ft.host(1, 0, 0), ft.host(1, 0, 1));
+    assert_eq!(arena.access_class(a0, b0), arena.access_class(a1, b1));
+    let mut fs = FlowSet::new();
+    // Four 400 Mbps flows of one class: two fill candidate 0's
+    // edge→agg link (candidate 1 shares it), so the next two fail
+    // candidates 0 and 1 and move to candidate 2.
+    for (s, d) in [(a0, b0), (a1, b1), (a0, b1), (a1, b0)] {
+        fs.add(s, d, 400.0, FlowClass::LatencyTolerant);
+    }
+    // A smaller flow of the same class fits candidate 0 again.
+    fs.add(a0, b0, 100.0, FlowClass::LatencyTolerant);
+    let cfg = ConsolidationConfig::with_k(1.0);
+    let want = reference_greedy(&arena, &fs, &cfg).unwrap();
+    assert_eq!(
+        run(&GreedyConsolidator, &arena, &fs, &cfg),
+        Ok(want.clone())
+    );
+    assert_eq!(
+        want[2],
+        arena.candidate_paths(a0, b1)[2],
+        "dead prefix skipped"
+    );
+    assert_eq!(
+        want[4],
+        arena.candidate_paths(a0, b0)[0],
+        "the smaller demand starts from candidate 0"
+    );
+    compare(&arena, &fat_tree_presets(&ft), &fs, &cfg, "cursor reset");
+}
+
+#[test]
+fn a_mask_that_kills_leading_candidates_matches_full_scan() {
+    let mut rng = SimRng::seed_from_u64(21);
+    for k in [4usize, 8] {
+        let ft = FatTree::new(k, 1000.0);
+        let arena = PathArena::build(&ft);
+        let presets = fat_tree_presets(&ft);
+        for set in 0..4 {
+            let flows = class_heavy_flows(&ft, 24 * k, &mut rng);
+            let src_pod = ft.host_pod(flows.flows()[0].src);
+            // Candidates through aggregation 0 of the first flow's source
+            // pod come first in its class; kill them, alone and with a
+            // core of the next group.
+            for mask in [
+                vec![ft.agg(src_pod, 0)],
+                vec![ft.agg(src_pod, 0), ft.core(1, 0)],
+            ] {
+                for kk in [1.0, 2.0, 3.0] {
+                    let cfg = ConsolidationConfig::with_k(kk).with_excluded(mask.clone());
+                    compare(&arena, &presets, &flows, &cfg, &format!("k={k} set={set}"));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn every_k8_preset_matches_full_scan_on_class_heavy_sets() {
+    let mut rng = SimRng::seed_from_u64(22);
+    let ft = FatTree::new(8, 1000.0);
+    let arena = PathArena::build(&ft);
+    let presets = fat_tree_presets(&ft);
+    let mut infeasible = (0, 0);
+    for set in 0..4 {
+        let flows = class_heavy_flows(&ft, 240, &mut rng);
+        let what = format!("k=8 set={set}");
+        let (g, a) = check(&arena, &presets, &flows, &mut rng, &what);
+        infeasible = (infeasible.0 + g, infeasible.1 + a);
+    }
+    // Dense classes saturate: the early host-link exit is exercised too.
+    assert!(infeasible.0 > 0, "no infeasible greedy set was drawn");
 }
 
 /// Hosts `a`, `b` dual-homed to switches `s1` and `s2`, host `c`

@@ -77,6 +77,28 @@ pub trait MultipathTopology {
             None => false,
         }
     }
+
+    /// The *access class* of `(src, dst)`, an id in
+    /// `0..`[`access_classes`](Self::access_classes), or `None` when the
+    /// topology offers no such grouping. All host pairs of one class are
+    /// offered candidates with the same interior segments: the same
+    /// switch and switch-to-switch link sequences, in the same order.
+    ///
+    /// A consolidator may key per-pass state on the class — work that
+    /// depends only on candidate interiors is then done once per class
+    /// rather than once per flow. Implementations must only return `Some`
+    /// when that sharing holds by construction, every host is
+    /// single-homed, and each candidate's first and last links are the
+    /// two hosts' uplinks. The default offers no classes.
+    fn access_class(&self, _src: NodeId, _dst: NodeId) -> Option<usize> {
+        None
+    }
+
+    /// The number of access classes (`0` when
+    /// [`access_class`](Self::access_class) is always `None`).
+    fn access_classes(&self) -> usize {
+        0
+    }
 }
 
 impl<T: MultipathTopology + ?Sized> MultipathTopology for &T {
@@ -115,6 +137,14 @@ impl<T: MultipathTopology + ?Sized> MultipathTopology for &T {
     ) -> bool {
         (**self).nth_candidate_into(src, dst, idx, nodes, links)
     }
+
+    fn access_class(&self, src: NodeId, dst: NodeId) -> Option<usize> {
+        (**self).access_class(src, dst)
+    }
+
+    fn access_classes(&self) -> usize {
+        (**self).access_classes()
+    }
 }
 
 impl<T: MultipathTopology + ?Sized> MultipathTopology for std::sync::Arc<T> {
@@ -152,6 +182,14 @@ impl<T: MultipathTopology + ?Sized> MultipathTopology for std::sync::Arc<T> {
         links: &mut Vec<crate::graph::LinkId>,
     ) -> bool {
         (**self).nth_candidate_into(src, dst, idx, nodes, links)
+    }
+
+    fn access_class(&self, src: NodeId, dst: NodeId) -> Option<usize> {
+        (**self).access_class(src, dst)
+    }
+
+    fn access_classes(&self) -> usize {
+        (**self).access_classes()
     }
 }
 
