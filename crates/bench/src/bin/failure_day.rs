@@ -78,8 +78,7 @@ fn main() {
     // From k = 12 up the default Auto strategy consolidates pod-by-pod,
     // so a K-ladder candidate set routes every epoch plan — and the
     // rung-2 masked replan after the failure — through the hierarchical
-    // decomposition (pod-masked repair: re-solve the failed pod, serve
-    // the rest from the epoch's PodSolveCache). The aggregation presets
+    // decomposition. The aggregation presets
     // stay at small k, where Auto is monolithic and the presets are the
     // paper's Fig. 15 day. The quick day is coarser at large k so the
     // CI journal-audit pass at k=16 (1024 servers) stays affordable.

@@ -13,9 +13,9 @@
 //! * **rebuild** — `DayScopeConfig { incremental: false }`: every epoch
 //!   rebuilds its `ScenarioContext` from scratch (the baseline);
 //! * **incremental** — `DayScopeConfig { incremental: true }`: epochs
-//!   draw contexts from the day's [`DayContext`] LRU (plan caches and
-//!   pod-solve cache surviving across epochs, result memos and
-//!   stage-3 reuse lists with them).
+//!   draw contexts from the day's [`eprons_core::DayContext`] LRU
+//!   (plan memos, result memos and stage-3 reuse lists surviving across
+//!   epochs with them).
 //!
 //! Asserted contract (gated in CI via the committed `BENCH_replay.json`):
 //!
@@ -195,10 +195,7 @@ fn main() {
         search_trace: TraceScenario::Replay(qps),
         background_trace: TraceScenario::Replay(bg),
         online: Some(OnlineConfig::enabled()),
-        day_scope: Some(DayScopeConfig {
-            incremental: false,
-            ..DayScopeConfig::default()
-        }),
+        day_scope: Some(DayScopeConfig { incremental: false }),
     };
     let incremental_day = DayConfig {
         day_scope: Some(DayScopeConfig::default()),

@@ -74,7 +74,7 @@ pub struct SpanForest {
 
 impl SpanForest {
     /// Looks a span up by its process-wide id.
-    pub fn by_id(&self, id: u64) -> Option<&SpanRec> {
+    fn by_id(&self, id: u64) -> Option<&SpanRec> {
         self.index.get(&id).map(|&i| &self.spans[i])
     }
 
@@ -698,9 +698,9 @@ impl AuditReport {
 /// 6. **Pod coverage** — every pod-decomposed pass that did not fall
 ///    back covers each pod exactly once in round 0 (one
 ///    `pod.consolidate` span per pod, `pod=P of=N` notes span `0..N`),
-///    `solved + cached = pods` on each `PodConsolidation` event, and
-///    the span-level cache-hit/resolve tallies reconcile with the
-///    event-level `net.pods.*` tallies.
+///    `solved = pods` on each `PodConsolidation` event, and the
+///    span-level round-0/resolve tallies reconcile with the event-level
+///    `net.pods.*` tallies.
 /// 7. **Deferral conservation** — per day, every megabit-minute a
 ///    `DeferralEnqueued` event adds to the online controller's queue is
 ///    eventually accounted by a `DeferralDrained` event as drained or
@@ -741,12 +741,11 @@ pub fn audit(entries: &[JournalEntry], rel_tol: f64) -> AuditReport {
 fn audit_pods(entries: &[JournalEntry], f: &SpanForest, r: &mut AuditReport) {
     // Event side: round-0 conservation and clean/fallback tallies.
     let (mut ev_pass, mut ev_fallback) = (0usize, 0usize);
-    let (mut ev_resolves, mut ev_cached) = (0u64, 0u64);
+    let (mut ev_resolves, mut ev_solved) = (0u64, 0u64);
     for e in entries {
         if let Event::PodConsolidation {
             pods,
             solved,
-            cached,
             resolves,
             fallback,
             ..
@@ -756,21 +755,20 @@ fn audit_pods(entries: &[JournalEntry], f: &SpanForest, r: &mut AuditReport) {
                 ev_fallback += 1;
                 continue;
             }
-            if solved + cached != *pods {
+            if solved != pods {
                 r.violations.push(format!(
-                    "pod pass #{ev_pass}: round 0 solved {solved} + cached {cached} \
-                     ≠ {pods} pod(s)"
+                    "pod pass #{ev_pass}: round 0 solved {solved} ≠ {pods} pod(s)"
                 ));
             }
             ev_pass += 1;
             ev_resolves += resolves;
-            ev_cached += cached;
+            ev_solved += solved;
         }
     }
 
     // Span side: each clean pass's round-0 children cover 0..pods once.
     let (mut sp_pass, mut sp_fallback) = (0usize, 0usize);
-    let (mut sp_resolves, mut sp_cached) = (0u64, 0u64);
+    let (mut sp_resolves, mut sp_solved) = (0u64, 0u64);
     let passes = f
         .spans
         .iter()
@@ -815,9 +813,7 @@ fn audit_pods(entries: &[JournalEntry], f: &SpanForest, r: &mut AuditReport) {
             if c.detail.contains("resolve=true") {
                 sp_resolves += 1;
             } else {
-                if c.detail.contains("cached=true") {
-                    sp_cached += 1;
-                }
+                sp_solved += 1;
                 round0[p as usize] += 1;
             }
         }
@@ -842,9 +838,9 @@ fn audit_pods(entries: &[JournalEntry], f: &SpanForest, r: &mut AuditReport) {
         ));
         return; // aggregate reconciliation is meaningless on a mismatch
     }
-    if sp_cached != ev_cached {
+    if sp_solved != ev_solved {
         r.violations.push(format!(
-            "pod cache hits: {sp_cached} cached=true span(s) vs {ev_cached} on events"
+            "pod round-0 solves: {sp_solved} span(s) vs {ev_solved} on events"
         ));
     }
     if sp_resolves != ev_resolves {
@@ -1477,8 +1473,8 @@ mod tests {
         assert!(!s.contains("net.pods"), "{s}");
     }
 
-    /// One clean pod-decomposed pass over a 2-pod tree: pod 0 solved
-    /// fresh then re-solved once under push-back, pod 1 a cache hit.
+    /// One clean pod-decomposed pass over a 2-pod tree: both pods solved
+    /// in round 0, then pod 0 re-solved once under push-back.
     fn pod_pass() -> Vec<JournalEntry> {
         let j = Journal::with_capacity(64);
         let start = |id, parent, name: &str| Event::SpanStart {
@@ -1496,15 +1492,11 @@ mod tests {
         };
         j.record(start(301, 0, "net.consolidate"));
         j.record(start(302, 301, "pod.consolidate"));
-        j.record(end(302, "pod.consolidate", "pod=0 of=2 cached=false"));
+        j.record(end(302, "pod.consolidate", "pod=0 of=2"));
         j.record(start(303, 301, "pod.consolidate"));
-        j.record(end(303, "pod.consolidate", "pod=1 of=2 cached=true"));
+        j.record(end(303, "pod.consolidate", "pod=1 of=2"));
         j.record(start(304, 301, "pod.consolidate"));
-        j.record(end(
-            304,
-            "pod.consolidate",
-            "pod=0 of=2 cached=false resolve=true",
-        ));
+        j.record(end(304, "pod.consolidate", "pod=0 of=2 resolve=true"));
         j.record(end(
             301,
             "net.consolidate",
@@ -1512,8 +1504,7 @@ mod tests {
         ));
         j.record(Event::PodConsolidation {
             pods: 2,
-            solved: 1,
-            cached: 1,
+            solved: 2,
             resolves: 1,
             rounds: 2,
             balanced: 1,
@@ -1526,7 +1517,7 @@ mod tests {
     fn summarize_tabulates_pod_counters() {
         let s = summarize(&pod_pass());
         assert!(s.contains("pod consolidation (net.pods.*)"), "{s}");
-        assert!(s.contains("net.pods.cache_hits"), "{s}");
+        assert!(s.contains("net.pods.solved"), "{s}");
         assert!(s.contains("net.pods.balanced_stitches"), "{s}");
     }
 
@@ -1576,7 +1567,7 @@ mod tests {
     #[test]
     fn audit_flags_missing_pod_coverage() {
         // Drop pod 1's round-0 span (start and end): coverage breaks and
-        // the span-level cache tally no longer matches the event.
+        // the span-level round-0 tally no longer matches the event.
         let entries: Vec<JournalEntry> = pod_pass()
             .into_iter()
             .filter(|e| {
@@ -1595,7 +1586,9 @@ mod tests {
             r.violations
         );
         assert!(
-            r.violations.iter().any(|v| v.contains("pod cache hits")),
+            r.violations
+                .iter()
+                .any(|v| v.contains("pod round-0 solves")),
             "{:?}",
             r.violations
         );
@@ -1603,11 +1596,11 @@ mod tests {
 
     #[test]
     fn audit_flags_pod_round0_deficit() {
-        // An event claiming 1 solved + 0 cached on 2 pods leaks a pod.
+        // An event claiming 1 solved on 2 pods leaks a pod.
         let mut entries = pod_pass();
         for e in &mut entries {
-            if let Event::PodConsolidation { cached, .. } = &mut e.event {
-                *cached = 0;
+            if let Event::PodConsolidation { solved, .. } = &mut e.event {
+                *solved = 1;
             }
         }
         let r = audit(&entries, 1.0e-9);

@@ -15,7 +15,7 @@
 //! This module owns the run *vocabulary* (schemes, candidate specs,
 //! results) and the one-shot [`run_cluster`] entry point; the stages
 //! themselves live in [`crate::scenario`], where
-//! [`ScenarioContext`](crate::scenario::ScenarioContext) lets callers
+//! [`crate::scenario::ScenarioContext`] lets callers
 //! that evaluate many candidates of one scenario (the optimizer, the day
 //! controller, the figure sweeps) pay the workload build once.
 

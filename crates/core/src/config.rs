@@ -105,9 +105,10 @@ impl OnlineConfig {
 /// adjacent epochs at the same operating point present bit-identical
 /// scenario specs. That is what makes cross-epoch reuse sound *and*
 /// profitable: the [`crate::scenario::DayContext`] revives whole
-/// contexts (plan cache included), the pod-solve cache survives demand
-/// changes behind its flow fingerprint, and the server-eval memo in
-/// `eprons-server` short-circuits repeated per-ISN DVFS runs.
+/// contexts with every per-context memo in them: the plan memo, the
+/// result memo, and the stage-3 reuse list
+/// (`ScenarioData::server_evals`), which short-circuits repeated per-ISN
+/// DVFS runs.
 ///
 /// These semantics hold for the *rebuild baseline too*: a day-scoped
 /// run with `incremental: false` rebuilds the context every epoch but
@@ -123,18 +124,11 @@ pub struct DayScopeConfig {
     /// day-scope semantics (`false`, the baseline the speedup is
     /// measured against).
     pub incremental: bool,
-    /// Most contexts the day cache may hold (LRU beyond this).
-    pub max_slots: usize,
 }
 
 impl Default for DayScopeConfig {
     fn default() -> Self {
-        DayScopeConfig {
-            incremental: true,
-            // A day visits one operating point per distinct (quantized
-            // load, quantized background) pair — a few dozen at most.
-            max_slots: 32,
-        }
+        DayScopeConfig { incremental: true }
     }
 }
 
@@ -322,17 +316,6 @@ impl ClusterConfig {
         let n = self.num_servers() as f64;
         util / mean_service_s * n / (n - 1.0)
     }
-
-    /// "No power management" total power: every switch/link on, every core
-    /// busy-equivalent power at the measured average — used as the savings
-    /// baseline denominator in Fig. 15(b). The *measured* no-PM run is
-    /// preferred where available; this is the static budget bound.
-    pub fn peak_total_power_w(&self) -> f64 {
-        let servers = self.num_servers() as f64 * self.cpu.server_peak_w(self.ladder.max());
-        // Full network: computed by callers with the topology at hand;
-        // here we only account servers. See accounting::PowerBreakdown.
-        servers
-    }
 }
 
 #[cfg(test)]
@@ -410,12 +393,5 @@ mod tests {
         // Off by default: the epoch-batch day loop stays the default path.
         let off = OnlineConfig::default();
         assert!(off.deferral.is_none());
-    }
-
-    #[test]
-    fn peak_power_scale() {
-        let c = ClusterConfig::default();
-        // 16 servers × 72.8 W = 1164.8 W of server budget.
-        assert!((c.peak_total_power_w() - 1164.8).abs() < 0.1);
     }
 }

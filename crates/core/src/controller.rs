@@ -389,7 +389,7 @@ pub fn simulate_day_with_failures(
             .day_scope
             .as_ref()
             .filter(|ds| ds.incremental)
-            .map(|ds| DayContext::new(cfg, ds.max_slots)),
+            .map(|_| DayContext::new(cfg)),
     };
     // Counter snapshot so the day-end report shows this day's memo
     // traffic, not the process total.

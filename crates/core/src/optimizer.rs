@@ -214,7 +214,7 @@ pub fn optimize_in_context_masked(
 ///   each flow adds its two host links, which every candidate carries. A
 ///   flow without a class intersects its own candidates whole.
 /// * **Servers.** Every simulated core draws at least its policy's idle
-///   floor at every instant ([`scheme_idle_floor_w`] is the same floor
+///   floor at every instant (`scheme_idle_floor_w` is the same floor
 ///   stage 3 integrates through trailing idle), so each server reports at
 ///   least `server_w(floor)`.
 ///

@@ -37,12 +37,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience: formats each cell with `Display`.
-    pub fn row_display(&mut self, cells: &[&dyn fmt::Display]) {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells);
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -148,12 +142,11 @@ pub fn journal_epoch_table(entries: &[eprons_obs::JournalEntry]) -> Table {
 /// Empty (no rows) when the run never took the pod-decomposed path.
 pub fn journal_pods_table(entries: &[eprons_obs::JournalEntry]) -> Table {
     let mut t = Table::new("pod consolidation (net.pods.*)", &["counter", "value"]);
-    let (mut passes, mut solved, mut cached, mut resolves) = (0u64, 0u64, 0u64, 0u64);
+    let (mut passes, mut solved, mut resolves) = (0u64, 0u64, 0u64);
     let (mut rounds, mut balanced, mut fallbacks) = (0u64, 0u64, 0u64);
     for e in entries {
         if let eprons_obs::Event::PodConsolidation {
             solved: s,
-            cached: c,
             resolves: r,
             rounds: ro,
             balanced: b,
@@ -163,7 +156,6 @@ pub fn journal_pods_table(entries: &[eprons_obs::JournalEntry]) -> Table {
         {
             passes += 1;
             solved += s;
-            cached += c;
             resolves += r;
             rounds += ro;
             balanced += b;
@@ -176,7 +168,6 @@ pub fn journal_pods_table(entries: &[eprons_obs::JournalEntry]) -> Table {
     for (name, v) in [
         ("passes", passes),
         ("net.pods.solved", solved),
-        ("net.pods.cache_hits", cached),
         ("net.pods.resolves", resolves),
         ("net.pods.balanced_stitches", balanced),
         ("net.pods.fallbacks", fallbacks),

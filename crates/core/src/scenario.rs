@@ -13,13 +13,13 @@
 //!    the RNG snapshots every candidate replays. Heavy state lives behind
 //!    one `Arc`, so contexts clone cheaply across threads and constraint
 //!    sweeps ([`ScenarioContext::with_sla`]).
-//! 2. [`NetworkPlan::build`] — per [`ConsolidationSpec`]: consolidation
+//! 2. `NetworkPlan::build_masked` — per [`ConsolidationSpec`]: consolidation
 //!    plus per-sub-query network latency sampling along the assigned
 //!    paths.
 //! 3. [`ServerEvaluation::run`] — per (plan, [`ServerScheme`]): the
 //!    per-ISN DVFS simulations with the plan's request slack folded into
 //!    each request's compute budget.
-//! 4. [`crate::accounting::assemble`] — power and tail-latency accounting
+//! 4. `accounting::assemble` — power and tail-latency accounting
 //!    across both layers, producing a [`ClusterRunResult`].
 //!
 //! **Bit-identity contract.** The staged path produces results identical
@@ -35,10 +35,9 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
-use eprons_net::consolidate::pod::{
-    consolidate_pod_decomposed, PodDecompOptions, PodRunner, PodSolveCache,
-};
+use eprons_net::consolidate::pod::{consolidate_pod_decomposed, PodRunner};
 use eprons_net::consolidate::AggregationRouter;
 use eprons_net::flow::FlowSet;
 use eprons_net::{
@@ -225,13 +224,6 @@ pub(crate) struct ScenarioData {
     /// a sentinel that is never read). A plain table rather than a map:
     /// the latency-sampling hot loop indexes it ~n² times per plan.
     pub(crate) pair_flow: Vec<FlowId>,
-    /// Round-0 pod-solve cache for the pod-decomposed consolidator,
-    /// shared across the candidate ladder and failure masks, and — via
-    /// [`ScenarioContext::rebind_demand`] — across the contexts of one
-    /// day. Sound because the cache key carries a fingerprint of the
-    /// flow set: entries are only served to passes over identical flows,
-    /// even when rebound contexts carry different background demand.
-    pub(crate) pod_cache: Arc<PodSolveCache>,
     /// Per-server DVFS-simulation seeds, drawn serially in index order.
     pub(crate) server_seeds: Vec<u64>,
     /// The *unconsumed* network-latency RNG (stream 4 of the master).
@@ -372,7 +364,6 @@ impl ScenarioContext {
                 queries,
                 flows,
                 pair_flow,
-                pod_cache: Arc::new(PodSolveCache::new()),
                 server_seeds,
                 net_rng,
             }),
@@ -391,7 +382,7 @@ impl ScenarioContext {
     /// Rebuilds only the demand-dependent state — query arrivals, the
     /// flow set, the per-pair flow table — for `spec`, sharing the
     /// demand-invariant state (topology, path arena, service model,
-    /// per-server seeds, pod-solve cache) with `self`.
+    /// per-server seeds) with `self`.
     ///
     /// Sound only when the master seed is unchanged: the shared state is
     /// a pure function of `(cfg, seed)`, and the demand streams are
@@ -400,12 +391,9 @@ impl ScenarioContext {
     /// bit-identical to `build(cfg, spec)` (the day-incremental golden
     /// pins this). A different seed falls back to a full build.
     ///
-    /// The pod-solve cache is *shared* with `self`: its key carries a
-    /// fingerprint of the flow set, so entries are only ever served to
-    /// consolidation passes over identical flows. The stage-2 plan cache
-    /// starts empty — plans depend on the demand-dependent latency
-    /// sampling.
-    pub fn rebind_demand(&self, spec: &ScenarioSpec) -> ScenarioContext {
+    /// The stage-2 plan cache starts empty — plans depend on the
+    /// demand-dependent latency sampling.
+    pub(crate) fn rebind_demand(&self, spec: &ScenarioSpec) -> ScenarioContext {
         if spec.seed != self.spec.seed {
             return ScenarioContext::build(&self.cfg, spec);
         }
@@ -489,7 +477,6 @@ impl ScenarioContext {
                 queries,
                 flows,
                 pair_flow,
-                pod_cache: Arc::clone(&d.pod_cache),
                 server_seeds: d.server_seeds.clone(),
                 net_rng,
             }),
@@ -501,24 +488,9 @@ impl ScenarioContext {
         &self.cfg
     }
 
-    /// The scenario axes this context was built for.
-    pub fn spec(&self) -> &ScenarioSpec {
-        &self.spec
-    }
-
     /// Number of servers (fat-tree hosts) in the scenario.
     pub fn num_servers(&self) -> usize {
         self.data.hosts.len()
-    }
-
-    /// Number of generated queries (warmup + measured window).
-    pub fn query_count(&self) -> usize {
-        self.data.queries.len()
-    }
-
-    /// Mean service time at `f_max` under the fitted service model.
-    pub fn mean_service_s(&self) -> f64 {
-        self.data.mean_service_s
     }
 
     /// The flow set every consolidation of this context places:
@@ -750,18 +722,8 @@ impl ScenarioContext {
 
     /// The consolidation architecture `GreedyK` plans of this context
     /// run, with `Auto` resolved against the fabric size.
-    pub fn effective_strategy(&self) -> ConsolidateStrategy {
+    pub(crate) fn effective_strategy(&self) -> ConsolidateStrategy {
         self.cfg.consolidate_strategy.effective(self.cfg.fat_tree_k)
-    }
-
-    /// Drops every memoized stage-2 plan in this context (cold-baseline
-    /// hook for the perf bench; results are unaffected either way).
-    pub fn clear_plan_cache(&self) {
-        self.data
-            .plan_cache
-            .lock()
-            .expect("plan cache poisoned")
-            .clear();
     }
 
     /// Number of stage-2 plans currently memoized.
@@ -770,15 +732,6 @@ impl ScenarioContext {
             .plan_cache
             .lock()
             .expect("plan cache poisoned")
-            .len()
-    }
-
-    /// Number of full evaluation results currently memoized.
-    pub fn eval_cache_len(&self) -> usize {
-        self.data
-            .eval_cache
-            .lock()
-            .expect("eval cache poisoned")
             .len()
     }
 
@@ -867,7 +820,12 @@ fn slot_key(spec: &ScenarioSpec) -> SlotKey {
     )
 }
 
-/// Day-scoped context cache: at most `max_slots` [`ScenarioContext`]s
+/// Most contexts a [`DayContext`] holds. A day visits one operating point
+/// per distinct (quantized load, quantized background) pair — a few
+/// dozen at most.
+const DAY_SLOTS: usize = 32;
+
+/// Day-scoped context cache: at most 32 [`ScenarioContext`]s
 /// keyed by the exact bits of their [`ScenarioSpec`], evicted in
 /// least-recently-used order.
 ///
@@ -876,14 +834,13 @@ fn slot_key(spec: &ScenarioSpec) -> SlotKey {
 /// 24-epoch day visits only a handful of distinct operating points, so
 /// most epochs *revive* a slot — plan cache included — instead of
 /// rebuilding the world. A miss rebinds demand from the most recent slot
-/// ([`ScenarioContext::rebind_demand`]), which shares the topology,
-/// arena, service model and pod-solve cache, so even misses skip the
+/// (`ScenarioContext::rebind_demand`), which shares the topology,
+/// arena and service model, so even misses skip the
 /// expensive invariant build. Either way the returned context is
 /// bit-identical to a fresh [`ScenarioContext::build`].
 #[derive(Debug)]
 pub struct DayContext {
     cfg: ClusterConfig,
-    max_slots: usize,
     /// Slots in least-recently-used order (most recent last).
     slots: Mutex<Vec<(SlotKey, ScenarioContext)>>,
     hits: AtomicU64,
@@ -909,12 +866,10 @@ pub struct DayCacheStats {
 }
 
 impl DayContext {
-    /// An empty day cache for `cfg`, holding at most `max_slots`
-    /// contexts (at least 1).
-    pub fn new(cfg: &ClusterConfig, max_slots: usize) -> DayContext {
+    /// An empty day cache for `cfg`.
+    pub fn new(cfg: &ClusterConfig) -> DayContext {
         DayContext {
             cfg: cfg.clone(),
-            max_slots: max_slots.max(1),
             slots: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -952,7 +907,7 @@ impl DayContext {
                 .inc();
         }
         slots.push((key, ctx.clone()));
-        if slots.len() > self.max_slots {
+        if slots.len() > DAY_SLOTS {
             slots.remove(0);
             self.evictions.fetch_add(1, Ordering::Relaxed);
             if obs_on {
@@ -1036,7 +991,6 @@ impl DayContext {
 /// sampled along its paths.
 #[derive(Debug, Clone)]
 pub struct NetworkPlan {
-    pub(crate) consolidation: ConsolidationSpec,
     pub(crate) assignment: Assignment,
     pub(crate) max_link_utilization: f64,
     /// Peak utilization above the congestion threshold (withdraws
@@ -1048,18 +1002,10 @@ pub struct NetworkPlan {
 
 impl NetworkPlan {
     /// Runs consolidation for `consolidation` against the scenario's flow
-    /// set and samples the per-sub-query request/reply latencies.
-    pub fn build(
-        ctx: &ScenarioContext,
-        consolidation: ConsolidationSpec,
-    ) -> Result<NetworkPlan, ClusterError> {
-        Self::build_masked(ctx, consolidation, &[])
-    }
-
-    /// [`NetworkPlan::build`] with failed switches masked out: excluded
-    /// switches carry no path and stay powered off even inside an
-    /// aggregation preset. With an empty mask this is `build` exactly.
-    pub fn build_masked(
+    /// set, with the `excluded` (failed) switches masked out, and samples
+    /// the per-sub-query request/reply latencies. Excluded switches carry
+    /// no path and stay powered off even inside an aggregation preset.
+    pub(crate) fn build_masked(
         ctx: &ScenarioContext,
         consolidation: ConsolidationSpec,
         excluded: &[NodeId],
@@ -1098,12 +1044,7 @@ impl NetworkPlan {
                     // `parallel_map_range` preserves pod order, which the
                     // decomposition's determinism contract requires.
                     let runner: PodRunner<'_> = &|pods, solve| parallel_map_range(pods, solve);
-                    let opts = PodDecompOptions {
-                        runner: Some(runner),
-                        cache: Some(&d.pod_cache),
-                        ..Default::default()
-                    };
-                    consolidate_pod_decomposed(&d.ft, &d.arena, &d.flows, &ccfg, &opts)
+                    consolidate_pod_decomposed(&d.ft, &d.arena, &d.flows, &ccfg, Some(runner))
                         .map(|report| report.assignment)
                 }
                 _ => GreedyConsolidator.consolidate(&d.arena, &d.flows, &ccfg),
@@ -1172,22 +1113,11 @@ impl NetworkPlan {
         }
 
         Ok(NetworkPlan {
-            consolidation,
             assignment,
             max_link_utilization,
             congested,
             net_lat,
         })
-    }
-
-    /// The candidate this plan realizes.
-    pub fn consolidation(&self) -> ConsolidationSpec {
-        self.consolidation
-    }
-
-    /// Active switches after consolidation.
-    pub fn active_switches(&self, ctx: &ScenarioContext) -> usize {
-        self.assignment.active_switch_count(&ctx.data.ft)
     }
 }
 
@@ -1225,7 +1155,6 @@ pub(crate) struct ServerShard {
 /// compute budget for the slack-aware schemes.
 #[derive(Debug)]
 pub struct ServerEvaluation {
-    pub(crate) scheme: ServerScheme,
     pub(crate) shards: Vec<ServerShard>,
 }
 
@@ -1297,6 +1226,13 @@ impl ServerEvaluation {
             arrivals.sort_by(|a, b| a.arrival_s.partial_cmp(&b.arrival_s).expect("finite times"));
         }
         drop(arrivals_span);
+        // Setting up and spawning the shard workers, and joining them, run
+        // between the shards' own spans. Those stretches end or begin on a
+        // worker thread, so they are journaled afterwards as the
+        // `server_fanout` and `server_join` leaves, bounded by the earliest
+        // shard start and the latest shard end; no leaf overlaps another.
+        let fanout_start = Instant::now();
+        let shard_window: Mutex<Option<(Instant, Instant)>> = Mutex::new(None);
 
         // --- Per-ISN DVFS simulation, sharded across the thread budget.
         //
@@ -1325,6 +1261,7 @@ impl ServerEvaluation {
         // each attaches to the evaluation span by id.
         let eval_span_id = eval_span.id();
         let shards: Vec<ServerShard> = parallel_map_range(n, |s| {
+            let started = obs_on.then(Instant::now);
             let _t = eprons_obs::Timer::scoped("core.cluster.server_shard_s");
             let mut shard_span = eprons_obs::Span::enter_under(eval_span_id, "server_shard");
             let arrivals = &per_server[s];
@@ -1375,17 +1312,26 @@ impl ServerEvaluation {
                 .zip(&r.budgets)
                 .map(|((&lat, &tag), &budget)| (tag, lat, budget))
                 .collect();
+            drop(shard_span);
+            if let Some(started) = started {
+                let ended = Instant::now();
+                let mut window = shard_window.lock().expect("shard window poisoned");
+                *window = Some(match *window {
+                    Some((first, last)) => (first.min(started), last.max(ended)),
+                    None => (started, ended),
+                });
+            }
             ServerShard {
                 avg_core_w,
                 completions,
             }
         });
-        ServerEvaluation { scheme, shards }
-    }
-
-    /// The scheme this evaluation ran under.
-    pub fn scheme(&self) -> ServerScheme {
-        self.scheme
+        drop(per_server);
+        if let Some((first, last)) = *shard_window.lock().expect("shard window poisoned") {
+            eprons_obs::record_span(eval_span_id, "server_fanout", fanout_start, first);
+            eprons_obs::record_span(eval_span_id, "server_join", last, Instant::now());
+        }
+        ServerEvaluation { shards }
     }
 }
 
@@ -1452,5 +1398,56 @@ mod tests {
             .evaluate_masked(scheme, k2, &[same])
             .unwrap();
         assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
+    }
+
+    /// The day cache holds at most `DAY_SLOTS` contexts: one operating
+    /// point past the bound evicts the least-recently-used slot and
+    /// counts it, the slots it keeps still hit, and both a revived slot
+    /// and the evicted point's rebuild evaluate bit-identically to a
+    /// fresh build.
+    #[test]
+    fn day_cache_evicts_the_least_recently_used_slot() {
+        let cfg = ClusterConfig::default();
+        let spec = |i: usize| ScenarioSpec {
+            server_utilization: 0.05 + 0.01 * i as f64,
+            background_util: 0.1,
+            duration_s: 0.2,
+            warmup_s: 0.0,
+            seed: 7,
+        };
+        let day = DayContext::new(&cfg);
+        for i in 0..DAY_SLOTS {
+            day.context_for(&spec(i));
+        }
+        // Reviving slot 0 leaves slot 1 the least recently used.
+        day.context_for(&spec(0));
+        let full = day.stats();
+        assert_eq!(
+            (full.slots, full.hits, full.misses, full.evictions),
+            (DAY_SLOTS, 1, DAY_SLOTS as u64, 0)
+        );
+
+        day.context_for(&spec(DAY_SLOTS));
+        let evicted = day.stats();
+        assert_eq!((evicted.slots, evicted.evictions), (DAY_SLOTS, 1));
+        // Slot 0 survived the eviction; slot 1 did not.
+        day.context_for(&spec(0));
+        assert_eq!(day.stats().hits, 2, "the revived slot must survive");
+        day.context_for(&spec(1));
+        let after = day.stats();
+        assert_eq!(
+            (after.misses, after.evictions),
+            (DAY_SLOTS as u64 + 2, 2),
+            "the evicted slot must be rebuilt, evicting the next oldest"
+        );
+
+        let (scheme, all_on) = (ServerScheme::EpronsServer, ConsolidationSpec::AllOn);
+        for i in [0, 1] {
+            let revived = day.context_for(&spec(i)).evaluate(scheme, all_on).unwrap();
+            let fresh = ScenarioContext::build(&cfg, &spec(i))
+                .evaluate(scheme, all_on)
+                .unwrap();
+            assert_eq!(format!("{revived:?}"), format!("{fresh:?}"), "slot {i}");
+        }
     }
 }

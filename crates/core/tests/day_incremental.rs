@@ -106,10 +106,7 @@ fn incremental_day_is_bit_identical_across_strategies() {
             seed: 7777,
             warm_start: true,
             online: Some(OnlineConfig::enabled()),
-            day_scope: Some(DayScopeConfig {
-                incremental: false,
-                ..DayScopeConfig::default()
-            }),
+            day_scope: Some(DayScopeConfig { incremental: false }),
             ..DayConfig::default()
         };
         let incremental_day = DayConfig {
@@ -147,10 +144,7 @@ fn incremental_day_is_bit_identical_across_strategies() {
         seed: 7777,
         warm_start: false,
         online: None,
-        day_scope: Some(DayScopeConfig {
-            incremental: false,
-            ..DayScopeConfig::default()
-        }),
+        day_scope: Some(DayScopeConfig { incremental: false }),
         ..DayConfig::default()
     };
     let incremental_day = DayConfig {
@@ -182,7 +176,7 @@ fn incremental_day_is_bit_identical_across_strategies() {
 /// the cache counters: the day cache misses once (the first epoch's
 /// build) and hits every other epoch; the result memo serves the first
 /// epoch's evaluation on every later epoch; and a single-pod failure
-/// still re-solves exactly the owning pod against the shared pod cache.
+/// adds exactly one masked pod-decomposed reconsolidation.
 #[test]
 fn constant_day_pins_cache_counter_arithmetic() {
     let _guard = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -201,7 +195,7 @@ fn constant_day_pins_cache_counter_arithmetic() {
         seed: 99,
         warm_start: true,
         // Constant demand at the morning-trough level: low enough that
-        // the masked single-pod re-solve stays feasible (see the
+        // the masked reconsolidation stays feasible (see the
         // failure_pod_decomp fixture), constant so the whole day is one
         // operating point.
         search_trace: TraceScenario::Replay(ReplayTrace::constant(0.3)),
@@ -216,7 +210,7 @@ fn constant_day_pins_cache_counter_arithmetic() {
         candidates: vec![ConsolidationSpec::GreedyK(2.0)],
     };
     // Fail one agg of pod 1 mid-epoch: the mask lands in exactly one
-    // pod, and the pod keeps its second agg, so the masked re-solve is
+    // pod, and the pod keeps its second agg, so the masked pass is
     // feasible without a push-back round.
     let ft = FatTree::new(cfg.fat_tree_k, cfg.link_capacity_mbps);
     let agg = ft.agg(1, 0);
@@ -241,7 +235,6 @@ fn constant_day_pins_cache_counter_arithmetic() {
             reg.counter("core.serveval.hits").get(),
             reg.counter("core.serveval.misses").get(),
             reg.counter("net.pods.solved").get(),
-            reg.counter("net.pods.cache_hits").get(),
             reg.counter("core.evalcache.hits").get(),
             reg.counter("core.evalcache.misses").get(),
         )
@@ -273,8 +266,8 @@ fn constant_day_pins_cache_counter_arithmetic() {
     // point once and serves every later epoch from the cache. The
     // failure day adds exactly one more distinct point — the masked
     // evaluation of the failure window.
-    let ec_hits = c1.6 - c0.6;
-    let ec_misses = c1.7 - c0.7;
+    let ec_hits = c1.5 - c0.5;
+    let ec_misses = c1.6 - c0.6;
     assert_eq!(ec_misses, 1, "a constant day is one operating point");
     assert_eq!(
         ec_hits,
@@ -282,12 +275,12 @@ fn constant_day_pins_cache_counter_arithmetic() {
         "later epochs must serve the memoized result"
     );
     assert_eq!(
-        c2.7 - c1.7,
+        c2.6 - c1.6,
         2,
         "the failure day evaluates exactly one extra (masked) point"
     );
     assert_eq!(
-        c2.6 - c1.6,
+        c2.5 - c1.5,
         (epochs - 1) as u64,
         "failure-day repeats must still serve the memoized result"
     );
@@ -312,24 +305,17 @@ fn constant_day_pins_cache_counter_arithmetic() {
         "the failure day's two stage-3 runs must simulate each ISN twice"
     );
 
-    // Pod cache: the clean day consolidates once (first epoch; later
+    // Pod solves: the clean day consolidates once (first epoch; later
     // epochs hit the revived plan cache and never consolidate). The
-    // failure day adds exactly one masked reconsolidation: one pod
-    // solved fresh, the other three served from the shared pod cache.
+    // failure day adds exactly one masked reconsolidation, which solves
+    // each of the k = 4 tree's four pods once more.
     let clean_solved = c1.4 - c0.4;
-    let clean_pod_hits = c1.5 - c0.5;
     let failed_solved = c2.4 - c1.4;
-    let failed_pod_hits = c2.5 - c1.5;
     assert!(clean_solved > 0, "the clean day must run the decomposition");
     assert_eq!(
         failed_solved,
-        clean_solved + 1,
-        "a single-pod failure must re-solve exactly the owning pod"
-    );
-    assert_eq!(
-        failed_pod_hits,
-        clean_pod_hits + 3,
-        "the foreign pods must reuse their cached solves"
+        clean_solved + 4,
+        "the masked reconsolidation must solve every pod once"
     );
 
     // The constant day really is constant: every untouched epoch of the
@@ -366,10 +352,7 @@ fn quick_k16_incremental_day_is_bit_identical() {
         seed: 2018,
         warm_start: true,
         online: Some(OnlineConfig::enabled()),
-        day_scope: Some(DayScopeConfig {
-            incremental: false,
-            ..DayScopeConfig::default()
-        }),
+        day_scope: Some(DayScopeConfig { incremental: false }),
         ..DayConfig::default()
     };
     let incremental_day = DayConfig {

@@ -324,8 +324,6 @@ fn plan_cache_hits_are_bit_identical_to_rebuilds() {
     assert_eq!(ctx.plan_cache_len(), plans, "the hit must not rebuild");
     assert_eq!(result_bits(&rebuilt), result_bits(&miss));
     assert_eq!(result_bits(&rebuilt_rubik), result_bits(&hit));
-    ctx.clear_plan_cache();
-    assert_eq!(ctx.plan_cache_len(), 0);
 }
 
 #[test]

@@ -25,7 +25,7 @@ use eprons_core::{
     optimize_total_power, ClusterConfig, ClusterRun, ConsolidateStrategy, ConsolidationSpec,
     ServerScheme,
 };
-use eprons_net::consolidate::pod::{consolidate_pod_decomposed, PodDecompOptions};
+use eprons_net::consolidate::pod::consolidate_pod_decomposed;
 use eprons_net::flow::FlowSet;
 use eprons_net::{ConsolidationConfig, Consolidator, FlowClass, GreedyConsolidator, PathArena};
 use eprons_sim::SimRng;
@@ -77,13 +77,7 @@ fn randomized_matrices_agree_at_k4_and_k8() {
                 let fs = random_flows(&ft, seed * 31 + k as u64, load);
                 for scale_k in [1.0f64, 2.0] {
                     let cfg = ConsolidationConfig::with_k(scale_k);
-                    let dec = consolidate_pod_decomposed(
-                        &ft,
-                        &arena,
-                        &fs,
-                        &cfg,
-                        &PodDecompOptions::default(),
-                    );
+                    let dec = consolidate_pod_decomposed(&ft, &arena, &fs, &cfg, None);
                     let mono = GreedyConsolidator.consolidate(&arena, &fs, &cfg);
                     match (dec, mono) {
                         (Ok(r), Ok(m)) => {

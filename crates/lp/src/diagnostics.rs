@@ -1,66 +1,32 @@
-//! Solution diagnostics: constraint activity and binding analysis.
+//! Solution diagnostics: which constraints bind at a solution.
 //!
 //! When a consolidation model comes back with a surprising active set, the
-//! first question is *which capacity constraints are binding*. These
-//! helpers evaluate a solution against a model row by row.
+//! first question is *which capacity constraints are binding*.
+//! [`binding_constraints`] evaluates a solution against a model row by row.
 
-use crate::model::{Cmp, Model};
+use crate::model::{Cmp, Constraint, Model};
 use crate::standard::Solution;
 
-/// One constraint's evaluation at a solution point.
-#[derive(Debug, Clone)]
-pub struct ConstraintActivity {
-    /// Constraint name (as given to [`Model::add_constraint`]).
-    pub name: String,
-    /// Left-hand-side value `Σ aᵢxᵢ`.
-    pub lhs: f64,
-    /// Right-hand side.
-    pub rhs: f64,
-    /// Slack toward the constraint boundary: non-negative when satisfied;
-    /// `rhs − lhs` for `≤`, `lhs − rhs` for `≥`, `−|lhs − rhs|` for `=`
-    /// deviations.
-    pub slack: f64,
-    /// Whether the constraint is active (slack within `tol`).
-    pub binding: bool,
+/// Slack of `c` at `values` toward the constraint boundary: non-negative
+/// when satisfied; `rhs − lhs` for `≤`, `lhs − rhs` for `≥`,
+/// `−|lhs − rhs|` for `=` deviations.
+fn slack(c: &Constraint, values: &[f64]) -> f64 {
+    let lhs: f64 = c.terms.iter().map(|&(v, a)| a * values[v.index()]).sum();
+    match c.cmp {
+        Cmp::Le => c.rhs - lhs,
+        Cmp::Ge => lhs - c.rhs,
+        Cmp::Eq => -(lhs - c.rhs).abs(),
+    }
 }
 
-/// Evaluates every constraint of `model` at `solution`.
-pub fn constraint_activity(
-    model: &Model,
-    solution: &Solution,
-    tol: f64,
-) -> Vec<ConstraintActivity> {
+/// The names of the constraints whose slack at `solution` is within
+/// `tol` (the bottlenecks).
+pub(crate) fn binding_constraints(model: &Model, solution: &Solution, tol: f64) -> Vec<String> {
     model
         .constraints()
         .iter()
-        .map(|c| {
-            let lhs: f64 = c
-                .terms
-                .iter()
-                .map(|&(v, a)| a * solution.values[v.index()])
-                .sum();
-            let slack = match c.cmp {
-                Cmp::Le => c.rhs - lhs,
-                Cmp::Ge => lhs - c.rhs,
-                Cmp::Eq => -(lhs - c.rhs).abs(),
-            };
-            ConstraintActivity {
-                name: c.name.clone(),
-                lhs,
-                rhs: c.rhs,
-                slack,
-                binding: slack.abs() <= tol,
-            }
-        })
-        .collect()
-}
-
-/// The names of the binding constraints at a solution (the bottlenecks).
-pub fn binding_constraints(model: &Model, solution: &Solution, tol: f64) -> Vec<String> {
-    constraint_activity(model, solution, tol)
-        .into_iter()
-        .filter(|a| a.binding)
-        .map(|a| a.name)
+        .filter(|c| slack(c, &solution.values).abs() <= tol)
+        .map(|c| c.name.clone())
         .collect()
 }
 
@@ -79,12 +45,9 @@ mod tests {
         m.add_constraint("sum", vec![(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
         m.add_constraint("weighted", vec![(x, 1.0), (y, 3.0)], Cmp::Le, 6.0);
         let sol = solve_lp(&m).unwrap(); // x=4, y=0
-        let act = constraint_activity(&m, &sol, 1e-9);
-        assert_eq!(act.len(), 2);
-        assert!(act[0].binding, "x+y=4 is tight");
-        assert!(!act[1].binding, "x+3y=4 < 6 has slack");
-        assert!((act[1].slack - 2.0).abs() < 1e-9);
         assert_eq!(binding_constraints(&m, &sol, 1e-9), vec!["sum".to_string()]);
+        // x+3y=4 < 6 has slack 2.
+        assert!((slack(&m.constraints()[1], &sol.values) - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -93,17 +56,15 @@ mod tests {
         let x = m.add_var("x", 0.0, 10.0, 1.0);
         m.add_constraint("fix", vec![(x, 1.0)], Cmp::Eq, 3.0);
         let sol = solve_lp(&m).unwrap();
-        let act = constraint_activity(&m, &sol, 1e-9);
-        assert!(act[0].binding);
-        assert!(act[0].slack.abs() < 1e-9);
+        assert_eq!(binding_constraints(&m, &sol, 1e-9), vec!["fix".to_string()]);
+        assert!(slack(&m.constraints()[0], &sol.values).abs() < 1e-9);
         // A point violating the equality shows negative slack.
         let fake = Solution {
             objective: 5.0,
             values: vec![5.0],
         };
-        let act = constraint_activity(&m, &fake, 1e-9);
-        assert!(act[0].slack < -1.9);
-        assert!(!act[0].binding);
+        assert!(slack(&m.constraints()[0], &fake.values) < -1.9);
+        assert!(binding_constraints(&m, &fake, 1e-9).is_empty());
     }
 
     #[test]
@@ -112,13 +73,14 @@ mod tests {
         let x = m.add_var("x", 0.0, 10.0, 1.0);
         m.add_constraint("atleast", vec![(x, 1.0)], Cmp::Ge, 2.0);
         let sol = solve_lp(&m).unwrap(); // x = 2 (binding)
-        let act = constraint_activity(&m, &sol, 1e-6);
-        assert!(act[0].binding);
+        assert_eq!(
+            binding_constraints(&m, &sol, 1e-6),
+            vec!["atleast".to_string()]
+        );
         let loose = Solution {
             objective: 7.0,
             values: vec![7.0],
         };
-        let act = constraint_activity(&m, &loose, 1e-6);
-        assert!((act[0].slack - 5.0).abs() < 1e-9);
+        assert!((slack(&m.constraints()[0], &loose.values) - 5.0).abs() < 1e-9);
     }
 }

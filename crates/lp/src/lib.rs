@@ -16,8 +16,8 @@
 //! * [`milp`] — branch-and-bound over the integer variables (the paper's
 //!   X/Y/Z on-off indicators are binary), with most-fractional branching
 //!   and incumbent pruning.
-//! * [`diagnostics`] — constraint-activity analysis (which capacities
-//!   bind at the optimum).
+//! * a constraint-activity analysis that names the constraints binding
+//!   at the optimum (the `LpSolve` journal event's bottlenecks).
 //!
 //! The paper's own data point is that the exact model is *slow* (42 min
 //! for 3000 flows on CPLEX) and a greedy heuristic is used in deployment
@@ -27,7 +27,7 @@
 
 #![warn(missing_docs)]
 
-pub mod diagnostics;
+mod diagnostics;
 pub mod milp;
 pub mod model;
 mod simplex;

@@ -110,12 +110,6 @@ impl Model {
         self.vars.len()
     }
 
-    /// Number of constraints.
-    #[inline]
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// The variables.
     #[inline]
     pub fn vars(&self) -> &[Variable] {
@@ -283,7 +277,7 @@ mod tests {
         let y = m.add_binary("y", 5.0);
         m.add_constraint("c", vec![(x, 1.0), (y, 2.0)], Cmp::Le, 8.0);
         assert_eq!(m.num_vars(), 2);
-        assert_eq!(m.num_constraints(), 1);
+        assert_eq!(m.constraints().len(), 1);
         assert!(m.vars()[y.index()].integer);
         assert_eq!(m.vars()[y.index()].upper, 1.0);
     }

@@ -46,28 +46,24 @@ impl Default for ArcMilpConsolidator {
 
 /// The built arc MILP plus variable handles, mirroring
 /// [`super::path::PathModel`].
-pub struct ArcModel {
+struct ArcModel {
     /// The MILP.
-    pub model: Model,
-    /// X variable per undirected link (indexed by `LinkId`).
-    pub x: Vec<VarId>,
-    /// Y variable per node (`None` for hosts), indexed by `NodeId`.
-    pub y: Vec<Option<VarId>>,
+    model: Model,
     /// Z variable per (flow, link, direction), row-major.
-    pub z: Vec<VarId>,
+    z: Vec<VarId>,
     /// Link count (stride for `z` indexing).
-    pub nl: usize,
+    nl: usize,
 }
 
 impl ArcModel {
     /// The Z selector of flow `fi` on link `l`, direction `dir`.
-    pub fn z_at(&self, fi: usize, l: LinkId, dir: usize) -> VarId {
+    fn z_at(&self, fi: usize, l: LinkId, dir: usize) -> VarId {
         self.z[(fi * self.nl + l.0) * 2 + dir]
     }
 }
 
 /// Builds the arc-based consolidation MILP (paper eqs. 2–9).
-pub fn build_arc_model(
+fn build_arc_model(
     net: &dyn MultipathTopology,
     flows: &FlowSet,
     cfg: &ConsolidationConfig,
@@ -178,7 +174,7 @@ pub fn build_arc_model(
     }
 
     let _ = nf;
-    ArcModel { model, x, y, z, nl }
+    ArcModel { model, z, nl }
 }
 
 impl Consolidator for ArcMilpConsolidator {

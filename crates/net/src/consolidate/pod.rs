@@ -19,7 +19,7 @@
 //! pod's intra placement consumed edge→agg capacity the inter traffic
 //! needs, it *pushes back* a tightened uplink budget (per-edge floors
 //! spread across the stitch-usable groups), the pod re-solves, and the
-//! stitch re-runs — bounded to [`PodDecompOptions::max_rounds`] rounds.
+//! stitch re-runs — bounded to two stitch rounds.
 //! Anything the decomposition cannot place falls back to the monolithic
 //! [`GreedyConsolidator`], which therefore remains the differential
 //! oracle: feasibility verdicts always agree, and the objective tracks
@@ -30,11 +30,6 @@
 //! globally sorted flow list, and every tie-break is by ordinal — no
 //! iteration over hash maps anywhere on the decision path.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
-
 use eprons_topo::{FatTree, MultipathTopology, PathRef};
 
 use super::greedy::GreedyConsolidator;
@@ -42,6 +37,10 @@ use super::{Assignment, ConsolidationConfig, ConsolidationError, Consolidator, P
 use crate::flow::FlowSet;
 
 const EPS: f64 = 1e-9;
+
+/// Stitch rounds per pass: round 0 plus one push-back re-run before the
+/// pass falls back to the monolithic consolidator.
+const MAX_ROUNDS: usize = 2;
 
 /// The pure outcome of one pod-local solve: candidate choices for the
 /// pod's intra flows plus the residual edge→agg capacities and active
@@ -68,119 +67,20 @@ pub struct PodSolve {
     infeasible: bool,
 }
 
-impl PodSolve {
-    /// `(flow id, candidate index)` per intra flow, pod-local greedy
-    /// order. The byte-identity regression of pod-masked repair compares
-    /// these across runs.
-    pub fn choices(&self) -> &[(u32, u32)] {
-        &self.choices
-    }
-}
-
-/// Outcome of obtaining one pod's solve (fresh or cached).
-pub struct PodOutcome {
-    /// The solve, possibly shared with a [`PodSolveCache`].
-    pub solve: Arc<PodSolve>,
-    /// Whether it was served from the cache.
-    pub cached: bool,
-}
-
 /// Driver for the embarrassingly-parallel round-0 pod solves: given the
-/// pod count and a solve closure, returns the outcomes **in pod order**.
+/// pod count and a solve closure, returns the solves **in pod order**.
 /// `eprons-core` passes an adapter over its thread-budgeted
-/// `parallel_map_range`; `None` in [`PodDecompOptions`] runs serially.
+/// `parallel_map_range`; `None` runs serially.
 pub type PodRunner<'a> =
-    &'a (dyn Fn(usize, &(dyn Fn(usize) -> PodOutcome + Sync)) -> Vec<PodOutcome> + Sync);
-
-/// A [`PodSolveCache`] key: `(flow-set fingerprint, scale-K bits, pod,
-/// stitch-usable group bitmask, sorted excluded node ids inside the
-/// pod)`.
-type PodSolveKey = (u64, u64, usize, u32, Vec<u32>);
-
-/// Cache of round-0 pod solves keyed by `(flow-set fingerprint,
-/// scale K, pod, stitch-usable group bitmask, pod-local failure mask)`.
-/// The fingerprint hashes every flow's endpoints, demand bits, and
-/// class, so a cache may be shared across contexts whose flow sets
-/// differ (e.g. the epochs of a day-scoped incremental run, where
-/// background demand — and with it the flow set — drifts). The key is
-/// one-way: a pass over an identical flow set always finds its entries,
-/// but a 64-bit hash can collide, and two different flow sets with the
-/// same fingerprint would share entries — one would be served the
-/// other's solve, silently. Keying on the exact flows is ROADMAP item 5.
-/// The config
-/// must still match modulo `scale_k`/`excluded`, which is true within
-/// one day (the `ClusterConfig` is fixed). The group bitmask is in the
-/// key because the round-0 floors reserve capacity only across
-/// stitch-usable groups: one dead core leaves its group usable (the
-/// bitmask — and thus every cached solve — is untouched, only the
-/// stitch re-runs), while losing a whole core group reshapes the floors
-/// of *every* pod and must re-solve. Push-back re-solves (floored) are
-/// never cached.
-#[derive(Debug, Default)]
-pub struct PodSolveCache {
-    inner: Mutex<HashMap<PodSolveKey, Arc<PodSolve>>>,
-}
-
-impl PodSolveCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of cached pod solves.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().len()
-    }
-
-    /// `true` iff nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every cached solve.
-    pub fn clear(&self) {
-        self.inner.lock().unwrap().clear();
-    }
-
-    fn get(&self, key: &PodSolveKey) -> Option<Arc<PodSolve>> {
-        self.inner.lock().unwrap().get(key).cloned()
-    }
-
-    fn insert(&self, key: PodSolveKey, v: Arc<PodSolve>) {
-        self.inner.lock().unwrap().insert(key, v);
-    }
-}
-
-/// Knobs for [`consolidate_pod_decomposed`].
-pub struct PodDecompOptions<'a> {
-    /// Maximum stitch rounds (round 0 plus push-back re-runs); the
-    /// tentpole contract bounds this to 2 before falling back.
-    pub max_rounds: usize,
-    /// Parallel driver for the round-0 pod solves (`None` = serial).
-    pub runner: Option<PodRunner<'a>>,
-    /// Round-0 solve cache (`None` = always solve fresh).
-    pub cache: Option<&'a PodSolveCache>,
-}
-
-impl Default for PodDecompOptions<'static> {
-    fn default() -> Self {
-        PodDecompOptions {
-            max_rounds: 2,
-            runner: None,
-            cache: None,
-        }
-    }
-}
+    &'a (dyn Fn(usize, &(dyn Fn(usize) -> PodSolve + Sync)) -> Vec<PodSolve> + Sync);
 
 /// How a pod-decomposed pass went.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PodDecompStats {
     /// Pods in the fabric.
     pub pods: usize,
-    /// Round-0 solves computed fresh.
+    /// Round-0 solves.
     pub solved: usize,
-    /// Round-0 solves served from the cache.
-    pub cached: usize,
     /// Push-back re-solves.
     pub resolves: usize,
     /// Stitch rounds executed (0 when the pass fell back before any).
@@ -202,7 +102,7 @@ pub struct PodDecompReport {
     pub stats: PodDecompStats,
     /// The per-pod solves the assignment was stitched from, pod order.
     /// Empty when the pass fell back to the monolithic path.
-    pub solves: Vec<Arc<PodSolve>>,
+    pub solves: Vec<PodSolve>,
 }
 
 struct PodFlow {
@@ -239,29 +139,6 @@ struct Prep {
     edge_ex: Vec<bool>,
     agg_ex: Vec<bool>,
     core_ex: Vec<bool>,
-    /// Per pod: the sorted excluded node ids inside it (cache key part).
-    pod_mask: Vec<Vec<u32>>,
-    /// Fingerprint of the flow set (cache key part).
-    flows_fp: u64,
-}
-
-/// Order-sensitive fingerprint of a flow set: endpoints, exact demand
-/// bits, and class of every flow, hashed with the (deterministically
-/// keyed) [`DefaultHasher`]. Two passes over the same flows always see
-/// the same fingerprint; the converse holds only up to a 64-bit hash
-/// collision, so two different flow sets *can* share a fingerprint, and
-/// a [`PodSolveCache`] shared across scenario contexts would then serve
-/// one set's solve to the other (ROADMAP item 5 keys the cache exactly).
-pub fn flow_set_fingerprint(flows: &FlowSet) -> u64 {
-    let mut h = DefaultHasher::new();
-    flows.len().hash(&mut h);
-    for f in flows.flows() {
-        f.src.0.hash(&mut h);
-        f.dst.0.hash(&mut h);
-        f.demand_mbps.to_bits().hash(&mut h);
-        matches!(f.class, crate::flow::FlowClass::LatencySensitive).hash(&mut h);
-    }
-    h.finish()
 }
 
 struct Fallback(&'static str);
@@ -344,14 +221,11 @@ fn prepare(ft: &FatTree, flows: &FlowSet, cfg: &ConsolidationConfig) -> Result<P
     let mut edge_ex = vec![false; n_pods * half];
     let mut agg_ex = vec![false; n_pods * half];
     let mut core_ex = vec![false; half * half];
-    let mut pod_mask: Vec<Vec<u32>> = (0..n_pods).map(|_| Vec::new()).collect();
     for &n in &cfg.excluded {
         if let Some((p, i)) = ft.edge_ordinal(n) {
             edge_ex[p * half + i] = true;
-            pod_mask[p].push(n.0 as u32);
         } else if let Some((p, j)) = ft.agg_ordinal(n) {
             agg_ex[p * half + j] = true;
-            pod_mask[p].push(n.0 as u32);
         } else if let Some((g, m)) = ft.core_ordinal(n) {
             core_ex[g * half + m] = true;
         }
@@ -370,8 +244,6 @@ fn prepare(ft: &FatTree, flows: &FlowSet, cfg: &ConsolidationConfig) -> Result<P
         edge_ex,
         agg_ex,
         core_ex,
-        pod_mask,
-        flows_fp: flow_set_fingerprint(flows),
     })
 }
 
@@ -499,7 +371,7 @@ enum StitchOutcome {
 /// activates more switches than packed mode needs — the switch-count
 /// cost still dominates the key — so it is the wedge-recovery retry,
 /// not the default.
-fn run_stitch(prep: &Prep, solves: &[Arc<PodSolve>], balance: bool) -> StitchOutcome {
+fn run_stitch(prep: &Prep, solves: &[PodSolve], balance: bool) -> StitchOutcome {
     let half = prep.half;
     let np = prep.n_pods;
     let hp = half * half;
@@ -714,7 +586,8 @@ fn floors_even(prep: &Prep, pod: usize) -> Option<PodFloors> {
 ///
 /// `ft` supplies the pod structure; `net` is what paths are enumerated
 /// and materialized on (typically the shared-segment
-/// [`super::arena::PathArena`] over the same tree).
+/// [`super::arena::PathArena`] over the same tree). `runner` fans the
+/// round-0 pod solves out ([`PodRunner`]; `None` solves them serially).
 ///
 /// # Errors
 /// Only when the monolithic fallback itself fails — i.e. the instance
@@ -724,7 +597,7 @@ pub fn consolidate_pod_decomposed(
     net: &dyn MultipathTopology,
     flows: &FlowSet,
     cfg: &ConsolidationConfig,
-    opts: &PodDecompOptions<'_>,
+    runner: Option<PodRunner<'_>>,
 ) -> Result<PodDecompReport, ConsolidationError> {
     let _t = eprons_obs::Timer::scoped("net.consolidate.pod_s");
     let mut sp = eprons_obs::Span::enter("net.consolidate");
@@ -738,13 +611,12 @@ pub fn consolidate_pod_decomposed(
     let mut stats = PodDecompStats {
         pods: ft.num_pods(),
         solved: 0,
-        cached: 0,
         resolves: 0,
         rounds: 0,
         balanced: 0,
         fell_back: false,
     };
-    let result = try_decomposed(ft, net, flows, cfg, opts, sp.id(), &mut stats);
+    let result = try_decomposed(ft, net, flows, cfg, runner, sp.id(), &mut stats);
     let report = match result {
         Ok((assignment, solves)) => Ok(PodDecompReport {
             assignment,
@@ -777,7 +649,6 @@ pub fn consolidate_pod_decomposed(
     if eprons_obs::enabled() {
         let reg = eprons_obs::registry();
         reg.counter("net.pods.solved").add(stats.solved as u64);
-        reg.counter("net.pods.cache_hits").add(stats.cached as u64);
         reg.counter("net.pods.resolves").add(stats.resolves as u64);
         reg.counter("net.pods.balanced_stitches")
             .add(stats.balanced as u64);
@@ -785,7 +656,6 @@ pub fn consolidate_pod_decomposed(
         eprons_obs::record(eprons_obs::Event::PodConsolidation {
             pods: stats.pods as u64,
             solved: stats.solved as u64,
-            cached: stats.cached as u64,
             resolves: stats.resolves as u64,
             rounds: stats.rounds as u64,
             balanced: stats.balanced as u64,
@@ -810,76 +680,37 @@ fn try_decomposed(
     net: &dyn MultipathTopology,
     flows: &FlowSet,
     cfg: &ConsolidationConfig,
-    opts: &PodDecompOptions<'_>,
+    runner: Option<PodRunner<'_>>,
     parent_span: u64,
     stats: &mut PodDecompStats,
-) -> Result<(Assignment, Vec<Arc<PodSolve>>), Fallback> {
+) -> Result<(Assignment, Vec<PodSolve>), Fallback> {
     let prep = prepare(ft, flows, cfg)?;
     let n_pods = prep.n_pods;
 
-    // Round 0: embarrassingly parallel pod solves (cache-aware).
-    let solve_one = |p: usize| -> PodOutcome {
+    // Round 0: embarrassingly parallel pod solves.
+    let solve_one = |p: usize| -> PodSolve {
         let mut psp = eprons_obs::Span::enter_under(parent_span, "pod.consolidate");
-        // The usable-group bitmask folds the core mask into the key at
-        // exactly the granularity the solve depends on (the round-0
-        // floors spread over usable groups, never individual cores).
-        let groups_bits = stitch_usable_groups(&prep, p)
-            .iter()
-            .fold(0u32, |m, &g| m | (1 << g));
-        let key = (
-            prep.flows_fp,
-            cfg.scale_k.to_bits(),
-            p,
-            groups_bits,
-            prep.pod_mask[p].clone(),
-        );
-        if let Some(cache) = opts.cache {
-            if let Some(hit) = cache.get(&key) {
-                if eprons_obs::enabled() {
-                    psp.note(format!("pod={p} of={n_pods} cached=true"));
-                }
-                return PodOutcome {
-                    solve: hit,
-                    cached: true,
-                };
-            }
+        if eprons_obs::enabled() {
+            psp.note(format!("pod={p} of={n_pods}"));
         }
         // Round 0 reserves low-first floors for the pod's own inter
         // traffic; if the floors themselves make intra infeasible (they
         // over-reserve), retry unfloored — the stitch may still manage,
-        // and if not the push-back/fallback ladder takes over. Both
-        // attempts are pure in pod-local inputs, so caching stays sound.
+        // and if not the push-back/fallback ladder takes over.
         let floors = floors_low_first(&prep, p);
-        let mut solved = solve_pod(&prep, p, Some(&floors));
+        let solved = solve_pod(&prep, p, Some(&floors));
         if solved.infeasible {
-            solved = solve_pod(&prep, p, None);
-        }
-        let s = Arc::new(solved);
-        if let Some(cache) = opts.cache {
-            cache.insert(key, Arc::clone(&s));
-        }
-        if eprons_obs::enabled() {
-            psp.note(format!("pod={p} of={n_pods} cached=false"));
-        }
-        PodOutcome {
-            solve: s,
-            cached: false,
+            solve_pod(&prep, p, None)
+        } else {
+            solved
         }
     };
-    let outcomes: Vec<PodOutcome> = match opts.runner {
+    let mut solves: Vec<PodSolve> = match runner {
         Some(run) => run(n_pods, &solve_one),
         None => (0..n_pods).map(solve_one).collect(),
     };
-    assert_eq!(outcomes.len(), n_pods, "pod runner must preserve arity");
-    let mut solves: Vec<Arc<PodSolve>> = Vec::with_capacity(n_pods);
-    for o in outcomes {
-        if o.cached {
-            stats.cached += 1;
-        } else {
-            stats.solved += 1;
-        }
-        solves.push(o.solve);
-    }
+    assert_eq!(solves.len(), n_pods, "pod runner must preserve arity");
+    stats.solved = n_pods;
     if solves.iter().any(|s| s.infeasible) {
         return Err(Fallback("pod sub-problem infeasible"));
     }
@@ -911,7 +742,7 @@ fn try_decomposed(
             StitchOutcome::Done(c) => break c,
             StitchOutcome::Stuck => return Err(Fallback("core tier exhausted")),
             StitchOutcome::PushBack { src_pod, dst_pod } => {
-                if stats.rounds >= opts.max_rounds {
+                if stats.rounds >= MAX_ROUNDS {
                     return Err(Fallback("push-back rounds exhausted"));
                 }
                 let mut pods: Vec<usize> = src_pod.into_iter().chain(dst_pod).collect();
@@ -922,14 +753,14 @@ fn try_decomposed(
                     };
                     let mut rsp = eprons_obs::Span::enter_under(parent_span, "pod.consolidate");
                     if eprons_obs::enabled() {
-                        rsp.note(format!("pod={p} of={n_pods} cached=false resolve=true"));
+                        rsp.note(format!("pod={p} of={n_pods} resolve=true"));
                     }
                     let s = solve_pod(&prep, p, Some(&floors));
                     drop(rsp);
                     if s.infeasible {
                         return Err(Fallback("floored pod sub-problem infeasible"));
                     }
-                    solves[p] = Arc::new(s);
+                    solves[p] = s;
                     stats.resolves += 1;
                 }
             }
@@ -974,7 +805,7 @@ mod tests {
     use crate::flow::{FlowClass, FlowId};
 
     fn decomp(ft: &FatTree, flows: &FlowSet, cfg: &ConsolidationConfig) -> PodDecompReport {
-        consolidate_pod_decomposed(ft, ft, flows, cfg, &PodDecompOptions::default()).unwrap()
+        consolidate_pod_decomposed(ft, ft, flows, cfg, None).unwrap()
     }
 
     /// A representative mix: elephants, cross-pod queries, intra traffic.
@@ -1102,8 +933,7 @@ mod tests {
         assert!(!base.stats.fell_back && !masked.stats.fell_back);
         for p in [0usize, 2, 3] {
             assert_eq!(
-                base.solves[p].choices(),
-                masked.solves[p].choices(),
+                base.solves[p].choices, masked.solves[p].choices,
                 "pod {p} solve changed under a foreign-pod mask"
             );
         }
@@ -1111,68 +941,6 @@ mod tests {
             !masked.solves[1].agg_active[0],
             "masked agg must not be activated"
         );
-    }
-
-    #[test]
-    fn cache_reuses_solves_across_masks() {
-        let ft = FatTree::new(4, 1000.0);
-        let fs = mixed_flows(&ft);
-        let cfg = ConsolidationConfig::with_k(2.0);
-        let cache = PodSolveCache::new();
-        let opts = PodDecompOptions {
-            cache: Some(&cache),
-            ..Default::default()
-        };
-        let a = consolidate_pod_decomposed(&ft, &ft, &fs, &cfg, &opts).unwrap();
-        assert_eq!(a.stats.solved, 4);
-        assert_eq!(a.stats.cached, 0);
-        // Same config again: all pods cached.
-        let b = consolidate_pod_decomposed(&ft, &ft, &fs, &cfg, &opts).unwrap();
-        assert_eq!(b.stats.cached, 4);
-        assert_eq!(b.stats.solved, 0);
-        // Masking pod 1 re-solves only pod 1.
-        let masked = ConsolidationConfig::with_k(2.0).with_excluded(vec![ft.agg(1, 1)]);
-        let c = consolidate_pod_decomposed(&ft, &ft, &fs, &masked, &opts).unwrap();
-        assert_eq!(c.stats.cached, 3);
-        assert_eq!(c.stats.solved, 1);
-        for p in [0usize, 2, 3] {
-            assert!(
-                Arc::ptr_eq(&b.solves[p], &c.solves[p]),
-                "pod {p} not shared"
-            );
-        }
-    }
-
-    #[test]
-    fn cache_distinguishes_core_group_masks() {
-        let ft = FatTree::new(4, 1000.0);
-        let fs = mixed_flows(&ft);
-        let cfg = ConsolidationConfig::with_k(2.0);
-        let cache = PodSolveCache::new();
-        let opts = PodDecompOptions {
-            cache: Some(&cache),
-            ..Default::default()
-        };
-        let a = consolidate_pod_decomposed(&ft, &ft, &fs, &cfg, &opts).unwrap();
-        assert_eq!((a.stats.solved, a.stats.cached), (4, 0));
-        // One dead core leaves its group stitch-usable: the floors — and
-        // with them every cached solve — still apply, so a core failure
-        // re-runs only the stitch.
-        let one = ConsolidationConfig::with_k(2.0).with_excluded(vec![ft.core(1, 0)]);
-        let b = consolidate_pod_decomposed(&ft, &ft, &fs, &one, &opts).unwrap();
-        assert_eq!((b.stats.solved, b.stats.cached), (0, 4));
-        for p in 0..4 {
-            assert!(
-                Arc::ptr_eq(&a.solves[p], &b.solves[p]),
-                "pod {p} not shared"
-            );
-        }
-        // Losing the whole group reshapes the stitch-usable set and so
-        // the round-0 floors of every pod: nothing may be reused.
-        let group =
-            ConsolidationConfig::with_k(2.0).with_excluded(vec![ft.core(1, 0), ft.core(1, 1)]);
-        let c = consolidate_pod_decomposed(&ft, &ft, &fs, &group, &opts).unwrap();
-        assert_eq!((c.stats.solved, c.stats.cached), (4, 0));
     }
 
     #[test]
@@ -1193,7 +961,7 @@ mod tests {
             FlowClass::LatencyTolerant,
         );
         let cfg = ConsolidationConfig::with_k(1.0);
-        let dec = consolidate_pod_decomposed(&ft, &ft, &fs, &cfg, &PodDecompOptions::default());
+        let dec = consolidate_pod_decomposed(&ft, &ft, &fs, &cfg, None);
         let mono = GreedyConsolidator.consolidate(&ft, &fs, &cfg);
         assert_eq!(dec.unwrap_err(), mono.unwrap_err());
     }
@@ -1307,7 +1075,7 @@ mod tests {
             FlowClass::LatencySensitive,
         );
         let cfg = ConsolidationConfig::with_k(1.0).with_excluded(vec![ft.edge(0, 0)]);
-        let dec = consolidate_pod_decomposed(&ft, &ft, &fs, &cfg, &PodDecompOptions::default());
+        let dec = consolidate_pod_decomposed(&ft, &ft, &fs, &cfg, None);
         let mono = GreedyConsolidator.consolidate(&ft, &fs, &cfg);
         assert_eq!(dec.unwrap_err(), mono.unwrap_err());
     }
@@ -1334,17 +1102,13 @@ mod tests {
         // A deliberately reordered (but order-preserving in results)
         // runner must not change anything.
         let runner: PodRunner<'_> = &|n, f| {
-            let mut out: Vec<Option<PodOutcome>> = (0..n).map(|_| None).collect();
+            let mut out: Vec<Option<PodSolve>> = (0..n).map(|_| None).collect();
             for p in (0..n).rev() {
                 out[p] = Some(f(p));
             }
             out.into_iter().map(|o| o.unwrap()).collect()
         };
-        let opts = PodDecompOptions {
-            runner: Some(runner),
-            ..Default::default()
-        };
-        let alt = consolidate_pod_decomposed(&ft, &ft, &fs, &cfg, &opts).unwrap();
+        let alt = consolidate_pod_decomposed(&ft, &ft, &fs, &cfg, Some(runner)).unwrap();
         for i in 0..fs.len() {
             assert_eq!(
                 serial.assignment.path(FlowId(i)).nodes,

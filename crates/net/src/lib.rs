@@ -23,9 +23,6 @@
 //! * [`failure`] — deterministic fault injection (seedable fail/recover
 //!   schedules with MTTF/MTTR sampling) and the graceful-degradation
 //!   ladder that makes §IV-B's "backup paths" remark concrete.
-//! * [`queuesim`] — a packet-level M/M/1 link simulator validating the
-//!   analytic latency model against an actual simulated queue (the role
-//!   the paper's switch measurements played).
 
 #![warn(missing_docs)]
 
@@ -36,18 +33,14 @@ pub mod latency;
 pub mod links;
 pub mod power;
 pub mod predict;
-pub mod queuesim;
 pub mod transition;
 
 pub use consolidate::{
     arc::ArcMilpConsolidator,
-    arena::{ArenaByteBreakdown, PathArena},
+    arena::PathArena,
     greedy::GreedyConsolidator,
     path::PathMilpConsolidator,
-    pod::{
-        consolidate_pod_decomposed, flow_set_fingerprint, PodDecompOptions, PodDecompReport,
-        PodDecompStats, PodOutcome, PodRunner, PodSolve, PodSolveCache,
-    },
+    pod::{consolidate_pod_decomposed, PodDecompReport, PodDecompStats, PodRunner, PodSolve},
     Assignment, ConsolidationConfig, ConsolidationError, Consolidator,
 };
 pub use failure::{

@@ -115,28 +115,16 @@ impl NetworkState {
         self.load_dir(l, 0).max(self.load_dir(l, 1))
     }
 
-    /// Per-direction capacity of a link in Mbps.
-    #[inline]
-    pub fn capacity(&self, l: LinkId) -> f64 {
-        self.capacity_mbps[l.0]
-    }
-
     /// Utilization of one direction in `[0, ∞)` (can exceed 1 transiently
     /// when a prediction was wrong; the latency model clamps).
     #[inline]
-    pub fn utilization_dir(&self, l: LinkId, dir: usize) -> f64 {
+    fn utilization_dir(&self, l: LinkId, dir: usize) -> f64 {
         self.load_dir(l, dir) / self.capacity_mbps[l.0]
     }
 
     /// Utilization of the heavier direction.
     pub fn utilization(&self, l: LinkId) -> f64 {
         self.load(l) / self.capacity_mbps[l.0]
-    }
-
-    /// Residual capacity of a direction against a usable cap of
-    /// `capacity − margin`.
-    pub fn residual_dir(&self, l: LinkId, dir: usize, margin_mbps: f64) -> f64 {
-        (self.capacity_mbps[l.0] - margin_mbps - self.load_dir(l, dir)).max(0.0)
     }
 
     /// Adds `mbps` of load along a path (directional). Accepts owned
@@ -162,19 +150,11 @@ impl NetworkState {
         }
     }
 
-    /// Utilizations along a path in hop order, each taken in the traversal
-    /// direction.
-    pub fn path_utilizations<'a>(&self, topo: &Topology, path: impl Into<PathRef<'a>>) -> Vec<f64> {
-        let path = path.into();
-        let mut out = Vec::with_capacity(path.links.len());
-        self.path_utilizations_into(topo, path, &mut out);
-        out
-    }
-
-    /// [`Self::path_utilizations`] into a caller-owned buffer (cleared
-    /// first). The cluster pipeline samples two paths per (query, ISN)
-    /// pair and reuses one buffer across the whole sweep instead of
-    /// allocating per call.
+    /// Utilizations along a path in hop order, each taken in the
+    /// traversal direction, into a caller-owned buffer (cleared first).
+    /// The cluster pipeline samples two paths per (query, ISN) pair and
+    /// reuses one buffer across the whole sweep instead of allocating per
+    /// call.
     pub fn path_utilizations_into<'a>(
         &self,
         topo: &Topology,
@@ -190,7 +170,7 @@ impl NetworkState {
     }
 
     /// Utilizations along a borrowed path view, as an iterator — the
-    /// zero-allocation counterpart of [`Self::path_utilizations`] for
+    /// buffer-free counterpart of [`Self::path_utilizations_into`] for
     /// arena-backed candidate walks.
     pub fn path_utilizations_ref<'a>(
         &'a self,
@@ -381,7 +361,8 @@ mod tests {
         let mut st = NetworkState::all_on(topo);
         let p = &candidate_paths(&ft, ft.host(2, 0, 0), ft.host(2, 1, 0))[0];
         st.add_path_load(topo, p, 500.0);
-        let utils = st.path_utilizations(topo, p);
+        let mut utils = Vec::new();
+        st.path_utilizations_into(topo, p, &mut utils);
         assert_eq!(utils.len(), p.hop_count());
         assert!(utils.iter().all(|&u| (u - 0.5).abs() < 1e-12));
         // The reverse path sees empty links.
@@ -417,18 +398,5 @@ mod tests {
         assert_eq!(up.switches_off, 0);
         assert_eq!(up.links_on, down.links_off);
         assert_eq!(up.links_off, 0);
-    }
-
-    #[test]
-    fn residual_accounts_margin_per_direction() {
-        let ft = FatTree::new(4, 1000.0);
-        let topo = ft.topology();
-        let mut st = NetworkState::all_on(topo);
-        let p = &candidate_paths(&ft, ft.host(0, 0, 0), ft.host(0, 0, 1))[0];
-        st.add_path_load(topo, p, 300.0);
-        let (from, _, l) = p.hops().next().unwrap();
-        let dir = direction_from(topo, l, from);
-        assert_eq!(st.residual_dir(l, dir, 50.0), 650.0);
-        assert_eq!(st.residual_dir(l, 1 - dir, 50.0), 950.0);
     }
 }

@@ -19,12 +19,6 @@ pub struct DemandPredictor {
     epoch_samples: Vec<Vec<f64>>,
     /// Prediction carried over from the last completed epoch, per flow.
     predictions: Vec<Option<f64>>,
-    /// Consecutive epochs each flow has gone without a sample.
-    idle_epochs: Vec<usize>,
-    /// Expire a flow's prediction after this many consecutive idle
-    /// epochs (`None` = carry over forever, the pre-failure-injection
-    /// behavior).
-    max_idle_epochs: Option<usize>,
 }
 
 impl DemandPredictor {
@@ -38,31 +32,12 @@ impl DemandPredictor {
             quantile,
             epoch_samples: vec![Vec::new(); num_flows],
             predictions: vec![None; num_flows],
-            idle_epochs: vec![0; num_flows],
-            max_idle_epochs: None,
         }
     }
 
     /// A predictor with the paper's 90th percentile.
     pub fn paper_default(num_flows: usize) -> Self {
         Self::new(num_flows, 0.9)
-    }
-
-    /// Expires a flow's prediction after `epochs` consecutive epochs
-    /// without a sample, so a flow whose path died (failure injection)
-    /// does not pin stale demand forever.
-    ///
-    /// The boundary is inclusive: a prediction survives **exactly**
-    /// `epochs` idle epochs and is dropped on the `epochs + 1`-th
-    /// consecutive idle roll. `with_expiry(2)` therefore still predicts
-    /// after two sample-free epochs and returns `None` after the third.
-    ///
-    /// # Panics
-    /// Panics if `epochs` is zero (a prediction would never survive).
-    pub fn with_expiry(mut self, epochs: usize) -> Self {
-        assert!(epochs > 0, "expiry must allow at least one idle epoch");
-        self.max_idle_epochs = Some(epochs);
-        self
     }
 
     /// Records one measured rate sample (Mbps) for a flow. The POX
@@ -85,27 +60,12 @@ impl DemandPredictor {
 
     /// Closes the epoch: predictions become the configured percentile of
     /// each flow's samples; sample buffers reset. Flows with no samples
-    /// keep their previous prediction until the idle expiry (if any)
-    /// lapses.
+    /// keep their previous prediction.
     pub fn roll_epoch(&mut self) {
-        for ((samples, pred), idle) in self
-            .epoch_samples
-            .iter_mut()
-            .zip(&mut self.predictions)
-            .zip(&mut self.idle_epochs)
-        {
+        for (samples, pred) in self.epoch_samples.iter_mut().zip(&mut self.predictions) {
             if !samples.is_empty() {
                 *pred = Some(percentile(samples, self.quantile));
                 samples.clear();
-                *idle = 0;
-            } else if pred.is_some() {
-                // Saturating: once a flow is at the expiry boundary (or has
-                // no expiry configured), the counter stops growing instead
-                // of creeping toward overflow over a long-running day.
-                *idle = idle.saturating_add(1);
-                if self.max_idle_epochs.is_some_and(|max| *idle > max) {
-                    *pred = None;
-                }
             }
         }
     }
@@ -114,12 +74,6 @@ impl DemandPredictor {
     /// samples for it.
     pub fn predict(&self, flow: FlowId) -> Option<f64> {
         self.predictions[flow.0]
-    }
-
-    /// Predicted demand, falling back to `default_mbps` for flows never
-    /// observed.
-    pub fn predict_or(&self, flow: FlowId, default_mbps: f64) -> f64 {
-        self.predictions[flow.0].unwrap_or(default_mbps)
     }
 }
 
@@ -145,7 +99,6 @@ mod tests {
     fn no_prediction_before_first_epoch() {
         let p = DemandPredictor::paper_default(2);
         assert!(p.predict(FlowId(0)).is_none());
-        assert_eq!(p.predict_or(FlowId(1), 42.0), 42.0);
     }
 
     #[test]
@@ -181,95 +134,6 @@ mod tests {
         p.roll_epoch();
         // Only the valid sample counted.
         assert_eq!(p.predict(FlowId(0)), Some(25.0));
-    }
-
-    #[test]
-    fn idle_expiry_drops_stale_predictions() {
-        let mut p = DemandPredictor::paper_default(2).with_expiry(2);
-        p.observe(FlowId(0), 10.0);
-        p.observe(FlowId(1), 50.0);
-        p.roll_epoch();
-        // Flow 1 keeps reporting; flow 0 goes dark (dead path).
-        p.observe(FlowId(1), 50.0);
-        p.roll_epoch();
-        assert_eq!(p.predict(FlowId(0)), Some(10.0), "one idle epoch: kept");
-        p.observe(FlowId(1), 50.0);
-        p.roll_epoch();
-        assert_eq!(
-            p.predict(FlowId(0)),
-            Some(10.0),
-            "survives exactly `epochs` = 2 idle epochs"
-        );
-        p.observe(FlowId(1), 50.0);
-        p.roll_epoch();
-        assert_eq!(
-            p.predict(FlowId(0)),
-            None,
-            "expired on the third idle epoch"
-        );
-        assert_eq!(p.predict(FlowId(1)), Some(50.0), "live flow unaffected");
-        // A fresh sample restores prediction (and resets the idle count).
-        p.observe(FlowId(0), 30.0);
-        p.roll_epoch();
-        assert_eq!(p.predict(FlowId(0)), Some(30.0));
-    }
-
-    #[test]
-    fn expiry_boundary_is_exactly_epochs_idle_epochs() {
-        // Pin the boundary at `epochs` and `epochs ± 1` for a few budgets:
-        // after `epochs − 1` and `epochs` idle rolls the prediction is
-        // alive; after `epochs + 1` it is gone.
-        for epochs in [1usize, 3, 5] {
-            let mut p = DemandPredictor::paper_default(1).with_expiry(epochs);
-            p.observe(FlowId(0), 7.0);
-            p.roll_epoch();
-            for idle in 1..=epochs + 1 {
-                p.roll_epoch();
-                if idle <= epochs {
-                    assert_eq!(
-                        p.predict(FlowId(0)),
-                        Some(7.0),
-                        "expiry={epochs}: alive after {idle} idle epochs"
-                    );
-                } else {
-                    assert_eq!(
-                        p.predict(FlowId(0)),
-                        None,
-                        "expiry={epochs}: dropped after {idle} idle epochs"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn expired_and_unexpiring_flows_do_not_creep_toward_overflow() {
-        // An expired flow must not keep incrementing its idle counter, and
-        // a predictor without expiry saturates instead of overflowing. We
-        // can't roll 2^64 epochs, so pin the observable contract: rolling
-        // far past expiry neither panics nor resurrects the prediction,
-        // and a fresh sample still restores it (counter reset works from
-        // the saturated state).
-        let mut p = DemandPredictor::paper_default(1).with_expiry(1);
-        p.observe(FlowId(0), 3.0);
-        p.roll_epoch();
-        for _ in 0..10_000 {
-            p.roll_epoch();
-        }
-        assert_eq!(p.predict(FlowId(0)), None);
-        p.observe(FlowId(0), 4.0);
-        p.roll_epoch();
-        assert_eq!(
-            p.predict(FlowId(0)),
-            Some(4.0),
-            "recovery after long expiry"
-        );
-        // Never-observed flows have nothing to expire and never count idle.
-        let mut q = DemandPredictor::paper_default(1);
-        for _ in 0..10_000 {
-            q.roll_epoch();
-        }
-        assert_eq!(q.predict(FlowId(0)), None);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 
 use eprons_net::consolidate::AggregationRouter;
 use eprons_net::flow::FlowSet;
-use eprons_net::queuesim::simulate_mm1;
 use eprons_net::{
     ConsolidationConfig, Consolidator, FlowClass, GreedyConsolidator, LatencyModel,
     NetworkPowerModel,
@@ -237,18 +236,5 @@ fn greedy_works_on_random_leafspine_instances() {
         if let Ok(a) = GreedyConsolidator.consolidate(&ls, &fs, &cfg) {
             assert!(a.validate(&ls, &fs, &cfg).is_ok(), "case {case}");
         }
-    });
-}
-
-#[test]
-fn mm1_sojourn_grows_with_utilization() {
-    cases(32, |g, case| {
-        let seed = g.u64() % 100;
-        let low = simulate_mm1(20.0, 100.0, 5_000, seed).mean_s();
-        let high = simulate_mm1(80.0, 100.0, 5_000, seed).mean_s();
-        assert!(
-            high > low,
-            "case {case}: queueing must grow with load: {low} vs {high}"
-        );
     });
 }

@@ -12,27 +12,16 @@
 //! * [`pmf`] — gridded discrete probability mass functions: the
 //!   representation of per-request **work** distributions, with CDF/CCDF
 //!   queries and convolution.
-//! * [`empirical`] — empirical distributions built from raw samples
-//!   (service-time logs, latency logs) with quantile queries and sampling.
-//! * [`quantile`] — exact quantiles and a P² streaming estimator for
-//!   on-line tail-latency monitoring.
-//! * [`stats`] — small descriptive-statistics helpers.
-//! * [`interp`] — piecewise-linear lookup tables (utilization→latency
-//!   curve, frequency→power curve).
+//! * [`quantile`] — exact quantiles of latency samples.
 
 #![warn(missing_docs)]
 
 pub mod complex;
 pub mod conv;
-pub mod empirical;
 pub mod fft;
-pub mod interp;
 pub mod pmf;
 pub mod quantile;
-pub mod stats;
 
 pub use complex::Complex;
-pub use empirical::Empirical;
-pub use interp::LinearTable;
 pub use pmf::{Pmf, PreparedPmf};
-pub use quantile::{percentile, percentile_of_sorted, P2Quantile};
+pub use quantile::percentile;

@@ -266,18 +266,6 @@ impl Pmf {
         self.max_value()
     }
 
-    /// Builds a PMF by histogramming an [`crate::Empirical`] distribution
-    /// into `bins` uniform bins.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0`.
-    pub fn from_empirical(emp: &crate::Empirical, bins: usize) -> Pmf {
-        assert!(bins > 0, "need at least one bin");
-        let span = (emp.max() - emp.min()).max(f64::MIN_POSITIVE);
-        let step = span / bins as f64;
-        Pmf::from_samples(emp.sorted(), step)
-    }
-
     /// Weighted mixture of PMFs sharing a grid step: the distribution of a
     /// draw from component `i` with probability `wᵢ/Σw` (e.g. the fast/slow
     /// query mix of a search service).
@@ -553,22 +541,6 @@ mod tests {
         let moved = t.with_origin(7.0);
         assert_eq!(moved.origin(), 7.0);
         assert_eq!(bits(&moved).2, bits(&t).2);
-    }
-
-    #[test]
-    fn from_empirical_matches_statistics() {
-        let samples: Vec<f64> = (0..1000)
-            .map(|i| (i as f64 * 0.618).fract() * 10.0)
-            .collect();
-        let emp = crate::Empirical::new(samples.clone());
-        let p = Pmf::from_empirical(&emp, 64);
-        let mean: f64 = samples.iter().sum::<f64>() / samples.len() as f64;
-        assert!(
-            (p.mean() - mean).abs() < 0.2,
-            "pmf mean {} vs {}",
-            p.mean(),
-            mean
-        );
     }
 
     #[test]

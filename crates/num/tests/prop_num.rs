@@ -4,8 +4,8 @@
 use eprons_num::complex::Complex;
 use eprons_num::conv::{convolve, convolve_direct, convolve_fft};
 use eprons_num::fft::{fft_in_place, ifft_in_place, next_pow2};
-use eprons_num::quantile::{percentile, P2Quantile};
-use eprons_num::{Empirical, LinearTable, Pmf};
+use eprons_num::quantile::percentile;
+use eprons_num::Pmf;
 use eprons_proplite::{cases, Gen};
 
 fn finite_vec(g: &mut Gen, max_len: usize) -> Vec<f64> {
@@ -169,49 +169,5 @@ fn percentile_is_monotone_in_q() {
             assert!(p >= prev - 1e-12, "case {case}");
             prev = p;
         }
-    });
-}
-
-#[test]
-fn p2_stays_within_observed_range() {
-    cases(256, |g, case| {
-        let v = finite_vec(g, 256);
-        let mut est = P2Quantile::new(0.9);
-        for &x in &v {
-            est.observe(x);
-        }
-        let e = est.estimate().unwrap();
-        let min = v.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = v.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        assert!(e >= min - 1e-9 && e <= max + 1e-9, "case {case}");
-    });
-}
-
-#[test]
-fn empirical_quantiles_bracket_samples() {
-    cases(256, |g, case| {
-        let v = finite_vec(g, 64);
-        let e = Empirical::new(v.clone());
-        assert_eq!(e.quantile(0.0), e.min(), "case {case}");
-        assert_eq!(e.quantile(1.0), e.max(), "case {case}");
-        // CDF and CCDF are complementary.
-        for &x in v.iter().take(8) {
-            assert!((e.cdf(x) + e.ccdf(x) - 1.0).abs() < 1e-12, "case {case}");
-        }
-    });
-}
-
-#[test]
-fn linear_table_stays_within_hull() {
-    cases(256, |g, case| {
-        let len = g.usize_in(2, 7);
-        let ys = g.vec_f64(len, -10.0, 10.0);
-        let x = g.f64_in(-20.0, 20.0);
-        let knots: Vec<(f64, f64)> = ys.iter().enumerate().map(|(i, &y)| (i as f64, y)).collect();
-        let t = LinearTable::new(&knots);
-        let v = t.eval(x);
-        let min = ys.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = ys.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        assert!(v >= min - 1e-9 && v <= max + 1e-9, "case {case}");
     });
 }

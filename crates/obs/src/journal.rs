@@ -119,8 +119,7 @@ pub enum Event {
         active_switches: u64,
     },
     /// One pod-decomposed consolidation pass completed: `solved` pods
-    /// were solved fresh, `cached` served from the pod-solve cache,
-    /// `resolves` re-solved under a tightened uplink budget after core-
+    /// were solved in round 0, `resolves` re-solved under a tightened uplink budget after core-
     /// stitch push-back, over `rounds` stitch rounds of which `balanced`
     /// took the balanced-floor retry. `fallback` is true when the
     /// decomposition gave up and the monolithic path produced the
@@ -129,7 +128,6 @@ pub enum Event {
     PodConsolidation {
         pods: u64,
         solved: u64,
-        cached: u64,
         resolves: u64,
         rounds: u64,
         balanced: u64,
@@ -417,7 +415,6 @@ impl Event {
             Event::PodConsolidation {
                 pods,
                 solved,
-                cached,
                 resolves,
                 rounds,
                 balanced,
@@ -425,7 +422,6 @@ impl Event {
             } => f(vec![
                 ("pods", u(*pods)),
                 ("solved", u(*solved)),
-                ("cached", u(*cached)),
                 ("resolves", u(*resolves)),
                 ("rounds", u(*rounds)),
                 ("balanced", u(*balanced)),
@@ -578,7 +574,7 @@ impl Event {
     ///
     /// # Errors
     /// Reports the missing/mistyped field or unknown kind.
-    pub fn from_json(v: &Json) -> Result<Event, String> {
+    fn from_json(v: &Json) -> Result<Event, String> {
         let kind = v
             .get("t")
             .and_then(Json::as_str)
@@ -686,7 +682,6 @@ impl Event {
             "PodConsolidation" => Event::PodConsolidation {
                 pods: fu("pods")?,
                 solved: fu("solved")?,
-                cached: fu("cached")?,
                 resolves: fu("resolves")?,
                 rounds: fu("rounds")?,
                 balanced: fu("balanced")?,
@@ -879,11 +874,6 @@ impl Journal {
         self.entries.lock().unwrap().clone()
     }
 
-    /// Removes and returns all entries (sequence numbering continues).
-    pub fn drain(&self) -> Vec<JournalEntry> {
-        std::mem::take(&mut *self.entries.lock().unwrap())
-    }
-
     /// Drops all entries and restarts sequence numbering.
     pub fn clear(&self) {
         self.entries.lock().unwrap().clear();
@@ -1013,8 +1003,7 @@ mod tests {
             },
             Event::PodConsolidation {
                 pods: 16,
-                solved: 14,
-                cached: 2,
+                solved: 16,
                 resolves: 1,
                 rounds: 2,
                 balanced: 1,

@@ -40,7 +40,7 @@ pub use json::Json;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry, DURATION_EDGES_S,
 };
-pub use span::{current_span_id, Span, NO_SPAN};
+pub use span::{current_span_id, record_span, Span, NO_SPAN};
 pub use timer::Timer;
 
 use std::sync::atomic::{AtomicBool, Ordering};

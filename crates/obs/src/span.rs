@@ -63,6 +63,31 @@ pub fn current_span_id() -> u64 {
     STACK.with(|s| s.borrow().last().copied().unwrap_or(NO_SPAN))
 }
 
+/// Journals a finished leaf span `name` under `parent` that ran from
+/// `start` to `end`, without touching the calling thread's span stack —
+/// for stretches no single guard can bracket because they begin or end on
+/// another thread (a fan-out's thread spawn before the first worker starts,
+/// its join after the last one ends). Inert while telemetry is disabled.
+pub fn record_span(parent: u64, name: &str, start: Instant, end: Instant) {
+    if !crate::enabled() {
+        return;
+    }
+    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+    crate::record_unguarded(Event::SpanStart {
+        id,
+        parent,
+        thread: THREAD_ID.with(|t| *t),
+        name: name.to_string(),
+        start_s: start.duration_since(process_epoch()).as_secs_f64(),
+    });
+    crate::record_unguarded(Event::SpanEnd {
+        id,
+        name: name.to_string(),
+        elapsed_s: end.saturating_duration_since(start).as_secs_f64(),
+        detail: String::new(),
+    });
+}
+
 struct Armed {
     id: u64,
     name: String,

@@ -29,16 +29,10 @@ impl Timer {
     }
 
     /// Times into an explicit registry, unconditionally.
-    pub fn scoped_in(registry: &Registry, name: &str) -> Timer {
+    fn scoped_in(registry: &Registry, name: &str) -> Timer {
         Timer {
             armed: Some((registry.histogram(name, DURATION_EDGES_S), Instant::now())),
         }
-    }
-
-    /// Discards the measurement (e.g. on an error path that should not
-    /// pollute the latency distribution).
-    pub fn cancel(mut self) {
-        self.armed = None;
     }
 }
 
@@ -95,19 +89,6 @@ mod tests {
         assert_eq!(
             reg.histogram("loop_s", DURATION_EDGES_S).snapshot().count,
             3
-        );
-    }
-
-    #[test]
-    fn cancel_discards_measurement() {
-        let reg = Registry::new();
-        let t = Timer::scoped_in(&reg, "cancelled_s");
-        t.cancel();
-        assert_eq!(
-            reg.histogram("cancelled_s", DURATION_EDGES_S)
-                .snapshot()
-                .count,
-            0
         );
     }
 

@@ -114,7 +114,6 @@ fn all_variants(g: &mut Gen) -> Vec<Event> {
         Event::PodConsolidation {
             pods: arb_u64(g),
             solved: arb_u64(g),
-            cached: arb_u64(g),
             resolves: arb_u64(g),
             rounds: arb_u64(g),
             balanced: arb_u64(g),

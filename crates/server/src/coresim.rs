@@ -88,7 +88,7 @@ pub struct CoreSimResult {
 
 impl CoreSimResult {
     /// Length of the measurement window, seconds.
-    pub fn measured_span_s(&self) -> f64 {
+    fn measured_span_s(&self) -> f64 {
         (self.sim_end_s - self.measure_start_s).max(0.0)
     }
 

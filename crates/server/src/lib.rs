@@ -24,14 +24,11 @@
 //!   (EPRONS-Server), [`policy::TimeTraderPolicy`] (5 s feedback).
 //! * [`coresim`] — the per-core discrete-event simulator that drives a
 //!   policy with an arrival trace and accounts latency and energy.
-//! * [`multicore`] — the shared-queue 12-core variant, used to validate
-//!   that the per-core model is a conservative approximation.
 
 #![warn(missing_docs)]
 
 pub mod coresim;
 pub mod freq;
-pub mod multicore;
 pub mod policy;
 pub mod power;
 pub mod request;
@@ -40,7 +37,6 @@ pub mod vp;
 
 pub use coresim::{simulate_core, CoreSimConfig, CoreSimResult};
 pub use freq::FreqLadder;
-pub use multicore::{simulate_multicore, MultiCoreResult};
 pub use policy::{
     AvgVpPolicy, DeepSleepPolicy, DvfsPolicy, MaxFreqPolicy, MaxVpPolicy, TimeTraderPolicy,
 };

@@ -50,22 +50,10 @@ impl CpuPowerModel {
         self.idle_w
     }
 
-    /// Average per-core power given a utilization (busy fraction) and the
-    /// busy frequency.
-    pub fn core_avg_w(&self, busy_fraction: f64, f_ghz: f64) -> f64 {
-        let b = busy_fraction.clamp(0.0, 1.0);
-        b * self.core_busy_w(f_ghz) + (1.0 - b) * self.idle_w
-    }
-
     /// Whole-server power when each core averages `core_w`:
     /// `static + cores × core_w`.
     pub fn server_w(&self, core_w: f64) -> f64 {
         self.static_w + self.cores as f64 * core_w
-    }
-
-    /// Peak server power (all cores busy at `f_max`).
-    pub fn server_peak_w(&self, f_max_ghz: f64) -> f64 {
-        self.server_w(self.core_busy_w(f_max_ghz))
     }
 }
 
@@ -106,19 +94,10 @@ mod tests {
     }
 
     #[test]
-    fn average_power_interpolates() {
-        let m = CpuPowerModel::default();
-        let avg = m.core_avg_w(0.5, 2.7);
-        assert!((avg - (0.5 * 4.4 + 0.5 * 1.4)).abs() < 1e-9);
-        assert_eq!(m.core_avg_w(0.0, 2.7), m.core_idle_w());
-        assert!((m.core_avg_w(1.0, 2.7) - 4.4).abs() < 1e-9);
-    }
-
-    #[test]
     fn server_power_composition() {
         let m = CpuPowerModel::default();
         // 12 cores flat out at 2.7 GHz: 20 + 12·4.4 = 72.8 W.
-        assert!((m.server_peak_w(2.7) - 72.8).abs() < 1e-9);
+        assert!((m.server_w(m.core_busy_w(2.7)) - 72.8).abs() < 1e-9);
         assert!((m.server_w(0.0) - 20.0).abs() < 1e-12);
     }
 }

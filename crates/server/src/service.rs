@@ -93,7 +93,7 @@ impl ServiceModel {
     ///
     /// # Panics
     /// Panics if `f_ghz <= 0`.
-    pub fn service_time(&self, work: f64, f_ghz: f64) -> f64 {
+    fn service_time(&self, work: f64, f_ghz: f64) -> f64 {
         assert!(f_ghz > 0.0, "frequency must be positive");
         self.fixed_s + work / f_ghz
     }

@@ -5,19 +5,15 @@
 //! a small, deterministic discrete-event engine that the network and server
 //! simulators build on.
 //!
-//! * [`event`] — a time-ordered event queue with stable FIFO tie-breaking.
 //! * [`rng`] — seeded random-variate generation (exponential, log-normal,
 //!   …) so every experiment is reproducible from a single `u64` seed.
 //! * [`recorder`] — measurement plumbing: time-weighted integrators (power
-//!   → energy), tail-latency sample recorders, and windowed monitors used
-//!   by the TimeTrader feedback baseline.
+//!   → energy).
 
 #![warn(missing_docs)]
 
-pub mod event;
 pub mod recorder;
 pub mod rng;
 
-pub use event::EventQueue;
-pub use recorder::{ClockSkewError, EnergyMeter, TailRecorder, TimeWeighted};
+pub use recorder::{ClockSkewError, EnergyMeter, TimeWeighted};
 pub use rng::SimRng;

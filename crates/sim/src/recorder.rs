@@ -2,13 +2,7 @@
 //!
 //! * [`TimeWeighted`] — integrates a piecewise-constant signal over
 //!   simulated time (utilization, queue length, instantaneous power).
-//! * [`EnergyMeter`] — a `TimeWeighted` specialized to power→energy with a
-//!   convenience for average watts.
-//! * [`TailRecorder`] — collects latency samples and answers percentile
-//!   queries, including over a trailing window (the TimeTrader baseline
-//!   re-reads the 95th percentile of the last control period every 5 s).
-
-use eprons_num::quantile::percentile;
+//! * [`EnergyMeter`] — a `TimeWeighted` specialized to power→energy.
 
 /// A signal update arrived with a timestamp earlier than the previous one.
 ///
@@ -157,96 +151,6 @@ impl EnergyMeter {
     pub fn energy_until(&self, t: f64) -> f64 {
         self.inner.integral_until(t)
     }
-
-    /// Average power in watts over the metered interval ending at `t`.
-    pub fn average_power_until(&self, t: f64) -> f64 {
-        self.inner.average_until(t)
-    }
-}
-
-/// A timestamped latency sample recorder with percentile queries.
-#[derive(Debug, Clone, Default)]
-pub struct TailRecorder {
-    times: Vec<f64>,
-    values: Vec<f64>,
-}
-
-impl TailRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `value` observed at time `t`. Times must be non-decreasing.
-    ///
-    /// # Panics
-    /// Panics if `t` is earlier than the previous record.
-    pub fn record(&mut self, t: f64, value: f64) {
-        if let Some(&last) = self.times.last() {
-            assert!(t >= last, "records must arrive in time order");
-        }
-        self.times.push(t);
-        self.values.push(value);
-    }
-
-    /// Number of samples.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// `true` iff no samples were recorded.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// All recorded values, in arrival order.
-    #[inline]
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Percentile over all samples; `None` if empty.
-    pub fn percentile(&self, p: f64) -> Option<f64> {
-        if self.values.is_empty() {
-            None
-        } else {
-            Some(percentile(&self.values, p))
-        }
-    }
-
-    /// Mean over all samples; `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.values.is_empty() {
-            None
-        } else {
-            Some(self.values.iter().sum::<f64>() / self.values.len() as f64)
-        }
-    }
-
-    /// Percentile restricted to samples with `t in [t_lo, t_hi]`; `None` if
-    /// the window is empty. Used by windowed feedback controllers.
-    pub fn percentile_window(&self, t_lo: f64, t_hi: f64, p: f64) -> Option<f64> {
-        let lo = self.times.partition_point(|&t| t < t_lo);
-        let hi = self.times.partition_point(|&t| t <= t_hi);
-        if lo >= hi {
-            None
-        } else {
-            Some(percentile(&self.values[lo..hi], p))
-        }
-    }
-
-    /// Fraction of samples exceeding `threshold`; `None` if empty. This is
-    /// the measured SLA miss rate the EPRONS-Server validation checks
-    /// against the 5 % target.
-    pub fn miss_rate(&self, threshold: f64) -> Option<f64> {
-        if self.values.is_empty() {
-            return None;
-        }
-        let misses = self.values.iter().filter(|&&v| v > threshold).count();
-        Some(misses as f64 / self.values.len() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -316,49 +220,6 @@ mod tests {
         m.set_power(60.0, 50.0);
         // 100 W for 60 s + 50 W for 60 s = 9000 J
         assert_eq!(m.energy_until(120.0), 9000.0);
-        assert_eq!(m.average_power_until(120.0), 75.0);
         assert_eq!(m.power(), 50.0);
-    }
-
-    #[test]
-    fn tail_recorder_percentiles() {
-        let mut r = TailRecorder::new();
-        for i in 1..=100 {
-            r.record(i as f64, i as f64);
-        }
-        assert_eq!(r.len(), 100);
-        assert!((r.percentile(0.95).unwrap() - 95.05).abs() < 0.1);
-        assert_eq!(r.mean(), Some(50.5));
-    }
-
-    #[test]
-    fn tail_recorder_window() {
-        let mut r = TailRecorder::new();
-        for i in 0..10 {
-            r.record(i as f64, (i * 10) as f64);
-        }
-        // window [3, 6] contains values 30,40,50,60
-        let med = r.percentile_window(3.0, 6.0, 0.5).unwrap();
-        assert!((med - 45.0).abs() < 1e-9);
-        assert!(r.percentile_window(100.0, 200.0, 0.5).is_none());
-    }
-
-    #[test]
-    fn tail_recorder_miss_rate() {
-        let mut r = TailRecorder::new();
-        for i in 0..20 {
-            r.record(i as f64, i as f64);
-        }
-        // values 0..19; threshold 14.5 → 5 misses (15..19) of 20
-        assert_eq!(r.miss_rate(14.5), Some(0.25));
-        assert_eq!(TailRecorder::new().miss_rate(1.0), None);
-    }
-
-    #[test]
-    fn empty_recorder_yields_none() {
-        let r = TailRecorder::new();
-        assert!(r.percentile(0.5).is_none());
-        assert!(r.mean().is_none());
-        assert!(r.is_empty());
     }
 }

@@ -56,7 +56,7 @@ impl SimRng {
 
     /// The next raw 64-bit output (xoshiro256++ scrambler + state step).
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
@@ -115,7 +115,7 @@ impl SimRng {
     }
 
     /// Standard normal variate (Box–Muller transform).
-    pub fn standard_normal(&mut self) -> f64 {
+    fn standard_normal(&mut self) -> f64 {
         let u1 = (1.0 - self.uniform()).max(f64::MIN_POSITIVE);
         let u2 = self.uniform();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
@@ -144,19 +144,6 @@ impl SimRng {
     pub fn bernoulli(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "probability must be in [0,1]");
         self.uniform() < p
-    }
-
-    /// Bounded Pareto variate on `[lo, hi]` with shape `alpha`; used for
-    /// heavy-tailed background-flow sizes.
-    ///
-    /// # Panics
-    /// Panics unless `0 < lo < hi` and `alpha > 0`.
-    pub fn bounded_pareto(&mut self, alpha: f64, lo: f64, hi: f64) -> f64 {
-        assert!(alpha > 0.0 && lo > 0.0 && hi > lo, "invalid Pareto params");
-        let u = self.uniform();
-        let la = lo.powf(alpha);
-        let ha = hi.powf(alpha);
-        (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
     }
 }
 
@@ -232,15 +219,6 @@ mod tests {
         let hits = (0..n).filter(|_| rng.bernoulli(0.3)).count();
         let freq = hits as f64 / n as f64;
         assert!((freq - 0.3).abs() < 0.01, "freq was {freq}");
-    }
-
-    #[test]
-    fn bounded_pareto_stays_in_bounds() {
-        let mut rng = SimRng::seed_from_u64(46);
-        for _ in 0..10_000 {
-            let x = rng.bounded_pareto(1.2, 1.0, 1000.0);
-            assert!((1.0..=1000.0).contains(&x), "sample {x} out of bounds");
-        }
     }
 
     #[test]

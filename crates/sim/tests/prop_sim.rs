@@ -1,43 +1,8 @@
-//! Property-based tests for the discrete-event kernel (deterministic
-//! seeded cases via `eprons-proplite`).
+//! Property-based tests for the simulation kernel's integrators and random
+//! variates (deterministic seeded cases via `eprons-proplite`).
 
 use eprons_proplite::cases;
-use eprons_sim::{EventQueue, SimRng, TailRecorder, TimeWeighted};
-
-#[test]
-fn events_pop_in_time_order() {
-    cases(256, |g, case| {
-        let n = g.usize_in(1, 199);
-        let times = g.vec_f64(n, 0.0, 1.0e6);
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(t, i);
-        }
-        let mut prev = f64::NEG_INFINITY;
-        let mut count = 0;
-        while let Some((t, _)) = q.pop() {
-            assert!(t >= prev, "case {case}");
-            prev = t;
-            count += 1;
-        }
-        assert_eq!(count, times.len(), "case {case}");
-    });
-}
-
-#[test]
-fn simultaneous_events_keep_insertion_order() {
-    cases(256, |g, case| {
-        let n = g.usize_in(1, 99);
-        let t = g.f64_in(0.0, 100.0);
-        let mut q = EventQueue::new();
-        for i in 0..n {
-            q.schedule(t, i);
-        }
-        for i in 0..n {
-            assert_eq!(q.pop(), Some((t, i)), "case {case}");
-        }
-    });
-}
+use eprons_sim::{SimRng, TimeWeighted};
 
 #[test]
 fn time_weighted_integral_is_additive() {
@@ -106,24 +71,5 @@ fn exponential_is_positive() {
         for _ in 0..64 {
             assert!(rng.exponential(rate) > 0.0, "case {case}");
         }
-    });
-}
-
-#[test]
-fn tail_recorder_miss_rate_matches_manual_count() {
-    cases(256, |g, case| {
-        let n = g.usize_in(1, 99);
-        let vals = g.vec_f64(n, 0.0, 10.0);
-        let threshold = g.f64_in(0.0, 10.0);
-        let mut r = TailRecorder::new();
-        for (i, &v) in vals.iter().enumerate() {
-            r.record(i as f64, v);
-        }
-        let manual = vals.iter().filter(|&&v| v > threshold).count() as f64 / vals.len() as f64;
-        assert_eq!(r.miss_rate(threshold), Some(manual), "case {case}");
-        // Percentile endpoints.
-        let p0 = r.percentile(0.0).unwrap();
-        let p100 = r.percentile(1.0).unwrap();
-        assert!(vals.iter().all(|&v| v >= p0 && v <= p100), "case {case}");
     });
 }

@@ -298,7 +298,7 @@ impl FatTree {
         Some((self.pod_index[n.0] as usize, local / half, local % half))
     }
 
-    /// A borrowed [`PodView`] over one pod's sub-fabric.
+    /// A borrowed [`crate::PodView`] over one pod's sub-fabric.
     ///
     /// # Panics
     /// Panics if `pod >= k`.

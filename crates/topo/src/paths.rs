@@ -44,11 +44,6 @@ impl Path {
         &self.nodes[1..self.nodes.len() - 1]
     }
 
-    /// `true` iff the path uses `link`.
-    pub fn uses_link(&self, link: LinkId) -> bool {
-        self.links.contains(&link)
-    }
-
     /// Iterates the path's hops as `(from, to, link)` triples — the
     /// directed view needed for full-duplex capacity accounting.
     pub fn hops(&self) -> impl Iterator<Item = (NodeId, NodeId, LinkId)> + '_ {
@@ -116,11 +111,6 @@ impl<'a> PathRef<'a> {
     #[inline]
     pub fn interior(&self) -> &'a [NodeId] {
         &self.nodes[1..self.nodes.len() - 1]
-    }
-
-    /// `true` iff the path uses `link`.
-    pub fn uses_link(&self, link: LinkId) -> bool {
-        self.links.contains(&link)
     }
 
     /// Iterates the path's hops as `(from, to, link)` triples.

@@ -3,8 +3,8 @@
 //! A k-ary fat-tree is structurally hierarchical: a pod's hosts and
 //! edge/aggregation switches form a self-contained 2-tier Clos, and the
 //! only way in or out is the `(k/2)²` agg→core uplinks. [`PodView`]
-//! exposes exactly that sub-fabric as contiguous slices plus O(1)
-//! ordinal remaps over the owning [`FatTree`] — no graph copies, no
+//! exposes exactly that sub-fabric as contiguous slices of the owning
+//! [`FatTree`] plus its internal and uplink links — no graph copies, no
 //! allocation. The pod-decomposed consolidator keys its per-pod
 //! sub-problems on these views and hands only the uplink aggregates to
 //! the core-stitch phase.
@@ -41,18 +41,6 @@ impl<'a> PodView<'a> {
     pub fn new(ft: &'a FatTree, pod: usize) -> Self {
         assert!(pod < ft.num_pods(), "pod {pod} out of range (k={})", ft.k());
         PodView { ft, pod }
-    }
-
-    /// The pod ordinal this view covers.
-    #[inline]
-    pub fn pod(&self) -> usize {
-        self.pod
-    }
-
-    /// The owning fat-tree.
-    #[inline]
-    pub fn tree(&self) -> &'a FatTree {
-        self.ft
     }
 
     /// Edge/agg switches per tier (= `k/2`).
@@ -104,24 +92,6 @@ impl<'a> PodView<'a> {
         self.ft.pod_of(n) == Some(self.pod)
     }
 
-    /// In-pod ordinal of a host of this pod (`edge_i · k/2 + slot`).
-    pub fn local_host(&self, n: NodeId) -> Option<usize> {
-        let (p, i, s) = self.ft.host_slot(n)?;
-        (p == self.pod).then(|| i * self.width() + s)
-    }
-
-    /// In-pod index of an edge switch of this pod.
-    pub fn local_edge(&self, n: NodeId) -> Option<usize> {
-        let (p, i) = self.ft.edge_ordinal(n)?;
-        (p == self.pod).then_some(i)
-    }
-
-    /// In-pod index of an aggregation switch of this pod.
-    pub fn local_agg(&self, n: NodeId) -> Option<usize> {
-        let (p, j) = self.ft.agg_ordinal(n)?;
-        (p == self.pod).then_some(j)
-    }
-
     /// The intra-pod link between edge `i` and agg `j` (full bipartite,
     /// so it always exists).
     pub fn edge_agg_link(&self, i: usize, j: usize) -> LinkId {
@@ -133,7 +103,7 @@ impl<'a> PodView<'a> {
 
     /// The uplink from agg `j` of this pod to core `(j, m)`. Group is
     /// implied by `j`: agg `j` only reaches cores of group `j`.
-    pub fn core_uplink(&self, j: usize, m: usize) -> LinkId {
+    fn core_uplink(&self, j: usize, m: usize) -> LinkId {
         self.ft
             .topology()
             .link_between(self.agg(j), self.ft.core(j, m))
@@ -184,22 +154,14 @@ mod tests {
         for p in 0..6 {
             let pv = ft.pod_view(p);
             for i in 0..3 {
-                assert_eq!(pv.local_edge(pv.edge(i)), Some(i));
                 assert_eq!(ft.edge_ordinal(pv.edge(i)), Some((p, i)));
-                for j in 0..3 {
-                    assert_eq!(pv.local_agg(pv.agg(j)), Some(j));
-                    for s in 0..3 {
-                        let h = ft.host(p, i, s);
-                        assert_eq!(pv.local_host(h), Some(i * 3 + s));
-                        assert_eq!(ft.host_slot(h), Some((p, i, s)));
-                    }
+                assert_eq!(ft.agg_ordinal(pv.agg(i)), Some((p, i)));
+                for s in 0..3 {
+                    assert_eq!(ft.host_slot(ft.host(p, i, s)), Some((p, i, s)));
                 }
             }
         }
-        // Foreign-pod and wrong-kind lookups miss.
-        let pv0 = ft.pod_view(0);
-        assert_eq!(pv0.local_edge(ft.edge(1, 0)), None);
-        assert_eq!(pv0.local_agg(ft.edge(0, 0)), None);
+        // Wrong-kind lookups miss.
         assert_eq!(ft.edge_ordinal(ft.agg(0, 0)), None);
         assert_eq!(ft.core_ordinal(ft.core(1, 2)), Some((1, 2)));
         assert_eq!(ft.core_ordinal(ft.host(0, 0, 0)), None);

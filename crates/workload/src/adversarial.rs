@@ -54,7 +54,7 @@ impl FlashCrowd {
 
     /// The surge envelope in `[0, 1]` at a minute of day: 0 outside the
     /// event, 1 during the hold, linear on the ramp and decay edges.
-    pub fn envelope_at(&self, minute: f64) -> f64 {
+    fn envelope_at(&self, minute: f64) -> f64 {
         let m = minute - self.start_minute as f64;
         let ramp = self.ramp_minutes as f64;
         let hold = self.hold_minutes as f64;
@@ -145,16 +145,6 @@ pub enum TraceScenario {
 }
 
 impl TraceScenario {
-    /// Short label for banners and journals.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceScenario::Diurnal(_) => "diurnal",
-            TraceScenario::FlashCrowd(_) => "flash-crowd",
-            TraceScenario::Step(_) => "step",
-            TraceScenario::Replay(_) => "replay",
-        }
-    }
-
     /// The noiseless trace value at a minute of day.
     pub fn value_at(&self, minute: f64) -> f64 {
         match self {

@@ -27,7 +27,7 @@ pub struct BackgroundFlow {
 /// Destination-locality mix for the background matrix. The remainder
 /// (`1 − same_edge − same_pod`) goes cross-pod.
 #[derive(Debug, Clone, Copy)]
-pub struct LocalityMix {
+struct LocalityMix {
     /// Probability a flow targets a host under the same edge switch.
     pub same_edge: f64,
     /// Probability a flow targets another edge of the same pod.
@@ -47,7 +47,7 @@ impl Default for LocalityMix {
     }
 }
 
-/// [`background_flows_with_mix`] with the default locality mix.
+/// `background_flows_with_mix` with the default locality mix.
 pub fn background_flows(
     ft: &FatTree,
     rng: &mut SimRng,
@@ -63,7 +63,7 @@ pub fn background_flows(
 /// # Panics
 /// Panics if `util_frac` is outside `(0, 1]` or the mix probabilities are
 /// invalid.
-pub fn background_flows_with_mix(
+fn background_flows_with_mix(
     ft: &FatTree,
     rng: &mut SimRng,
     util_frac: f64,

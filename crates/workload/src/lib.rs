@@ -18,9 +18,7 @@
 //! * [`background`] — latency-tolerant elephant-flow sets targeting a
 //!   given link utilization;
 //! * [`service_dist`] — the synthetic Xapian-like service-time log
-//!   (heavy-tailed mixture) from which servers build their work PMFs;
-//! * [`trace`] — persistence for the measurement artifacts (service logs,
-//!   query streams) so experiments can replay frozen workloads.
+//!   (heavy-tailed mixture) from which servers build their work PMFs.
 
 #![warn(missing_docs)]
 
@@ -31,7 +29,6 @@ pub mod diurnal;
 pub mod queries;
 pub mod replay;
 pub mod service_dist;
-pub mod trace;
 
 pub use adversarial::{
     correlated_failures_during_ramp, CorrelatedFailure, FlashCrowd, StepLoad, TraceScenario,

@@ -5,8 +5,7 @@
 //! committed as an artifact, so a production-shaped day (plateaus,
 //! bursts, a high-QPS spine) can be fed through the controller
 //! bit-reproducibly with no generator or noise in the loop. The text
-//! format follows [`crate::trace`]: one value per line, `#` comments
-//! allowed.
+//! format is one value per line, `#` comments allowed.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;

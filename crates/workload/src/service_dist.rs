@@ -13,7 +13,7 @@ use eprons_sim::SimRng;
 
 /// Parameters of the two-mode log-normal mixture.
 #[derive(Debug, Clone)]
-pub struct XapianLikeParams {
+struct XapianLikeParams {
     /// Probability of the fast mode.
     pub fast_weight: f64,
     /// Fast-mode median, seconds.
@@ -48,7 +48,7 @@ pub fn xapian_like_samples(rng: &mut SimRng, n: usize) -> Vec<f64> {
 }
 
 /// As [`xapian_like_samples`] with explicit parameters.
-pub fn xapian_like_samples_with(rng: &mut SimRng, n: usize, p: &XapianLikeParams) -> Vec<f64> {
+fn xapian_like_samples_with(rng: &mut SimRng, n: usize, p: &XapianLikeParams) -> Vec<f64> {
     (0..n)
         .map(|_| {
             let (median, sigma) = if rng.bernoulli(p.fast_weight) {
