@@ -119,6 +119,38 @@ impl SharedStore {
             + self.cand_node_off.len() * 4
             + self.cand_link_off.len() * 4
     }
+
+    /// Segment bytes of one ordered access pair `p = i·n_acc + j`.
+    fn pair_seg_bytes(&self, p: usize) -> usize {
+        let c0 = self.pair_off[p] as usize;
+        let c1 = self.pair_off[p + 1] as usize;
+        let nodes = (self.cand_node_off[c1] - self.cand_node_off[c0]) as usize;
+        let links = (self.cand_link_off[c1] - self.cand_link_off[c0]) as usize;
+        (nodes + links) * 4
+    }
+}
+
+/// Where an arena's bytes live, split by a caller-supplied grouping of
+/// the path sources (see [`PathArena::byte_partition`]). The invariant
+/// `per_group.sum() + shared == arena_bytes()` keeps the
+/// `net.arena.bytes` gauge meaningful when the arena is viewed as
+/// pod-local slices: a pod's slice cost is `per_group[pod]` plus its
+/// share of the unattributable `shared` overhead.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ArenaByteBreakdown {
+    /// Bytes attributed to each group (e.g. fat-tree pod).
+    pub per_group: Vec<usize>,
+    /// Bytes not attributable to any group: remap tables, offset
+    /// arrays, and storage whose source the grouping declined.
+    pub shared: usize,
+}
+
+impl ArenaByteBreakdown {
+    /// Total across groups and shared — always equals
+    /// [`PathArena::arena_bytes`].
+    pub fn total(&self) -> usize {
+        self.per_group.iter().sum::<usize>() + self.shared
+    }
 }
 
 /// Backing storage: shared interior segments, or per-pair owned paths
@@ -303,6 +335,64 @@ impl<T: MultipathTopology> PathArena<T> {
                     + map.len() * 2 * std::mem::size_of::<NodeId>()
             }
         }
+    }
+
+    /// Splits [`Self::arena_bytes`] across `n_groups` buckets.
+    ///
+    /// Storage is attributed to `group_of(source)` — the *source access
+    /// switch* of each ordered pair in the shared store, the source
+    /// *host* in the per-pair store; passing `FatTree::pod_of` makes a
+    /// pod's bucket exactly the interior segments its pod-local
+    /// [`eprons_topo::PodView`] slice of the arena can originate. `None`
+    /// (or an out-of-range group) and all remap/offset overhead land in
+    /// the `shared` bucket, so `breakdown.total() == arena_bytes()`
+    /// always holds.
+    pub fn byte_partition(
+        &self,
+        n_groups: usize,
+        group_of: impl Fn(NodeId) -> Option<usize>,
+    ) -> ArenaByteBreakdown {
+        let mut per_group = vec![0usize; n_groups];
+        let mut shared;
+        match &self.store {
+            Store::Shared(s) => {
+                shared = s.overhead_bytes();
+                // Invert the compact access index once.
+                let mut acc_node = vec![NodeId(usize::MAX); s.n_acc];
+                for (raw, &ci) in s.acc_idx.iter().enumerate() {
+                    if ci != u32::MAX {
+                        acc_node[ci as usize] = NodeId(raw);
+                    }
+                }
+                for (i, &an) in acc_node.iter().enumerate() {
+                    let bucket = group_of(an).filter(|&g| g < n_groups);
+                    for j in 0..s.n_acc {
+                        let b = s.pair_seg_bytes(i * s.n_acc + j);
+                        match bucket {
+                            Some(g) => per_group[g] += b,
+                            None => shared += b,
+                        }
+                    }
+                }
+            }
+            Store::PerPair(map) => {
+                shared = map.len() * 2 * std::mem::size_of::<NodeId>();
+                for (&(src, _), paths) in map {
+                    let b: usize = paths
+                        .iter()
+                        .map(|p| {
+                            p.nodes.len() * std::mem::size_of::<NodeId>()
+                                + p.links.len() * std::mem::size_of::<LinkId>()
+                        })
+                        .sum();
+                    match group_of(src).filter(|&g| g < n_groups) {
+                        Some(g) => per_group[g] += b,
+                        None => shared += b,
+                    }
+                }
+            }
+        }
+        ArenaByteBreakdown { per_group, shared }
     }
 
     /// `true` when the compact shared-segment store is in use.
@@ -634,6 +724,45 @@ mod tests {
         assert_eq!(fabric.access_class(a, b), None);
         assert_eq!(pp.access_class(a, b), None);
         assert_eq!(pp.access_classes(), 0);
+    }
+
+    #[test]
+    fn byte_partition_conserves_arena_bytes() {
+        for k in [4usize, 8] {
+            let ft = FatTree::new(k, 1000.0);
+            let arena = PathArena::build(&ft);
+            let bd = arena.byte_partition(ft.num_pods(), |n| ft.pod_of(n));
+            assert_eq!(bd.per_group.len(), k);
+            assert_eq!(
+                bd.total(),
+                arena.arena_bytes(),
+                "k={k}: per-pod bytes + shared must reproduce the gauge value"
+            );
+            // Pods are structurally identical, so their slices cost the
+            // same, and with real traffic sources each pod is non-empty.
+            assert!(bd.per_group.iter().all(|&b| b > 0 && b == bd.per_group[0]));
+            assert!(bd.shared > 0);
+        }
+    }
+
+    #[test]
+    fn byte_partition_routes_unmapped_groups_to_shared() {
+        let ft = FatTree::new(4, 1000.0);
+        let arena = PathArena::build(&ft);
+        let none = arena.byte_partition(4, |_| None);
+        assert_eq!(none.per_group, vec![0; 4]);
+        assert_eq!(none.shared, arena.arena_bytes());
+        // Out-of-range groups also fall into shared rather than panic.
+        let oob = arena.byte_partition(1, |n| ft.pod_of(n));
+        assert_eq!(oob.total(), arena.arena_bytes());
+        assert!(oob.per_group[0] > 0);
+
+        // Per-pair store obeys the same invariant.
+        let fabric = DualHomed::new();
+        let pp = PathArena::build(&fabric);
+        assert!(!pp.is_shared());
+        let bd = pp.byte_partition(2, |n| Some(n.0 % 2));
+        assert_eq!(bd.total(), pp.arena_bytes());
     }
 
     #[test]

@@ -99,6 +99,18 @@ impl FlowSet {
     pub fn is_empty(&self) -> bool {
         self.flows.is_empty()
     }
+
+    /// Updates a flow's demand in place.
+    ///
+    /// # Panics
+    /// Panics if the demand is not positive and finite.
+    pub fn set_demand(&mut self, id: FlowId, demand_mbps: f64) {
+        assert!(
+            demand_mbps > 0.0 && demand_mbps.is_finite(),
+            "flow demand must be positive and finite"
+        );
+        self.flows[id.0].demand_mbps = demand_mbps;
+    }
 }
 
 #[cfg(test)]
@@ -139,6 +151,20 @@ mod tests {
         assert_eq!(fs.get(bg).scaled_demand(3.0), 900.0);
         assert_eq!(fs.get(q).scaled_demand(3.0), 60.0);
         assert_eq!(fs.get(q).scaled_demand(1.0), 20.0);
+    }
+
+    #[test]
+    fn set_demand_updates() {
+        let ft = FatTree::new(4, 1000.0);
+        let mut fs = FlowSet::new();
+        let id = fs.add(
+            ft.host(0, 0, 0),
+            ft.host(1, 0, 0),
+            100.0,
+            FlowClass::LatencyTolerant,
+        );
+        fs.set_demand(id, 250.0);
+        assert_eq!(fs.get(id).demand_mbps, 250.0);
     }
 
     #[test]

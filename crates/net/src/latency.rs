@@ -56,6 +56,11 @@ impl LatencyModel {
         self.base_us + self.queue_coeff_us * u / (1.0 - u)
     }
 
+    /// Mean one-way path latency in microseconds, summing per-hop means.
+    pub fn mean_path_latency_us(&self, utilizations: &[f64]) -> f64 {
+        utilizations.iter().map(|&u| self.per_hop_mean_us(u)).sum()
+    }
+
     /// Samples a one-way path latency in microseconds: per hop, the
     /// deterministic base plus an exponential queueing delay whose mean is
     /// the utilization-dependent `coeff · u/(1−u)`.
@@ -71,6 +76,14 @@ impl LatencyModel {
                 }
             })
             .sum()
+    }
+
+    /// The knee utilization: where queueing delay equals `factor` × base
+    /// (the point past which consolidation stops paying off, §II).
+    pub fn knee_utilization(&self, factor: f64) -> f64 {
+        // coeff * u/(1-u) = factor * base  →  u = fb / (fb + coeff)
+        let fb = factor * self.base_us;
+        (fb / (fb + self.queue_coeff_us)).min(self.max_utilization)
     }
 }
 
@@ -111,6 +124,14 @@ mod tests {
     }
 
     #[test]
+    fn path_mean_is_sum_of_hops() {
+        let m = LatencyModel::default();
+        let utils = [0.1, 0.5, 0.9];
+        let expect: f64 = utils.iter().map(|&u| m.per_hop_mean_us(u)).sum();
+        assert!((m.mean_path_latency_us(&utils) - expect).abs() < 1e-9);
+    }
+
+    #[test]
     fn sampled_latency_matches_mean() {
         let m = LatencyModel::default();
         let mut rng = SimRng::seed_from_u64(7);
@@ -120,7 +141,7 @@ mod tests {
             .map(|_| m.sample_path_latency_us(&mut rng, &utils))
             .sum::<f64>()
             / n as f64;
-        let expect: f64 = utils.iter().map(|&u| m.per_hop_mean_us(u)).sum();
+        let expect = m.mean_path_latency_us(&utils);
         assert!(
             (mean - expect).abs() / expect < 0.03,
             "sampled mean {mean} vs expected {expect}"
@@ -145,5 +166,15 @@ mod tests {
             high > 5.0 * low,
             "tail must explode past knee: {low} vs {high}"
         );
+    }
+
+    #[test]
+    fn knee_utilization_is_sane() {
+        let m = LatencyModel::default();
+        let knee = m.knee_utilization(10.0);
+        assert!(knee > 0.5 && knee < 0.98, "knee at {knee}");
+        // By definition, queueing delay at the knee ≈ 10× base.
+        let q = m.per_hop_mean_us(knee) - m.base_us;
+        assert!((q - 10.0 * m.base_us).abs() / (10.0 * m.base_us) < 0.01);
     }
 }

@@ -37,7 +37,7 @@ pub mod transition;
 
 pub use consolidate::{
     arc::ArcMilpConsolidator,
-    arena::PathArena,
+    arena::{ArenaByteBreakdown, PathArena},
     greedy::GreedyConsolidator,
     path::PathMilpConsolidator,
     pod::{consolidate_pod_decomposed, PodDecompReport, PodDecompStats, PodRunner, PodSolve},

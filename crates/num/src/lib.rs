@@ -12,7 +12,9 @@
 //! * [`pmf`] — gridded discrete probability mass functions: the
 //!   representation of per-request **work** distributions, with CDF/CCDF
 //!   queries and convolution.
-//! * [`quantile`] — exact quantiles of latency samples.
+//! * [`quantile`] — exact quantiles and a P² streaming estimator for
+//!   on-line tail-latency monitoring.
+//! * [`stats`] — small descriptive-statistics helpers.
 
 #![warn(missing_docs)]
 
@@ -21,7 +23,8 @@ pub mod conv;
 pub mod fft;
 pub mod pmf;
 pub mod quantile;
+pub mod stats;
 
 pub use complex::Complex;
 pub use pmf::{Pmf, PreparedPmf};
-pub use quantile::percentile;
+pub use quantile::{percentile, P2Quantile};

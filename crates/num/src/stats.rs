@@ -1,4 +1,4 @@
-//! Small descriptive-statistics helpers shared across the workspace.
+//! Small descriptive-statistics helpers.
 
 /// Arithmetic mean. Returns `None` for an empty slice.
 pub fn mean(v: &[f64]) -> Option<f64> {

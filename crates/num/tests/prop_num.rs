@@ -4,7 +4,7 @@
 use eprons_num::complex::Complex;
 use eprons_num::conv::{convolve, convolve_direct, convolve_fft};
 use eprons_num::fft::{fft_in_place, ifft_in_place, next_pow2};
-use eprons_num::quantile::percentile;
+use eprons_num::quantile::{percentile, P2Quantile};
 use eprons_num::Pmf;
 use eprons_proplite::{cases, Gen};
 
@@ -169,5 +169,20 @@ fn percentile_is_monotone_in_q() {
             assert!(p >= prev - 1e-12, "case {case}");
             prev = p;
         }
+    });
+}
+
+#[test]
+fn p2_stays_within_observed_range() {
+    cases(256, |g, case| {
+        let v = finite_vec(g, 256);
+        let mut est = P2Quantile::new(0.9);
+        for &x in &v {
+            est.observe(x);
+        }
+        let e = est.estimate().unwrap();
+        let min = v.iter().cloned().fold(f64::INFINITY, f64::min);
+        let max = v.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        assert!(e >= min - 1e-9 && e <= max + 1e-9, "case {case}");
     });
 }

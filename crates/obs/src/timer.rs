@@ -34,6 +34,12 @@ impl Timer {
             armed: Some((registry.histogram(name, DURATION_EDGES_S), Instant::now())),
         }
     }
+
+    /// Discards the measurement (e.g. on an error path that should not
+    /// pollute the latency distribution).
+    pub fn cancel(mut self) {
+        self.armed = None;
+    }
 }
 
 impl Drop for Timer {
@@ -89,6 +95,19 @@ mod tests {
         assert_eq!(
             reg.histogram("loop_s", DURATION_EDGES_S).snapshot().count,
             3
+        );
+    }
+
+    #[test]
+    fn cancel_discards_measurement() {
+        let reg = Registry::new();
+        let t = Timer::scoped_in(&reg, "cancelled_s");
+        t.cancel();
+        assert_eq!(
+            reg.histogram("cancelled_s", DURATION_EDGES_S)
+                .snapshot()
+                .count,
+            0
         );
     }
 

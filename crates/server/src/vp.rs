@@ -434,6 +434,18 @@ impl Decision {
             .sum::<f64>()
             / self.items.len() as f64
     }
+
+    /// Index of the *limiting request* at frequency `f_ghz` — the request
+    /// with the highest VP, i.e. the one that dictates Rubik's frequency
+    /// ("the frequency setting is then determined by the request with the
+    /// least latency slack", §III). `None` when the queue is empty.
+    pub fn limiting_index(&self, f_ghz: f64) -> Option<usize> {
+        (0..self.items.len()).max_by(|&a, &b| {
+            self.vp(a, f_ghz)
+                .partial_cmp(&self.vp(b, f_ghz))
+                .expect("VPs are finite")
+        })
+    }
 }
 
 #[cfg(test)]
@@ -568,6 +580,16 @@ mod tests {
         assert!(d.is_empty());
         assert_eq!(d.avg_vp(2.0), 0.0);
         assert_eq!(d.max_vp(2.0), 0.0);
+    }
+
+    #[test]
+    fn limiting_request_is_the_tightest() {
+        let mut e = bimodal_engine();
+        // Second request's equivalent is much tighter than the first's.
+        let d = e.decision(0.0, None, &[50.0e-3, 5.0e-3]);
+        assert_eq!(d.limiting_index(2.0), Some(1));
+        let empty = e.decision(0.0, None, &[]);
+        assert_eq!(empty.limiting_index(2.0), None);
     }
 
     /// The decision kernel without dispatch reuse or head preparation: one

@@ -145,6 +145,19 @@ impl SimRng {
         assert!((0.0..=1.0).contains(&p), "probability must be in [0,1]");
         self.uniform() < p
     }
+
+    /// Bounded Pareto variate on `[lo, hi]` with shape `alpha` (a
+    /// heavy-tailed size distribution).
+    ///
+    /// # Panics
+    /// Panics unless `0 < lo < hi` and `alpha > 0`.
+    pub fn bounded_pareto(&mut self, alpha: f64, lo: f64, hi: f64) -> f64 {
+        assert!(alpha > 0.0 && lo > 0.0 && hi > lo, "invalid Pareto params");
+        let u = self.uniform();
+        let la = lo.powf(alpha);
+        let ha = hi.powf(alpha);
+        (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
+    }
 }
 
 #[cfg(test)]
@@ -219,6 +232,15 @@ mod tests {
         let hits = (0..n).filter(|_| rng.bernoulli(0.3)).count();
         let freq = hits as f64 / n as f64;
         assert!((freq - 0.3).abs() < 0.01, "freq was {freq}");
+    }
+
+    #[test]
+    fn bounded_pareto_stays_in_bounds() {
+        let mut rng = SimRng::seed_from_u64(46);
+        for _ in 0..10_000 {
+            let x = rng.bounded_pareto(1.2, 1.0, 1000.0);
+            assert!((1.0..=1000.0).contains(&x), "sample {x} out of bounds");
+        }
     }
 
     #[test]
