@@ -52,9 +52,9 @@ pub use eprons_net::failure::{DegradationStage, FailureEvent, FailureEventKind, 
 pub use eprons_workload::adversarial::{FlashCrowd, StepLoad, TraceScenario};
 pub use eprons_workload::replay::ReplayTrace;
 pub use optimizer::{
-    adaptive_k, adaptive_k_in_context, adaptive_k_in_context_hinted, candidate_power_floor_w,
-    optimize_in_context, optimize_in_context_masked, optimize_in_context_pruned,
-    optimize_total_power, optimize_total_power_traced, JointChoice,
+    adaptive_k, adaptive_k_in_context, candidate_power_floor_w, optimize_in_context,
+    optimize_in_context_masked, optimize_in_context_pruned, optimize_total_power,
+    optimize_total_power_traced, JointChoice,
 };
 pub use parallel::{parallel_map, parallel_map_range, set_thread_budget, thread_budget};
 pub use scenario::{

@@ -383,8 +383,9 @@ pub fn optimize_in_context_pruned(
     let floors: Vec<f64> = candidates
         .iter()
         .map(|&spec| match spec {
-            ConsolidationSpec::GreedyK(_) => *greedy_floor
-                .get_or_insert_with(|| ctx.floor_cached(scheme, spec, excluded)),
+            ConsolidationSpec::GreedyK(_) => {
+                *greedy_floor.get_or_insert_with(|| ctx.floor_cached(scheme, spec, excluded))
+            }
             _ => ctx.floor_cached(scheme, spec, excluded),
         })
         .collect();
@@ -531,27 +532,6 @@ pub fn adaptive_k_in_context(
     scheme: crate::cluster::ServerScheme,
     k_max: usize,
 ) -> Option<JointChoice> {
-    adaptive_k_in_context_hinted(ctx, scheme, k_max, None)
-}
-
-/// [`adaptive_k_in_context`] with the previous epoch's winning `K` as an
-/// ordering hint: the hinted rung is measured *first* — when demand
-/// barely moved since the last epoch, that single evaluation is the
-/// eventual commit, in hand before the confirmation walk runs — and the
-/// usual ascending walk then resumes from `K = 1`, reusing the hinted
-/// measurement when it reaches that rung instead of re-simulating it.
-///
-/// The committed choice is identical to the unhinted walk bit for bit
-/// (still the smallest feasible `K`; every rung below a feasible hint is
-/// still checked, and fallback tie-breaking happens in walk order). Only
-/// [`JointChoice::evaluated`] can differ: a hint above the true winner
-/// costs one extra measurement.
-pub fn adaptive_k_in_context_hinted(
-    ctx: &ScenarioContext,
-    scheme: crate::cluster::ServerScheme,
-    k_max: usize,
-    hint_k: Option<usize>,
-) -> Option<JointChoice> {
     let cfg = ctx.cfg();
     let mut search_span = eprons_obs::Span::enter("optimizer.search");
     if eprons_obs::enabled() {
@@ -577,21 +557,10 @@ pub fn adaptive_k_in_context_hinted(
                 }
             }
         };
-    let mut prefetched: Option<(usize, Option<(ClusterRunResult, bool)>)> = None;
-    if let Some(h) = hint_k {
-        if h > 1 && h <= k_max {
-            let spec = ConsolidationSpec::GreedyK(h as f64);
-            prefetched = Some((h, measure(spec, &mut evaluated)));
-        }
-    }
     let mut best_fallback: Option<(f64, JointChoice)> = None;
     for k in 1..=k_max {
         let spec = ConsolidationSpec::GreedyK(k as f64);
-        let measured = match &prefetched {
-            Some((h, res)) if *h == k => res.clone(),
-            _ => measure(spec, &mut evaluated),
-        };
-        let Some((result, feasible)) = measured else {
+        let Some((result, feasible)) = measure(spec, &mut evaluated) else {
             continue;
         };
         let choice = JointChoice {

@@ -902,9 +902,7 @@ impl DayContext {
         };
         self.misses.fetch_add(1, Ordering::Relaxed);
         if obs_on {
-            eprons_obs::registry()
-                .counter("core.daycache.misses")
-                .inc();
+            eprons_obs::registry().counter("core.daycache.misses").inc();
         }
         slots.push((key, ctx.clone()));
         if slots.len() > DAY_SLOTS {

@@ -114,7 +114,10 @@ fn incremental_day_is_bit_identical_across_strategies() {
             ..baseline_day.clone()
         };
         let candidates = DayStrategy::Eprons {
-            candidates: vec![ConsolidationSpec::GreedyK(1.0), ConsolidationSpec::GreedyK(2.0)],
+            candidates: vec![
+                ConsolidationSpec::GreedyK(1.0),
+                ConsolidationSpec::GreedyK(2.0),
+            ],
         };
         let schedule = core_failure(&cfg);
 
@@ -152,7 +155,10 @@ fn incremental_day_is_bit_identical_across_strategies() {
         ..baseline_day.clone()
     };
     let strategy = DayStrategy::Eprons {
-        candidates: vec![ConsolidationSpec::GreedyK(1.0), ConsolidationSpec::GreedyK(2.0)],
+        candidates: vec![
+            ConsolidationSpec::GreedyK(1.0),
+            ConsolidationSpec::GreedyK(2.0),
+        ],
     };
     let schedule = core_failure(&cfg);
     let hits = || eprons_obs::registry().counter("core.daycache.hits").get();

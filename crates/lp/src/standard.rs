@@ -1,7 +1,8 @@
 //! Conversion of a [`Model`] to standard form and solution recovery.
 //!
 //! Standard form is `min c·y` subject to `A·y = b`, `y ≥ 0`, `b ≥ 0` —
-//! the shape the two-phase simplex in [`crate::simplex`] consumes.
+//! the shape the crate's two-phase simplex (the private `simplex`
+//! module) consumes.
 //! Variable bounds are handled by substitution:
 //!
 //! * finite lower bound `l`: `x = l + y` (and a row `y ≤ u − l` if the

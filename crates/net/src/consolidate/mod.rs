@@ -589,12 +589,7 @@ impl Consolidator for AggregationRouter {
         }
         let topo = net.topology();
         // Hosts, plus the preset's switches the failure mask spares.
-        let allowed = topo.node_mask(
-            self.active
-                .iter()
-                .copied()
-                .filter(|&s| !cfg.is_excluded(s)),
-        );
+        let allowed = topo.node_mask(self.active.iter().copied().filter(|&s| !cfg.is_excluded(s)));
         let mut reserved = vec![0.0; topo.num_links() * 2];
         let mut chosen = PathCollector::new();
         let mut nbuf = Vec::new();

@@ -468,7 +468,8 @@ impl MultipathTopology for DualHomed {
 
     fn candidate_paths(&self, src: NodeId, dst: NodeId) -> Vec<Path> {
         assert_ne!(src, dst);
-        self.topo.switches()
+        self.topo
+            .switches()
             .into_iter()
             .filter_map(|sw| {
                 Some(Path {

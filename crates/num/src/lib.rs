@@ -12,9 +12,7 @@
 //! * [`pmf`] — gridded discrete probability mass functions: the
 //!   representation of per-request **work** distributions, with CDF/CCDF
 //!   queries and convolution.
-//! * [`quantile`] — exact quantiles and a P² streaming estimator for
-//!   on-line tail-latency monitoring.
-//! * [`stats`] — small descriptive-statistics helpers.
+//! * [`quantile`] — exact quantiles of latency samples.
 
 #![warn(missing_docs)]
 
@@ -23,8 +21,7 @@ pub mod conv;
 pub mod fft;
 pub mod pmf;
 pub mod quantile;
-pub mod stats;
 
 pub use complex::Complex;
 pub use pmf::{Pmf, PreparedPmf};
-pub use quantile::{percentile, P2Quantile};
+pub use quantile::percentile;

@@ -39,8 +39,9 @@ fn arb_string(g: &mut Gen) -> String {
     (0..len).map(|_| *g.choose(PALETTE)).collect()
 }
 
-/// One instance of every `Event` variant with randomized payloads.
-/// Extend this alongside the enum — the round trip must stay total.
+/// One instance of every `Event` variant with randomized payloads, in
+/// declaration order. `kind_tags_are_distinct_and_stable` fails when the
+/// enum gains a kind this list lacks.
 fn all_variants(g: &mut Gen) -> Vec<Event> {
     vec![
         Event::DayStart {
@@ -190,6 +191,13 @@ fn all_variants(g: &mut Gen) -> Vec<Event> {
             dropped_mbps_min: arb_f64(g),
             queue_mbps_min: arb_f64(g),
         },
+        Event::DayCacheReport {
+            cache: arb_string(g),
+            hits: arb_u64(g),
+            misses: arb_u64(g),
+            evictions: arb_u64(g),
+            bytes: arb_u64(g),
+        },
     ]
 }
 
@@ -238,6 +246,7 @@ fn whole_journals_round_trip_through_jsonl() {
 fn kind_tags_are_distinct_and_stable() {
     let mut g = Gen::from_seed(7);
     let kinds: Vec<&'static str> = all_variants(&mut g).iter().map(Event::kind).collect();
+    assert_eq!(kinds, Event::KINDS, "all_variants must cover every kind");
     let unique: std::collections::BTreeSet<_> = kinds.iter().collect();
     assert_eq!(unique.len(), kinds.len(), "duplicate kind tag");
     // The wire names CI greps for; renaming one is a breaking change to

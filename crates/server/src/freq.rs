@@ -77,13 +77,6 @@ impl FreqLadder {
         self.freqs[i]
     }
 
-    /// Index of the step equal-or-above `f`, clamped to the top.
-    pub fn index_at_or_above(&self, f: f64) -> usize {
-        self.freqs
-            .partition_point(|&x| x < f - 1e-12)
-            .min(self.freqs.len() - 1)
-    }
-
     /// The lowest frequency for which `ok` holds, assuming `ok` is monotone
     /// (false…false true…true as frequency rises). Returns the maximum
     /// frequency if no step satisfies it (policies then run flat out — the
@@ -133,16 +126,6 @@ mod tests {
         assert_eq!(l.lowest_satisfying(|_| true), l.min());
         // Nothing satisfies → max (run flat out).
         assert_eq!(l.lowest_satisfying(|_| false), l.max());
-    }
-
-    #[test]
-    fn index_at_or_above() {
-        let l = FreqLadder::paper_default();
-        assert_eq!(l.index_at_or_above(1.2), 0);
-        assert_eq!(l.index_at_or_above(1.25), 1);
-        assert_eq!(l.index_at_or_above(2.7), 15);
-        assert_eq!(l.index_at_or_above(9.9), 15);
-        assert_eq!(l.index_at_or_above(0.1), 0);
     }
 
     #[test]

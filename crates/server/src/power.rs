@@ -50,13 +50,6 @@ impl CpuPowerModel {
         self.idle_w
     }
 
-    /// Average per-core power given a utilization (busy fraction) and the
-    /// busy frequency.
-    pub fn core_avg_w(&self, busy_fraction: f64, f_ghz: f64) -> f64 {
-        let b = busy_fraction.clamp(0.0, 1.0);
-        b * self.core_busy_w(f_ghz) + (1.0 - b) * self.idle_w
-    }
-
     /// Whole-server power when each core averages `core_w`:
     /// `static + cores × core_w`.
     pub fn server_w(&self, core_w: f64) -> f64 {
@@ -98,15 +91,6 @@ mod tests {
         // (that is why DVFS pays off at all).
         let m = CpuPowerModel::default();
         assert!(m.core_busy_w(1.2) / 1.2 < m.core_busy_w(2.7) / 2.7);
-    }
-
-    #[test]
-    fn average_power_interpolates() {
-        let m = CpuPowerModel::default();
-        let avg = m.core_avg_w(0.5, 2.7);
-        assert!((avg - (0.5 * 4.4 + 0.5 * 1.4)).abs() < 1e-9);
-        assert_eq!(m.core_avg_w(0.0, 2.7), m.core_idle_w());
-        assert!((m.core_avg_w(1.0, 2.7) - 4.4).abs() < 1e-9);
     }
 
     #[test]

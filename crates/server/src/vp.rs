@@ -29,7 +29,7 @@
 //! * **level spectra** are cached with their level ([`VpLadder`]), so each
 //!   queued request behind a conditioned head pays one pointwise product
 //!   and one inverse transform;
-//! * **conditioned sums** with the first [`CONDITIONED_DEPTH`] levels are
+//! * **conditioned sums** with the first two levels (`CONDITIONED_DEPTH`) are
 //!   memoized per head class: a conditioned head's masses depend only on
 //!   the first bin of the work PMF it keeps, so `head ∗ level(i)` is
 //!   computed once per class and level, and a repeat recomputes only its
@@ -120,7 +120,7 @@ impl Level {
 /// every candidate it evaluates, and it dies with the scenario.
 ///
 /// Levels are grown on demand and never change; each is a pure function
-/// of the previous one (`prev ∗ base`, truncated at [`TRUNC_EPS`]) and
+/// of the previous one (`prev ∗ base`, truncated at `TRUNC_EPS` = 1e-10) and
 /// each spectrum a pure function of its level and FFT size, so whichever
 /// engine or thread grew a level, every engine reads the same bits.
 #[derive(Debug)]
@@ -434,18 +434,6 @@ impl Decision {
             .sum::<f64>()
             / self.items.len() as f64
     }
-
-    /// Index of the *limiting request* at frequency `f_ghz` — the request
-    /// with the highest VP, i.e. the one that dictates Rubik's frequency
-    /// ("the frequency setting is then determined by the request with the
-    /// least latency slack", §III). `None` when the queue is empty.
-    pub fn limiting_index(&self, f_ghz: f64) -> Option<usize> {
-        (0..self.items.len()).max_by(|&a, &b| {
-            self.vp(a, f_ghz)
-                .partial_cmp(&self.vp(b, f_ghz))
-                .expect("VPs are finite")
-        })
-    }
 }
 
 #[cfg(test)]
@@ -580,16 +568,6 @@ mod tests {
         assert!(d.is_empty());
         assert_eq!(d.avg_vp(2.0), 0.0);
         assert_eq!(d.max_vp(2.0), 0.0);
-    }
-
-    #[test]
-    fn limiting_request_is_the_tightest() {
-        let mut e = bimodal_engine();
-        // Second request's equivalent is much tighter than the first's.
-        let d = e.decision(0.0, None, &[50.0e-3, 5.0e-3]);
-        assert_eq!(d.limiting_index(2.0), Some(1));
-        let empty = e.decision(0.0, None, &[]);
-        assert_eq!(empty.limiting_index(2.0), None);
     }
 
     /// The decision kernel without dispatch reuse or head preparation: one

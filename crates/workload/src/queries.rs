@@ -48,12 +48,6 @@ impl QueryGenerator {
             })
             .collect()
     }
-
-    /// The ISN indices of a query: everyone but the aggregator.
-    pub fn isns_of(&self, q: &Query) -> impl Iterator<Item = usize> + '_ {
-        let agg = q.aggregator;
-        (0..self.num_servers).filter(move |&s| s != agg)
-    }
 }
 
 /// Splits a query stream into per-ISN sub-query arrival times: server `s`
@@ -103,19 +97,6 @@ mod tests {
                 "server {s} aggregated {c}, expected ≈{expect}"
             );
         }
-    }
-
-    #[test]
-    fn isns_exclude_the_aggregator() {
-        let g = QueryGenerator::new(16);
-        let q = Query {
-            id: 0,
-            time_s: 0.0,
-            aggregator: 5,
-        };
-        let isns: Vec<usize> = g.isns_of(&q).collect();
-        assert_eq!(isns.len(), 15);
-        assert!(!isns.contains(&5));
     }
 
     #[test]

@@ -29,7 +29,9 @@ impl ReplayTrace {
             "a replay trace holds one value per minute of day"
         );
         assert!(
-            minutes.iter().all(|v| v.is_finite() && (0.0..=1.0).contains(v)),
+            minutes
+                .iter()
+                .all(|v| v.is_finite() && (0.0..=1.0).contains(v)),
             "replay trace values must be finite fractions in [0, 1]"
         );
         ReplayTrace { minutes }
