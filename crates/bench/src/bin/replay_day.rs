@@ -14,8 +14,8 @@
 //!   rebuilds its `ScenarioContext` from scratch (the baseline);
 //! * **incremental** — `DayScopeConfig { incremental: true }`: epochs
 //!   draw contexts from the day's [`eprons_core::DayContext`] LRU
-//!   (plan memos, result memos and stage-3 reuse lists surviving across
-//!   epochs with them).
+//!   (plan, result and stage-3 memos surviving across epochs with
+//!   them).
 //!
 //! Asserted contract (gated in CI via the committed `BENCH_replay.json`):
 //!

@@ -14,11 +14,6 @@ pub struct FailurePolicyConfig {
     /// Rung 2: if repair fails, re-consolidate the whole epoch with the
     /// failed switches masked out of every candidate.
     pub attempt_reconsolidate: bool,
-    /// Mean time to failure for sampled schedules, minutes (default one
-    /// week — failures are rare but not negligible).
-    pub mttf_minutes: f64,
-    /// Mean time to repair for sampled schedules, minutes.
-    pub mttr_minutes: f64,
     /// Switch transition overheads used to price repairs (§IV-B's
     /// measured 72.52 s power-on time).
     pub transition: TransitionModel,
@@ -29,8 +24,6 @@ impl Default for FailurePolicyConfig {
         FailurePolicyConfig {
             attempt_repair: true,
             attempt_reconsolidate: true,
-            mttf_minutes: 10_080.0,
-            mttr_minutes: 30.0,
             transition: TransitionModel::default(),
         }
     }
@@ -106,9 +99,8 @@ impl OnlineConfig {
 /// scenario specs. That is what makes cross-epoch reuse sound *and*
 /// profitable: the [`crate::scenario::DayContext`] revives whole
 /// contexts with every per-context memo in them: the plan memo, the
-/// result memo, and the stage-3 reuse list
-/// (`ScenarioData::server_evals`), which short-circuits repeated per-ISN
-/// DVFS runs.
+/// result memo, and the stage-3 memo (`ScenarioData::server_evals`),
+/// which short-circuits repeated per-ISN DVFS runs.
 ///
 /// These semantics hold for the *rebuild baseline too*: a day-scoped
 /// run with `incremental: false` rebuilds the context every epoch but

@@ -391,16 +391,6 @@ pub fn simulate_day_with_failures(
             .filter(|ds| ds.incremental)
             .map(|_| DayContext::new(cfg)),
     };
-    // Counter snapshot so the day-end report shows this day's memo
-    // traffic, not the process total.
-    let counter = |name: &str| eprons_obs::registry().counter(name).get();
-    let memo_counters_0 = [
-        "core.evalcache.hits",
-        "core.evalcache.misses",
-        "core.serveval.hits",
-        "core.serveval.misses",
-    ]
-    .map(counter);
     let stages = DayLoop {
         cfg,
         strategy,
@@ -424,34 +414,10 @@ pub fn simulate_day_with_failures(
         // fan-out inside an epoch fills the thread budget either way.
         parallel_map(&inputs, |i| stages.epoch(i, &mut Carry::default()))
     };
+    // The day cache's own tallies: this day's lookups only, whatever
+    // else the process runs.
     if let Some(dc) = carry.day_ctx.as_ref().filter(|_| obs_on) {
-        let s = dc.stats();
-        let [eh, em, sh, sm] = memo_counters_0;
-        for (cache, hits, misses, evictions, bytes) in [
-            ("core.daycache", s.hits, s.misses, s.evictions, s.bytes),
-            (
-                "core.evalcache",
-                counter("core.evalcache.hits") - eh,
-                counter("core.evalcache.misses") - em,
-                0,
-                dc.eval_footprint_bytes(),
-            ),
-            (
-                "server.serveval",
-                counter("core.serveval.hits") - sh,
-                counter("core.serveval.misses") - sm,
-                0,
-                dc.server_eval_footprint_bytes(),
-            ),
-        ] {
-            eprons_obs::record(eprons_obs::Event::DayCacheReport {
-                cache: cache.to_string(),
-                hits,
-                misses,
-                evictions,
-                bytes,
-            });
-        }
+        dc.report().into_iter().for_each(eprons_obs::record);
     }
 
     if obs_on {

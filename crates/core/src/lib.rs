@@ -32,6 +32,7 @@ pub mod accounting;
 pub mod cluster;
 pub mod config;
 pub mod controller;
+mod memo;
 pub mod optimizer;
 pub mod parallel;
 pub mod report;
@@ -57,6 +58,4 @@ pub use optimizer::{
     optimize_total_power_traced, JointChoice,
 };
 pub use parallel::{parallel_map, parallel_map_range, set_thread_budget, thread_budget};
-pub use scenario::{
-    DayCacheStats, DayContext, NetworkPlan, ScenarioContext, ScenarioSpec, ServerEvaluation,
-};
+pub use scenario::{DayContext, NetworkPlan, ScenarioContext, ScenarioSpec, ServerEvaluation};

@@ -32,7 +32,7 @@
 //! call. `crates/core/tests/determinism.rs` pins this with a golden
 //! equality test over every `ServerScheme` × `AggregationLevel` pair.
 
-use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -56,6 +56,7 @@ use eprons_workload::{xapian_like_samples, Query, QueryGenerator};
 
 use crate::cluster::{ClusterError, ClusterRun, ClusterRunResult, ConsolidationSpec, ServerScheme};
 use crate::config::{ClusterConfig, ConsolidateStrategy, SlaConfig};
+use crate::memo::{Memo, Tally};
 use crate::parallel::{parallel_map, parallel_map_range};
 
 /// Index of a scheme for cache keying (fieldless enum — every scheme
@@ -119,9 +120,65 @@ fn eval_tag(scheme: ServerScheme, sla: &SlaConfig) -> EvalTag {
 /// plan key.
 type EvalKey = (EvalTag, PlanKey);
 
-/// One stage-3 run kept for reuse by later plans of the same context:
-/// the tag it ran under, the plan it read and its evaluation.
-type ServerEvalEntry = (EvalTag, Arc<NetworkPlan>, Arc<ServerEvaluation>);
+/// Memo key for one stage-3 run: what stage 3 reads that varies within
+/// a context — the evaluation tag, and the plan's `congested` flag and
+/// sampled `net_lat` — hashed and compared bit for bit through the plan
+/// they came from. A masked candidate that routes differently but
+/// samples identical latencies has the same key.
+#[derive(Debug)]
+pub(crate) struct StageThreeKey {
+    tag: EvalTag,
+    plan: Arc<NetworkPlan>,
+    /// A fold of every bit of `net_lat`, taken once: the map hashes a
+    /// key on lookup and again on insert, and `net_lat` holds one entry
+    /// per sub-query.
+    digest: u64,
+}
+
+impl StageThreeKey {
+    fn new(tag: EvalTag, plan: &Arc<NetworkPlan>) -> StageThreeKey {
+        let mut key = StageThreeKey {
+            tag,
+            plan: Arc::clone(plan),
+            digest: 0,
+        };
+        // One FxHash step per word: cheap, and equality settles collisions.
+        key.digest = key.net_lat_bits().fold(0, |h, w| {
+            (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
+        });
+        key
+    }
+
+    /// Every `net_lat` entry as raw bits, each query's list prefixed by
+    /// its length so equal streams mean equal lists.
+    fn net_lat_bits(&self) -> impl Iterator<Item = u64> + '_ {
+        self.plan.net_lat.iter().flat_map(|q| {
+            std::iter::once(q.len() as u64).chain(
+                q.iter()
+                    .flat_map(|&(s, req, rep)| [s as u64, req.to_bits(), rep.to_bits()]),
+            )
+        })
+    }
+}
+
+impl Hash for StageThreeKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.tag.hash(state);
+        self.plan.congested.hash(state);
+        self.digest.hash(state);
+    }
+}
+
+impl PartialEq for StageThreeKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.tag == other.tag
+            && self.plan.congested == other.plan.congested
+            && self.plan.net_lat.len() == other.plan.net_lat.len()
+            && self.net_lat_bits().eq(other.net_lat_bits())
+    }
+}
+
+impl Eq for StageThreeKey {}
 
 /// Memo value for one full evaluation: the result, or the error the
 /// evaluation deterministically fails with.
@@ -182,7 +239,7 @@ pub(crate) struct ScenarioData {
     /// pure function of those inputs given this context (the latency RNG
     /// is cloned per build), so serving a cached `Arc` is bit-identical
     /// to rebuilding. Shared across context clones via the `Arc` above.
-    pub(crate) plan_cache: Mutex<HashMap<PlanKey, Arc<NetworkPlan>>>,
+    pub(crate) plan_cache: Memo<PlanKey, Arc<NetworkPlan>>,
     /// Memoized stage-2–4 outcomes keyed by (scheme, SLA, candidate,
     /// mask) — the whole [`ClusterRunResult`] of one operating-point
     /// evaluation, or the [`ClusterError`] it failed with. Failures are
@@ -191,19 +248,17 @@ pub(crate) struct ScenarioData {
     /// rejected, and the day loop retries it every epoch otherwise. A
     /// pure function of its key given this context, so hits are
     /// bit-identical to re-runs.
-    pub(crate) eval_cache: Mutex<HashMap<EvalKey, Arc<EvalOutcome>>>,
-    /// Stage-3 runs of this context, consulted on a result-memo miss.
-    /// Stage 3 reads only the tag, the plan's `congested` flag and its
-    /// sampled `net_lat`, so a new plan matching an entry on those bit
-    /// for bit reuses the entry's evaluation — a masked candidate that
-    /// routes differently but samples identical latencies skips the
-    /// per-ISN simulations.
-    pub(crate) server_evals: Mutex<Vec<ServerEvalEntry>>,
+    pub(crate) eval_cache: Memo<EvalKey, Arc<EvalOutcome>>,
+    /// Stage-3 runs of this context, consulted on a result-memo miss
+    /// and keyed by exactly what stage 3 reads ([`StageThreeKey`]), so a
+    /// masked candidate that routes differently but samples identical
+    /// latencies skips the per-ISN simulations.
+    pub(crate) server_evals: Memo<StageThreeKey, Arc<ServerEvaluation>>,
     /// Memoized candidate power floors (pure, always on): the optimizer
     /// recomputes its pruning bounds every search otherwise, and at
     /// k ≥ 16 the GreedyK mandatory-element walk is the search's largest
     /// serial cost on a warm context.
-    pub(crate) floor_cache: Mutex<HashMap<FloorKey, f64>>,
+    pub(crate) floor_cache: Memo<FloorKey, f64>,
     pub(crate) hosts: Vec<NodeId>,
     /// The service model with its VP convolution ladder, shared by every
     /// server shard of every evaluation on this context and by every
@@ -261,6 +316,17 @@ pub struct ScenarioContext {
     pub(crate) data: Arc<ScenarioData>,
 }
 
+/// The demand-invariant half of a scenario: a pure function of
+/// `(cfg, seed)`, shared by every context rebound from it.
+struct Invariant {
+    ft: Arc<FatTree>,
+    arena: Arc<PathArena<FatTree>>,
+    hosts: Vec<NodeId>,
+    vp_ladder: Arc<VpLadder>,
+    mean_service_s: f64,
+    server_seeds: Vec<u64>,
+}
+
 impl ScenarioContext {
     /// Builds the shared scenario state: fat-tree, service model, query
     /// and background workloads, flow set, and the per-candidate RNG
@@ -271,38 +337,81 @@ impl ScenarioContext {
         let obs_on = eprons_obs::enabled();
 
         // The master RNG's forks are drawn in the exact order the
-        // monolithic `run_cluster` drew them, so every downstream stream
-        // is bit-identical to the pre-staged path.
+        // monolithic `run_cluster` drew them — 1 service model, 2 queries,
+        // 3 background, 4 network latency, 5 server seeds — so every
+        // downstream stream is bit-identical to the pre-staged path.
+        // Forks 2–4 are the demand streams `with_demand` draws.
         let mut master = SimRng::seed_from_u64(spec.seed);
         let mut service_rng = master.fork(1);
-        let mut query_rng = master.fork(2);
-        let mut bg_rng = master.fork(3);
-        let net_rng = master.fork(4);
+        for salt in 2..=4 {
+            master.fork(salt);
+        }
         let mut server_seed_rng = master.fork(5);
 
         let ft = FatTree::new(cfg.fat_tree_k, cfg.link_capacity_mbps);
         let arena = PathArena::build(ft.clone());
         let n = cfg.num_servers();
-        let hosts = ft.hosts().to_vec();
 
         // --- Service-time model (the measured Xapian log, §V-A). ---
         let samples = xapian_like_samples(&mut service_rng, cfg.service_log_samples);
         let service =
             ServiceModel::from_time_samples(&samples, 0.2, cfg.ladder.max(), cfg.work_pmf_bins);
-        let mean_service_s = service.mean_service_time(cfg.ladder.max());
+
+        let ctx = ScenarioContext::with_demand(
+            cfg,
+            spec,
+            Invariant {
+                hosts: ft.hosts().to_vec(),
+                ft: Arc::new(ft),
+                arena: Arc::new(arena),
+                mean_service_s: service.mean_service_time(cfg.ladder.max()),
+                vp_ladder: Arc::new(VpLadder::new(service)),
+                // Per-server seeds, drawn serially before any fan-out (the
+                // stream is candidate- and scheme-invariant).
+                server_seeds: (0..n)
+                    .map(|s| server_seed_rng.fork(s as u64).uniform().to_bits())
+                    .collect(),
+            },
+        );
+        if obs_on {
+            let d = &*ctx.data;
+            eprons_obs::registry().counter("core.scenario.builds").inc();
+            eprons_obs::record(eprons_obs::Event::ScenarioBuilt {
+                seed: spec.seed,
+                queries: d.queries.len() as u64,
+                flows: d.flows.len() as u64,
+                servers: n as u64,
+            });
+            sp.note(ctx.size_note());
+        }
+        ctx
+    }
+
+    /// The demand step of [`ScenarioContext::build`] and
+    /// [`ScenarioContext::rebind_demand`]: query arrivals, the flow set and
+    /// the per-pair flow table for `spec`, over the demand-invariant
+    /// `base`. The demand streams are re-forked from a fresh master in
+    /// build order — `fork` advances the parent, so the *sequence* of
+    /// forks, not the salt alone, reproduces them bit for bit.
+    fn with_demand(cfg: &ClusterConfig, spec: &ScenarioSpec, base: Invariant) -> ScenarioContext {
+        let mut master = SimRng::seed_from_u64(spec.seed);
+        master.fork(1);
+        let mut query_rng = master.fork(2);
+        let mut bg_rng = master.fork(3);
+        let net_rng = master.fork(4);
 
         // --- Query workload (warmup + measured window). ---
+        let n = base.hosts.len();
         let warmup_s = spec.warmup_s.max(0.0);
         let horizon_s = warmup_s + spec.duration_s;
-        let rate = cfg.query_rate_for_utilization(spec.server_utilization, mean_service_s);
-        let generator = QueryGenerator::new(n);
-        let queries = generator.generate(&mut query_rng, rate, horizon_s);
+        let rate = cfg.query_rate_for_utilization(spec.server_utilization, base.mean_service_s);
+        let queries = QueryGenerator::new(n).generate(&mut query_rng, rate, horizon_s);
 
         // --- Flows (candidate-invariant; consolidation is per-plan). ---
         let mut flows = FlowSet::new();
         if spec.background_util > 0.0 {
             for bf in background_flows(
-                &ft,
+                &base.ft,
                 &mut bg_rng,
                 spec.background_util,
                 cfg.link_capacity_mbps,
@@ -315,8 +424,8 @@ impl ScenarioContext {
             for b in 0..n {
                 if a != b {
                     let id = flows.add(
-                        hosts[a],
-                        hosts[b],
+                        base.hosts[a],
+                        base.hosts[b],
                         cfg.query_flow_mbps,
                         FlowClass::LatencySensitive,
                     );
@@ -325,49 +434,42 @@ impl ScenarioContext {
             }
         }
 
-        // Per-server seeds, drawn serially before any fan-out (the stream
-        // is candidate- and scheme-invariant, so it lives in the context).
-        let server_seeds: Vec<u64> = (0..n)
-            .map(|s| server_seed_rng.fork(s as u64).uniform().to_bits())
-            .collect();
-
-        if obs_on {
-            eprons_obs::registry().counter("core.scenario.builds").inc();
-            eprons_obs::record(eprons_obs::Event::ScenarioBuilt {
-                seed: spec.seed,
-                queries: queries.len() as u64,
-                flows: flows.len() as u64,
-                servers: n as u64,
-            });
-            sp.note(format!(
-                "servers={n} queries={} flows={}",
-                queries.len(),
-                flows.len()
-            ));
-        }
-
         ScenarioContext {
             cfg: cfg.clone(),
             spec: spec.clone(),
             data: Arc::new(ScenarioData {
-                ft: Arc::new(ft),
-                arena: Arc::new(arena),
-                plan_cache: Mutex::new(HashMap::new()),
-                eval_cache: Mutex::new(HashMap::new()),
-                server_evals: Mutex::new(Vec::new()),
-                floor_cache: Mutex::new(HashMap::new()),
-                hosts,
-                vp_ladder: Arc::new(VpLadder::new(service)),
-                mean_service_s,
+                ft: base.ft,
+                arena: base.arena,
+                plan_cache: Memo::new(Tally::named(
+                    "core.plan_cache.hits",
+                    "core.plan_cache.misses",
+                )),
+                eval_cache: Memo::new(Tally::named("core.evalcache.hits", "core.evalcache.misses")),
+                server_evals: Memo::new(Tally::named("core.serveval.hits", "core.serveval.misses")),
+                floor_cache: Memo::new(Tally::default()),
+                hosts: base.hosts,
+                vp_ladder: base.vp_ladder,
+                mean_service_s: base.mean_service_s,
                 warmup_s,
                 horizon_s,
                 queries,
                 flows,
                 pair_flow,
-                server_seeds,
+                server_seeds: base.server_seeds,
                 net_rng,
             }),
         }
+    }
+
+    /// The span note of a build or rebind: the scenario's size.
+    fn size_note(&self) -> String {
+        let d = &*self.data;
+        format!(
+            "servers={} queries={} flows={}",
+            d.hosts.len(),
+            d.queries.len(),
+            d.flows.len()
+        )
     }
 
     /// The one shared entry point for deriving a context from a run
@@ -385,14 +487,13 @@ impl ScenarioContext {
     /// per-server seeds) with `self`.
     ///
     /// Sound only when the master seed is unchanged: the shared state is
-    /// a pure function of `(cfg, seed)`, and the demand streams are
-    /// re-forked from a fresh master in exactly the order
-    /// [`ScenarioContext::build`] forks them, so the rebound context is
+    /// a pure function of `(cfg, seed)`, and the demand step is the one
+    /// [`ScenarioContext::build`] runs, so the rebound context is
     /// bit-identical to `build(cfg, spec)` (the day-incremental golden
     /// pins this). A different seed falls back to a full build.
     ///
-    /// The stage-2 plan cache starts empty — plans depend on the
-    /// demand-dependent latency sampling.
+    /// Every memo starts empty — plans depend on the demand-dependent
+    /// latency sampling.
     pub(crate) fn rebind_demand(&self, spec: &ScenarioSpec) -> ScenarioContext {
         if spec.seed != self.spec.seed {
             return ScenarioContext::build(&self.cfg, spec);
@@ -401,86 +502,25 @@ impl ScenarioContext {
         let mut sp = eprons_obs::Span::enter("scenario.rebind");
         let obs_on = eprons_obs::enabled();
         let d = &*self.data;
-
-        // Re-fork the demand streams in build order from a fresh master.
-        // `fork` advances the parent, so the *sequence* of forks — not
-        // the salt alone — is what reproduces `build`'s streams bit for
-        // bit; the service and server-seed streams are drawn and
-        // discarded because their products are shared.
-        let mut master = SimRng::seed_from_u64(spec.seed);
-        let _service_rng = master.fork(1);
-        let mut query_rng = master.fork(2);
-        let mut bg_rng = master.fork(3);
-        let net_rng = master.fork(4);
-        let _server_seed_rng = master.fork(5);
-
-        let n = d.hosts.len();
-        let warmup_s = spec.warmup_s.max(0.0);
-        let horizon_s = warmup_s + spec.duration_s;
-        let rate = self
-            .cfg
-            .query_rate_for_utilization(spec.server_utilization, d.mean_service_s);
-        let queries = QueryGenerator::new(n).generate(&mut query_rng, rate, horizon_s);
-
-        let mut flows = FlowSet::new();
-        if spec.background_util > 0.0 {
-            for bf in background_flows(
-                &d.ft,
-                &mut bg_rng,
-                spec.background_util,
-                self.cfg.link_capacity_mbps,
-            ) {
-                flows.add(bf.src, bf.dst, bf.demand_mbps, FlowClass::LatencyTolerant);
-            }
-        }
-        let mut pair_flow: Vec<FlowId> = vec![FlowId(usize::MAX); n * n];
-        for a in 0..n {
-            for b in 0..n {
-                if a != b {
-                    let id = flows.add(
-                        d.hosts[a],
-                        d.hosts[b],
-                        self.cfg.query_flow_mbps,
-                        FlowClass::LatencySensitive,
-                    );
-                    pair_flow[a * n + b] = id;
-                }
-            }
-        }
-
+        let ctx = ScenarioContext::with_demand(
+            &self.cfg,
+            spec,
+            Invariant {
+                ft: Arc::clone(&d.ft),
+                arena: Arc::clone(&d.arena),
+                hosts: d.hosts.clone(),
+                vp_ladder: Arc::clone(&d.vp_ladder),
+                mean_service_s: d.mean_service_s,
+                server_seeds: d.server_seeds.clone(),
+            },
+        );
         if obs_on {
             eprons_obs::registry()
                 .counter("core.scenario.rebinds")
                 .inc();
-            sp.note(format!(
-                "servers={n} queries={} flows={}",
-                queries.len(),
-                flows.len()
-            ));
+            sp.note(ctx.size_note());
         }
-
-        ScenarioContext {
-            cfg: self.cfg.clone(),
-            spec: spec.clone(),
-            data: Arc::new(ScenarioData {
-                ft: Arc::clone(&d.ft),
-                arena: Arc::clone(&d.arena),
-                plan_cache: Mutex::new(HashMap::new()),
-                eval_cache: Mutex::new(HashMap::new()),
-                server_evals: Mutex::new(Vec::new()),
-                floor_cache: Mutex::new(HashMap::new()),
-                hosts: d.hosts.clone(),
-                vp_ladder: Arc::clone(&d.vp_ladder),
-                mean_service_s: d.mean_service_s,
-                warmup_s,
-                horizon_s,
-                queries,
-                flows,
-                pair_flow,
-                server_seeds: d.server_seeds.clone(),
-                net_rng,
-            }),
-        }
+        ctx
     }
 
     /// The configuration this scenario was built under.
@@ -568,9 +608,7 @@ impl ScenarioContext {
         // given this context, so a repeat operating point skips stages
         // 2–4 outright. Errors are cached too: an infeasible candidate
         // pays its full consolidation attempt before rejection, and the
-        // day loop re-offers it every epoch. The lock is never held
-        // across an evaluation (same discipline as the plan memo: racing
-        // double-evaluations insert identical bits, harmlessly).
+        // day loop re-offers it every epoch.
         let mut mask = excluded.to_vec();
         mask.sort_unstable();
         mask.dedup();
@@ -579,36 +617,12 @@ impl ScenarioContext {
             tag,
             plan_key(consolidation, self.effective_strategy(), &mask),
         );
-        let hit = self
-            .data
-            .eval_cache
-            .lock()
-            .expect("eval cache poisoned")
-            .get(&key)
-            .cloned();
-        if obs_on {
-            let name = if hit.is_some() {
-                "core.evalcache.hits"
-            } else {
-                "core.evalcache.misses"
-            };
-            eprons_obs::registry().counter(name).inc();
-        }
-        let outcome = match hit {
-            Some(outcome) => outcome,
-            None => {
-                let outcome = Arc::new(self.plan_masked(consolidation, &mask).map(|plan| {
-                    let eval = self.server_eval_reused(tag, &plan, scheme);
-                    crate::accounting::assemble(self, &plan, &eval)
-                }));
-                self.data
-                    .eval_cache
-                    .lock()
-                    .expect("eval cache poisoned")
-                    .insert(key, Arc::clone(&outcome));
-                outcome
-            }
-        };
+        let outcome = self.data.eval_cache.get_or_insert(key, 1, || {
+            Arc::new(self.plan_masked(consolidation, &mask).map(|plan| {
+                let eval = self.server_eval_reused(tag, &plan, scheme);
+                crate::accounting::assemble(self, &plan, &eval)
+            }))
+        });
         let result = (*outcome).clone()?;
         if obs_on {
             let reg = eprons_obs::registry();
@@ -628,9 +642,7 @@ impl ScenarioContext {
     /// Stage 2 through the per-context memo: returns the cached plan for
     /// (candidate, mask) or builds and caches it. Build failures are not
     /// cached (they are cheap — consolidation rejects before the
-    /// expensive latency sampling). The lock is never held across a
-    /// build, so parallel candidate fan-outs only contend on the lookup;
-    /// a racing double-build inserts the same bits twice, harmlessly.
+    /// expensive latency sampling).
     pub(crate) fn plan_masked(
         &self,
         consolidation: ConsolidationSpec,
@@ -640,99 +652,34 @@ impl ScenarioContext {
         mask.sort_unstable();
         mask.dedup();
         let key = plan_key(consolidation, self.effective_strategy(), &mask);
-        let hit = self
-            .data
-            .plan_cache
-            .lock()
-            .expect("plan cache poisoned")
-            .get(&key)
-            .cloned();
-        if let Some(plan) = hit {
-            if eprons_obs::enabled() {
-                eprons_obs::registry().counter("core.plan_cache.hits").inc();
-            }
-            return Ok(plan);
-        }
-        let plan = Arc::new(NetworkPlan::build_masked(self, consolidation, &mask)?);
-        if eprons_obs::enabled() {
-            eprons_obs::registry()
-                .counter("core.plan_cache.misses")
-                .inc();
-        }
-        self.data
-            .plan_cache
-            .lock()
-            .expect("plan cache poisoned")
-            .insert(key, Arc::clone(&plan));
-        Ok(plan)
+        self.data.plan_cache.get_or_try_insert(key, 1, || {
+            NetworkPlan::build_masked(self, consolidation, &mask).map(Arc::new)
+        })
     }
 
-    /// Stage 3 through the per-context reuse list: a plan whose
-    /// `congested` flag and `net_lat` match, bit for bit, a plan already
-    /// evaluated under `tag` reuses that evaluation (stage 3 reads nothing
-    /// else that varies within a context); otherwise it runs and joins
-    /// the list. Counts one `core.serveval` hit or miss per ISN.
+    /// Stage 3 through the per-context memo: a plan whose `congested`
+    /// flag and `net_lat` match, bit for bit, a plan already evaluated
+    /// under `tag` reuses that evaluation (stage 3 reads nothing else
+    /// that varies within a context). Counts one `core.serveval` hit or
+    /// miss per ISN.
     fn server_eval_reused(
         &self,
         tag: EvalTag,
         plan: &Arc<NetworkPlan>,
         scheme: ServerScheme,
     ) -> Arc<ServerEvaluation> {
-        let same_inputs = |other: &NetworkPlan| {
-            other.congested == plan.congested
-                && other.net_lat.len() == plan.net_lat.len()
-                && other.net_lat.iter().zip(&plan.net_lat).all(|(a, b)| {
-                    a.len() == b.len()
-                        && a.iter().zip(b).all(|(x, y)| {
-                            x.0 == y.0
-                                && x.1.to_bits() == y.1.to_bits()
-                                && x.2.to_bits() == y.2.to_bits()
-                        })
-                })
-        };
-        let hit = self
-            .data
-            .server_evals
-            .lock()
-            .expect("server-eval list poisoned")
-            .iter()
-            .find(|(t, p, _)| *t == tag && same_inputs(p))
-            .map(|(_, _, eval)| Arc::clone(eval));
-        if eprons_obs::enabled() {
-            let name = if hit.is_some() {
-                "core.serveval.hits"
-            } else {
-                "core.serveval.misses"
-            };
-            eprons_obs::registry()
-                .counter(name)
-                .add(self.num_servers() as u64);
-        }
-        if let Some(eval) = hit {
-            return eval;
-        }
-        let eval = Arc::new(ServerEvaluation::run(self, plan, scheme));
+        let key = StageThreeKey::new(tag, plan);
         self.data
             .server_evals
-            .lock()
-            .expect("server-eval list poisoned")
-            .push((tag, Arc::clone(plan), Arc::clone(&eval)));
-        eval
+            .get_or_insert(key, self.num_servers() as u64, || {
+                Arc::new(ServerEvaluation::run(self, plan, scheme))
+            })
     }
 
     /// The consolidation architecture `GreedyK` plans of this context
     /// run, with `Auto` resolved against the fabric size.
     pub(crate) fn effective_strategy(&self) -> ConsolidateStrategy {
         self.cfg.consolidate_strategy.effective(self.cfg.fat_tree_k)
-    }
-
-    /// Number of stage-2 plans currently memoized.
-    pub fn plan_cache_len(&self) -> usize {
-        self.data
-            .plan_cache
-            .lock()
-            .expect("plan cache poisoned")
-            .len()
     }
 
     /// [`crate::optimizer::candidate_power_floor_w`] through the
@@ -757,22 +704,9 @@ impl ScenarioContext {
         mask.sort_unstable();
         mask.dedup();
         let key: FloorKey = (scheme_index(scheme), tag, bits, mask);
-        if let Some(&w) = self
-            .data
-            .floor_cache
-            .lock()
-            .expect("floor cache poisoned")
-            .get(&key)
-        {
-            return w;
-        }
-        let w = crate::optimizer::candidate_power_floor_w(self, scheme, spec, excluded);
-        self.data
-            .floor_cache
-            .lock()
-            .expect("floor cache poisoned")
-            .insert(key, w);
-        w
+        self.data.floor_cache.get_or_insert(key, 1, || {
+            crate::optimizer::candidate_power_floor_w(self, scheme, spec, excluded)
+        })
     }
 
     /// Fans `candidates` out over the thread budget, evaluating each one
@@ -843,26 +777,12 @@ pub struct DayContext {
     cfg: ClusterConfig,
     /// Slots in least-recently-used order (most recent last).
     slots: Mutex<Vec<(SlotKey, ScenarioContext)>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    /// A revived slot is a hit; a build or rebind is a miss.
+    tally: Tally,
     evictions: AtomicU64,
-}
-
-/// Point-in-time statistics of a [`DayContext`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DayCacheStats {
-    /// Contexts currently held.
-    pub slots: usize,
-    /// Requests served by reviving a held slot.
-    pub hits: u64,
-    /// Requests that built or rebound a context.
-    pub misses: u64,
-    /// Slots dropped to stay within the bound.
-    pub evictions: u64,
-    /// Approximate bytes of demand-dependent state across held slots
-    /// (the shared base — arena, service model — is excluded: it exists
-    /// once regardless of slot count).
-    pub bytes: u64,
+    /// The result-memo and stage-3 tallies of evicted slots, so the day's
+    /// report still counts the lookups made on them.
+    evicted: [Tally; 2],
 }
 
 impl DayContext {
@@ -871,9 +791,9 @@ impl DayContext {
         DayContext {
             cfg: cfg.clone(),
             slots: Mutex::new(Vec::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            tally: Tally::named("core.daycache.hits", "core.daycache.misses"),
             evictions: AtomicU64::new(0),
+            evicted: [Tally::default(), Tally::default()],
         }
     }
 
@@ -882,7 +802,6 @@ impl DayContext {
     /// full build for the very first one — inserted before returning.
     pub fn context_for(&self, spec: &ScenarioSpec) -> ScenarioContext {
         let key = slot_key(spec);
-        let obs_on = eprons_obs::enabled();
         // Built inside the lock: the day loop is sequential, and holding
         // it keeps a racing duplicate build from double-inserting.
         let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
@@ -890,25 +809,22 @@ impl DayContext {
             let slot = slots.remove(i);
             let ctx = slot.1.clone();
             slots.push(slot);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if obs_on {
-                eprons_obs::registry().counter("core.daycache.hits").inc();
-            }
+            self.tally.count(true, 1);
             return ctx;
         }
         let ctx = match slots.last() {
             Some((_, base)) => base.rebind_demand(spec),
             None => ScenarioContext::build(&self.cfg, spec),
         };
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if obs_on {
-            eprons_obs::registry().counter("core.daycache.misses").inc();
-        }
+        self.tally.count(false, 1);
         slots.push((key, ctx.clone()));
         if slots.len() > DAY_SLOTS {
-            slots.remove(0);
+            let (_, gone) = slots.remove(0);
+            for (sum, memo) in self.evicted.iter().zip(memo_tallies(&gone.data)) {
+                sum.absorb(memo);
+            }
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            if obs_on {
+            if eprons_obs::enabled() {
                 eprons_obs::registry()
                     .counter("core.daycache.evictions")
                     .inc();
@@ -917,71 +833,89 @@ impl DayContext {
         ctx
     }
 
-    /// `bytes` summed over the contexts of all live slots.
-    fn slot_bytes(&self, bytes: impl Fn(&ScenarioData) -> usize) -> u64 {
+    /// The day's [`eprons_obs::Event::DayCacheReport`] rows: the day cache
+    /// itself (`core.daycache`), then the result memos (`core.evalcache`)
+    /// and stage-3 memos (`server.serveval`) of every context it has
+    /// held. Hits and misses are this day's lookups, evicted slots'
+    /// included; `bytes` approximates what the live slots hold (the
+    /// shared base — arena, service model — is excluded: it exists once
+    /// regardless of slot count).
+    pub(crate) fn report(&self) -> [eprons_obs::Event; 3] {
         let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        slots.iter().map(|(_, ctx)| bytes(&ctx.data)).sum::<usize>() as u64
-    }
-
-    /// Approximate bytes held by the evaluation-result memos across all
-    /// live slots (each entry is one [`ClusterRunResult`] — or a cached
-    /// failure — plus its active-switch id vector).
-    pub fn eval_footprint_bytes(&self) -> u64 {
-        self.slot_bytes(|d| {
-            let evals = d.eval_cache.lock().unwrap_or_else(|e| e.into_inner());
-            evals
-                .values()
-                .map(|outcome| {
-                    std::mem::size_of::<EvalOutcome>()
-                        + match &**outcome {
-                            Ok(r) => r.active_switch_ids.len() * std::mem::size_of::<usize>(),
-                            Err(_) => 0,
-                        }
-                })
-                .sum()
-        })
-    }
-
-    /// Approximate bytes held by the stage-3 reuse lists across all live
-    /// slots (each entry's per-ISN completions; its plan is the plan
-    /// memo's).
-    pub fn server_eval_footprint_bytes(&self) -> u64 {
-        self.slot_bytes(|d| {
-            let list = d.server_evals.lock().unwrap_or_else(|e| e.into_inner());
-            list.iter()
-                .flat_map(|(_, _, eval)| &eval.shards)
-                .map(|s| s.completions.len() * std::mem::size_of::<(u64, f64, f64)>())
-                .sum()
-        })
-    }
-
-    /// Current cache statistics (slot count, hit/miss/eviction totals,
-    /// approximate bytes held).
-    pub fn stats(&self) -> DayCacheStats {
-        let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        let mut bytes = 0usize;
-        for (_, ctx) in slots.iter() {
-            let d = &*ctx.data;
-            bytes += d.queries.len() * std::mem::size_of::<Query>()
-                + d.flows.len() * std::mem::size_of::<eprons_net::Flow>()
-                + d.pair_flow.len() * std::mem::size_of::<FlowId>();
-            let plans = d.plan_cache.lock().unwrap_or_else(|e| e.into_inner());
-            for plan in plans.values() {
-                bytes += plan
-                    .net_lat
-                    .iter()
-                    .map(|v| v.len() * std::mem::size_of::<(usize, f64, f64)>())
-                    .sum::<usize>();
+        let live_bytes = |bytes: fn(&ScenarioData) -> usize| {
+            slots.iter().map(|(_, ctx)| bytes(&ctx.data)).sum::<usize>() as u64
+        };
+        let row = |cache: &str, (hits, misses): (u64, u64), evictions, bytes| {
+            eprons_obs::Event::DayCacheReport {
+                cache: cache.to_string(),
+                hits,
+                misses,
+                evictions,
+                bytes,
             }
-        }
-        DayCacheStats {
-            slots: slots.len(),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            bytes: bytes as u64,
-        }
+        };
+        // Hits and misses of memo `i` of `memo_tallies`, over every slot.
+        let lookups = |i: usize| {
+            slots
+                .iter()
+                .map(|(_, ctx)| memo_tallies(&ctx.data)[i].get())
+                .fold(self.evicted[i].get(), |(h, m), (dh, dm)| (h + dh, m + dm))
+        };
+        [
+            row(
+                "core.daycache",
+                self.tally.get(),
+                self.evictions.load(Ordering::Relaxed),
+                live_bytes(|d| {
+                    d.queries.len() * std::mem::size_of::<Query>()
+                        + d.flows.len() * std::mem::size_of::<eprons_net::Flow>()
+                        + d.pair_flow.len() * std::mem::size_of::<FlowId>()
+                        + d.plan_cache.sum(|_, plan| {
+                            plan.net_lat
+                                .iter()
+                                .map(|v| v.len() * std::mem::size_of::<(usize, f64, f64)>())
+                                .sum()
+                        })
+                }),
+            ),
+            // Each entry is one result — or a cached failure — plus its
+            // active-switch id vector.
+            row(
+                "core.evalcache",
+                lookups(0),
+                0,
+                live_bytes(|d| {
+                    d.eval_cache.sum(|_, outcome| {
+                        std::mem::size_of::<EvalOutcome>()
+                            + outcome.as_ref().as_ref().map_or(0, |r| {
+                                r.active_switch_ids.len() * std::mem::size_of::<usize>()
+                            })
+                    })
+                }),
+            ),
+            // Each entry's per-ISN completions; its plan is the plan
+            // memo's.
+            row(
+                "server.serveval",
+                lookups(1),
+                0,
+                live_bytes(|d| {
+                    d.server_evals.sum(|_, eval| {
+                        eval.shards
+                            .iter()
+                            .map(|s| s.completions.len() * std::mem::size_of::<(u64, f64, f64)>())
+                            .sum()
+                    })
+                }),
+            ),
+        ]
     }
+}
+
+/// The tallies a [`DayContext`] reports per context: the result memo's
+/// and the stage-3 memo's.
+fn memo_tallies(d: &ScenarioData) -> [&Tally; 2] {
+    [d.eval_cache.tally(), d.server_evals.tally()]
 }
 
 /// Stage 2: one candidate network configuration applied to a scenario —
@@ -1124,20 +1058,28 @@ impl NetworkPlan {
 /// so every simulated `avg_core_w` is ≥ this value. The optimizer's
 /// candidate lower bound rests on that inequality.
 pub(crate) fn scheme_idle_floor_w(cfg: &ClusterConfig, scheme: ServerScheme) -> f64 {
-    let policy: Box<dyn DvfsPolicy> = match scheme {
+    dvfs_policy(cfg, scheme, cfg.sla.server_budget_s)
+        .idle_power_w()
+        .unwrap_or_else(|| cfg.cpu.core_idle_w())
+}
+
+/// The DVFS policy a server runs under `scheme`; TimeTrader aims at
+/// `timetrader_target_s`.
+fn dvfs_policy(
+    cfg: &ClusterConfig,
+    scheme: ServerScheme,
+    timetrader_target_s: f64,
+) -> Box<dyn DvfsPolicy> {
+    match scheme {
         ServerScheme::NoPowerManagement => Box::new(MaxFreqPolicy),
         ServerScheme::Rubik => Box::new(MaxVpPolicy::rubik()),
         ServerScheme::RubikPlus => Box::new(MaxVpPolicy::rubik_plus()),
-        ServerScheme::TimeTrader => Box::new(TimeTraderPolicy::new(
-            cfg.sla.server_budget_s,
-            cfg.ladder.len(),
-        )),
+        ServerScheme::TimeTrader => {
+            Box::new(TimeTraderPolicy::new(timetrader_target_s, cfg.ladder.len()))
+        }
         ServerScheme::EpronsServer => Box::new(AvgVpPolicy::eprons()),
         ServerScheme::DeepSleep => Box::new(DeepSleepPolicy::new()),
-    };
-    policy
-        .idle_power_w()
-        .unwrap_or_else(|| cfg.cpu.core_idle_w())
+    }
 }
 
 /// What one server's shard hands back to the in-order reduction.
@@ -1264,16 +1206,7 @@ impl ServerEvaluation {
             let mut shard_span = eprons_obs::Span::enter_under(eval_span_id, "server_shard");
             let arrivals = &per_server[s];
             let mut engine = VpEngine::shared(Arc::clone(&d.vp_ladder));
-            let mut policy: Box<dyn DvfsPolicy> = match scheme {
-                ServerScheme::NoPowerManagement => Box::new(MaxFreqPolicy),
-                ServerScheme::Rubik => Box::new(MaxVpPolicy::rubik()),
-                ServerScheme::RubikPlus => Box::new(MaxVpPolicy::rubik_plus()),
-                ServerScheme::TimeTrader => {
-                    Box::new(TimeTraderPolicy::new(timetrader_target, cfg.ladder.len()))
-                }
-                ServerScheme::EpronsServer => Box::new(AvgVpPolicy::eprons()),
-                ServerScheme::DeepSleep => Box::new(DeepSleepPolicy::new()),
-            };
+            let mut policy = dvfs_policy(cfg, scheme, timetrader_target);
             let r = simulate_core(
                 policy.as_mut(),
                 &mut engine,
@@ -1343,11 +1276,9 @@ mod tests {
 
     /// Stage-3 reuse: a masked `GreedyK(2)` plan that samples the
     /// unmasked plan's latencies bit for bit reuses its evaluation — one
-    /// `core.serveval` hit per ISN — and matches a fresh context's
+    /// stage-3 memo hit per ISN — and matches a fresh context's
     /// evaluation; a mask whose latencies differ misses. (`{:?}` prints
-    /// every `f64` in round-trip form, so equal text is equal bits. The
-    /// `core.serveval` counters are process-wide, but no other test in
-    /// this binary reuses a stage-3 run, so the hit count is exact.)
+    /// every `f64` in round-trip form, so equal text is equal bits.)
     #[test]
     fn masked_plan_with_identical_latencies_reuses_stage_three() {
         let cfg = ClusterConfig::default();
@@ -1377,16 +1308,14 @@ mod tests {
         let same = same.expect("some core mask samples the unmasked latencies at k=4");
         let differs = differs.expect("some core mask changes the latencies at k=4");
 
-        let hits = || eprons_obs::registry().counter("core.serveval.hits").get();
-        let entries = || ctx.data.server_evals.lock().unwrap().len();
+        let hits = || ctx.data.server_evals.tally().get().0;
+        let entries = || ctx.data.server_evals.sum(|_, _| 1);
         let n = ctx.num_servers() as u64;
-        eprons_obs::set_enabled(true);
         let (h0, e0) = (hits(), entries());
         let reused = ctx.evaluate_masked(scheme, k2, &[same]).unwrap();
         let (h1, e1) = (hits(), entries());
         ctx.evaluate_masked(scheme, k2, &[differs]).unwrap();
         let (h2, e2) = (hits(), entries());
-        eprons_obs::set_enabled(false);
 
         assert_eq!(h1 - h0, n, "a same-latency mask must hit once per ISN");
         assert_eq!(e1, e0, "a hit must not add a stage-3 run");
@@ -1396,6 +1325,38 @@ mod tests {
             .evaluate_masked(scheme, k2, &[same])
             .unwrap();
         assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
+    }
+
+    /// A memoized `NetworkPlan` is indistinguishable from a rebuilt one:
+    /// the latency RNG fork is stored unconsumed and cloned per build, so
+    /// the plan is a pure function of (context, spec, mask). The
+    /// references are fresh `run_cluster` builds, which share no memo
+    /// with `ctx`.
+    #[test]
+    fn plan_cache_hits_are_bit_identical_to_rebuilds() {
+        let cfg = ClusterConfig::default();
+        let spec = ConsolidationSpec::Level(AggregationLevel::Agg2);
+        let run = |scheme| ClusterRun {
+            scheme,
+            consolidation: spec,
+            server_utilization: 0.3,
+            background_util: 0.2,
+            duration_s: 1.0,
+            warmup_s: 0.0,
+            seed: 7,
+        };
+        let ctx = ScenarioContext::for_template(&cfg, &run(ServerScheme::EpronsServer));
+        let plans = || ctx.data.plan_cache.tally().get();
+        let rebuilt = crate::run_cluster(&cfg, &run(ServerScheme::EpronsServer)).unwrap();
+        let miss = ctx.evaluate(ServerScheme::EpronsServer, spec).unwrap();
+        assert_eq!(plans(), (0, 1), "the miss path must memoize the plan");
+        // A second scheme misses the result memo and is served the
+        // memoized plan.
+        let rebuilt_rubik = crate::run_cluster(&cfg, &run(ServerScheme::Rubik)).unwrap();
+        let hit = ctx.evaluate(ServerScheme::Rubik, spec).unwrap();
+        assert_eq!(plans(), (1, 1), "the hit must not rebuild");
+        assert_eq!(format!("{rebuilt:?}"), format!("{miss:?}"));
+        assert_eq!(format!("{rebuilt_rubik:?}"), format!("{hit:?}"));
     }
 
     /// The day cache holds at most `DAY_SLOTS` contexts: one operating
@@ -1414,27 +1375,27 @@ mod tests {
             seed: 7,
         };
         let day = DayContext::new(&cfg);
+        let slots = || day.slots.lock().unwrap().len();
+        let daycache = || {
+            let (hits, misses, evictions, _) = report_row(&day, "core.daycache");
+            (hits, misses, evictions)
+        };
         for i in 0..DAY_SLOTS {
             day.context_for(&spec(i));
         }
         // Reviving slot 0 leaves slot 1 the least recently used.
         day.context_for(&spec(0));
-        let full = day.stats();
-        assert_eq!(
-            (full.slots, full.hits, full.misses, full.evictions),
-            (DAY_SLOTS, 1, DAY_SLOTS as u64, 0)
-        );
+        assert_eq!((slots(), daycache()), (DAY_SLOTS, (1, DAY_SLOTS as u64, 0)));
 
         day.context_for(&spec(DAY_SLOTS));
-        let evicted = day.stats();
-        assert_eq!((evicted.slots, evicted.evictions), (DAY_SLOTS, 1));
+        assert_eq!((slots(), daycache().2), (DAY_SLOTS, 1));
         // Slot 0 survived the eviction; slot 1 did not.
         day.context_for(&spec(0));
-        assert_eq!(day.stats().hits, 2, "the revived slot must survive");
+        assert_eq!(daycache().0, 2, "the revived slot must survive");
         day.context_for(&spec(1));
-        let after = day.stats();
+        let (_, misses, evictions) = daycache();
         assert_eq!(
-            (after.misses, after.evictions),
+            (misses, evictions),
             (DAY_SLOTS as u64 + 2, 2),
             "the evicted slot must be rebuilt, evicting the next oldest"
         );
@@ -1447,5 +1408,58 @@ mod tests {
                 .unwrap();
             assert_eq!(format!("{revived:?}"), format!("{fresh:?}"), "slot {i}");
         }
+    }
+
+    /// The report's memo rows count the day's lookups on every context
+    /// the day cache has held: a slot evicted before the report still
+    /// contributes its result-memo and stage-3 hits and misses.
+    #[test]
+    fn day_report_counts_lookups_on_evicted_slots() {
+        let cfg = ClusterConfig::default();
+        let spec = |i: usize| ScenarioSpec {
+            server_utilization: 0.05 + 0.01 * i as f64,
+            background_util: 0.1,
+            duration_s: 0.2,
+            warmup_s: 0.0,
+            seed: 7,
+        };
+        let (scheme, all_on) = (ServerScheme::EpronsServer, ConsolidationSpec::AllOn);
+        let day = DayContext::new(&cfg);
+        // Slot 0: one miss, then one hit.
+        let first = day.context_for(&spec(0));
+        first.evaluate(scheme, all_on).unwrap();
+        first.evaluate(scheme, all_on).unwrap();
+        drop(first);
+        // `DAY_SLOTS` more operating points push slot 0 out.
+        for i in 1..=DAY_SLOTS {
+            day.context_for(&spec(i));
+        }
+        assert_eq!(report_row(&day, "core.daycache").2, 1, "slot 0 evicted");
+        // A live slot adds one more miss.
+        day.context_for(&spec(1)).evaluate(scheme, all_on).unwrap();
+
+        let n = cfg.num_servers() as u64;
+        let (hits, misses, _, _) = report_row(&day, "core.evalcache");
+        assert_eq!((hits, misses), (1, 2), "result-memo lookups of the day");
+        let (hits, misses, _, _) = report_row(&day, "server.serveval");
+        assert_eq!((hits, misses), (0, 2 * n), "one stage-3 run per miss");
+    }
+
+    /// `(hits, misses, evictions, bytes)` of `cache`'s row of `day`'s
+    /// report.
+    fn report_row(day: &DayContext, cache: &str) -> (u64, u64, u64, u64) {
+        day.report()
+            .into_iter()
+            .find_map(|e| match e {
+                eprons_obs::Event::DayCacheReport {
+                    cache: c,
+                    hits,
+                    misses,
+                    evictions,
+                    bytes,
+                } if c == cache => Some((hits, misses, evictions, bytes)),
+                _ => None,
+            })
+            .expect("one row per cache")
     }
 }

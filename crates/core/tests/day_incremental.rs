@@ -2,30 +2,35 @@
 //! counter arithmetic.
 //!
 //! The incremental machinery (the [`DayContext`] LRU, demand rebinds,
-//! and the per-context result memo and stage-3 reuse list that revived
-//! contexts bring back) must be invisible in results: a day run with
+//! and the per-context result and stage-3 memos that revived contexts
+//! bring back) must be invisible in results: a day run with
 //! `DayScopeConfig { incremental: true }` is bit-for-bit the day run
 //! with `incremental: false` (the per-epoch rebuild baseline), including
-//! under mid-day failures and across every consolidation strategy. The
+//! under mid-day failures and across every consolidation strategy, on
+//! fixed inputs and on generated traces and failure schedules. The
 //! constant-trace test then pins the cache arithmetic exactly: a
 //! constant day has one operating point, so the day cache misses once
 //! and hits every remaining epoch, and the result memo serves the first
-//! epoch's evaluation verbatim.
+//! epoch's evaluation verbatim. The day-end cache report counts the
+//! day's own lookups, whatever another thread evaluates meanwhile.
 //!
 //! Own test binary: every cache lives in its scenario context, but the
 //! obs counter registry and journal are process-wide, so tests
 //! serialize on a static mutex and no other test binary's counters can
 //! race the arithmetic.
 
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Barrier, Mutex};
 
 use eprons_core::controller::{day_total_energy_j, DayConfig};
 use eprons_core::optimizer::scale_factor_candidates;
+use eprons_core::scenario::{ScenarioContext, ScenarioSpec};
 use eprons_core::{
     simulate_day, simulate_day_with_failures, ClusterConfig, ConsolidateStrategy,
     ConsolidationSpec, DayScopeConfig, DayStrategy, FailureEvent, FailureEventKind,
-    FailureSchedule, OnlineConfig, ReplayTrace, TraceScenario,
+    FailureSchedule, OnlineConfig, ReplayTrace, ServerScheme, TraceScenario,
 };
+use eprons_proplite::{cases, Gen};
 use eprons_topo::FatTree;
 
 /// Serializes the tests in this binary: the obs counter registry and
@@ -178,6 +183,95 @@ fn incremental_day_is_bit_identical_across_strategies() {
     assert!(day_hits > 0, "the batch day must reuse its day cache");
 }
 
+/// A random replay trace: constant, or one step at a random minute.
+fn arb_trace(g: &mut Gen, lo: f64, hi: f64) -> ReplayTrace {
+    let (before, after) = (g.f64_in(lo, hi), g.f64_in(lo, hi));
+    if g.bool() {
+        return ReplayTrace::constant(before);
+    }
+    let step = g.usize_in(1, 1439);
+    ReplayTrace::new(
+        (0..1440)
+            .map(|m| if m < step { before } else { after })
+            .collect(),
+    )
+}
+
+/// A random scripted schedule of up to two core or aggregation switch
+/// failures, each recovering later in the day or not at all.
+fn arb_failures(g: &mut Gen, cfg: &ClusterConfig) -> FailureSchedule {
+    let ft = FatTree::new(cfg.fat_tree_k, cfg.link_capacity_mbps);
+    let half = cfg.fat_tree_k / 2;
+    let mut events = Vec::new();
+    for _ in 0..g.usize_in(0, 2) {
+        let switch = if g.bool() {
+            ft.core(g.usize_in(0, half - 1), g.usize_in(0, half - 1))
+        } else {
+            ft.agg(g.usize_in(0, cfg.fat_tree_k - 1), g.usize_in(0, half - 1))
+        };
+        let fail = g.f64_in(0.0, 1440.0);
+        events.push(FailureEvent {
+            minute: fail,
+            switch: switch.0,
+            kind: FailureEventKind::Fail,
+        });
+        if g.bool() {
+            events.push(FailureEvent {
+                minute: g.f64_in(fail, 1440.0),
+                switch: switch.0,
+                kind: FailureEventKind::Recover,
+            });
+        }
+    }
+    FailureSchedule::scripted(events)
+}
+
+/// Context reuse over generated inputs: on random constant or step
+/// traces and random core/aggregation failure schedules, with or without
+/// the online controller, the incremental day matches the per-epoch
+/// rebuild bit for bit — the fixed-input goldens above, generalized.
+#[test]
+fn incremental_day_matches_rebuild_on_random_traces_and_failures() {
+    let _guard = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = ClusterConfig {
+        fat_tree_k: 4,
+        ..ClusterConfig::default()
+    };
+    let strategy = DayStrategy::Eprons {
+        candidates: vec![
+            ConsolidationSpec::GreedyK(1.0),
+            ConsolidationSpec::GreedyK(2.0),
+        ],
+    };
+    cases(16, |g, case| {
+        let baseline_day = DayConfig {
+            epoch_minutes: *g.choose(&[240, 360, 480]),
+            sim_seconds: 0.5,
+            peak_utilization: 0.5,
+            seed: g.u64(),
+            warm_start: g.bool(),
+            search_trace: TraceScenario::Replay(arb_trace(g, 0.1, 1.0)),
+            background_trace: TraceScenario::Replay(arb_trace(g, 0.05, 0.3)),
+            online: g.bool().then(OnlineConfig::enabled),
+            day_scope: Some(DayScopeConfig { incremental: false }),
+        };
+        let incremental_day = DayConfig {
+            day_scope: Some(DayScopeConfig::default()),
+            ..baseline_day.clone()
+        };
+        let schedule = arb_failures(g, &cfg);
+        let baseline = simulate_day_with_failures(&cfg, &strategy, &baseline_day, &schedule);
+        let incremental = simulate_day_with_failures(&cfg, &strategy, &incremental_day, &schedule);
+        assert_days_bit_identical(
+            &format!("case {case}: {:?}", schedule.events()),
+            &baseline,
+            &incremental,
+            &baseline_day,
+            &incremental_day,
+        );
+    });
+}
+
 /// A constant replay day has exactly one operating point, which pins
 /// the cache counters: the day cache misses once (the first epoch's
 /// build) and hits every other epoch; the result memo serves the first
@@ -294,7 +388,7 @@ fn constant_day_pins_cache_counter_arithmetic() {
     // Stage-3 reuse: with the result memo answering the repeat epochs,
     // stage 3 runs only on result-memo misses — each ISN is simulated
     // exactly once per distinct operating point (16 servers at k = 4),
-    // and no lookup of the reuse list hits. (Its hits come from masked
+    // and no lookup of the stage-3 memo hits. (Its hits come from masked
     // plans that sample an earlier plan's latencies bit for bit — the
     // replay harness's territory, not a constant day's.)
     let n_servers = (cfg.fat_tree_k * cfg.fat_tree_k * cfg.fat_tree_k) as u64 / 4;
@@ -336,6 +430,85 @@ fn constant_day_pins_cache_counter_arithmetic() {
             );
         }
     }
+}
+
+/// The day-end cache report counts the day's own lookups: with
+/// telemetry on, a thread evaluating unrelated contexts for the whole
+/// day leaves every `DayCacheReport` row — `core.evalcache` and
+/// `server.serveval` included — as it reads when the day runs alone.
+/// The rows come from the day's own tallies, so the assertion holds
+/// however the two threads interleave; rows diffed from the
+/// process-wide registry would count the other thread's lookups.
+#[test]
+fn day_cache_report_ignores_concurrent_evaluations() {
+    let _guard = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = ClusterConfig {
+        fat_tree_k: 4,
+        ..ClusterConfig::default()
+    };
+    let day = DayConfig {
+        epoch_minutes: 240,
+        sim_seconds: 0.5,
+        peak_utilization: 0.5,
+        seed: 99,
+        warm_start: true,
+        day_scope: Some(DayScopeConfig::default()),
+        ..DayConfig::default()
+    };
+    let strategy = DayStrategy::Eprons {
+        candidates: vec![
+            ConsolidationSpec::GreedyK(1.0),
+            ConsolidationSpec::GreedyK(2.0),
+        ],
+    };
+    let report = || {
+        eprons_obs::reset();
+        simulate_day(&cfg, &strategy, &day);
+        eprons_obs::journal()
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.event.kind() == "DayCacheReport")
+            .map(|e| e.event)
+            .collect::<Vec<_>>()
+    };
+    eprons_obs::set_enabled(true);
+    let alone = report();
+    let stop = AtomicBool::new(false);
+    let started = Barrier::new(2);
+    let (during, evaluations) = std::thread::scope(|s| {
+        let other = s.spawn(|| {
+            started.wait();
+            // A fresh context per evaluation: every lookup misses the
+            // result memo, so each also consults the stage-3 memo.
+            let mut n = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                let spec = ScenarioSpec {
+                    server_utilization: 0.2,
+                    background_util: 0.1,
+                    duration_s: 0.2,
+                    warmup_s: 0.0,
+                    seed: n,
+                };
+                ScenarioContext::build(&cfg, &spec)
+                    .evaluate(ServerScheme::EpronsServer, ConsolidationSpec::AllOn)
+                    .unwrap();
+                n += 1;
+            }
+            n
+        });
+        started.wait();
+        let rows = report();
+        stop.store(true, Ordering::Relaxed);
+        (rows, other.join().unwrap())
+    });
+    eprons_obs::set_enabled(false);
+
+    assert_eq!(alone.len(), 3, "one row per day-scope cache");
+    assert!(evaluations > 0, "the other thread must have evaluated");
+    assert_eq!(
+        during, alone,
+        "another thread's lookups leaked into the report"
+    );
 }
 
 /// The k=16 bit-identity golden (the replay harness's scale, coarse

@@ -303,30 +303,6 @@ fn pruning_skips_dominated_candidates_at_light_load() {
 }
 
 #[test]
-fn plan_cache_hits_are_bit_identical_to_rebuilds() {
-    // A cached NetworkPlan must be indistinguishable from a rebuilt one:
-    // the consolidation RNG fork is stored unconsumed and cloned per
-    // build, so the plan is a pure function of (context, spec, mask).
-    let cfg = ClusterConfig::default();
-    let template = short_run(ServerScheme::EpronsServer, ConsolidationSpec::AllOn);
-    let ctx = ScenarioContext::build(&cfg, &ScenarioSpec::of_run(&template));
-    // The references are fresh `run_cluster` builds, which share no memo
-    // with `ctx`.
-    let spec = ConsolidationSpec::Level(AggregationLevel::Agg2);
-    let rebuilt = run_cluster(&cfg, &short_run(ServerScheme::EpronsServer, spec)).unwrap();
-    let miss = ctx.evaluate(ServerScheme::EpronsServer, spec).unwrap();
-    let plans = ctx.plan_cache_len();
-    assert!(plans >= 1, "miss path must populate the cache");
-    // A second scheme misses the result memo and is served the cached
-    // plan.
-    let rebuilt_rubik = run_cluster(&cfg, &short_run(ServerScheme::Rubik, spec)).unwrap();
-    let hit = ctx.evaluate(ServerScheme::Rubik, spec).unwrap();
-    assert_eq!(ctx.plan_cache_len(), plans, "the hit must not rebuild");
-    assert_eq!(result_bits(&rebuilt), result_bits(&miss));
-    assert_eq!(result_bits(&rebuilt_rubik), result_bits(&hit));
-}
-
-#[test]
 fn pre_grown_vp_ladder_is_invisible_to_results() {
     // A fresh context grows only the ladder levels, spectra and
     // conditioned slots its own evaluation needs. A context whose shared

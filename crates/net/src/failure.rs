@@ -6,9 +6,8 @@
 //! exactly when the fewest switches are on. This module supplies the
 //! machinery a controller needs to exercise that regime:
 //!
-//! * [`FailureSchedule`] — a deterministic, seedable timeline of switch
-//!   fail/recover events. Script events explicitly, or sample them from
-//!   exponential MTTF/MTTR distributions with a fixed seed.
+//! * [`FailureSchedule`] — a deterministic, scripted timeline of switch
+//!   fail/recover events.
 //! * [`DegradationPolicy`] — the controller-side ladder: (1) in-epoch
 //!   repair via [`Assignment::repair_after_switch_failure`], pricing the
 //!   woken backups' boot energy through [`TransitionModel`]; (2) if the
@@ -25,7 +24,6 @@ use crate::consolidate::{Assignment, ConsolidationError};
 use crate::flow::FlowSet;
 use crate::power::NetworkPowerModel;
 use crate::transition::{Churn, TransitionModel};
-use eprons_sim::SimRng;
 
 /// What happened to a switch at a schedule event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,51 +86,6 @@ impl FailureSchedule {
                 .then(a.switch.cmp(&b.switch))
         });
         FailureSchedule { events }
-    }
-
-    /// Samples a schedule over `horizon_minutes` for the given switches:
-    /// each switch alternates up/down periods drawn from exponential
-    /// distributions with the given mean time to failure / to repair.
-    /// Per-switch streams are forked from `seed`, so the schedule is a
-    /// pure function of its arguments.
-    ///
-    /// # Panics
-    /// Panics if either mean is not strictly positive.
-    pub fn sample(
-        seed: u64,
-        switches: &[usize],
-        horizon_minutes: f64,
-        mttf_minutes: f64,
-        mttr_minutes: f64,
-    ) -> Self {
-        assert!(
-            mttf_minutes > 0.0 && mttr_minutes > 0.0,
-            "MTTF/MTTR must be positive"
-        );
-        let mut rng = SimRng::seed_from_u64(seed);
-        let mut events = Vec::new();
-        for &s in switches {
-            let mut r = rng.fork(s as u64);
-            let mut t = r.exponential(1.0 / mttf_minutes);
-            while t < horizon_minutes {
-                events.push(FailureEvent {
-                    minute: t,
-                    switch: s,
-                    kind: FailureEventKind::Fail,
-                });
-                t += r.exponential(1.0 / mttr_minutes);
-                if t >= horizon_minutes {
-                    break;
-                }
-                events.push(FailureEvent {
-                    minute: t,
-                    switch: s,
-                    kind: FailureEventKind::Recover,
-                });
-                t += r.exponential(1.0 / mttf_minutes);
-            }
-        }
-        Self::scripted(events)
     }
 
     /// All events, sorted by `(minute, switch)`.
@@ -324,6 +277,32 @@ mod tests {
         assert_eq!(s.failed_at(800.0), vec![7]); // 3 recovered at 770
     }
 
+    /// A switch that fails, recovers and fails again is down exactly
+    /// while its latest event at or before the minute is a failure —
+    /// after an odd number of its alternating events.
+    #[test]
+    fn failed_at_follows_alternating_events() {
+        let s = FailureSchedule::scripted(vec![
+            ev(300.0, 5, FailureEventKind::Fail),
+            ev(100.0, 5, FailureEventKind::Fail),
+            ev(200.0, 5, FailureEventKind::Recover),
+            ev(400.0, 5, FailureEventKind::Recover),
+        ]);
+        for (minute, down) in [
+            (50.0, false),
+            (100.0, true),
+            (150.0, true),
+            (200.0, false),
+            (250.0, false),
+            (300.0, true),
+            (399.0, true),
+            (400.0, false),
+        ] {
+            let expect: Vec<usize> = if down { vec![5] } else { vec![] };
+            assert_eq!(s.failed_at(minute), expect, "minute {minute}");
+        }
+    }
+
     #[test]
     fn events_in_window_is_half_open() {
         let s = FailureSchedule::scripted(vec![
@@ -334,45 +313,6 @@ mod tests {
         assert_eq!(s.events_in(60.0, 120.0).len(), 1);
         assert_eq!(s.events_in(120.0, 180.0).len(), 1);
         assert!(s.events_in(0.0, 240.0).len() == 2);
-    }
-
-    #[test]
-    fn sampled_schedule_is_deterministic_and_alternates() {
-        let switches: Vec<usize> = (16..36).collect();
-        let a = FailureSchedule::sample(7, &switches, 1440.0, 400.0, 30.0);
-        let b = FailureSchedule::sample(7, &switches, 1440.0, 400.0, 30.0);
-        assert_eq!(a, b, "same seed must reproduce the schedule exactly");
-        let c = FailureSchedule::sample(8, &switches, 1440.0, 400.0, 30.0);
-        assert_ne!(a, c, "different seeds should differ");
-        assert!(!a.is_empty(), "MTTF 400 min over a 1440 min day must fire");
-        // Per switch: strict alternation starting with a failure.
-        for &s in &switches {
-            let kinds: Vec<FailureEventKind> = a
-                .events()
-                .iter()
-                .filter(|e| e.switch == s)
-                .map(|e| e.kind)
-                .collect();
-            for (i, k) in kinds.iter().enumerate() {
-                let expect = if i % 2 == 0 {
-                    FailureEventKind::Fail
-                } else {
-                    FailureEventKind::Recover
-                };
-                assert_eq!(*k, expect, "switch {s} event {i}");
-            }
-        }
-        // At the end of any prefix, failed_at is consistent with the
-        // alternation: a switch is down iff its prefix has odd length.
-        let down = a.failed_at(720.0);
-        for &s in &switches {
-            let n = a
-                .events()
-                .iter()
-                .filter(|e| e.switch == s && e.minute <= 720.0)
-                .count();
-            assert_eq!(down.contains(&s), n % 2 == 1);
-        }
     }
 
     #[test]

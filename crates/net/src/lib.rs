@@ -20,9 +20,9 @@
 //!   switches per \[23\]; the measured HPE curve of Fig. 8).
 //! * [`transition`] — switch on/off transition overheads (§IV-B's 72.52 s
 //!   measured power-on time) and reconfiguration churn.
-//! * [`failure`] — deterministic fault injection (seedable fail/recover
-//!   schedules with MTTF/MTTR sampling) and the graceful-degradation
-//!   ladder that makes §IV-B's "backup paths" remark concrete.
+//! * [`failure`] — deterministic fault injection (scripted fail/recover
+//!   schedules) and the graceful-degradation ladder that makes §IV-B's
+//!   "backup paths" remark concrete.
 
 #![warn(missing_docs)]
 

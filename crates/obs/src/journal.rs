@@ -394,8 +394,8 @@ journal_schema! {
         /// End-of-day report from one cross-epoch cache of a day-scoped
         /// incremental run (`cache` names it: `core.daycache` for the
         /// scenario-context cache, `core.evalcache` for the result memo,
-        /// `server.serveval` for the stage-3 reuse lists). Counters cover
-        /// the whole day; `bytes` is
+        /// `server.serveval` for the stage-3 memos). Counters cover the
+        /// day's own lookups; `bytes` is
         /// the approximate heap held when the day closed. `obsctl summarize`
         /// renders one table row per report.
         DayCacheReport {

@@ -104,6 +104,10 @@ impl fmt::Display for Json {
                 if !x.is_finite() {
                     // JSON has no NaN/Inf; journal writers clamp to null.
                     f.write_str("null")
+                } else if *x == 0.0 && x.is_sign_negative() {
+                    // `as i64` would drop the sign; the parser reads
+                    // `-0` back as `-0.0`.
+                    f.write_str("-0")
                 } else if x.fract() == 0.0 && x.abs() < 9.0e15 {
                     write!(f, "{}", *x as i64)
                 } else {

@@ -1,6 +1,8 @@
 //! Golden wire format: one journal line per event kind, with a fixed
 //! payload, against text captured from the encoder before the schema
-//! became one declaration.
+//! became one declaration. One line differs from that capture on
+//! purpose: `ClockSkew`'s `last_s` of `-0.0` is written `-0`, where the
+//! old writer printed `0` and lost the sign.
 //!
 //! A round trip cannot catch a renamed field or a reordered key, because
 //! the encoder and decoder change together; stored journals and the CI
@@ -182,7 +184,7 @@ const GOLDEN: &str = r#"{"seq":0,"t":"DayStart","strategy":"eprons","epochs":144
 {"seq":9,"t":"LinkStateChange","links_on":2,"links_off":14,"switches_on":0,"switches_off":3}
 {"seq":10,"t":"ConsolidationPass","algo":"greedy","flows":272,"placed":270,"active_switches":12}
 {"seq":11,"t":"PodConsolidation","pods":16,"solved":16,"resolves":1,"rounds":2,"balanced":1,"fallback":false}
-{"seq":12,"t":"ClockSkew","at_s":1.25,"last_s":0}
+{"seq":12,"t":"ClockSkew","at_s":1.25,"last_s":-0}
 {"seq":13,"t":"RunTag","scheme":"eprons","consolidation":"k=1.5","seed":2018}
 {"seq":14,"t":"ScenarioBuilt","seed":9007199254740991,"queries":20000,"flows":272,"servers":16}
 {"seq":15,"t":"FailureInjected","switch":17,"minute":730.5,"kind":"fail"}
