@@ -3,10 +3,9 @@
 //! Paper anchors (§III-C): equivalent distributions are cached at
 //! departure instants; arrival instants pay n fresh convolutions (here one
 //! product and one inverse transform each against a cached level
-//! spectrum, and none for the first two levels once a head of the same
-//! bin has been seen); "the time it takes to determine the operating
-//! frequency is shortened by applying binary search on the average VP … it
-//! takes less than 30 µs".
+//! spectrum, and none once a head of the same bin has been seen); "the
+//! time it takes to determine the operating frequency is shortened by
+//! applying binary search on the average VP … it takes less than 30 µs".
 
 use eprons_bench::harness::Runner;
 use eprons_server::policy::DvfsPolicy;
@@ -65,11 +64,20 @@ fn main() {
             |mut engine| engine.decision(black_box(0.0), Some(arrival(mid)), black_box(&deadlines)),
         );
     }
-    // The same head bin again on a warm engine: levels 1–2 come from
-    // their conditioned slots, deeper levels still convolve.
+    // The same head bin again on a warm engine: every level comes from
+    // its conditioned slot.
     for depth in [1usize, 8] {
         let mut engine = VpEngine::new(svc.clone());
         let deadlines: Vec<f64> = (0..=depth).map(|i| 10.0e-3 + 3.0e-3 * i as f64).collect();
+        let _ = engine.decision(0.0, Some(arrival(mid)), &deadlines);
+        let before = engine.tally();
+        let _ = engine.decision(0.0, Some(arrival(mid)), &deadlines);
+        let work = engine.tally().since(before);
+        assert_eq!(
+            (work.convolutions, work.conditioned_hits),
+            (0, depth as u64),
+            "a repeated head bin must hit every level's conditioned slot"
+        );
         r.bench(&format!("decision_arrival_repeat/queue/{depth}"), || {
             engine.decision(black_box(0.0), Some(arrival(mid)), black_box(&deadlines))
         });

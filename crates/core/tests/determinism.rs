@@ -321,16 +321,10 @@ fn pre_grown_vp_ladder_is_invisible_to_results() {
     let mut engine = VpEngine::shared(Arc::clone(ladder));
     let top = engine.service().work_pmf().max_value();
     let deadlines: Vec<f64> = (1..=48).map(|i| i as f64 * 1.0e-3).collect();
-    for eighth in 1..8 {
-        // Conditioned heads of different lengths need different FFT sizes.
-        let head = InflightHead {
-            done_work_gc: top * eighth as f64 / 8.0,
-            rem_fixed_s: 0.0,
-        };
-        let _ = engine.decision(0.0, Some(head), &deadlines);
-    }
     // Heads at a third of the way into every bin fill the conditioned
-    // slots at origins the evaluation's heads will not share.
+    // slots at origins the evaluation's heads will not share, under
+    // budgets of 1–3 ms: the ladder has been asked no further yet, so the
+    // slots keep only what such short budgets read.
     let work = engine.service().work_pmf().clone();
     for bin in 0..=work.len() {
         let head = InflightHead {
@@ -338,6 +332,14 @@ fn pre_grown_vp_ladder_is_invisible_to_results() {
             rem_fixed_s: 0.0,
         };
         let _ = engine.decision(0.0, Some(head), &deadlines[..3]);
+    }
+    for eighth in 1..8 {
+        // Conditioned heads of different lengths need different FFT sizes.
+        let head = InflightHead {
+            done_work_gc: top * eighth as f64 / 8.0,
+            rem_fixed_s: 0.0,
+        };
+        let _ = engine.decision(0.0, Some(head), &deadlines);
     }
     let (levels, bytes) = (ladder.levels(), ladder.spectrum_bytes());
     assert!(levels >= 47, "pre-grown to {levels} levels");
@@ -351,6 +353,13 @@ fn pre_grown_vp_ladder_is_invisible_to_results() {
         "repeated head bins hit"
     );
 
+    // The evaluation's longer budgets must widen some of the slots filled
+    // under 1–3 ms deadlines: the too-short path runs too.
+    let widened = ladder.widened();
     let warm = ctx.evaluate(run.scheme, run.consolidation).unwrap();
     assert_eq!(result_bits(&fresh), result_bits(&warm));
+    assert!(
+        ladder.widened() > widened,
+        "no evaluation widened a slot ({widened} before)"
+    );
 }

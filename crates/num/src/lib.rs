@@ -23,5 +23,5 @@ pub mod pmf;
 pub mod quantile;
 
 pub use complex::Complex;
-pub use pmf::{Pmf, PreparedPmf};
+pub use pmf::{Pmf, PmfPrefix, PreparedPmf};
 pub use quantile::percentile;

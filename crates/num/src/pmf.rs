@@ -145,28 +145,23 @@ impl Pmf {
     /// is continuous, which the paper's Fig. 5 depicts and which makes the
     /// binary search over frequencies well behaved).
     pub fn cdf(&self, x: f64) -> f64 {
-        if x < self.origin {
-            return 0.0;
-        }
-        if x >= self.max_value() {
-            return 1.0;
-        }
-        let pos = (x - self.origin) / self.step;
-        let i = pos.floor() as usize;
-        let frac = pos - i as f64;
-        // cumulative mass up to and including bin i, plus a linear share of
-        // bin i+1's mass.
-        let mut cum = 0.0;
-        for &m in &self.mass[..=i] {
-            cum += m;
-        }
-        cum + frac * self.mass.get(i + 1).copied().unwrap_or(0.0)
+        self.prefix().cdf(x)
     }
 
     /// `P(X > x)` — the violation probability when `x = ω(D)`.
     #[inline]
     pub fn ccdf(&self, x: f64) -> f64 {
-        (1.0 - self.cdf(x)).clamp(0.0, 1.0)
+        self.prefix().ccdf(x)
+    }
+
+    /// The whole PMF as a [`PmfPrefix`].
+    fn prefix(&self) -> PmfPrefix<'_> {
+        PmfPrefix {
+            origin: self.origin,
+            step: self.step,
+            len: self.mass.len(),
+            mass: &self.mass,
+        }
     }
 
     /// Smallest grid value `v` with `P(X <= v) >= p` (a staircase quantile).
@@ -214,16 +209,6 @@ impl Pmf {
         }
     }
 
-    /// The same masses with the first bin at `origin`, not renormalized:
-    /// rebuilds a stored distribution at a new place on the value axis.
-    pub fn with_origin(&self, origin: f64) -> Pmf {
-        Pmf {
-            origin,
-            step: self.step,
-            mass: self.mass.clone(),
-        }
-    }
-
     /// Drops leading/trailing bins whose cumulative mass is below `eps` and
     /// renormalizes. Keeps equivalent-request distributions from growing
     /// unboundedly as convolutions accumulate.
@@ -266,43 +251,6 @@ impl Pmf {
         self.max_value()
     }
 
-    /// Weighted mixture of PMFs sharing a grid step: the distribution of a
-    /// draw from component `i` with probability `wᵢ/Σw` (e.g. the fast/slow
-    /// query mix of a search service).
-    ///
-    /// # Panics
-    /// Panics if `parts` is empty, weights are not positive, or grid steps
-    /// differ.
-    pub fn mixture(parts: &[(f64, Pmf)]) -> Pmf {
-        assert!(!parts.is_empty(), "mixture needs at least one component");
-        let step = parts[0].1.step();
-        for (w, p) in parts {
-            assert!(*w > 0.0, "mixture weights must be positive");
-            assert!(
-                (p.step() - step).abs() <= STEP_TOL * step,
-                "mixture components must share a grid step"
-            );
-        }
-        // Common grid: min origin, max top.
-        let origin = parts
-            .iter()
-            .map(|(_, p)| p.origin())
-            .fold(f64::INFINITY, f64::min);
-        let top = parts
-            .iter()
-            .map(|(_, p)| p.max_value())
-            .fold(f64::NEG_INFINITY, f64::max);
-        let nbins = ((top - origin) / step).round() as usize + 1;
-        let mut mass = vec![0.0; nbins];
-        for (w, p) in parts {
-            let offset = ((p.origin() - origin) / step).round() as usize;
-            for (i, &m) in p.masses().iter().enumerate() {
-                mass[offset + i] += w * m;
-            }
-        }
-        Pmf::from_masses(origin, step, mass)
-    }
-
     /// Conditional distribution of the *remaining* value given that at least
     /// `done` has already been consumed: `P(X - done = v | X > done)`.
     ///
@@ -333,6 +281,79 @@ impl Pmf {
         }
         let rem = Pmf::from_masses(self.value_at(start) - done, self.step, tail);
         Some((start, rem))
+    }
+}
+
+/// The grid of a PMF and a prefix of its masses: enough to evaluate
+/// [`Pmf::cdf`] at every `x` whose reads stay inside the prefix
+/// ([`PmfPrefix::bins_read`]), with the same bits, since `Pmf::cdf` is
+/// this code on the whole PMF.
+#[derive(Debug, Clone, Copy)]
+pub struct PmfPrefix<'a> {
+    /// Value of the first bin center.
+    pub origin: f64,
+    /// The grid step.
+    pub step: f64,
+    /// Number of bins of the whole PMF.
+    pub len: usize,
+    /// Its first masses, at most `len` of them.
+    pub mass: &'a [f64],
+}
+
+impl PmfPrefix<'_> {
+    /// [`Pmf::cdf`].
+    ///
+    /// # Panics
+    /// Panics if it reads past the kept masses: `mass.len() <
+    /// bins_read(x)`.
+    pub fn cdf(&self, x: f64) -> f64 {
+        if x < self.origin {
+            return 0.0;
+        }
+        if x >= self.max_value() {
+            return 1.0;
+        }
+        let pos = (x - self.origin) / self.step;
+        let i = pos.floor() as usize;
+        let frac = pos - i as f64;
+        // cumulative mass up to and including bin i, plus a linear share of
+        // bin i+1's mass.
+        let mut cum = 0.0;
+        for &m in &self.mass[..=i] {
+            cum += m;
+        }
+        let next = if i + 1 < self.len {
+            self.mass[i + 1]
+        } else {
+            0.0
+        };
+        cum + frac * next
+    }
+
+    /// [`Pmf::ccdf`]; panics where [`PmfPrefix::cdf`] does.
+    #[inline]
+    pub fn ccdf(&self, x: f64) -> f64 {
+        (1.0 - self.cdf(x)).clamp(0.0, 1.0)
+    }
+
+    /// How many leading masses `cdf(y)` reads, at most, over all `y ≤ x`:
+    /// `cdf` reads bins `..= i + 1` at `i = ⌊(y − origin)/step⌋`, and `i`
+    /// cannot fall as `y` falls, since every operation on the way rounds
+    /// monotonically.
+    pub fn bins_read(&self, x: f64) -> usize {
+        if x < self.origin {
+            0
+        } else if x >= self.max_value() {
+            // Below the top, `y` may reach the last bin.
+            self.len
+        } else {
+            let i = ((x - self.origin) / self.step).floor() as usize;
+            (i + 2).min(self.len)
+        }
+    }
+
+    fn max_value(&self) -> f64 {
+        self.origin + (self.len - 1) as f64 * self.step
     }
 }
 
@@ -537,30 +558,6 @@ mod tests {
         assert_eq!(lo, 4);
         assert_eq!(t.origin().to_bits(), p.value_at(lo).to_bits());
         assert_eq!(bits(&t), bits(&p.truncated(1e-9)));
-        // Rebased at a new origin the masses are kept as they are.
-        let moved = t.with_origin(7.0);
-        assert_eq!(moved.origin(), 7.0);
-        assert_eq!(bits(&moved).2, bits(&t).2);
-    }
-
-    #[test]
-    fn mixture_combines_mass_and_mean() {
-        let fast = Pmf::delta(1.0, 1.0);
-        let slow = Pmf::delta(5.0, 1.0);
-        let mix = Pmf::mixture(&[(3.0, fast), (1.0, slow)]);
-        // Mean = 0.75·1 + 0.25·5 = 2.0; total mass 1.
-        assert!((mix.mean() - 2.0).abs() < 1e-12);
-        let total: f64 = mix.masses().iter().sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        assert!((mix.ccdf(1.0) - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "share a grid step")]
-    fn mixture_rejects_mismatched_steps() {
-        let a = Pmf::delta(1.0, 1.0);
-        let b = Pmf::delta(1.0, 0.5);
-        let _ = Pmf::mixture(&[(1.0, a), (1.0, b)]);
     }
 
     #[test]
@@ -601,6 +598,44 @@ mod tests {
                 "case {case}"
             );
         });
+    }
+
+    #[test]
+    fn a_prefix_reads_what_bins_read_says_with_the_same_bits() {
+        eprons_proplite::cases(32, |g, case| {
+            let len = g.usize_in(1, 40);
+            let p = Pmf::from_masses(g.f64_in(0.0, 0.05), 1.0e-3, g.vec_f64(len, 0.0, 1.0));
+            let whole = p.prefix();
+            for k in 0..=4 * len + 8 {
+                // From below the origin to past the top, off the bin centers.
+                let x = p.origin() + (k as f64 - 4.3) * 0.25e-3;
+                let need = whole.bins_read(x);
+                let prefix = PmfPrefix {
+                    mass: &p.masses()[..need],
+                    ..whole
+                };
+                // Every y ≤ x reads inside the prefix, to the same bits.
+                for y in [x, x - 0.4e-3, x - 2.0e-3] {
+                    let what = format!("case {case}: x {x}, y {y}");
+                    assert_eq!(prefix.cdf(y).to_bits(), p.cdf(y).to_bits(), "{what}");
+                    assert_eq!(prefix.ccdf(y).to_bits(), p.ccdf(y).to_bits(), "{what}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn a_prefix_one_bin_short_panics() {
+        let p = die();
+        let x = 3.5;
+        let need = p.prefix().bins_read(x);
+        assert_eq!(need, 4, "cdf(3.5) reads bins 0..=3");
+        let short = PmfPrefix {
+            mass: &p.masses()[..need - 1],
+            ..p.prefix()
+        };
+        let _ = short.cdf(x);
     }
 
     #[test]

@@ -102,16 +102,6 @@ impl CoreSimResult {
         }
     }
 
-    /// Core utilization (busy fraction of the measurement window).
-    pub fn utilization(&self) -> f64 {
-        let span = self.measured_span_s();
-        if span > 0.0 {
-            self.busy_s / span
-        } else {
-            0.0
-        }
-    }
-
     /// Latency percentile (e.g. 0.95), if any request completed.
     pub fn latency_percentile(&self, p: f64) -> Option<f64> {
         if self.latencies.is_empty() {
@@ -411,7 +401,7 @@ mod tests {
 
     fn deterministic_service() -> ServiceModel {
         // Exactly 2.7e-3 Gc (1 ms at 2.7 GHz), no fixed part.
-        ServiceModel::new(Pmf::delta(2.7e-3, 1.0e-5), 0.0)
+        ServiceModel::new(Pmf::delta(2.7e-3, 1.0e-5), 0.0, 2.7)
     }
 
     fn xapian_service(seed: u64) -> ServiceModel {
@@ -578,7 +568,8 @@ mod tests {
             &CoreSimConfig::default(),
             11,
         );
-        let u = r.utilization();
+        // The busy fraction of the measured window.
+        let u = r.busy_s / r.measured_span_s();
         assert!(
             (0.15..0.25).contains(&u),
             "expected ≈20% utilization at fmax, got {u}"

@@ -71,7 +71,7 @@ mod tests {
 
     fn bimodal_engine() -> VpEngine {
         let pmf = Pmf::from_masses(2.7e-3, 2.7e-3, vec![0.5, 0.5]);
-        VpEngine::new(ServiceModel::new(pmf, 0.0))
+        VpEngine::new(ServiceModel::new(pmf, 0.0, 2.7))
     }
 
     #[test]

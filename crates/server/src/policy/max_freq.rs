@@ -34,7 +34,7 @@ mod tests {
     fn always_max() {
         let mut p = MaxFreqPolicy;
         let ladder = FreqLadder::paper_default();
-        let mut e = VpEngine::new(ServiceModel::new(Pmf::delta(1.0, 0.1), 0.0));
+        let mut e = VpEngine::new(ServiceModel::new(Pmf::delta(1.0, 0.1), 0.0, 2.7));
         let d = e.decision(0.0, None, &[1.0]);
         assert_eq!(p.choose_frequency(0.0, &d, &ladder), 2.7);
         let empty = e.decision(0.0, None, &[]);

@@ -63,7 +63,7 @@ mod tests {
 
     fn engine() -> VpEngine {
         // Deterministic 2.7e-3 Gc per request (1 ms at 2.7 GHz).
-        VpEngine::new(ServiceModel::new(Pmf::delta(2.7e-3, 1.0e-5), 0.0))
+        VpEngine::new(ServiceModel::new(Pmf::delta(2.7e-3, 1.0e-5), 0.0, 2.7))
     }
 
     #[test]

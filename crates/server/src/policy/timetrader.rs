@@ -87,7 +87,7 @@ mod tests {
     use eprons_num::Pmf;
 
     fn dummy_decision() -> crate::vp::Decision {
-        let mut e = VpEngine::new(ServiceModel::new(Pmf::delta(1.0, 0.1), 0.0));
+        let mut e = VpEngine::new(ServiceModel::new(Pmf::delta(1.0, 0.1), 0.0, 2.7));
         e.decision(0.0, None, &[1.0])
     }
 

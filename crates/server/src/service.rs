@@ -22,21 +22,30 @@ pub struct ServiceModel {
     work_pmf: Pmf,
     /// Frequency-independent seconds per request.
     fixed_s: f64,
+    /// The top DVFS frequency, GHz.
+    f_max_ghz: f64,
 }
 
 impl ServiceModel {
-    /// Builds a model from a work PMF (giga-cycles) and fixed time.
+    /// Builds a model from a work PMF (giga-cycles), fixed time and the
+    /// top of the DVFS ladder the model serves.
     ///
     /// # Panics
-    /// Panics if `fixed_s` is negative.
-    pub fn new(work_pmf: Pmf, fixed_s: f64) -> Self {
+    /// Panics if `fixed_s` is negative or `f_max_ghz` is not positive.
+    pub fn new(work_pmf: Pmf, fixed_s: f64, f_max_ghz: f64) -> Self {
         assert!(fixed_s >= 0.0, "fixed service time cannot be negative");
-        ServiceModel { work_pmf, fixed_s }
+        assert!(f_max_ghz > 0.0, "frequency must be positive");
+        ServiceModel {
+            work_pmf,
+            fixed_s,
+            f_max_ghz,
+        }
     }
 
-    /// Builds a model from service-*time* samples measured at `f_max`,
-    /// treating a fraction `fixed_fraction` of the *mean* service time as
-    /// frequency-independent. `bins` controls PMF resolution.
+    /// Builds a model from service-*time* samples measured at `f_max`, the
+    /// top of the DVFS ladder, treating a fraction `fixed_fraction` of the
+    /// *mean* service time as frequency-independent. `bins` controls PMF
+    /// resolution.
     ///
     /// # Panics
     /// Panics on empty samples, `fixed_fraction ∉ [0,1)`, or `bins == 0`.
@@ -61,10 +70,7 @@ impl ServiceModel {
             .collect();
         let max_w = works.iter().cloned().fold(0.0, f64::max).max(1e-9);
         let step = (max_w / bins as f64).max(1e-9);
-        ServiceModel {
-            work_pmf: Pmf::from_samples(&works, step),
-            fixed_s,
-        }
+        Self::new(Pmf::from_samples(&works, step), fixed_s, f_max_ghz)
     }
 
     /// A synthetic Xapian-like model (see DESIGN.md): log-normal service
@@ -87,6 +93,13 @@ impl ServiceModel {
     #[inline]
     pub fn fixed_s(&self) -> f64 {
         self.fixed_s
+    }
+
+    /// The top DVFS frequency (GHz): service-time samples convert to work
+    /// at it, and no VP is asked above it ([`crate::vp::Decision::vp`]).
+    #[inline]
+    pub fn f_max_ghz(&self) -> f64 {
+        self.f_max_ghz
     }
 
     /// Service time of a request with `work` giga-cycles at `f_ghz`.
@@ -115,7 +128,7 @@ mod tests {
 
     #[test]
     fn service_time_formula() {
-        let m = ServiceModel::new(Pmf::delta(2.7e-3, 1.0e-4), 1.0e-3);
+        let m = ServiceModel::new(Pmf::delta(2.7e-3, 1.0e-4), 1.0e-3, 2.7);
         // 2.7e-3 Gcycles at 2.7 GHz = 1 ms; plus 1 ms fixed.
         assert!((m.service_time(2.7e-3, 2.7) - 2.0e-3).abs() < 1e-12);
         // At 1.35 GHz the scalable part doubles.
@@ -124,7 +137,7 @@ mod tests {
 
     #[test]
     fn slowdown_only_affects_scalable_part() {
-        let m = ServiceModel::new(Pmf::delta(5.4e-3, 1.0e-4), 2.0e-3);
+        let m = ServiceModel::new(Pmf::delta(5.4e-3, 1.0e-4), 2.0e-3, 2.7);
         let t_fast = m.service_time(5.4e-3, 2.7);
         let t_slow = m.service_time(5.4e-3, 1.2);
         // Fixed part is unchanged; scalable part scales by 2.7/1.2.
@@ -176,7 +189,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "frequency must be positive")]
     fn zero_frequency_rejected() {
-        let m = ServiceModel::new(Pmf::delta(1.0, 0.1), 0.0);
+        let m = ServiceModel::new(Pmf::delta(1.0, 0.1), 0.0, 2.7);
         m.service_time(1.0, 0.0);
     }
 }

@@ -29,24 +29,37 @@
 //! * **level spectra** are cached with their level ([`VpLadder`]), so each
 //!   queued request behind a conditioned head pays one pointwise product
 //!   and one inverse transform;
-//! * **conditioned sums** with the first two levels (`CONDITIONED_DEPTH`) are
-//!   memoized per head class: a conditioned head's masses depend only on
-//!   the first bin of the work PMF it keeps, so `head ∗ level(i)` is
-//!   computed once per class and level, and a repeat recomputes only its
-//!   origin (the "can be reused once computed" of §III-C, carried over to
-//!   arrival instants).
+//! * **conditioned sums** are memoized per head class at every level: a
+//!   conditioned head's masses depend only on the first bin of the work
+//!   PMF it keeps, so `head ∗ level(i)` is computed once per class and
+//!   level, and a repeat recomputes only its origin (the "can be reused
+//!   once computed" of §III-C, carried over to arrival instants). A slot
+//!   keeps only the masses a VP query can read: [`Pmf::cdf`] at `ω` reads
+//!   the bins up to `ω`'s and one more, and no query asks above the top
+//!   of the DVFS ladder ([`ServiceModel::f_max_ghz`]), so a sum read at
+//!   budget `b` needs the bins up to `f_max · b` ([`PmfPrefix::bins_read`]).
+//!   A miss keeps those, and those any head of its class reads at the
+//!   furthest `ω` the ladder has been asked; a query that needs more than
+//!   its slot keeps convolves afresh and widens the slot. How much a slot
+//!   keeps decides only hit or miss, never a bit of a VP: the sum is
+//!   normalized and truncated whole. A slot holds at most
+//!   `⌊f_max · B / step⌋ + 2` masses at the longest budget `B`, at any
+//!   level: 1.37 MB per ladder against 4.61 MB of whole sums on a 60 s
+//!   single-core run at 70 % load, and +0.9 % peak RSS on the flash-crowd
+//!   benchmark day (DESIGN.md, "Conditioned slots").
 //!
-//! Departure and dispatch items share the ladder's levels by `Arc`; a
-//! memoized conditioned sum is copied out of its slot.
+//! Every item shares its masses by `Arc`: a ladder level, the conditioned
+//! head, or a conditioned slot.
 //!
 //! The frequency-independent part of service (`t_fixed` per request) is
 //! handled by shrinking the time budget before converting to cycles, per
 //! the footnote-1 model.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use eprons_num::conv::{Spectra, SpectrumUse};
-use eprons_num::{Pmf, PreparedPmf};
+use eprons_num::{Pmf, PmfPrefix, PreparedPmf};
 
 use crate::service::ServiceModel;
 
@@ -54,36 +67,31 @@ use crate::service::ServiceModel;
 /// convolution lengths bounded.
 const TRUNC_EPS: f64 = 1e-10;
 
-/// Ladder levels `1..=CONDITIONED_DEPTH` memoize their sums with
-/// conditioned heads. Two, because on day seed 7000 levels 1–2 carry 82%
-/// (`flashcrowd_k4`), 90% (`diurnal_k8`) and 90% (`replay_k8`) of the
-/// conditioned lookups, while memoizing every level took `flashcrowd_k4`'s
-/// peak RSS from 5.03 to 6.51 MB (+29%, 8-seed medians) against +12% for
-/// levels 1–2. A work PMF of `bins` bins has `bins + 1` head classes, and
-/// the two tables hold at most `(bins + 1) × ((2·bins − 1) + (3·bins − 2))`
-/// masses: ≈1.0 MB per ladder at 160 bins.
-const CONDITIONED_DEPTH: usize = 2;
-
-/// `(head ∗ level).truncated(TRUNC_EPS)` for one head class: its masses,
-/// and how many leading bins truncation dropped. The masses depend only on
-/// the class and the level; the origin on the head's too, so a hit
-/// recomputes only that.
+/// `(head ∗ level).truncated(TRUNC_EPS)` for one head class: its length,
+/// how many leading bins truncation dropped, and its first masses, as
+/// many as the queries it serves read. All three depend only on the class
+/// and the level; the origin on the head's too, so a hit recomputes only
+/// that.
 #[derive(Debug)]
 struct Conditioned {
-    /// The sum as first computed; only its masses are reused.
-    pmf: Pmf,
+    mass: Box<[f64]>,
+    len: usize,
     lo: usize,
 }
 
-/// One ladder level: an n-fold self-convolution, its FFT spectra and, for
-/// the first [`CONDITIONED_DEPTH`] levels, its conditioned sums.
+/// A shared conditioned slot: empty until a decision fills it, replaced by
+/// a longer prefix when one is needed.
+type Slot = Mutex<Option<Arc<Conditioned>>>;
+
+/// One ladder level: an n-fold self-convolution, its FFT spectra and its
+/// conditioned sums.
 #[derive(Debug)]
 struct Level {
     pmf: Arc<Pmf>,
     spectra: Spectra,
     /// One slot per head class, allocated by the first conditioned
     /// decision that reaches this level.
-    conditioned: OnceLock<Box<[OnceLock<Conditioned>]>>,
+    conditioned: OnceLock<Box<[Slot]>>,
 }
 
 impl Level {
@@ -96,22 +104,26 @@ impl Level {
     }
 
     /// The slot of head class `class`, one of `classes`.
-    fn conditioned(&self, class: usize, classes: usize) -> &OnceLock<Conditioned> {
+    fn conditioned(&self, class: usize, classes: usize) -> &Slot {
         &self
             .conditioned
-            .get_or_init(|| (0..classes).map(|_| OnceLock::new()).collect())[class]
+            .get_or_init(|| (0..classes).map(|_| Mutex::default()).collect())[class]
     }
 
-    /// Bytes held by the conditioned sums' masses.
+    /// Bytes held by the conditioned sums' kept masses.
     fn conditioned_bytes(&self) -> usize {
         self.conditioned.get().map_or(0, |slots| {
             slots
                 .iter()
-                .filter_map(OnceLock::get)
-                .map(|c| std::mem::size_of_val(c.pmf.masses()))
+                .filter_map(|slot| lock(slot).as_ref().map(|c| std::mem::size_of_val(&*c.mass)))
                 .sum()
         })
     }
+}
+
+/// Locks `m`; a panic elsewhere leaves nothing half-written behind it.
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The self-convolution ladder of one service model, shared by every
@@ -122,12 +134,20 @@ impl Level {
 /// Levels are grown on demand and never change; each is a pure function
 /// of the previous one (`prev ∗ base`, truncated at `TRUNC_EPS` = 1e-10) and
 /// each spectrum a pure function of its level and FFT size, so whichever
-/// engine or thread grew a level, every engine reads the same bits.
+/// engine or thread grew a level, every engine reads the same bits. A
+/// conditioned sum's masses are a pure function of its head class and
+/// level; how many of them its slot keeps decides only whether a query
+/// hits it.
 #[derive(Debug)]
 pub struct VpLadder {
     service: ServiceModel,
     /// `levels[n-1]` = n-fold self-convolution; append-only.
     levels: Mutex<Vec<Arc<Level>>>,
+    /// Conditioned slots refilled with a longer prefix.
+    widened: AtomicU64,
+    /// The furthest `ω` a conditioned slot was filled to serve, as the
+    /// bits of a non-negative `f64` (which order as the values do).
+    reach: AtomicU64,
 }
 
 impl VpLadder {
@@ -137,32 +157,39 @@ impl VpLadder {
         VpLadder {
             service,
             levels: Mutex::new(vec![base]),
+            widened: AtomicU64::new(0),
+            reach: AtomicU64::new(0.0f64.to_bits()),
         }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Arc<Level>>> {
-        self.levels.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Levels grown so far.
     pub fn levels(&self) -> usize {
-        self.lock().len()
+        lock(&self.levels).len()
     }
 
     /// Bytes held by the levels' cached FFT spectra.
     pub fn spectrum_bytes(&self) -> usize {
-        self.lock().iter().map(|l| l.spectra.bytes()).sum()
+        lock(&self.levels).iter().map(|l| l.spectra.bytes()).sum()
     }
 
-    /// Bytes held by the memoized conditioned sums' masses.
+    /// Bytes held by the memoized conditioned sums' kept masses.
     pub fn conditioned_bytes(&self) -> usize {
-        self.lock().iter().map(|l| l.conditioned_bytes()).sum()
+        lock(&self.levels)
+            .iter()
+            .map(|l| l.conditioned_bytes())
+            .sum()
+    }
+
+    /// How many times a filled conditioned slot was too short for a query
+    /// and was refilled with a longer prefix.
+    pub fn widened(&self) -> u64 {
+        self.widened.load(Ordering::Relaxed)
     }
 
     /// Appends levels `view.len() + 1 ..= n` to `view`, growing the ladder
     /// to `n` levels first if it is shorter.
     fn extend(&self, view: &mut Vec<Arc<Level>>, n: usize) {
-        let mut levels = self.lock();
+        let mut levels = lock(&self.levels);
         while levels.len() < n {
             let next = levels[levels.len() - 1].pmf.convolve(&levels[0].pmf);
             levels.push(Level::new(next.truncated(TRUNC_EPS)));
@@ -194,10 +221,9 @@ pub struct InflightHead {
 /// Kernel work an engine has done since it was made.
 ///
 /// `convolutions + conditioned_hits` is a pure function of the decisions
-/// asked for, and so is each ladder's total of `convolutions` (every
-/// conditioned slot is filled once), but the split between engines is
-/// not: on a shared ladder, whichever engine first needs a conditioned sum
-/// or a spectrum computes it.
+/// asked for, but the split is not once engines share a ladder: whichever
+/// engine first needs a conditioned sum, a longer prefix of one or a
+/// spectrum computes it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VpTally {
     /// Convolutions run behind a conditioned head (arrival instants).
@@ -228,6 +254,9 @@ pub struct VpEngine {
     ladder: Arc<VpLadder>,
     /// The ladder levels this engine has seen, read without the lock.
     levels: Vec<Arc<Level>>,
+    /// The conditioned slots this engine has read, `[level - 1][class]`,
+    /// read without their locks.
+    conditioned: Vec<Box<[Option<Arc<Conditioned>>]>>,
     tally: VpTally,
 }
 
@@ -237,12 +266,13 @@ impl VpEngine {
         Self::shared(Arc::new(VpLadder::new(service)))
     }
 
-    /// An engine on a shared ladder: levels and spectra any engine on it
-    /// computes serve all of them.
+    /// An engine on a shared ladder: levels, spectra and conditioned sums
+    /// any engine on it computes serve all of them.
     pub fn shared(ladder: Arc<VpLadder>) -> Self {
         VpEngine {
             ladder,
             levels: Vec::new(),
+            conditioned: Vec::new(),
             tally: VpTally::default(),
         }
     }
@@ -273,38 +303,99 @@ impl VpEngine {
     }
 
     /// `(head ∗ level(i)).truncated(TRUNC_EPS)` for a conditioned head of
-    /// class `class`: served from the level's slot for that class when it
-    /// is filled, else convolved (and, up to [`CONDITIONED_DEPTH`], stored).
-    fn behind_head(&mut self, head: &mut PreparedPmf<'_>, class: usize, i: usize) -> Pmf {
+    /// class `class`, as an item with budget `budget_s`: served from the
+    /// level's slot for that class when the slot keeps every mass a query
+    /// at or below the ceiling frequency reads, else convolved and stored.
+    fn behind_head(
+        &mut self,
+        head: &mut PreparedPmf<'_>,
+        class: usize,
+        i: usize,
+        budget_s: f64,
+    ) -> DecisionItem {
         let level = Arc::clone(self.level(i));
         let classes = self.levels[0].pmf.len() + 1;
-        let tally = &mut self.tally;
-        let mut convolve = || {
-            let (sum, used) = head.convolve_cached(&level.pmf, &level.spectra);
-            tally.convolutions += 1;
-            match used {
-                SpectrumUse::Built => tally.spectra_built += 1,
-                SpectrumUse::Reused => tally.spectra_reused += 1,
-                SpectrumUse::Direct => {}
-            }
-            sum.truncated_with_lo(TRUNC_EPS)
-        };
-        if i > CONDITIONED_DEPTH {
-            return convolve().0;
-        }
-        let mut hit = true;
-        let memo = level.conditioned(class, classes).get_or_init(|| {
-            hit = false;
-            let (pmf, lo) = convolve();
-            Conditioned { pmf, lo }
-        });
-        self.tally.conditioned_hits += u64::from(hit);
         // The origin `convolve_cached` gives the sum, moved up `lo` bins as
-        // `truncated` moves it (`Pmf::value_at`); on a miss, `memo.pmf`'s
-        // own origin.
-        let origin = head.pmf().origin() + level.pmf.origin();
-        memo.pmf
-            .with_origin(origin + memo.lo as f64 * memo.pmf.step())
+        // `truncated` moves it (`Pmf::value_at`).
+        let step = head.pmf().step();
+        let sum_origin = head.pmf().origin() + level.pmf.origin();
+        let origin = |lo: usize| sum_origin + lo as f64 * step;
+        let item = |c: &Arc<Conditioned>| DecisionItem {
+            masses: Masses::Prefix(Arc::clone(c)),
+            origin: origin(c.lo),
+            len: c.len,
+            budget_s,
+        };
+        // The furthest `ω` a query of this item reads at (`Decision::vp`).
+        let reach = if budget_s > 0.0 {
+            self.service().f_max_ghz() * budget_s
+        } else {
+            f64::NEG_INFINITY
+        };
+        // How many masses of a sum of `len` bins from `origin` a query at or
+        // below `x` reads.
+        let reads = |origin: f64, len: usize, x: f64| {
+            PmfPrefix {
+                origin,
+                step,
+                len,
+                mass: &[],
+            }
+            .bins_read(x)
+        };
+        let serves = |c: &Conditioned| reads(origin(c.lo), c.len, reach) <= c.mass.len();
+        while self.conditioned.len() < i {
+            self.conditioned.push(vec![None; classes].into());
+        }
+        let seen = &mut self.conditioned[i - 1][class];
+        if let Some(c) = seen.as_ref().filter(|c| serves(c)) {
+            self.tally.conditioned_hits += 1;
+            return item(c);
+        }
+        let slot = level.conditioned(class, classes);
+        if let Some(c) = lock(slot).as_ref().filter(|c| serves(c)) {
+            self.tally.conditioned_hits += 1;
+            *seen = Some(Arc::clone(c));
+            return item(c);
+        }
+        // A miss: convolve, normalize and truncate the whole sum without
+        // holding the slot. Keep the masses this item reads, and those any
+        // head of this class reads at the furthest reach the ladder has
+        // been asked, since a budget seen once comes back: every head's
+        // origin is ≥ 0, so `floor` is the lowest origin of the class's sum.
+        let (sum, used) = head.convolve_cached(&level.pmf, &level.spectra);
+        self.tally.convolutions += 1;
+        match used {
+            SpectrumUse::Built => self.tally.spectra_built += 1,
+            SpectrumUse::Reused => self.tally.spectra_reused += 1,
+            SpectrumUse::Direct => {}
+        }
+        let (sum, lo) = sum.truncated_with_lo(TRUNC_EPS);
+        let before = self
+            .ladder
+            .reach
+            .fetch_max(reach.max(0.0).to_bits(), Ordering::Relaxed);
+        let furthest = reach.max(f64::from_bits(before));
+        let floor = level.pmf.origin() + lo as f64 * step;
+        let keep = reads(origin(lo), sum.len(), reach).max(reads(floor, sum.len(), furthest));
+        let fresh = Arc::new(Conditioned {
+            mass: sum.masses()[..keep].into(),
+            len: sum.len(),
+            lo,
+        });
+        // Store it unless another engine stored a longer prefix meanwhile.
+        let mut stored = lock(slot);
+        match stored.as_ref() {
+            Some(c) if c.mass.len() >= keep => *seen = Some(Arc::clone(c)),
+            filled => {
+                if filled.is_some() {
+                    self.ladder.widened.fetch_add(1, Ordering::Relaxed);
+                }
+                *stored = Some(Arc::clone(&fresh));
+                *seen = Some(Arc::clone(&fresh));
+            }
+        }
+        item(&fresh)
     }
 
     /// Builds the per-position distributions for one decision instant.
@@ -339,56 +430,93 @@ impl VpEngine {
                     // `equivalent(i) ∗ base` to the bit, which is the
                     // cached level `i + 1`.
                     for (i, &d) in deadlines.iter().enumerate() {
-                        items.push(DecisionItem {
-                            dist: self.level(i + 1).pmf.clone(),
-                            budget_s: budget(i, d),
-                        });
+                        let level = Arc::clone(&self.level(i + 1).pmf);
+                        items.push(DecisionItem::whole(level, budget(i, d)));
                     }
                 } else {
                     // The paper's arrival-instant cost: one convolution
                     // per queued request behind the head, against the
                     // level's cached spectrum, with the head transformed
-                    // once — unless the level holds this head class's sum.
+                    // once — unless the level's slot for this head class
+                    // serves the sum.
                     let head_rem = Arc::new(head_rem);
                     let mut prepared = head_rem.prepare();
                     for (i, &d) in deadlines.iter().enumerate() {
-                        let dist = if i == 0 {
-                            head_rem.clone()
+                        items.push(if i == 0 {
+                            DecisionItem::whole(Arc::clone(&head_rem), budget(i, d))
                         } else {
-                            Arc::new(self.behind_head(&mut prepared, class, i))
-                        };
-                        items.push(DecisionItem {
-                            dist,
-                            budget_s: budget(i, d),
+                            self.behind_head(&mut prepared, class, i, budget(i, d))
                         });
                     }
                 }
             }
             None => {
                 for (i, &d) in deadlines.iter().enumerate() {
-                    items.push(DecisionItem {
-                        dist: self.level(i + 1).pmf.clone(),
-                        budget_s: d - now - (i + 1) as f64 * fixed,
-                    });
+                    let level = Arc::clone(&self.level(i + 1).pmf);
+                    items.push(DecisionItem::whole(level, d - now - (i + 1) as f64 * fixed));
                 }
             }
         }
-        Decision { items }
+        Decision {
+            step: self.service().work_pmf().step(),
+            f_max_ghz: self.service().f_max_ghz(),
+            items,
+        }
     }
 }
 
-/// One pending request's equivalent distribution and its time budget
-/// (seconds until its deadline, net of all frequency-independent time that
-/// must elapse first).
+/// The masses a decision item reads.
+#[derive(Debug, Clone)]
+enum Masses {
+    /// A whole PMF: a ladder level or a conditioned head.
+    Whole(Arc<Pmf>),
+    /// A conditioned sum's kept prefix.
+    Prefix(Arc<Conditioned>),
+}
+
+/// One pending request's equivalent distribution — its masses, the value
+/// of its first bin and its length — and its time budget (seconds until
+/// its deadline, net of all frequency-independent time that must elapse
+/// first).
 #[derive(Debug, Clone)]
 struct DecisionItem {
-    dist: Arc<Pmf>,
+    masses: Masses,
+    origin: f64,
+    len: usize,
     budget_s: f64,
 }
 
-/// The frozen state of one decision instant: query VPs at any frequency.
+impl DecisionItem {
+    fn whole(pmf: Arc<Pmf>, budget_s: f64) -> Self {
+        DecisionItem {
+            origin: pmf.origin(),
+            len: pmf.len(),
+            masses: Masses::Whole(pmf),
+            budget_s,
+        }
+    }
+
+    /// The equivalent distribution on a grid of step `step`.
+    fn prefix(&self, step: f64) -> PmfPrefix<'_> {
+        PmfPrefix {
+            origin: self.origin,
+            step,
+            len: self.len,
+            mass: match &self.masses {
+                Masses::Whole(pmf) => pmf.masses(),
+                Masses::Prefix(c) => &c.mass,
+            },
+        }
+    }
+}
+
+/// The frozen state of one decision instant: query VPs at any frequency up
+/// to the top of the DVFS ladder.
 #[derive(Debug, Clone)]
 pub struct Decision {
+    /// The grid step every item shares: the work PMF's.
+    step: f64,
+    f_max_ghz: f64,
     items: Vec<DecisionItem>,
 }
 
@@ -408,12 +536,22 @@ impl Decision {
     /// Violation probability of pending request `i` at frequency `f_ghz`:
     /// `P(equivalent work > f · budget)` (eq. 1 + CCDF). A non-positive
     /// budget yields VP 1, whatever the equivalent work.
+    ///
+    /// # Panics
+    /// Panics if `f_ghz` is above the service model's
+    /// [`ServiceModel::f_max_ghz`]: a conditioned sum keeps only the
+    /// masses a query up to it reads.
     pub fn vp(&self, i: usize, f_ghz: f64) -> f64 {
+        assert!(
+            f_ghz <= self.f_max_ghz,
+            "VP asked at {f_ghz} GHz, above the {} GHz ceiling",
+            self.f_max_ghz
+        );
         let it = &self.items[i];
         if it.budget_s <= 0.0 {
             return 1.0;
         }
-        it.dist.ccdf(f_ghz * it.budget_s)
+        it.prefix(self.step).ccdf(f_ghz * it.budget_s)
     }
 
     /// Maximum VP across pending requests (Rubik's criterion).
@@ -443,13 +581,13 @@ mod tests {
     /// Deterministic work: exactly 2.7e-3 Gcycles per request (1 ms at
     /// 2.7 GHz), no fixed part.
     fn deterministic_engine() -> VpEngine {
-        VpEngine::new(ServiceModel::new(Pmf::delta(2.7e-3, 1.0e-5), 0.0))
+        VpEngine::new(ServiceModel::new(Pmf::delta(2.7e-3, 1.0e-5), 0.0, 2.7))
     }
 
     /// Two-point work: 1 ms or 2 ms at f_max, with equal probability.
     fn bimodal_engine() -> VpEngine {
         let pmf = Pmf::from_masses(2.7e-3, 2.7e-3, vec![0.5, 0.5]);
-        VpEngine::new(ServiceModel::new(pmf, 0.0))
+        VpEngine::new(ServiceModel::new(pmf, 0.0, 2.7))
     }
 
     #[test]
@@ -548,7 +686,7 @@ mod tests {
     #[test]
     fn fixed_time_shrinks_budget() {
         // 1 ms fixed + 2.7e-3 Gc work; deadline 2 ms → only 1 ms of cycles.
-        let mut e = VpEngine::new(ServiceModel::new(Pmf::delta(2.7e-3, 1.0e-5), 1.0e-3));
+        let mut e = VpEngine::new(ServiceModel::new(Pmf::delta(2.7e-3, 1.0e-5), 1.0e-3, 2.7));
         let d = e.decision(0.0, None, &[2.0e-3]);
         assert_eq!(d.vp(0, 2.6), 1.0); // 2.6 GHz × 1 ms = 2.6e-3 < 2.7e-3
         assert_eq!(d.vp(0, 2.7), 0.0);
@@ -595,22 +733,26 @@ mod tests {
                     } else {
                         head_rem.convolve(e.equivalent(i)).truncated(TRUNC_EPS)
                     };
-                    items.push(DecisionItem {
-                        dist: Arc::new(dist),
-                        budget_s: d - now - (h.rem_fixed_s + i as f64 * fixed),
-                    });
+                    items.push(DecisionItem::whole(
+                        Arc::new(dist),
+                        d - now - (h.rem_fixed_s + i as f64 * fixed),
+                    ));
                 }
             }
             None => {
                 for (i, &d) in deadlines.iter().enumerate() {
-                    items.push(DecisionItem {
-                        dist: Arc::new(e.equivalent(i + 1).clone()),
-                        budget_s: d - now - (i + 1) as f64 * fixed,
-                    });
+                    items.push(DecisionItem::whole(
+                        Arc::new(e.equivalent(i + 1).clone()),
+                        d - now - (i + 1) as f64 * fixed,
+                    ));
                 }
             }
         }
-        Decision { items }
+        Decision {
+            step: e.service().work_pmf().step(),
+            f_max_ghz: e.service().f_max_ghz(),
+            items,
+        }
     }
 
     #[test]
@@ -624,7 +766,7 @@ mod tests {
             let pmf = Pmf::from_masses(origin, step, g.vec_f64(len, 0.0, 1.0));
             let top = pmf.max_value();
             let fixed = g.f64_in(0.0, 1.0e-3);
-            let mut engine = VpEngine::new(ServiceModel::new(pmf, fixed));
+            let mut engine = VpEngine::new(ServiceModel::new(pmf, fixed, 2.7));
             for depth in 0..=12usize {
                 let deadlines: Vec<f64> = (0..depth).map(|_| g.f64_in(1.0e-3, 60.0e-3)).collect();
                 let heads = [
@@ -667,7 +809,7 @@ mod tests {
             let step = g.f64_in(1.0e-5, 1.0e-4);
             let pmf = Pmf::from_masses(origin, step, masses);
             let top = pmf.max_value();
-            let mut engine = VpEngine::new(ServiceModel::new(pmf, 0.1e-3));
+            let mut engine = VpEngine::new(ServiceModel::new(pmf, 0.1e-3, 2.7));
             // Each bin's head at a quarter and three quarters of the bin:
             // the second is a hit at another origin, and a class computed
             // by rounding would mix neighbouring bins' masses. Then heads
@@ -706,7 +848,7 @@ mod tests {
     #[test]
     fn conditioned_hits_replace_convolutions() {
         let pmf = Pmf::from_masses(0.4e-3, 2.0e-5, (1..=40).map(f64::from).collect());
-        let mut engine = VpEngine::new(ServiceModel::new(pmf, 0.0));
+        let mut engine = VpEngine::new(ServiceModel::new(pmf, 0.0, 2.7));
         let deadlines = [5.0e-3; 6];
         let head = |done_work_gc| {
             Some(InflightHead {
@@ -714,19 +856,90 @@ mod tests {
                 rem_fixed_s: 0.0,
             })
         };
-        // The first decision fills levels 1–2 and convolves levels 3–5.
+        // The first decision fills levels 1–5.
         let _ = engine.decision(0.0, head(0.51e-3), &deadlines);
         assert_eq!(engine.tally().convolutions, 5);
         assert_eq!(engine.tally().conditioned_hits, 0);
         assert_eq!(engine.ladder.levels(), 5);
-        // Another head in the same bin hits levels 1–2 only.
+        // Another head in the same bin hits every level.
         let _ = engine.decision(0.0, head(0.515e-3), &deadlines);
-        assert_eq!(engine.tally().convolutions, 8);
-        assert_eq!(engine.tally().conditioned_hits, 2);
+        assert_eq!(engine.tally().convolutions, 5);
+        assert_eq!(engine.tally().conditioned_hits, 5);
         // A head in another bin misses.
         let _ = engine.decision(0.0, head(0.61e-3), &deadlines);
-        assert_eq!(engine.tally().convolutions, 13);
-        assert_eq!(engine.tally().conditioned_hits, 2);
+        assert_eq!(engine.tally().convolutions, 10);
+        assert_eq!(engine.tally().conditioned_hits, 5);
+        assert_eq!(engine.ladder.widened(), 0);
+    }
+
+    #[test]
+    fn a_slot_filled_under_a_short_budget_widens_for_a_longer_one() {
+        // 160 bins: the sums take the FFT path and run far past what a
+        // budget of a few milliseconds reads.
+        let masses = (0..160).map(|i| ((i * 29) % 13 + 1) as f64).collect();
+        let pmf = Pmf::from_masses(0.4e-3, 2.0e-5, masses);
+        let mut engine = VpEngine::new(ServiceModel::new(pmf, 0.1e-3, 2.7));
+        let mut reference = VpEngine::new(engine.service().clone());
+        let head = Some(InflightHead {
+            done_work_gc: 0.9e-3,
+            rem_fixed_s: 0.05e-3,
+        });
+        // `assert_same_vps` reads every ladder step, the 2.7 GHz ceiling
+        // among them.
+        let check = |engine: &mut VpEngine, reference: &mut VpEngine, deadlines: &[f64]| {
+            let fast = engine.decision(0.0, head, deadlines);
+            let slow = reference_decision(reference, 0.0, head, deadlines);
+            assert_same_vps(&fast, &slow, &format!("deadlines {deadlines:?}"));
+        };
+        let short = [0.8e-3; 4];
+        let long = [0.8e-3, 3.0e-3, 3.0e-3, 3.0e-3];
+        // Short budgets fill levels 1–3 with short prefixes.
+        check(&mut engine, &mut reference, &short);
+        assert_eq!(engine.tally().convolutions, 3);
+        let short_bytes = engine.ladder.conditioned_bytes();
+        // The same budgets hit.
+        check(&mut engine, &mut reference, &short);
+        assert_eq!(engine.tally().conditioned_hits, 3);
+        // Longer budgets read further: each slot is convolved again and
+        // widened.
+        check(&mut engine, &mut reference, &long);
+        assert_eq!(engine.tally().convolutions, 6);
+        assert_eq!(engine.ladder.widened(), 3);
+        assert!(engine.ladder.conditioned_bytes() > short_bytes);
+        // Now the short budgets hit the widened slots.
+        check(&mut engine, &mut reference, &short);
+        assert_eq!(engine.tally().conditioned_hits, 6);
+        // A second engine on the shared ladder reads the widened slots.
+        let mut other = VpEngine::shared(Arc::clone(&engine.ladder));
+        check(&mut other, &mut reference, &long);
+        assert_eq!(other.tally().conditioned_hits, 3);
+        assert_eq!(other.tally().convolutions, 0);
+        // The slots keep less than the whole sums.
+        let whole: usize = (1..=3)
+            .map(|i| {
+                let head_rem = engine
+                    .service()
+                    .work_pmf()
+                    .remaining_given_done(0.9e-3)
+                    .unwrap()
+                    .1;
+                let sum = head_rem.convolve(engine.equivalent(i)).truncated(TRUNC_EPS);
+                std::mem::size_of_val(sum.masses())
+            })
+            .sum();
+        assert!(
+            engine.ladder.conditioned_bytes() < whole,
+            "{} of {whole} bytes",
+            engine.ladder.conditioned_bytes()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "above the 2.7 GHz ceiling")]
+    fn vp_above_the_ceiling_is_rejected() {
+        let mut e = bimodal_engine();
+        let d = e.decision(0.0, None, &[3.0e-3]);
+        let _ = d.vp(0, 2.8);
     }
 
     /// Every VP of `fast` at every ladder frequency equals `reference`'s
@@ -749,7 +962,7 @@ mod tests {
         // 120 bins: deep levels and conditioned heads take the FFT path.
         let masses = (0..120).map(|i| ((i * 37) % 11 + 1) as f64).collect();
         let pmf = Pmf::from_masses(0.4e-3, 2.0e-5, masses);
-        let shared = Arc::new(VpLadder::new(ServiceModel::new(pmf, 0.2e-3)));
+        let shared = Arc::new(VpLadder::new(ServiceModel::new(pmf, 0.2e-3, 2.7)));
         let tallies: Vec<VpTally> = std::thread::scope(|s| {
             let workers: Vec<_> = (0..2u64)
                 .map(|t| {

@@ -15,7 +15,7 @@ fn random_service(g: &mut Gen) -> ServiceModel {
     let origin = g.f64_in(0.5e-3, 3.0e-3); // origin of work values (Gc): 0.5–3 ms at f_max
     let fixed = g.f64_in(0.0, 1.0e-3); // fixed seconds
     let step = origin / 4.0;
-    ServiceModel::new(Pmf::from_masses(origin, step, mass), fixed)
+    ServiceModel::new(Pmf::from_masses(origin, step, mass), fixed, 2.7)
 }
 
 fn budgets(g: &mut Gen) -> Vec<f64> {

@@ -30,7 +30,11 @@ fn workload_generators_are_seed_pure() {
 
 #[test]
 fn vp_engine_is_deterministic() {
-    let service = ServiceModel::new(Pmf::from_masses(1.0e-3, 0.5e-3, vec![1.0, 2.0, 1.0]), 0.0);
+    let service = ServiceModel::new(
+        Pmf::from_masses(1.0e-3, 0.5e-3, vec![1.0, 2.0, 1.0]),
+        0.0,
+        2.7,
+    );
     let mut e1 = VpEngine::new(service.clone());
     let mut e2 = VpEngine::new(service);
     let d1 = e1.decision(0.0, None, &[5.0e-3, 8.0e-3, 11.0e-3]);
