@@ -10,18 +10,21 @@
 //! The `mesh_k8` kernels run one consolidation pass of a k=8 controller
 //! day's flow set (16,384 flows) through a `PathArena`, as every epoch of
 //! the k=8 perfbench days does: greedy at `K = 2`, and the aggregation
-//! router on the mildest and the tightest preset.
+//! router on the mildest and the tightest preset. Before each is timed,
+//! its assignment through the arena, which reads every flow's candidates
+//! from its access class's table, is checked path for path against the
+//! bare `FatTree`'s, which has no table.
 
 use eprons_bench::harness::Runner;
 use eprons_net::consolidate::path::build_path_model;
 use eprons_net::consolidate::AggregationRouter;
-use eprons_net::flow::FlowSet;
+use eprons_net::flow::{FlowId, FlowSet};
 use eprons_net::{
     ConsolidationConfig, Consolidator, FlowClass, GreedyConsolidator, PathArena,
     PathMilpConsolidator,
 };
 use eprons_sim::SimRng;
-use eprons_topo::{AggregationLevel, FatTree};
+use eprons_topo::{AggregationLevel, FatTree, MultipathTopology};
 use eprons_workload::background::background_flows;
 use std::hint::black_box;
 
@@ -76,6 +79,24 @@ fn day_mesh(ft: &FatTree) -> FlowSet {
     fs
 }
 
+/// Asserts that `c` routes `flows` through `arena` exactly as through
+/// the bare `ft`, path for path.
+fn assert_same_paths(
+    c: &dyn Consolidator,
+    arena: &dyn MultipathTopology,
+    ft: &FatTree,
+    flows: &FlowSet,
+    cfg: &ConsolidationConfig,
+    what: &str,
+) {
+    let feasible = "the k=8 day mesh must be feasible, or the kernel times an early error";
+    let a = c.consolidate(arena, flows, cfg).expect(feasible);
+    let b = c.consolidate(ft, flows, cfg).expect(feasible);
+    if let Some(i) = (0..flows.len()).find(|&i| a.path(FlowId(i)) != b.path(FlowId(i))) {
+        panic!("{what}: flow {i} is routed differently through the arena");
+    }
+}
+
 fn main() {
     let ft = FatTree::new(4, 1000.0);
     let cfg = ConsolidationConfig::with_k(2.0);
@@ -101,15 +122,13 @@ fn main() {
     let arena = PathArena::build(&ft8);
     let mesh = day_mesh(&ft8);
     assert_eq!(mesh.len(), 16_384);
-    assert!(
-        GreedyConsolidator.consolidate(&arena, &mesh, &cfg).is_ok(),
-        "the k=8 day mesh must be feasible, or the kernel times an early error"
-    );
+    assert_same_paths(&GreedyConsolidator, &arena, &ft8, &mesh, &cfg, "greedy");
     r.bench("greedy/mesh_k8", || {
         GreedyConsolidator.consolidate(black_box(&arena), black_box(&mesh), &cfg)
     });
     for level in [AggregationLevel::Agg0, AggregationLevel::Agg3] {
         let router = AggregationRouter::for_level(&ft8, level);
+        assert_same_paths(&router, &arena, &ft8, &mesh, &cfg, &format!("{level:?}"));
         r.bench(&format!("aggregation/agg{}/mesh_k8", level.index()), || {
             router.consolidate(black_box(&arena), black_box(&mesh), &cfg)
         });

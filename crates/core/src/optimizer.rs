@@ -18,7 +18,7 @@
 
 use std::ops::ControlFlow;
 
-use eprons_topo::{AggregationLevel, LinkId, MultipathTopology, NodeId};
+use eprons_topo::{AccessClass, AggregationLevel, ClassTable, LinkId, MultipathTopology, NodeId};
 
 use crate::cluster::{ClusterError, ClusterRun, ClusterRunResult, ConsolidationSpec};
 use crate::config::ClusterConfig;
@@ -210,9 +210,10 @@ pub fn optimize_in_context_masked(
 ///   be powered by any assignment that routes it, and greedy never powers
 ///   a link it does not use. Flows of one access class
 ///   ([`MultipathTopology::access_class`]) share their candidates'
-///   interiors, so the interior intersection runs once per class, and
-///   each flow adds its two host links, which every candidate carries. A
-///   flow without a class intersects its own candidates whole.
+///   interiors, so the interior intersection runs once per class, read
+///   straight from the class's table, and each flow adds its two host
+///   links, which every candidate carries. A flow without a class
+///   intersects its own candidates whole.
 /// * **Servers.** Every simulated core draws at least its policy's idle
 ///   floor at every instant (`scheme_idle_floor_w` is the same floor
 ///   stage 3 integrates through trailing idle), so each server reports at
@@ -264,13 +265,12 @@ pub fn candidate_power_floor_w(
             let mut class = vec![0u8; d.arena.access_classes()];
             for fl in d.flows.flows() {
                 match d.arena.access_class(fl.src, fl.dst) {
-                    Some(c) => {
+                    Some(AccessClass { id: c, table }) => {
                         sw.clear();
                         ln.clear();
                         if class[c] == 0 {
-                            let any =
-                                common_elements(&d.arena, fl.src, fl.dst, true, &mut sw, &mut ln);
-                            class[c] = if any { 1 } else { 2 };
+                            class_common(table, &mut sw, &mut ln);
+                            class[c] = if table.is_empty() { 2 } else { 1 };
                         }
                         if class[c] == 1 {
                             // Single-homed by the class contract: each
@@ -279,9 +279,7 @@ pub fn candidate_power_floor_w(
                             m_ln[topo.neighbors(fl.dst)[0].1 .0] = true;
                         }
                     }
-                    None => {
-                        common_elements(&d.arena, fl.src, fl.dst, false, &mut sw, &mut ln);
-                    }
+                    None => common_elements(&d.arena, fl.src, fl.dst, &mut sw, &mut ln),
                 }
                 for n in &sw {
                     m_sw[n.0] = true;
@@ -305,36 +303,46 @@ pub fn candidate_power_floor_w(
 
 /// Intersects the interior switches and the links of every candidate of
 /// `(src, dst)` into `sw` and `ln` (cleared first), without materializing
-/// a path; with `interior_links` the two host links are left out.
-/// Returns `false` when the pair has no candidate.
+/// a path.
 fn common_elements(
     net: &dyn MultipathTopology,
     src: NodeId,
     dst: NodeId,
-    interior_links: bool,
     sw: &mut Vec<NodeId>,
     ln: &mut Vec<LinkId>,
-) -> bool {
+) {
     sw.clear();
     ln.clear();
     let mut first = true;
     net.for_each_candidate(src, dst, &mut |p| {
-        let links = if interior_links {
-            &p.links[1..p.links.len() - 1]
-        } else {
-            p.links
-        };
         if first {
             sw.extend_from_slice(p.interior());
-            ln.extend_from_slice(links);
+            ln.extend_from_slice(p.links);
             first = false;
         } else {
             sw.retain(|x| p.interior().contains(x));
-            ln.retain(|x| links.contains(x));
+            ln.retain(|x| p.links.contains(x));
         }
         ControlFlow::Continue(())
     });
-    !first
+}
+
+/// Intersects the interior switches and the interior links (`hop >> 1`)
+/// of every candidate in an access class's table into `sw` and `ln`
+/// (cleared first).
+fn class_common(t: ClassTable<'_>, sw: &mut Vec<NodeId>, ln: &mut Vec<LinkId>) {
+    sw.clear();
+    ln.clear();
+    for c in 0..t.len() {
+        let (nodes, hops) = (t.interior(c), t.hops(c));
+        if c == 0 {
+            sw.extend(nodes.iter().map(|&n| NodeId(n as usize)));
+            ln.extend(hops.iter().map(|&h| LinkId((h >> 1) as usize)));
+        } else {
+            sw.retain(|x| nodes.contains(&(x.0 as u32)));
+            ln.retain(|x| hops.iter().any(|&h| (h >> 1) as usize == x.0));
+        }
+    }
 }
 
 /// [`optimize_in_context_masked`] with lower-bound pruning and

@@ -18,14 +18,25 @@
 //! `[uplink(src)] + interior_links + [uplink(dst)]`, and the interior
 //! depends only on the ordered pair of *access switches*. The arena
 //! therefore stores one flat interior-segment table per access pair —
-//! `(k²/4)²` entries instead of `(k³/4)²` — and assembles full paths on
-//! demand from contiguous `u32` slices. Any topology with a multi-homed
-//! host falls back to per-host-pair owned paths.
+//! `(k²/4)²` entries instead of `(k³/4)²` — in contiguous `u32` slices:
+//! each candidate's interior switch ids, and its interior links as
+//! directed hops `link * 2 + dir`, the direction computed once at build
+//! from the node sequence. The link is `hop >> 1`. Each access pair is
+//! an access class ([`MultipathTopology::access_class`]), and the class
+//! hands its table to the consolidators as a borrowed [`ClassTable`],
+//! which they scan straight against their per-direction reservations;
+//! full paths are assembled from the same table. Any topology with a
+//! multi-homed host falls back to per-host-pair owned paths, and offers
+//! no classes.
 
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 
-use eprons_topo::{LinkId, MultipathTopology, NodeId, Path, PathRef, Topology};
+use eprons_topo::{
+    AccessClass, ClassTable, LinkId, MultipathTopology, NodeId, Path, PathRef, Topology,
+};
+
+use crate::links::direction_from;
 
 /// Interior segments shared across all host pairs with the same ordered
 /// access-switch pair. All index vectors are flat SoA over `u32` ids.
@@ -45,10 +56,11 @@ struct SharedStore {
     pair_off: Vec<u32>,
     /// Candidate id → interior-node range in `seg_nodes`.
     cand_node_off: Vec<u32>,
-    /// Candidate id → interior-link range in `seg_links`.
-    cand_link_off: Vec<u32>,
+    /// Candidate id → interior-hop range in `seg_hops`.
+    cand_hop_off: Vec<u32>,
     seg_nodes: Vec<u32>,
-    seg_links: Vec<u32>,
+    /// Interior links as directed hops `link * 2 + dir`.
+    seg_hops: Vec<u32>,
     /// Longest interior node segment — sizes assembly scratch exactly.
     max_seg: usize,
 }
@@ -97,15 +109,15 @@ impl SharedStore {
         }
         nodes.push(dst);
         links.push(self.uplink[so]);
-        let lr = self.cand_link_off[c] as usize..self.cand_link_off[c + 1] as usize;
-        for &l in &self.seg_links[lr] {
-            links.push(LinkId(l as usize));
+        let hr = self.cand_hop_off[c] as usize..self.cand_hop_off[c + 1] as usize;
+        for &h in &self.seg_hops[hr] {
+            links.push(LinkId((h >> 1) as usize));
         }
         links.push(self.uplink[do_]);
     }
 
     fn bytes(&self) -> usize {
-        self.overhead_bytes() + self.seg_nodes.len() * 4 + self.seg_links.len() * 4
+        self.overhead_bytes() + self.seg_nodes.len() * 4 + self.seg_hops.len() * 4
     }
 
     /// Everything except the interior segments themselves: host remap
@@ -117,7 +129,7 @@ impl SharedStore {
             + self.acc_idx.len() * 4
             + self.pair_off.len() * 4
             + self.cand_node_off.len() * 4
-            + self.cand_link_off.len() * 4
+            + self.cand_hop_off.len() * 4
     }
 }
 
@@ -169,9 +181,9 @@ impl<T: MultipathTopology> PathArena<T> {
                 n_acc: 0,
                 pair_off: vec![0],
                 cand_node_off: vec![0],
-                cand_link_off: vec![0],
+                cand_hop_off: vec![0],
                 seg_nodes: Vec::new(),
-                seg_links: Vec::new(),
+                seg_hops: Vec::new(),
                 max_seg: 0,
             }));
         }
@@ -212,9 +224,9 @@ impl<T: MultipathTopology> PathArena<T> {
         let mut pair_off: Vec<u32> = Vec::with_capacity(n_acc * n_acc + 1);
         pair_off.push(0);
         let mut cand_node_off: Vec<u32> = vec![0];
-        let mut cand_link_off: Vec<u32> = vec![0];
+        let mut cand_hop_off: Vec<u32> = vec![0];
         let mut seg_nodes: Vec<u32> = Vec::new();
-        let mut seg_links: Vec<u32> = Vec::new();
+        let mut seg_hops: Vec<u32> = Vec::new();
         let mut max_seg = 0usize;
         let mut n_cand = 0u32;
 
@@ -246,12 +258,13 @@ impl<T: MultipathTopology> PathArena<T> {
                         for &v in &p.nodes[1..n - 1] {
                             seg_nodes.push(v.0 as u32);
                         }
-                        for &l in &p.links[1..p.links.len() - 1] {
-                            seg_links.push(l.0 as u32);
+                        // Interior link `i` leaves node `i`.
+                        for (&l, &from) in p.links[1..n - 2].iter().zip(&p.nodes[1..]) {
+                            seg_hops.push((l.0 * 2 + direction_from(topo, l, from)) as u32);
                         }
                         max_seg = max_seg.max(n - 2);
                         cand_node_off.push(seg_nodes.len() as u32);
-                        cand_link_off.push(seg_links.len() as u32);
+                        cand_hop_off.push(seg_hops.len() as u32);
                         n_cand += 1;
                     }
                 }
@@ -267,9 +280,9 @@ impl<T: MultipathTopology> PathArena<T> {
             n_acc,
             pair_off,
             cand_node_off,
-            cand_link_off,
+            cand_hop_off,
             seg_nodes,
-            seg_links,
+            seg_hops,
             max_seg,
         }))
     }
@@ -449,13 +462,26 @@ impl<T: MultipathTopology> MultipathTopology for PathArena<T> {
         }
     }
 
-    /// The ordered access-switch pair in the shared store: every host
-    /// pair under the same two access switches is served the same
-    /// interior segments, so the pair is an access class by construction.
-    /// The per-pair store has no such grouping.
-    fn access_class(&self, src: NodeId, dst: NodeId) -> Option<usize> {
+    /// The ordered access-switch pair in the shared store, with its
+    /// slice of the interior tables: every host pair under the same two
+    /// access switches is served these very segments, so the pair is an
+    /// access class by construction. The per-pair store has no such
+    /// grouping.
+    fn access_class(&self, src: NodeId, dst: NodeId) -> Option<AccessClass<'_>> {
         match &self.store {
-            Store::Shared(s) => s.access_pair(src, dst),
+            Store::Shared(s) => {
+                let id = s.access_pair(src, dst)?;
+                let (lo, hi) = (s.pair_off[id] as usize, s.pair_off[id + 1] as usize);
+                Some(AccessClass {
+                    id,
+                    table: ClassTable::new(
+                        &s.cand_node_off[lo..=hi],
+                        &s.cand_hop_off[lo..=hi],
+                        &s.seg_nodes,
+                        &s.seg_hops,
+                    ),
+                })
+            }
             Store::PerPair(_) => None,
         }
     }
@@ -595,7 +621,7 @@ mod tests {
         let ft = FatTree::new(4, 1000.0);
         let arena = PathArena::build(&ft);
         assert_eq!(arena.access_classes(), 8 * 8);
-        let class = |a, b| arena.access_class(a, b);
+        let class = |a, b| arena.access_class(a, b).map(|c| c.id);
         let (a0, a1) = (ft.host(0, 0, 0), ft.host(0, 0, 1));
         let (b0, b1) = (ft.host(2, 1, 0), ft.host(2, 1, 1));
         assert!(class(a0, b0).is_some());
@@ -623,17 +649,68 @@ mod tests {
         assert_eq!(class(a0, a0), None);
         // Forwarded through references and `Arc`, absent on the bare tree.
         let arc = std::sync::Arc::new(PathArena::build(ft.clone()));
-        assert_eq!(arc.access_class(a0, b0), class(a0, b0));
+        assert_eq!(arc.access_class(a0, b0).map(|c| c.id), class(a0, b0));
         assert_eq!(arc.access_classes(), 64);
-        assert_eq!(ft.access_class(a0, b0), None);
+        assert!(ft.access_class(a0, b0).is_none());
         assert_eq!(ft.access_classes(), 0);
         // The dual-homed fabric and its per-pair store offer none.
         let fabric = DualHomed::new();
         let pp = PathArena::build(&fabric);
         let (a, b) = (fabric.hosts[0], fabric.hosts[1]);
-        assert_eq!(fabric.access_class(a, b), None);
-        assert_eq!(pp.access_class(a, b), None);
+        assert!(fabric.access_class(a, b).is_none());
+        assert!(pp.access_class(a, b).is_none());
         assert_eq!(pp.access_classes(), 0);
+    }
+
+    /// Every class table entry against the path the arena assembles
+    /// from it: the same interior switches, and each interior link as
+    /// the directed hop `l * 2 + direction_from(topo, l, from)`.
+    fn check_class_tables(net: &PathArena<impl MultipathTopology>) {
+        let topo = net.topology();
+        let hosts = net.host_list();
+        let mut seen = vec![false; net.access_classes()];
+        for &src in hosts {
+            for &dst in hosts {
+                let Some(AccessClass { id, table }) = net.access_class(src, dst) else {
+                    assert_eq!(src, dst, "every host pair has a class");
+                    continue;
+                };
+                seen[id] = true;
+                let paths = net.candidate_paths(src, dst);
+                assert_eq!(table.len(), paths.len());
+                for (c, p) in paths.iter().enumerate() {
+                    let p = PathRef::of(p);
+                    let interior: Vec<NodeId> = table
+                        .interior(c)
+                        .iter()
+                        .map(|&n| NodeId(n as usize))
+                        .collect();
+                    assert_eq!(interior, p.interior());
+                    let hops: Vec<u32> = p
+                        .hops()
+                        .skip(1)
+                        .take(p.hop_count() - 2)
+                        .map(|(from, _, l)| (l.0 * 2 + direction_from(topo, l, from)) as u32)
+                        .collect();
+                    assert_eq!(table.hops(c), &hops[..]);
+                }
+            }
+        }
+        // Each access switch here has two or more hosts, so every
+        // class, the diagonal ones too, holds a host pair.
+        assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn class_tables_hold_each_candidates_interior_and_directed_hops() {
+        for k in [4, 8] {
+            let ft = FatTree::new(k, 1000.0);
+            let arena = PathArena::build(&ft);
+            assert_eq!(arena.access_classes(), (k * k / 2).pow(2));
+            check_class_tables(&arena);
+        }
+        let ls = LeafSpine::new(3, 2, 4, 1000.0);
+        check_class_tables(&PathArena::build(&ls));
     }
 
     #[test]

@@ -11,20 +11,23 @@
 //! the winner, and the scan stops there.
 //!
 //! On a topology with access classes
-//! ([`MultipathTopology::access_class`]) the scan also starts late: a
-//! class's leading candidates that failed the mask or their fit for an
-//! earlier flow of the class at the same demand still fail, because
-//! reservations only grow, so they are skipped without being assembled.
+//! ([`MultipathTopology::access_class`]) a flow's candidates are read
+//! straight from its class's table: the two host hops are tested once,
+//! and each candidate's interior switches and directed hops are checked
+//! against the reservations without assembling a path. The scan also
+//! starts late: a class's leading candidates that failed the mask or
+//! their fit for an earlier flow of the class at the same demand still
+//! fail, because reservations only grow, so they are skipped.
 
 use std::ops::ControlFlow;
 
-use eprons_topo::{LinkId, MultipathTopology, PathRef};
+use eprons_topo::{MultipathTopology, NodeId, PathRef};
 
 use super::{
-    host_hops, scan_candidates, Assignment, ConsolidationConfig, ConsolidationError, Consolidator,
-    PathCollector, Scan,
+    Assignment, ClassFlow, ConsolidationConfig, ConsolidationError, Consolidator, PathCollector,
 };
 use crate::flow::FlowSet;
+use crate::links::direction_from;
 
 /// Greedy first-fit-decreasing consolidator.
 ///
@@ -96,74 +99,91 @@ impl Consolidator for GreedyConsolidator {
         for &fi in &order {
             let flow = &flows.flows()[fi];
             let demand = flow.scaled_demand(cfg.scale_k);
-            let fits =
-                |l: LinkId, dir: usize| reserved[l.0 * 2 + dir] + demand <= usable[l.0] + 1e-9;
-            // In an access class every candidate shares both endpoints
-            // and both host links: test them once, and if one fails no
-            // candidate fits.
-            let class = match (
-                net.access_class(flow.src, flow.dst),
-                host_hops(topo, flow.src, flow.dst),
-            ) {
-                (Some(c), Some(hops)) => {
-                    if cfg.is_excluded(flow.src)
-                        || cfg.is_excluded(flow.dst)
-                        || !hops.iter().all(|&(l, dir)| fits(l, dir))
-                    {
-                        return infeasible(candidates, fi);
-                    }
-                    Some(c)
-                }
-                _ => None,
-            };
-            let start = match class {
-                Some(c) if dead[c].1 == demand.to_bits() => dead[c].0 as usize,
-                _ => 0,
-            };
-            // Selection pass: walk candidates as borrowed slices (no
-            // allocation per path); only the winner is materialized.
+            // Does `demand` fit on the directed hop `link * 2 + dir`?
+            let fits = |hop: usize| reserved[hop] + demand <= usable[hop >> 1] + 1e-9;
+            // The fitting candidate with the fewest new switches, lowest
+            // index on ties. Indices only grow, so a fitting candidate
+            // that powers nothing new is the minimum: stop there.
             let mut best: Option<(usize, usize)> = None; // (new_switches, idx)
-            let mut cursor = start;
-            candidates += scan_candidates(
-                net,
-                flow.src,
-                flow.dst,
-                Scan::From(start),
-                &mut nbuf,
-                &mut lbuf,
-                |this, p| {
-                    let live = !p.nodes.iter().any(|&n| cfg.is_excluded(n))
-                        && p.hops().all(|(from, _, l)| {
-                            fits(l, crate::links::direction_from(topo, l, from))
-                        });
+            let mut keep = |new_switches: usize, this: usize| {
+                if best.is_none_or(|b| (new_switches, this) < b) {
+                    best = Some((new_switches, this));
+                }
+                if new_switches == 0 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            };
+            if let Some(cf) = ClassFlow::of(net, flow.src, flow.dst) {
+                // Every candidate of a class shares both endpoints and
+                // both host hops: test them once, and if one fails no
+                // candidate fits.
+                if cfg.is_excluded(flow.src)
+                    || cfg.is_excluded(flow.dst)
+                    || !fits(cf.up)
+                    || !fits(cf.down)
+                {
+                    return infeasible(candidates, fi);
+                }
+                let t = cf.table;
+                let start = match dead[cf.class] {
+                    (c, bits) if bits == demand.to_bits() => c as usize,
+                    _ => 0,
+                };
+                let mut cursor = start;
+                for c in start..t.len() {
+                    candidates += 1;
+                    let interior = t.interior(c);
+                    let live = !interior
+                        .iter()
+                        .any(|&n| cfg.is_excluded(NodeId(n as usize)))
+                        && t.hops(c).iter().all(|&h| fits(h as usize));
                     if !live {
-                        if this == cursor {
+                        if c == cursor {
                             cursor += 1;
                         }
-                        return ControlFlow::Continue(());
+                        continue;
                     }
-                    let new_switches = p
-                        .interior()
+                    let new_switches = interior
                         .iter()
-                        .filter(|&&n| !switch_active[n.0])
+                        .filter(|&&n| !switch_active[n as usize])
                         .count();
-                    let key = (new_switches, this);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
+                    if keep(new_switches, c).is_break() {
+                        break;
                     }
-                    // Indices only grow, so a fitting candidate that
-                    // powers nothing new is the minimum of
-                    // (new_switches, idx).
-                    if new_switches == 0 {
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                },
-            );
-            if let Some(c) = class {
-                dead[c] = (cursor as u32, demand.to_bits());
+                }
+                dead[cf.class] = (cursor as u32, demand.to_bits());
+                let Some((_, c)) = best else {
+                    return infeasible(candidates, fi);
+                };
+                cf.reserve(c, &mut reserved, demand);
+                for &n in t.interior(c) {
+                    switch_active[n as usize] = true;
+                }
+                chosen.set_class(fi, &cf, c);
+                continue;
             }
+            // No class: walk the candidates as borrowed slices (no
+            // allocation per path); only the winner is materialized.
+            let mut idx = 0usize;
+            net.for_each_candidate(flow.src, flow.dst, &mut |p| {
+                let this = idx;
+                idx += 1;
+                candidates += 1;
+                let live = !p.nodes.iter().any(|&n| cfg.is_excluded(n))
+                    && p.hops()
+                        .all(|(from, _, l)| fits(l.0 * 2 + direction_from(topo, l, from)));
+                if !live {
+                    return ControlFlow::Continue(());
+                }
+                let new_switches = p
+                    .interior()
+                    .iter()
+                    .filter(|&&n| !switch_active[n.0])
+                    .count();
+                keep(new_switches, this)
+            });
             let Some((_, idx)) = best else {
                 return infeasible(candidates, fi);
             };
@@ -176,8 +196,7 @@ impl Consolidator for GreedyConsolidator {
                 links: &lbuf,
             };
             for (from, _, l) in p.hops() {
-                let dir = crate::links::direction_from(topo, l, from);
-                reserved[l.0 * 2 + dir] += demand;
+                reserved[l.0 * 2 + direction_from(topo, l, from)] += demand;
             }
             for &n in p.nodes {
                 switch_active[n.0] = true;

@@ -26,7 +26,9 @@ pub mod pod;
 
 use std::ops::ControlFlow;
 
-use eprons_topo::{FatTree, LinkId, MultipathTopology, NodeId, Path, PathRef};
+use eprons_topo::{
+    AccessClass, ClassTable, FatTree, LinkId, MultipathTopology, NodeId, Path, PathRef,
+};
 
 use crate::flow::FlowSet;
 use crate::links::NetworkState;
@@ -184,15 +186,43 @@ impl PathCollector {
         self.spans.is_empty()
     }
 
-    fn append(&mut self, p: PathRef<'_>) -> PathSpan {
-        debug_assert_eq!(p.nodes.len(), p.links.len() + 1, "malformed path");
-        let span = PathSpan {
+    /// The span of a `hops`-hop path appended at the pools' ends.
+    fn next_span(&self, hops: usize) -> PathSpan {
+        PathSpan {
             node_off: u32::try_from(self.nodes.len()).expect("node pool fits u32 offsets"),
             link_off: u32::try_from(self.links.len()).expect("link pool fits u32 offsets"),
-            hops: p.links.len() as u32,
-        };
+            hops: hops as u32,
+        }
+    }
+
+    fn append(&mut self, p: PathRef<'_>) -> PathSpan {
+        debug_assert_eq!(p.nodes.len(), p.links.len() + 1, "malformed path");
+        let span = self.next_span(p.links.len());
         self.nodes.extend_from_slice(p.nodes);
         self.links.extend_from_slice(p.links);
+        span
+    }
+
+    /// Appends candidate `c` of a class flow from its table parts. Each
+    /// pool reserves the whole path before it is written, so the pools
+    /// grow exactly as [`append`](Self::append) of the assembled path
+    /// grows them. Pushed part by part, a pool would double from a
+    /// different first capacity and could end up to twice the size it
+    /// needs; a day holds several assignments, so that showed as ~2 MB
+    /// more peak RSS on a k=8 replay day.
+    fn append_class(&mut self, f: &ClassFlow<'_>, c: usize) -> PathSpan {
+        let (interior, hops) = (f.table.interior(c), f.table.hops(c));
+        let span = self.next_span(hops.len() + 2);
+        self.nodes.reserve(interior.len() + 2);
+        self.nodes.push(f.src);
+        self.nodes
+            .extend(interior.iter().map(|&n| NodeId(n as usize)));
+        self.nodes.push(f.dst);
+        self.links.reserve(hops.len() + 2);
+        self.links.push(LinkId(f.up >> 1));
+        self.links
+            .extend(hops.iter().map(|&h| LinkId((h >> 1) as usize)));
+        self.links.push(LinkId(f.down >> 1));
         span
     }
 
@@ -207,6 +237,17 @@ impl PathCollector {
     /// wasteful in a loop.
     pub fn set(&mut self, i: usize, p: PathRef<'_>) {
         self.spans[i] = self.append(p);
+    }
+
+    /// [`push`](Self::push) of candidate `c` of a class flow.
+    fn push_class(&mut self, f: &ClassFlow<'_>, c: usize) {
+        let span = self.append_class(f, c);
+        self.spans.push(span);
+    }
+
+    /// [`set`](Self::set) of flow `i` to candidate `c` of a class flow.
+    fn set_class(&mut self, i: usize, f: &ClassFlow<'_>, c: usize) {
+        self.spans[i] = self.append_class(f, c);
     }
 
     /// Flow `i`'s path as a borrowed view.
@@ -474,67 +515,51 @@ pub trait Consolidator {
     ) -> Result<Assignment, ConsolidationError>;
 }
 
-/// The candidate indices a selection loop visits, in ascending order.
+/// A flow of an access class ([`MultipathTopology::access_class`]):
+/// its endpoints, its two host links as directed hops `link * 2 + dir`
+/// (the same index as a per-direction reservation), and the class's
+/// candidate table. Every candidate of the flow is
+/// `[src] + table.interior(c) + [dst]` over `[up] + table.hops(c) +
+/// [down]`, so a selection loop tests the host hops once and scans only
+/// the interiors.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Scan<'a> {
-    /// Every candidate from this index on.
-    From(usize),
-    /// Exactly these indices.
-    Only(&'a [u32]),
+pub(crate) struct ClassFlow<'a> {
+    pub src: NodeId,
+    pub dst: NodeId,
+    /// The source's uplink, upward.
+    pub up: usize,
+    /// The destination's link, downward.
+    pub down: usize,
+    /// The class id, for per-class state.
+    pub class: usize,
+    pub table: ClassTable<'a>,
 }
 
-/// Hands the candidates of `(src, dst)` that `scan` names to `f`, with
-/// their indices, until `f` breaks; returns how many were assembled.
-///
-/// `Scan::From(0)` walks the topology's visitor. Any other scan
-/// assembles each named candidate into `nodes`/`links` on its own, so a
-/// skipped candidate costs nothing; callers use it only on topologies
-/// whose [`MultipathTopology::nth_candidate_into`] is a table lookup
-/// (those that offer access classes).
-pub(crate) fn scan_candidates(
-    net: &dyn MultipathTopology,
-    src: NodeId,
-    dst: NodeId,
-    scan: Scan<'_>,
-    nodes: &mut Vec<NodeId>,
-    links: &mut Vec<LinkId>,
-    mut f: impl FnMut(usize, PathRef<'_>) -> ControlFlow<()>,
-) -> u64 {
-    let mut assembled = 0usize;
-    let mut visit = |idx: usize, nodes: &[NodeId], links: &[LinkId]| {
-        assembled += 1;
-        f(idx, PathRef { nodes, links })
-    };
-    match scan {
-        Scan::From(0) => {
-            let mut idx = 0usize;
-            net.for_each_candidate(src, dst, &mut |p| {
-                idx += 1;
-                visit(idx - 1, p.nodes, p.links)
-            });
-        }
-        Scan::From(start) => {
-            let mut idx = start;
-            while net.nth_candidate_into(src, dst, idx, nodes, links)
-                && visit(idx, nodes, links).is_continue()
-            {
-                idx += 1;
-            }
-        }
-        Scan::Only(list) => {
-            for &idx in list {
-                let idx = idx as usize;
-                assert!(
-                    net.nth_candidate_into(src, dst, idx, nodes, links),
-                    "index valid"
-                );
-                if visit(idx, nodes, links).is_break() {
-                    break;
-                }
-            }
-        }
+impl<'a> ClassFlow<'a> {
+    /// `(src, dst)` as a class flow, or `None` when `net` offers the
+    /// pair no access class.
+    pub fn of(net: &'a dyn MultipathTopology, src: NodeId, dst: NodeId) -> Option<Self> {
+        let AccessClass { id, table } = net.access_class(src, dst)?;
+        let [(up, up_dir), (down, down_dir)] = host_hops(net.topology(), src, dst)?;
+        Some(ClassFlow {
+            src,
+            dst,
+            up: up.0 * 2 + up_dir,
+            down: down.0 * 2 + down_dir,
+            class: id,
+            table,
+        })
     }
-    assembled as u64
+
+    /// Adds `demand` to the reservation of every directed hop of
+    /// candidate `c`.
+    pub fn reserve(&self, c: usize, reserved: &mut [f64], demand: f64) {
+        reserved[self.up] += demand;
+        for &h in self.table.hops(c) {
+            reserved[h as usize] += demand;
+        }
+        reserved[self.down] += demand;
+    }
 }
 
 /// The two links every candidate of `(src, dst)` shares when both hosts
@@ -596,79 +621,90 @@ impl Consolidator for AggregationRouter {
         let mut lbuf = Vec::new();
         let mut candidates = 0u64;
         // Per access class, built on the class's first flow: the indices
-        // of its candidates that lie wholly inside `allowed`, as a range
-        // of `pool`. Hosts are always allowed and a class shares its
-        // interiors, so the list holds for every flow of the class.
+        // of its candidates whose interiors lie wholly inside `allowed`,
+        // as a range of `pool`. Hosts are always allowed, so the list
+        // holds for every flow of the class.
         let mut lists: Vec<Option<(u32, u32)>> = vec![None; net.access_classes()];
         let mut pool: Vec<u32> = Vec::new();
+        let no_path = |candidates: u64, flow: usize| {
+            if eprons_obs::enabled() {
+                eprons_obs::registry()
+                    .counter("net.consolidate.candidates")
+                    .add(candidates);
+            }
+            Err(ConsolidationError::NoFeasiblePath { flow })
+        };
         for flow in flows.flows() {
             let demand = flow.scaled_demand(cfg.scale_k);
-            // A single-homed endpoint's one link is on every candidate, so
-            // its directional reservation bounds every bottleneck from
-            // below. Once the best is within 1e-9 of that bound, no later
-            // candidate can beat it by the 1e-9 the scan requires.
+            // A later candidate replaces the best only if it lowers the
+            // bottleneck by more than 1e-9. A single-homed endpoint's one
+            // link is on every candidate, so its directional reservation
+            // (`floor`) bounds every bottleneck from below. Once the best
+            // is within 1e-9 of that bound, no later candidate can beat it.
+            let mut best: Option<(f64, usize)> = None;
+            let mut keep = |bottleneck: f64, this: usize, floor: f64| {
+                if best.is_none_or(|(b, _)| bottleneck < b - 1e-9) {
+                    best = Some((bottleneck, this));
+                }
+                match best {
+                    Some((b, _)) if floor >= b - 1e-9 => ControlFlow::Break(()),
+                    _ => ControlFlow::Continue(()),
+                }
+            };
+            if let Some(cf) = ClassFlow::of(net, flow.src, flow.dst) {
+                let t = cf.table;
+                let (off, len) =
+                    *lists[cf.class].get_or_insert_with(|| {
+                        let off = pool.len();
+                        pool.extend((0..t.len() as u32).filter(|&c| {
+                            t.interior(c as usize).iter().all(|&n| allowed[n as usize])
+                        }));
+                        candidates += t.len() as u64;
+                        (off as u32, (pool.len() - off) as u32)
+                    });
+                let floor = (reserved[cf.up] + demand).max(reserved[cf.down] + demand);
+                for &c in &pool[off as usize..(off + len) as usize] {
+                    candidates += 1;
+                    // The bottleneck directional reservation if this path
+                    // were chosen (full-duplex links: only the traversal
+                    // direction contends): `floor` covers the host hops.
+                    let bottleneck = t
+                        .hops(c as usize)
+                        .iter()
+                        .fold(floor, |m, &h| m.max(reserved[h as usize] + demand));
+                    if keep(bottleneck, c as usize, floor).is_break() {
+                        break;
+                    }
+                }
+                let Some((_, c)) = best else {
+                    return no_path(candidates, flow.id.0);
+                };
+                cf.reserve(c, &mut reserved, demand);
+                chosen.push_class(&cf, c);
+                continue;
+            }
             let floor = match host_hops(topo, flow.src, flow.dst) {
                 Some([(up, up_dir), (down, down_dir)]) => (reserved[up.0 * 2 + up_dir] + demand)
                     .max(reserved[down.0 * 2 + down_dir] + demand),
                 None => f64::NEG_INFINITY,
             };
-            let scan = match net.access_class(flow.src, flow.dst) {
-                Some(c) => {
-                    let (off, len) = *lists[c].get_or_insert_with(|| {
-                        let off = pool.len();
-                        let mut idx = 0u32;
-                        net.for_each_candidate(flow.src, flow.dst, &mut |p| {
-                            if p.nodes.iter().all(|&n| allowed[n.0]) {
-                                pool.push(idx);
-                            }
-                            idx += 1;
-                            ControlFlow::Continue(())
-                        });
-                        candidates += u64::from(idx);
-                        (off as u32, (pool.len() - off) as u32)
-                    });
-                    Scan::Only(&pool[off as usize..(off + len) as usize])
+            let mut idx = 0usize;
+            net.for_each_candidate(flow.src, flow.dst, &mut |p| {
+                idx += 1;
+                candidates += 1;
+                if !p.nodes.iter().all(|&n| allowed[n.0]) {
+                    return ControlFlow::Continue(());
                 }
-                None => Scan::From(0),
-            };
-            let mut best: Option<(f64, usize)> = None;
-            candidates += scan_candidates(
-                net,
-                flow.src,
-                flow.dst,
-                scan,
-                &mut nbuf,
-                &mut lbuf,
-                |this, p| {
-                    if !p.nodes.iter().all(|&n| allowed[n.0]) {
-                        return ControlFlow::Continue(());
-                    }
-                    // Bottleneck directional reservation if this path were
-                    // chosen (full-duplex links: only the traversal
-                    // direction contends).
-                    let bottleneck = p
-                        .hops()
-                        .map(|(from, _, l)| {
-                            let dir = crate::links::direction_from(topo, l, from);
-                            reserved[l.0 * 2 + dir] + demand
-                        })
-                        .fold(0.0, f64::max);
-                    if best.is_none_or(|(b, _)| bottleneck < b - 1e-9) {
-                        best = Some((bottleneck, this));
-                    }
-                    match best {
-                        Some((b, _)) if floor >= b - 1e-9 => ControlFlow::Break(()),
-                        _ => ControlFlow::Continue(()),
-                    }
-                },
-            );
+                let bottleneck = p
+                    .hops()
+                    .map(|(from, _, l)| {
+                        reserved[l.0 * 2 + crate::links::direction_from(topo, l, from)] + demand
+                    })
+                    .fold(0.0, f64::max);
+                keep(bottleneck, idx - 1, floor)
+            });
             let Some((_, idx)) = best else {
-                if eprons_obs::enabled() {
-                    eprons_obs::registry()
-                        .counter("net.consolidate.candidates")
-                        .add(candidates);
-                }
-                return Err(ConsolidationError::NoFeasiblePath { flow: flow.id.0 });
+                return no_path(candidates, flow.id.0);
             };
             assert!(
                 net.nth_candidate_into(flow.src, flow.dst, idx, &mut nbuf, &mut lbuf),

@@ -7,9 +7,14 @@
 //! greedy minimizes `(new_switches, idx)` over fitting candidates, and the
 //! aggregation router keeps the first candidate unless a later one lowers
 //! the bottleneck reservation by more than 1e-9.
+//!
+//! On the arena every flow of a fat-tree or leaf–spine has an access
+//! class, so both loops read its candidates from the class table; on the
+//! bare fabrics and the dual-homed one they take the generic visitor.
 
 use std::cell::Cell;
 use std::ops::ControlFlow;
+use std::sync::RwLock;
 
 use eprons_net::consolidate::AggregationRouter;
 use eprons_net::flow::{FlowId, FlowSet};
@@ -19,9 +24,10 @@ use eprons_net::{
 };
 use eprons_sim::SimRng;
 use eprons_topo::{
-    AggregationLevel, FatTree, LeafSpine, LinkId, MultipathTopology, NodeId, NodeKind, Path,
-    PathRef, Topology,
+    AccessClass, AggregationLevel, FatTree, LeafSpine, LinkId, MultipathTopology, NodeId, NodeKind,
+    Path, PathRef, Topology,
 };
+use eprons_workload::background::background_flows;
 
 type Outcome = Result<Vec<Path>, ConsolidationError>;
 
@@ -120,12 +126,17 @@ fn reference_aggregation(
     Ok(chosen)
 }
 
+/// Telemetry is process-wide: every consolidation here holds this lock
+/// shared, and the test that reads the candidate counter holds it alone.
+static TELEMETRY: RwLock<()> = RwLock::new(());
+
 fn run(
     c: &dyn Consolidator,
     net: &dyn MultipathTopology,
     flows: &FlowSet,
     cfg: &ConsolidationConfig,
 ) -> Outcome {
+    let _shared = TELEMETRY.read().unwrap_or_else(|e| e.into_inner());
     c.consolidate(net, flows, cfg).map(|a| {
         (0..flows.len())
             .map(|i| a.path(FlowId(i)).to_path())
@@ -356,7 +367,8 @@ fn greedy_cursor_resets_when_the_demand_drops() {
     let arena = PathArena::build(&ft);
     let (a0, a1) = (ft.host(0, 0, 0), ft.host(0, 0, 1));
     let (b0, b1) = (ft.host(1, 0, 0), ft.host(1, 0, 1));
-    assert_eq!(arena.access_class(a0, b0), arena.access_class(a1, b1));
+    let class = |a, b| arena.access_class(a, b).map(|c| c.id);
+    assert_eq!(class(a0, b0), class(a1, b1));
     let mut fs = FlowSet::new();
     // Four 400 Mbps flows of one class: two fill candidate 0's
     // edge→agg link (candidate 1 shares it), so the next two fail
@@ -527,11 +539,12 @@ fn dual_homed_fabric_keeps_the_full_scan() {
     }
 }
 
-/// Forwards to a topology and counts the candidates its visitor hands
-/// out, so a test can see that a scan stopped early.
+/// Forwards to a topology, its class tables included, and counts the
+/// candidates its visitor hands out and the class tables it serves.
 struct Counting<'a> {
     inner: &'a dyn MultipathTopology,
     visited: Cell<usize>,
+    tables: Cell<usize>,
 }
 
 impl MultipathTopology for Counting<'_> {
@@ -569,6 +582,17 @@ impl MultipathTopology for Counting<'_> {
     ) -> bool {
         self.inner.nth_candidate_into(src, dst, idx, nodes, links)
     }
+
+    fn access_class(&self, src: NodeId, dst: NodeId) -> Option<AccessClass<'_>> {
+        let class = self.inner.access_class(src, dst);
+        self.tables
+            .set(self.tables.get() + class.is_some() as usize);
+        class
+    }
+
+    fn access_classes(&self) -> usize {
+        self.inner.access_classes()
+    }
 }
 
 #[test]
@@ -593,16 +617,77 @@ fn both_scans_stop_before_the_last_candidate_on_a_mesh() {
     let net = Counting {
         inner: &arena,
         visited: Cell::new(0),
+        tables: Cell::new(0),
     };
+    // The candidates a pass reads from the class tables are what it adds
+    // to `net.consolidate.candidates`; hold every other consolidation off
+    // while the counter is on.
+    let _alone = TELEMETRY.write().unwrap_or_else(|e| e.into_inner());
+    let read = || {
+        eprons_obs::registry()
+            .counter("net.consolidate.candidates")
+            .get() as usize
+    };
+    eprons_obs::set_enabled(true);
+    let start = read();
     GreedyConsolidator.consolidate(&net, &mesh, &cfg).unwrap();
-    let greedy = net.visited.replace(0);
+    let greedy = read() - start;
     AggregationRouter::for_level(&ft, AggregationLevel::Agg0)
         .consolidate(&net, &mesh, &cfg)
         .unwrap();
-    let aggregation = net.visited.get();
-    assert!(greedy < total / 2, "greedy visited {greedy} of {total}");
+    let aggregation = read() - start - greedy;
+    eprons_obs::set_enabled(false);
+    // Every flow was served its class table, and none took the visitor.
+    assert_eq!(net.tables.get(), 2 * mesh.len());
+    assert_eq!(net.visited.get(), 0);
+    assert!(greedy < total / 2, "greedy read {greedy} of {total}");
     assert!(
         aggregation < total,
-        "aggregation visited {aggregation} of {total}"
+        "aggregation read {aggregation} of {total}"
     );
+}
+
+/// A k=8 day's flow set: one background elephant per host at 20 % of its
+/// link, plus the all-pairs query mesh at 300/127 Mbps per flow —
+/// 128 + 128·127 = 16,384 flows, the set every epoch of a k=8 day routes.
+fn day_mesh(ft: &FatTree) -> FlowSet {
+    let hosts = ft.hosts();
+    let mut fs = FlowSet::new();
+    let mut rng = SimRng::seed_from_u64(7000);
+    for bf in background_flows(ft, &mut rng, 0.2, 1000.0) {
+        fs.add(bf.src, bf.dst, bf.demand_mbps, FlowClass::LatencyTolerant);
+    }
+    let query_mbps = 300.0 / (hosts.len() - 1) as f64;
+    for &a in hosts {
+        for &b in hosts {
+            if a != b {
+                fs.add(a, b, query_mbps, FlowClass::LatencySensitive);
+            }
+        }
+    }
+    fs
+}
+
+#[test]
+fn the_k8_day_mesh_matches_full_scan() {
+    let ft = FatTree::new(8, 1000.0);
+    let arena = PathArena::build(&ft);
+    let mesh = day_mesh(&ft);
+    assert_eq!(mesh.len(), 16_384);
+    for k in [1.0, 2.0] {
+        let cfg = ConsolidationConfig::with_k(k);
+        let want = reference_greedy(&arena, &mesh, &cfg);
+        assert!(want.is_ok(), "the day mesh is feasible at K={k}");
+        assert_eq!(
+            run(&GreedyConsolidator, &arena, &mesh, &cfg),
+            want,
+            "greedy K={k}"
+        );
+    }
+    let cfg = ConsolidationConfig::with_k(2.0);
+    for level in AggregationLevel::ALL {
+        let router = AggregationRouter::for_level(&ft, level);
+        let want = reference_aggregation(&arena, &router.active, &mesh, &cfg);
+        assert_eq!(run(&router, &arena, &mesh, &cfg), want, "{level:?}");
+    }
 }

@@ -31,10 +31,9 @@ pub struct FatTree {
     /// scan — at k=16 those run once per flow (~1M flows per scenario).
     host_index: Vec<u32>,
     /// `NodeId.0` → owning pod for hosts/edges/aggs, `u32::MAX` for
-    /// cores. The O(1) ordinal-remapping table [`PodView`] and the pod-
-    /// decomposed consolidator key their sub-problems on.
-    ///
-    /// [`PodView`]: crate::podview::PodView
+    /// cores. The O(1) ordinal-remapping table the pod-decomposed
+    /// consolidator keys its sub-problems on (through the `*_ordinal`
+    /// and `host_slot` inverses).
     pod_index: Vec<u32>,
     /// `NodeId.0` → tier-local ordinal: aggs/edges get their in-pod index
     /// `j`/`i`, hosts their in-pod ordinal `i·(k/2)+slot`, cores their
@@ -245,17 +244,6 @@ impl FatTree {
     #[inline]
     pub fn num_pods(&self) -> usize {
         self.k
-    }
-
-    /// Owning pod of a host, edge, or aggregation switch; `None` for
-    /// cores (they belong to the stitch layer, not a pod) and foreign
-    /// ids.
-    #[inline]
-    pub fn pod_of(&self, n: NodeId) -> Option<usize> {
-        match self.pod_index.get(n.0).copied() {
-            Some(p) if p != u32::MAX => Some(p as usize),
-            _ => None,
-        }
     }
 
     /// Inverts [`FatTree::edge`]: the `(pod, index)` of an edge switch.

@@ -31,6 +31,6 @@ pub use aggregation::AggregationLevel;
 pub use fattree::FatTree;
 pub use graph::{LinkId, NodeId, NodeKind, Topology};
 pub use leafspine::LeafSpine;
-pub use multipath::MultipathTopology;
+pub use multipath::{AccessClass, ClassTable, MultipathTopology};
 pub use paths::{Path, PathRef};
 pub use podview::PodView;

@@ -53,9 +53,9 @@ pub trait MultipathTopology {
     }
 
     /// Assembles the `idx`-th candidate into caller-owned buffers (cleared
-    /// first), or returns `false` past the end. Lets per-flow selection
-    /// loops and bulk path materialization reuse two scratch buffers
-    /// instead of paying two heap allocations per
+    /// first), or returns `false` past the end. Lets the winners of flows
+    /// without an access class and bulk path materialization reuse two
+    /// scratch buffers instead of paying two heap allocations per
     /// [`nth_candidate`](Self::nth_candidate) call — at fat-tree scale
     /// (10⁷ flows) the allocator traffic dominates the arithmetic.
     fn nth_candidate_into(
@@ -78,26 +78,109 @@ pub trait MultipathTopology {
         }
     }
 
-    /// The *access class* of `(src, dst)`, an id in
-    /// `0..`[`access_classes`](Self::access_classes), or `None` when the
-    /// topology offers no such grouping. All host pairs of one class are
-    /// offered candidates with the same interior segments: the same
-    /// switch and switch-to-switch link sequences, in the same order.
+    /// The *access class* of `(src, dst)` with its candidate table, or
+    /// `None` when the topology offers no such grouping.
     ///
-    /// A consolidator may key per-pass state on the class — work that
-    /// depends only on candidate interiors is then done once per class
-    /// rather than once per flow. Implementations must only return `Some`
-    /// when that sharing holds by construction, every host is
-    /// single-homed, and each candidate's first and last links are the
-    /// two hosts' uplinks. The default offers no classes.
-    fn access_class(&self, _src: NodeId, _dst: NodeId) -> Option<usize> {
+    /// All host pairs of one class are offered candidates with the same
+    /// interior segments, in the same order, and the class serves them
+    /// as one [`ClassTable`]: candidate `c` of the pair is
+    /// `[src] + table.interior(c) + [dst]` over the links
+    /// `[uplink(src)] + table.hops(c) + [uplink(dst)]`. A consolidator
+    /// reads a class flow's candidates from that table, so the sharing
+    /// holds by construction, and may key per-pass state on
+    /// [`AccessClass::id`]: work that depends only on candidate interiors
+    /// is then done once per class rather than once per flow.
+    /// Implementations must only return `Some` when every host is
+    /// single-homed and the table matches
+    /// [`candidate_paths`](Self::candidate_paths) candidate for
+    /// candidate. The default offers no classes.
+    fn access_class(&self, _src: NodeId, _dst: NodeId) -> Option<AccessClass<'_>> {
         None
     }
 
-    /// The number of access classes (`0` when
-    /// [`access_class`](Self::access_class) is always `None`).
+    /// The number of access classes: every [`AccessClass::id`] is below
+    /// it (`0` when [`access_class`](Self::access_class) is always
+    /// `None`).
     fn access_classes(&self) -> usize {
         0
+    }
+}
+
+/// An access class of a host pair: its id and its candidates' interiors
+/// (see [`MultipathTopology::access_class`]).
+#[derive(Debug, Clone, Copy)]
+pub struct AccessClass<'a> {
+    /// The class, in `0..`[`access_classes`](MultipathTopology::access_classes).
+    pub id: usize,
+    /// The class's candidates, in candidate order.
+    pub table: ClassTable<'a>,
+}
+
+/// The interiors of one access class's candidates as borrowed flat
+/// tables.
+///
+/// Candidate `c`'s interior switches are
+/// `nodes[node_off[c]..node_off[c + 1]]` and its interior links are
+/// `hops[hop_off[c]..hop_off[c + 1]]`, each stored as the *directed hop*
+/// `link * 2 + dir`: `dir` is 0 when the path crosses the link from its
+/// record's `a` endpoint to `b`, and 1 the other way. `hop >> 1` is the
+/// link. The offsets index the whole `nodes` and `hops` slices.
+#[derive(Debug, Clone, Copy)]
+pub struct ClassTable<'a> {
+    node_off: &'a [u32],
+    hop_off: &'a [u32],
+    nodes: &'a [u32],
+    hops: &'a [u32],
+}
+
+impl<'a> ClassTable<'a> {
+    /// A table over the given offsets (one entry more than there are
+    /// candidates, each array) and flat interiors: switch ids
+    /// (`NodeId.0`) and directed hops, candidate after candidate.
+    ///
+    /// # Panics
+    /// Panics if the offset arrays differ in length or are empty, or if
+    /// their last entries lie past the ends of `nodes` and `hops`.
+    pub fn new(node_off: &'a [u32], hop_off: &'a [u32], nodes: &'a [u32], hops: &'a [u32]) -> Self {
+        assert!(
+            !node_off.is_empty() && node_off.len() == hop_off.len(),
+            "one offset per candidate, plus one, in each array"
+        );
+        assert!(
+            node_off[node_off.len() - 1] as usize <= nodes.len()
+                && hop_off[hop_off.len() - 1] as usize <= hops.len(),
+            "offsets within the tables"
+        );
+        ClassTable {
+            node_off,
+            hop_off,
+            nodes,
+            hops,
+        }
+    }
+
+    /// The number of candidates.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.node_off.len() - 1
+    }
+
+    /// Whether the class has no candidate.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Candidate `c`'s interior switch ids, source side first.
+    #[inline]
+    pub fn interior(&self, c: usize) -> &'a [u32] {
+        &self.nodes[self.node_off[c] as usize..self.node_off[c + 1] as usize]
+    }
+
+    /// Candidate `c`'s interior links as directed hops, in path order.
+    #[inline]
+    pub fn hops(&self, c: usize) -> &'a [u32] {
+        &self.hops[self.hop_off[c] as usize..self.hop_off[c + 1] as usize]
     }
 }
 
@@ -138,7 +221,7 @@ impl<T: MultipathTopology + ?Sized> MultipathTopology for &T {
         (**self).nth_candidate_into(src, dst, idx, nodes, links)
     }
 
-    fn access_class(&self, src: NodeId, dst: NodeId) -> Option<usize> {
+    fn access_class(&self, src: NodeId, dst: NodeId) -> Option<AccessClass<'_>> {
         (**self).access_class(src, dst)
     }
 
@@ -184,7 +267,7 @@ impl<T: MultipathTopology + ?Sized> MultipathTopology for std::sync::Arc<T> {
         (**self).nth_candidate_into(src, dst, idx, nodes, links)
     }
 
-    fn access_class(&self, src: NodeId, dst: NodeId) -> Option<usize> {
+    fn access_class(&self, src: NodeId, dst: NodeId) -> Option<AccessClass<'_>> {
         (**self).access_class(src, dst)
     }
 

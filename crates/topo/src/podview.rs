@@ -3,8 +3,8 @@
 //! A k-ary fat-tree is structurally hierarchical: a pod's hosts and
 //! edge/aggregation switches form a self-contained 2-tier Clos, and the
 //! only way in or out is the `(k/2)²` agg→core uplinks. [`PodView`]
-//! exposes exactly that sub-fabric as contiguous slices of the owning
-//! [`FatTree`] plus its internal and uplink links — no graph copies, no
+//! exposes exactly that sub-fabric's switches and its internal and uplink
+//! links, by index into the owning [`FatTree`] — no graph copies, no
 //! allocation. The pod-decomposed consolidator keys its per-pod
 //! sub-problems on these views and hands only the uplink aggregates to
 //! the core-stitch phase.
@@ -12,20 +12,20 @@
 use crate::fattree::FatTree;
 use crate::graph::{LinkId, NodeId};
 
-/// A borrowed view of one pod of a [`FatTree`]: its hosts, edge and
-/// aggregation switches, and its agg→core uplinks.
+/// A borrowed view of one pod of a [`FatTree`]: its edge and
+/// aggregation switches, and its edge→agg and agg→core links.
 ///
-/// All lookups are O(1) against the tree's pod/tier remap tables; the
-/// view itself is two words.
+/// All lookups are O(1) against the tree's pod/tier indexing; the view
+/// itself is two words.
 ///
 /// ```
 /// use eprons_topo::FatTree;
 /// let ft = FatTree::new(4, 1000.0);
 /// let pv = ft.pod_view(2);
-/// assert_eq!(pv.hosts().len(), 4);
-/// assert_eq!(pv.aggs().len(), 2);
-/// assert!(pv.contains(ft.edge(2, 0)));
-/// assert!(!pv.contains(ft.edge(1, 0)));
+/// assert_eq!(pv.width(), 2);
+/// assert_eq!(pv.edge(1), ft.edge(2, 1));
+/// let l = pv.edge_agg_link(0, 1);
+/// assert!(ft.topology().link(l).touches(ft.agg(2, 1)));
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct PodView<'a> {
@@ -49,30 +49,6 @@ impl<'a> PodView<'a> {
         self.ft.k() / 2
     }
 
-    /// This pod's hosts, ordered by `(edge index, slot)` — a contiguous
-    /// slice of [`FatTree::hosts`].
-    #[inline]
-    pub fn hosts(&self) -> &'a [NodeId] {
-        let per_pod = self.width() * self.width();
-        &self.ft.hosts()[self.pod * per_pod..(self.pod + 1) * per_pod]
-    }
-
-    /// This pod's edge switches, ordered by index — a contiguous slice
-    /// of [`FatTree::edge_switches`].
-    #[inline]
-    pub fn edges(&self) -> &'a [NodeId] {
-        let half = self.width();
-        &self.ft.edge_switches()[self.pod * half..(self.pod + 1) * half]
-    }
-
-    /// This pod's aggregation switches, ordered by index — a contiguous
-    /// slice of [`FatTree::agg_switches`].
-    #[inline]
-    pub fn aggs(&self) -> &'a [NodeId] {
-        let half = self.width();
-        &self.ft.agg_switches()[self.pod * half..(self.pod + 1) * half]
-    }
-
     /// Edge switch `i` of this pod.
     #[inline]
     pub fn edge(&self, i: usize) -> NodeId {
@@ -83,13 +59,6 @@ impl<'a> PodView<'a> {
     #[inline]
     pub fn agg(&self, j: usize) -> NodeId {
         self.ft.agg(self.pod, j)
-    }
-
-    /// Whether `n` (host, edge, or agg) belongs to this pod. Cores are
-    /// never contained — they belong to the stitch layer.
-    #[inline]
-    pub fn contains(&self, n: NodeId) -> bool {
-        self.ft.pod_of(n) == Some(self.pod)
     }
 
     /// The intra-pod link between edge `i` and agg `j` (full bipartite,
@@ -129,26 +98,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slices_partition_the_tree() {
-        let ft = FatTree::new(8, 1000.0);
-        let mut hosts = Vec::new();
-        let mut edges = Vec::new();
-        let mut aggs = Vec::new();
-        for p in 0..ft.num_pods() {
-            let pv = ft.pod_view(p);
-            assert_eq!(pv.hosts().len(), 16);
-            assert_eq!(pv.edges().len(), 4);
-            assert_eq!(pv.aggs().len(), 4);
-            hosts.extend_from_slice(pv.hosts());
-            edges.extend_from_slice(pv.edges());
-            aggs.extend_from_slice(pv.aggs());
-        }
-        assert_eq!(hosts, ft.hosts());
-        assert_eq!(edges, ft.edge_switches());
-        assert_eq!(aggs, ft.agg_switches());
-    }
-
-    #[test]
     fn ordinal_remaps_invert_accessors() {
         let ft = FatTree::new(6, 1000.0);
         for p in 0..6 {
@@ -165,17 +114,6 @@ mod tests {
         assert_eq!(ft.edge_ordinal(ft.agg(0, 0)), None);
         assert_eq!(ft.core_ordinal(ft.core(1, 2)), Some((1, 2)));
         assert_eq!(ft.core_ordinal(ft.host(0, 0, 0)), None);
-        assert_eq!(ft.pod_of(ft.core(0, 0)), None);
-    }
-
-    #[test]
-    fn containment_excludes_cores_and_other_pods() {
-        let ft = FatTree::new(4, 1000.0);
-        let pv = ft.pod_view(1);
-        assert!(pv.contains(ft.host(1, 0, 1)));
-        assert!(pv.contains(ft.agg(1, 1)));
-        assert!(!pv.contains(ft.host(0, 0, 0)));
-        assert!(!pv.contains(ft.core(0, 0)));
     }
 
     #[test]
