@@ -50,15 +50,15 @@ impl Complex {
         }
     }
 
-    /// Squared magnitude `re² + im²`.
-    #[inline]
-    pub fn norm_sqr(self) -> f64 {
+    /// Squared magnitude `re² + im²` (the FFT tests' energy check).
+    #[cfg(test)]
+    pub(crate) fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 
     /// Magnitude `|z|`.
-    #[inline]
-    pub fn abs(self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn abs(self) -> f64 {
         self.norm_sqr().sqrt()
     }
 

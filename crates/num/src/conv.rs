@@ -48,8 +48,8 @@ fn with_cached_plan<R>(n: usize, f: impl FnOnce(&FftPlan) -> R) -> R {
 }
 
 /// The distinct plan sizes currently cached on this thread (ascending).
-/// Introspection for tests and the perfbench report.
-pub fn cached_plan_sizes() -> Vec<usize> {
+#[cfg(test)]
+fn cached_plan_sizes() -> Vec<usize> {
     PLAN_CACHE.with(|c| {
         c.borrow()
             .iter()
@@ -60,7 +60,8 @@ pub fn cached_plan_sizes() -> Vec<usize> {
 
 /// Drops this thread's cached FFT plans (so tests can observe cold-start
 /// behaviour).
-pub fn clear_plan_cache() {
+#[cfg(test)]
+fn clear_plan_cache() {
     PLAN_CACHE.with(|c| c.borrow_mut().clear());
 }
 
@@ -482,23 +483,17 @@ mod tests {
 
     #[test]
     fn crossover_boundary_picks_the_right_algorithm() {
-        // Observable through the plan cache: the direct side must not
-        // build a plan, the FFT side must.
-        clear_plan_cache();
-        let below: Vec<f64> = vec![0.01; FFT_THRESHOLD / 2 - 1];
-        let _ = convolve(&below, &below); // total = THRESHOLD - 2 → direct
-        assert!(
-            cached_plan_sizes().is_empty(),
-            "direct path must not touch the plan cache"
-        );
-        let at: Vec<f64> = vec![0.01; FFT_THRESHOLD / 2];
-        let _ = convolve(&at, &at); // total = THRESHOLD → FFT
-        assert_eq!(
-            cached_plan_sizes(),
-            vec![next_pow2(FFT_THRESHOLD - 1)],
-            "FFT path must build exactly one plan"
-        );
-        clear_plan_cache();
+        // Observable through the output bits: one tap below the threshold
+        // the dispatcher's result is the direct sum's, at it the FFT's.
+        let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (total, direct) in [(FFT_THRESHOLD - 2, true), (FFT_THRESHOLD, false)] {
+            let x: Vec<f64> = (0..total / 2).map(|i| 1.0 / (i + 3) as f64).collect();
+            let by_direct = bits(convolve_direct(&x, &x));
+            let by_fft = bits(convolve_fft(&x, &x));
+            assert_ne!(by_direct, by_fft, "the operands must tell the paths apart");
+            let expected = if direct { by_direct } else { by_fft };
+            assert_eq!(bits(convolve(&x, &x)), expected, "total {total}");
+        }
     }
 
     #[test]

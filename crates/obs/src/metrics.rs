@@ -96,10 +96,6 @@ impl Histogram {
         }
     }
 
-    pub fn edges(&self) -> &[f64] {
-        &self.edges
-    }
-
     pub fn observe(&self, value: f64) {
         let idx = self
             .edges
@@ -155,57 +151,12 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Folds `other` into `self`.
-    ///
-    /// # Errors
-    /// Fails if bucket edges differ (merging histograms with different
-    /// resolutions would silently misbin).
-    pub fn merge(&mut self, other: &HistogramSnapshot) -> Result<(), String> {
-        if self.edges != other.edges {
-            return Err(format!(
-                "bucket edges differ: {} vs {} edges",
-                self.edges.len(),
-                other.edges.len()
-            ));
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        Ok(())
-    }
-
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
             self.sum / self.count as f64
         }
-    }
-
-    /// Bucket-resolution quantile estimate: the upper edge of the bucket
-    /// containing the q-th sample (`max` for the overflow bucket).
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return if i < self.edges.len() {
-                    self.edges[i]
-                } else {
-                    self.max
-                };
-            }
-        }
-        self.max
     }
 }
 
@@ -344,44 +295,6 @@ mod tests {
         let h = Histogram::new(&[1e-3, 1e-2]);
         h.observe(1e-3);
         assert_eq!(h.snapshot().counts, vec![1, 0, 0]);
-    }
-
-    #[test]
-    fn histogram_merge_accumulates() {
-        let a = Histogram::new(&[1.0, 2.0]);
-        let b = Histogram::new(&[1.0, 2.0]);
-        a.observe(0.5);
-        a.observe(3.0);
-        b.observe(1.5);
-        let mut s = a.snapshot();
-        s.merge(&b.snapshot()).unwrap();
-        assert_eq!(s.counts, vec![1, 1, 1]);
-        assert_eq!(s.count, 3);
-        assert_eq!(s.min, 0.5);
-        assert_eq!(s.max, 3.0);
-        assert!((s.sum - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_merge_rejects_mismatched_edges() {
-        let mut a = Histogram::new(&[1.0]).snapshot();
-        let b = Histogram::new(&[2.0]).snapshot();
-        assert!(a.merge(&b).is_err());
-    }
-
-    #[test]
-    fn quantile_tracks_buckets() {
-        let h = Histogram::new(&[1.0, 2.0, 4.0]);
-        for _ in 0..90 {
-            h.observe(0.5);
-        }
-        for _ in 0..10 {
-            h.observe(3.0);
-        }
-        let s = h.snapshot();
-        assert_eq!(s.quantile(0.5), 1.0);
-        assert_eq!(s.quantile(0.95), 4.0);
-        assert_eq!(s.quantile(1.0), 4.0);
     }
 
     #[test]

@@ -77,12 +77,6 @@ impl TimeWeighted {
         Ok(())
     }
 
-    /// The current signal value.
-    #[inline]
-    pub fn current(&self) -> f64 {
-        self.value
-    }
-
     /// Integral of the signal from start through time `t` (the signal is
     /// assumed to hold its current value up to `t`).
     pub fn integral_until(&self, t: f64) -> f64 {
@@ -141,12 +135,6 @@ impl EnergyMeter {
         }
     }
 
-    /// Current power draw in watts.
-    #[inline]
-    pub fn power(&self) -> f64 {
-        self.inner.current()
-    }
-
     /// Energy in joules consumed through time `t`.
     pub fn energy_until(&self, t: f64) -> f64 {
         self.inner.integral_until(t)
@@ -171,7 +159,6 @@ mod tests {
         tw.set(4.0, 0.0); // 3.0 for 2s = 6
         assert_eq!(tw.integral_until(10.0), 8.0); // 0.0 for 6s = 0
         assert!((tw.average_until(10.0) - 0.8).abs() < 1e-12);
-        assert_eq!(tw.current(), 0.0);
     }
 
     #[test]
@@ -193,7 +180,6 @@ mod tests {
             }
         );
         // Integrator untouched: still 1.0 from t=5.
-        assert_eq!(tw.current(), 1.0);
         assert_eq!(tw.integral_until(6.0), 1.0);
         // And the error formats usefully.
         assert!(err.to_string().contains("backwards"));
@@ -208,7 +194,6 @@ mod tests {
         m.set_power(10.0, 50.0);
         // Out-of-order update: applied at t=10 (held time), not t=5.
         m.set_power(5.0, 80.0);
-        assert_eq!(m.power(), 80.0);
         // 100 W for 10 s, then 80 W for 10 s (the 50 W level was replaced
         // at the same instant it was set).
         assert_eq!(m.energy_until(20.0), 1800.0);
@@ -220,6 +205,7 @@ mod tests {
         m.set_power(60.0, 50.0);
         // 100 W for 60 s + 50 W for 60 s = 9000 J
         assert_eq!(m.energy_until(120.0), 9000.0);
-        assert_eq!(m.power(), 50.0);
+        // Still drawing 50 W: another 60 s adds 3000 J.
+        assert_eq!(m.energy_until(180.0), 12000.0);
     }
 }

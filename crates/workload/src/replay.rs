@@ -7,7 +7,7 @@
 //! bit-reproducibly with no generator or noise in the loop. The text
 //! format is one value per line, `#` comments allowed.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader};
 use std::path::Path;
 
 use crate::diurnal::MINUTES_PER_DAY;
@@ -54,20 +54,8 @@ impl ReplayTrace {
         &self.minutes
     }
 
-    /// Writes the trace (one value per line).
-    ///
-    /// # Errors
-    /// Propagates I/O failures.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let mut w = BufWriter::new(std::fs::File::create(path)?);
-        writeln!(w, "# eprons replay trace: one per-minute value per line")?;
-        for v in &self.minutes {
-            writeln!(w, "{v:.6}")?;
-        }
-        w.flush()
-    }
-
-    /// Reads a trace written by [`ReplayTrace::save`].
+    /// Reads a trace file: one per-minute value per line, `#` comments
+    /// and blank lines skipped.
     ///
     /// # Errors
     /// I/O failures, malformed values, out-of-range values, or a line
@@ -123,9 +111,12 @@ mod tests {
             .collect();
         let t = ReplayTrace::new(minutes);
         let path = tmp("roundtrip.trace");
-        t.save(&path).unwrap();
+        let text: String = std::iter::once("# one per-minute value per line\n".to_string())
+            .chain(t.minutes().iter().map(|v| format!("{v:.6}\n")))
+            .collect();
+        std::fs::write(&path, text).unwrap();
         let loaded = ReplayTrace::load(&path).unwrap();
-        // 6 decimal places of the save format: equal to within 5e-7.
+        // 6 decimal places written: equal to within 5e-7.
         assert_eq!(loaded.minutes().len(), MINUTES_PER_DAY);
         for (a, b) in t.minutes().iter().zip(loaded.minutes()) {
             assert!((a - b).abs() < 5e-7);
