@@ -9,15 +9,17 @@
 //! (c) EPRONS-Server power across the (utilization × constraint) grid.
 //!
 //! The scenario build is SLA-independent, so each (utilization, seed)
-//! point builds its workload once and sweeps the constraint axis through
-//! [`ScenarioContext::with_sla`] — panel (b) shares 2 builds across its
-//! 50 runs. TimeTrader needs its own context per point: its 5 s feedback
-//! loop must settle, so it simulates a 60 s warmup the other schemes skip.
+//! point builds its workload once and runs every (scheme, constraint)
+//! pair on one all-on plan through [`ScenarioContext::evaluate_grid`] —
+//! panel (b) shares 2 builds and 2 plans across its 50 runs. TimeTrader
+//! needs its own context per point: its 5 s feedback loop must settle, so
+//! it simulates a 60 s warmup the other schemes skip.
 
 use eprons_bench::{banner, cfg_with_total_ms, sweep_duration_s, BASE_SEED};
+use eprons_core::config::SlaConfig;
 use eprons_core::report::Table;
 use eprons_core::scenario::{ScenarioContext, ScenarioSpec};
-use eprons_core::{ConsolidationSpec, ServerScheme};
+use eprons_core::{ClusterRunResult, ConsolidationSpec, ServerScheme};
 
 fn context(util: f64, total_ms: f64, seed: u64, warmup_s: f64) -> ScenarioContext {
     ScenarioContext::build(
@@ -32,18 +34,27 @@ fn context(util: f64, total_ms: f64, seed: u64, warmup_s: f64) -> ScenarioContex
     )
 }
 
-/// TimeTrader's feedback loop needs warmup; everything else is stationary
-/// from the first request and shares the warmup-free context.
-fn scheme_ctx<'c>(
-    scheme: ServerScheme,
-    plain: &'c ScenarioContext,
-    timetrader: &'c ScenarioContext,
-) -> &'c ScenarioContext {
-    if scheme == ServerScheme::TimeTrader {
-        timetrader
-    } else {
-        plain
-    }
+/// Every `(scheme, SLA)` run on the all-on network, in run order.
+/// TimeTrader's feedback loop needs warmup, so its runs go to
+/// `timetrader`; everything else is stationary from the first request and
+/// shares the warmup-free `plain` context.
+fn all_on(
+    plain: &ScenarioContext,
+    timetrader: &ScenarioContext,
+    runs: &[(ServerScheme, SlaConfig)],
+) -> Vec<ClusterRunResult> {
+    let is_tt = |scheme: ServerScheme| scheme == ServerScheme::TimeTrader;
+    let grid = |ctx: &ScenarioContext, tt: bool| {
+        let subset: Vec<_> = runs.iter().filter(|r| is_tt(r.0) == tt).cloned().collect();
+        ctx.evaluate_grid(ConsolidationSpec::AllOn, &subset)
+            .into_iter()
+            .map(|r| r.expect("all-on routing always succeeds"))
+    };
+    let (mut tt, mut rest) = (grid(timetrader, true), grid(plain, false));
+    runs.iter()
+        .map(|r| if is_tt(r.0) { tt.next() } else { rest.next() })
+        .map(|r| r.expect("one result per run"))
+        .collect()
 }
 
 fn main() {
@@ -57,14 +68,13 @@ fn main() {
         "(a) CPU power (W) vs server utilization, 30 ms constraint",
         &["util%", "no-pm", "rubik", "timetrader", "rubik+", "eprons"],
     );
+    let sla_30 = cfg_with_total_ms(30.0).sla;
     for util in [0.1, 0.2, 0.3, 0.4, 0.5] {
         let plain = context(util, 30.0, BASE_SEED, 0.0);
         let tt = context(util, 30.0, BASE_SEED, 60.0);
+        let runs = schemes.map(|s| (s, sla_30.clone()));
         let mut row = vec![format!("{:.0}", util * 100.0)];
-        for s in schemes {
-            let r = scheme_ctx(s, &plain, &tt)
-                .evaluate(s, ConsolidationSpec::AllOn)
-                .expect("all-on routing always succeeds");
+        for r in all_on(&plain, &tt, &runs) {
             row.push(format!("{:.1}", r.cpu_power_w));
         }
         a.row(&row);
@@ -89,17 +99,18 @@ fn main() {
     );
     let plain_b = context(0.3, 30.0, BASE_SEED + 1, 0.0);
     let tt_b = context(0.3, 30.0, BASE_SEED + 1, 60.0);
-    for total in [18.0, 19.0, 20.0, 22.0, 25.0, 28.0, 31.0, 34.0, 37.0, 40.0] {
-        let sla = cfg_with_total_ms(total).sla;
+    let totals_b = [18.0, 19.0, 20.0, 22.0, 25.0, 28.0, 31.0, 34.0, 37.0, 40.0];
+    let runs_b: Vec<_> = totals_b
+        .iter()
+        .flat_map(|&total| schemes.map(|s| (s, cfg_with_total_ms(total).sla)))
+        .collect();
+    let results_b = all_on(&plain_b, &tt_b, &runs_b);
+    for (total, results) in totals_b.iter().zip(results_b.chunks(schemes.len())) {
         let mut row = vec![format!("{total:.0}")];
         let mut eprons_miss = 0.0;
-        for s in schemes {
-            let r = scheme_ctx(s, &plain_b, &tt_b)
-                .with_sla(sla.clone())
-                .evaluate(s, ConsolidationSpec::AllOn)
-                .expect("all-on routing always succeeds");
+        for (s, r) in schemes.iter().zip(results) {
             row.push(format!("{:.1}", r.cpu_power_w));
-            if s == ServerScheme::EpronsServer {
+            if *s == ServerScheme::EpronsServer {
                 eprons_miss = r.e2e_miss_rate;
             }
         }
@@ -114,19 +125,23 @@ fn main() {
         "(c) EPRONS-Server CPU power (W) across (utilization, constraint)",
         &["constraint-ms", "10%", "20%", "30%", "40%", "50%"],
     );
-    let contexts_c: Vec<ScenarioContext> = [0.1, 0.2, 0.3, 0.4, 0.5]
+    let totals_c = [19.0, 22.0, 25.0, 28.0, 31.0, 34.0, 37.0, 40.0];
+    let runs_c = totals_c.map(|total| (ServerScheme::EpronsServer, cfg_with_total_ms(total).sla));
+    // One column per utilization, one row per constraint.
+    let columns_c: Vec<Vec<ClusterRunResult>> = [0.1, 0.2, 0.3, 0.4, 0.5]
         .iter()
-        .map(|&util| context(util, 30.0, BASE_SEED + 2, 0.0))
+        .map(|&util| {
+            context(util, 30.0, BASE_SEED + 2, 0.0)
+                .evaluate_grid(ConsolidationSpec::AllOn, &runs_c)
+                .into_iter()
+                .map(|r| r.expect("all-on routing always succeeds"))
+                .collect()
+        })
         .collect();
-    for total in [19.0, 22.0, 25.0, 28.0, 31.0, 34.0, 37.0, 40.0] {
-        let sla = cfg_with_total_ms(total).sla;
+    for (i, total) in totals_c.iter().enumerate() {
         let mut row = vec![format!("{total:.0}")];
-        for ctx in &contexts_c {
-            let r = ctx
-                .with_sla(sla.clone())
-                .evaluate(ServerScheme::EpronsServer, ConsolidationSpec::AllOn)
-                .expect("all-on routing always succeeds");
-            row.push(format!("{:.1}", r.cpu_power_w));
+        for column in &columns_c {
+            row.push(format!("{:.1}", column[i].cpu_power_w));
         }
         c.row(&row);
     }

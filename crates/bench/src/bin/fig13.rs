@@ -9,14 +9,15 @@
 //! (aggregation 3 → 2) lowers **total** power because the extra network
 //! slack lets EPRONS-Server run slower — the paper's headline insight.
 //!
-//! One [`ScenarioContext`] per background panel: the whole 8-constraint ×
-//! 5-configuration grid reuses that build, swapping only the SLA
-//! ([`ScenarioContext::with_sla`]) — 3 workload builds for 120 runs.
+//! One [`ScenarioContext`] per background panel, and one plan per
+//! configuration: each configuration's 8 constraints run on that plan
+//! through [`ScenarioContext::evaluate_grid`] — 3 workload builds and 15
+//! plans for 120 runs.
 
 use eprons_bench::{banner, cfg_with_total_ms, sweep_duration_s, BASE_SEED};
 use eprons_core::report::Table;
 use eprons_core::scenario::{ScenarioContext, ScenarioSpec};
-use eprons_core::{ConsolidationSpec, ServerScheme};
+use eprons_core::{ClusterRunResult, ConsolidationSpec, ServerScheme};
 use eprons_topo::AggregationLevel;
 
 const CONSTRAINTS_MS: [f64; 8] = [19.0, 22.0, 25.0, 28.0, 31.0, 34.0, 37.0, 40.0];
@@ -41,20 +42,33 @@ fn main() {
             format!("{label} background traffic — total power (W); '-' = SLA infeasible"),
             &["constraint-ms", "no-pm", "agg0", "agg1", "agg2", "agg3"],
         );
-        for &total in &CONSTRAINTS_MS {
-            let cfg = cfg_with_total_ms(total);
-            let ctx = base.with_sla(cfg.sla.clone());
+        let cfgs = CONSTRAINTS_MS.map(cfg_with_total_ms);
+        // One column per configuration (the no-power-management reference,
+        // then each aggregation level), one row per constraint.
+        let column = |scheme, spec: ConsolidationSpec, expect: &str| -> Vec<ClusterRunResult> {
+            let runs = cfgs.clone().map(|cfg| (scheme, cfg.sla));
+            base.evaluate_grid(spec, &runs)
+                .into_iter()
+                .map(|r| r.expect(expect))
+                .collect()
+        };
+        let nopm = column(
+            ServerScheme::NoPowerManagement,
+            ConsolidationSpec::AllOn,
+            "all-on never fails",
+        );
+        let levels = AggregationLevel::ALL.map(|level| {
+            column(
+                ServerScheme::EpronsServer,
+                ConsolidationSpec::Level(level),
+                "aggregation routing places all flows",
+            )
+        });
+        for (i, (total, cfg)) in CONSTRAINTS_MS.iter().zip(&cfgs).enumerate() {
             let mut row = vec![format!("{total:.0}")];
-            // The no-power-management reference.
-            let nopm = ctx
-                .evaluate(ServerScheme::NoPowerManagement, ConsolidationSpec::AllOn)
-                .expect("all-on never fails");
-            row.push(format!("{:.0}", nopm.breakdown.total_w()));
-            for level in AggregationLevel::ALL {
-                let r = ctx
-                    .evaluate(ServerScheme::EpronsServer, ConsolidationSpec::Level(level))
-                    .expect("aggregation routing places all flows");
-                if r.is_feasible(&cfg) {
+            row.push(format!("{:.0}", nopm[i].breakdown.total_w()));
+            for r in levels.iter().map(|column| &column[i]) {
+                if r.is_feasible(cfg) {
                     row.push(format!("{:.0}", r.breakdown.total_w()));
                 } else {
                     row.push(format!("-({:.0})", r.breakdown.total_w()));

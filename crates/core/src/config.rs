@@ -98,9 +98,9 @@ impl OnlineConfig {
 /// adjacent epochs at the same operating point present bit-identical
 /// scenario specs. That is what makes cross-epoch reuse sound *and*
 /// profitable: the [`crate::scenario::DayContext`] revives whole
-/// contexts with every per-context memo in them: the plan memo, the
-/// result memo, and the stage-3 memo (`ScenarioData::server_evals`),
-/// which short-circuits repeated per-ISN DVFS runs.
+/// contexts with every per-context memo in them: the result memo, and
+/// the stage-3 memo (`ScenarioData::server_evals`), which short-circuits
+/// repeated per-ISN DVFS runs.
 ///
 /// These semantics hold for the *rebuild baseline too*: a day-scoped
 /// run with `incremental: false` rebuilds the context every epoch but

@@ -11,12 +11,13 @@
 //! 1. [`ScenarioContext::build`] — once per [`ScenarioSpec`]: topology,
 //!    service model, query arrivals, background + query flow sets, and
 //!    the RNG snapshots every candidate replays. Heavy state lives behind
-//!    one `Arc`, so contexts clone cheaply across threads and constraint
-//!    sweeps ([`ScenarioContext::with_sla`]).
+//!    one `Arc`, so contexts clone cheaply across threads.
 //! 2. `NetworkPlan::build_masked` — per [`ConsolidationSpec`]: consolidation
 //!    plus per-sub-query network latency sampling along the assigned
-//!    paths.
-//! 3. [`ServerEvaluation::run`] — per (plan, [`ServerScheme`]): the
+//!    paths. It runs once per result-memo miss; the constraint and scheme
+//!    sweeps of Figs. 12–13 share one plan per candidate through
+//!    [`ScenarioContext::evaluate_grid`].
+//! 3. [`ServerEvaluation::run`] — per (plan, [`ServerScheme`], SLA): the
 //!    per-ISN DVFS simulations with the plan's request slack folded into
 //!    each request's compute budget.
 //! 4. `accounting::assemble` — power and tail-latency accounting
@@ -72,11 +73,10 @@ fn scheme_index(scheme: ServerScheme) -> u8 {
     }
 }
 
-/// Memo key for one stage-2 plan: the candidate collapsed to raw bits
-/// (discriminant + level index / `K` bits), the effective consolidation
-/// architecture (only `GreedyK` plans depend on it — normalized to 0
-/// elsewhere so preset plans keep hitting across strategy changes), plus
-/// the normalized mask.
+/// The stage-2 half of a result-memo key: the candidate collapsed to raw
+/// bits (discriminant + level index / `K` bits), the effective
+/// consolidation architecture (only `GreedyK` plans depend on it —
+/// normalized to 0 elsewhere), plus the normalized mask.
 type PlanKey = (u8, u64, u8, Vec<usize>);
 
 /// `mask` must already be sorted and deduplicated.
@@ -97,24 +97,12 @@ fn plan_key(spec: ConsolidationSpec, strategy: ConsolidateStrategy, mask: &[Node
     (tag, bits, strat, mask.iter().map(|n| n.0).collect())
 }
 
-/// What stages 3–4 read beyond the plan: the scheme index and the exact
-/// SLA bits. The SLA belongs in every key because [`ScenarioContext::with_sla`]
-/// clones share `data` (and with it these memos) across constraints;
-/// everything else an evaluation depends on is fixed per `data`.
-type EvalTag = (u8, [u64; 4]);
-
-fn eval_tag(scheme: ServerScheme, sla: &SlaConfig) -> EvalTag {
-    (
-        scheme_index(scheme),
-        [
-            sla.server_budget_s,
-            sla.network_budget_s,
-            sla.request_fraction,
-            sla.percentile,
-        ]
-        .map(f64::to_bits),
-    )
-}
+/// What stages 3–4 read beyond the plan that varies within a context:
+/// the scheme index. The SLA is fixed per `data`: every context that
+/// shares it carries the `cfg` it was built with, and
+/// [`ScenarioContext::evaluate_grid`] runs its other SLAs memo-free, so no
+/// memo is ever reached under a second SLA.
+type EvalTag = u8;
 
 /// Memo key for one full evaluation result: the evaluation tag over the
 /// plan key.
@@ -235,13 +223,8 @@ pub(crate) struct ScenarioData {
     /// candidate (it returns exactly what `ft` would, so results are
     /// unchanged).
     pub(crate) arena: Arc<PathArena<FatTree>>,
-    /// Memoized stage-2 plans keyed by (candidate, mask). A plan is a
-    /// pure function of those inputs given this context (the latency RNG
-    /// is cloned per build), so serving a cached `Arc` is bit-identical
-    /// to rebuilding. Shared across context clones via the `Arc` above.
-    pub(crate) plan_cache: Memo<PlanKey, Arc<NetworkPlan>>,
-    /// Memoized stage-2–4 outcomes keyed by (scheme, SLA, candidate,
-    /// mask) — the whole [`ClusterRunResult`] of one operating-point
+    /// Memoized stage-2–4 outcomes keyed by (scheme, candidate, mask) —
+    /// the whole [`ClusterRunResult`] of one operating-point
     /// evaluation, or the [`ClusterError`] it failed with. Failures are
     /// cached deliberately: an unroutable candidate (e.g. GreedyK(2) at a
     /// peak slot) pays the full consolidation attempt before it is
@@ -289,8 +272,8 @@ pub(crate) struct ScenarioData {
 
 /// Stage 1: everything a scenario's candidate evaluations share.
 ///
-/// Cloning is cheap (the built state sits behind one `Arc`); a clone can
-/// cross threads or carry a different SLA ([`ScenarioContext::with_sla`]).
+/// Cloning is cheap (the built state sits behind one `Arc`), so a clone
+/// can cross threads.
 ///
 /// ```
 /// use eprons_core::{ClusterConfig, ConsolidationSpec, ServerScheme};
@@ -440,10 +423,6 @@ impl ScenarioContext {
             data: Arc::new(ScenarioData {
                 ft: base.ft,
                 arena: base.arena,
-                plan_cache: Memo::new(Tally::named(
-                    "core.plan_cache.hits",
-                    "core.plan_cache.misses",
-                )),
                 eval_cache: Memo::new(Tally::named("core.evalcache.hits", "core.evalcache.misses")),
                 server_evals: Memo::new(Tally::named("core.serveval.hits", "core.serveval.misses")),
                 floor_cache: Memo::new(Tally::default()),
@@ -492,7 +471,7 @@ impl ScenarioContext {
     /// bit-identical to `build(cfg, spec)` (the day-incremental golden
     /// pins this). A different seed falls back to a full build.
     ///
-    /// Every memo starts empty — plans depend on the demand-dependent
+    /// Every memo starts empty — results depend on the demand-dependent
     /// latency sampling.
     pub(crate) fn rebind_demand(&self, spec: &ScenarioSpec) -> ScenarioContext {
         if spec.seed != self.spec.seed {
@@ -546,24 +525,9 @@ impl ScenarioContext {
     }
 
     /// The service model's VP convolution ladder, shared by every
-    /// evaluation on this context (and its rebinds and SLA clones).
+    /// evaluation on this context (and its clones and rebinds).
     pub fn vp_ladder(&self) -> &Arc<VpLadder> {
         &self.data.vp_ladder
-    }
-
-    /// A context sharing all built state but evaluating under a different
-    /// SLA. Sound because the SLA feeds only the per-candidate stages
-    /// (request budgets, feasibility) and never the cached build
-    /// (topology, service model, workloads) — the constraint sweeps of
-    /// Figs. 12–13 reuse one build across every constraint.
-    pub fn with_sla(&self, sla: SlaConfig) -> ScenarioContext {
-        let mut cfg = self.cfg.clone();
-        cfg.sla = sla;
-        ScenarioContext {
-            cfg,
-            spec: self.spec.clone(),
-            data: Arc::clone(&self.data),
-        }
     }
 
     /// Evaluates one (scheme, network-candidate) pair against the shared
@@ -587,6 +551,85 @@ impl ScenarioContext {
         consolidation: ConsolidationSpec,
         excluded: &[NodeId],
     ) -> Result<ClusterRunResult, ClusterError> {
+        self.observed(scheme, consolidation, || {
+            // Result memo: the whole evaluation — including a
+            // deterministic failure — is a pure function of (scheme,
+            // candidate, mask) given this context, so a repeat operating
+            // point skips stages 2–4 outright. Errors are cached too: an
+            // infeasible candidate pays its full consolidation attempt
+            // before rejection, and the day loop re-offers it every epoch.
+            let mut mask = excluded.to_vec();
+            mask.sort_unstable();
+            mask.dedup();
+            let tag = scheme_index(scheme);
+            let key = (
+                tag,
+                plan_key(consolidation, self.effective_strategy(), &mask),
+            );
+            let outcome = self.data.eval_cache.get_or_insert(key, 1, || {
+                Arc::new(
+                    NetworkPlan::build_masked(self, consolidation, &mask).map(|plan| {
+                        let plan = Arc::new(plan);
+                        let eval = self.server_eval_reused(tag, &plan, scheme);
+                        crate::accounting::assemble(self, &plan, &eval)
+                    }),
+                )
+            });
+            (*outcome).clone()
+        })
+    }
+
+    /// Evaluates one network candidate under each `(scheme, SLA)` run in
+    /// turn — the scheme and constraint sweeps of Figs. 12–13. Stage 2
+    /// runs once; stages 3–4 run per run. Each run is bit-identical to
+    /// [`crate::run_cluster`] under its scheme and SLA, and journals and
+    /// counts as one [`ScenarioContext::evaluate`] does. Results come
+    /// back in run order.
+    ///
+    /// Reads and fills no memo: no (scheme, SLA, candidate) repeats
+    /// within a sweep, and the memos are keyed for this context's own SLA.
+    pub fn evaluate_grid(
+        &self,
+        consolidation: ConsolidationSpec,
+        runs: &[(ServerScheme, SlaConfig)],
+    ) -> Vec<Result<ClusterRunResult, ClusterError>> {
+        // Built inside the first run's span, where a result-memo miss
+        // builds it too.
+        let mut plan = None;
+        runs.iter()
+            .map(|(scheme, sla)| {
+                self.observed(*scheme, consolidation, || {
+                    let plan = plan
+                        .get_or_insert_with(|| NetworkPlan::build_masked(self, consolidation, &[]))
+                        .as_ref()
+                        .map_err(ClusterError::clone)?;
+                    // Stages 3–4 read the SLA from the context's `cfg`. The
+                    // clone carrying this run's SLA never leaves this
+                    // closure, so no memo is reached under it.
+                    let ctx = ScenarioContext {
+                        cfg: ClusterConfig {
+                            sla: sla.clone(),
+                            ..self.cfg.clone()
+                        },
+                        spec: self.spec.clone(),
+                        data: Arc::clone(&self.data),
+                    };
+                    let eval = ServerEvaluation::run(&ctx, plan, *scheme);
+                    Ok(crate::accounting::assemble(&ctx, plan, &eval))
+                })
+            })
+            .collect()
+    }
+
+    /// Runs `eval` as one journaled evaluation of `(scheme,
+    /// consolidation)`: the `evaluate` span and timer, the run tag and
+    /// counter, and a success's latency and power metrics.
+    fn observed(
+        &self,
+        scheme: ServerScheme,
+        consolidation: ConsolidationSpec,
+        eval: impl FnOnce() -> Result<ClusterRunResult, ClusterError>,
+    ) -> Result<ClusterRunResult, ClusterError> {
         let obs_on = eprons_obs::enabled();
         let _t = eprons_obs::Timer::scoped("core.cluster.run_s");
         let mut sp = eprons_obs::Span::enter("evaluate");
@@ -603,27 +646,7 @@ impl ScenarioContext {
                 seed: self.spec.seed,
             });
         }
-        // Result memo: the whole evaluation — including a deterministic
-        // failure — is a pure function of (scheme, SLA, candidate, mask)
-        // given this context, so a repeat operating point skips stages
-        // 2–4 outright. Errors are cached too: an infeasible candidate
-        // pays its full consolidation attempt before rejection, and the
-        // day loop re-offers it every epoch.
-        let mut mask = excluded.to_vec();
-        mask.sort_unstable();
-        mask.dedup();
-        let tag = eval_tag(scheme, &self.cfg.sla);
-        let key = (
-            tag,
-            plan_key(consolidation, self.effective_strategy(), &mask),
-        );
-        let outcome = self.data.eval_cache.get_or_insert(key, 1, || {
-            Arc::new(self.plan_masked(consolidation, &mask).map(|plan| {
-                let eval = self.server_eval_reused(tag, &plan, scheme);
-                crate::accounting::assemble(self, &plan, &eval)
-            }))
-        });
-        let result = (*outcome).clone()?;
+        let result = eval()?;
         if obs_on {
             let reg = eprons_obs::registry();
             let edges = eprons_obs::DURATION_EDGES_S;
@@ -637,24 +660,6 @@ impl ScenarioContext {
                 .set(result.breakdown.total_w());
         }
         Ok(result)
-    }
-
-    /// Stage 2 through the per-context memo: returns the cached plan for
-    /// (candidate, mask) or builds and caches it. Build failures are not
-    /// cached (they are cheap — consolidation rejects before the
-    /// expensive latency sampling).
-    pub(crate) fn plan_masked(
-        &self,
-        consolidation: ConsolidationSpec,
-        excluded: &[NodeId],
-    ) -> Result<Arc<NetworkPlan>, ClusterError> {
-        let mut mask = excluded.to_vec();
-        mask.sort_unstable();
-        mask.dedup();
-        let key = plan_key(consolidation, self.effective_strategy(), &mask);
-        self.data.plan_cache.get_or_try_insert(key, 1, || {
-            NetworkPlan::build_masked(self, consolidation, &mask).map(Arc::new)
-        })
     }
 
     /// Stage 3 through the per-context memo: a plan whose `congested`
@@ -766,7 +771,7 @@ const DAY_SLOTS: usize = 32;
 /// The day controller's sequential epoch loop asks for one context per
 /// evaluated spec; with demand quantized onto the warm-start grid a
 /// 24-epoch day visits only a handful of distinct operating points, so
-/// most epochs *revive* a slot — plan cache included — instead of
+/// most epochs *revive* a slot — result memo included — instead of
 /// rebuilding the world. A miss rebinds demand from the most recent slot
 /// (`ScenarioContext::rebind_demand`), which shares the topology,
 /// arena and service model, so even misses skip the
@@ -797,7 +802,7 @@ impl DayContext {
         }
     }
 
-    /// The context for `spec`: a revived slot (plan cache and all) on a
+    /// The context for `spec`: a revived slot (memos and all) on a
     /// hit; on a miss, a demand rebind from the most recent slot — or a
     /// full build for the very first one — inserted before returning.
     pub fn context_for(&self, spec: &ScenarioSpec) -> ScenarioContext {
@@ -870,12 +875,6 @@ impl DayContext {
                     d.queries.len() * std::mem::size_of::<Query>()
                         + d.flows.len() * std::mem::size_of::<eprons_net::Flow>()
                         + d.pair_flow.len() * std::mem::size_of::<FlowId>()
-                        + d.plan_cache.sum(|_, plan| {
-                            plan.net_lat
-                                .iter()
-                                .map(|v| v.len() * std::mem::size_of::<(usize, f64, f64)>())
-                                .sum()
-                        })
                 }),
             ),
             // Each entry is one result — or a cached failure — plus its
@@ -893,8 +892,8 @@ impl DayContext {
                     })
                 }),
             ),
-            // Each entry's per-ISN completions; its plan is the plan
-            // memo's.
+            // Each entry's per-ISN completions; the plan its key holds
+            // is not counted.
             row(
                 "server.serveval",
                 lookups(1),
@@ -934,13 +933,13 @@ pub struct NetworkPlan {
 
 impl NetworkPlan {
     /// Runs consolidation for `consolidation` against the scenario's flow
-    /// set, with the `excluded` (failed) switches masked out, and samples
-    /// the per-sub-query request/reply latencies. Excluded switches carry
-    /// no path and stay powered off even inside an aggregation preset.
+    /// set, with the `mask`ed (failed) switches excluded, and samples the
+    /// per-sub-query request/reply latencies. `mask` must be sorted and
+    /// deduplicated.
     pub(crate) fn build_masked(
         ctx: &ScenarioContext,
         consolidation: ConsolidationSpec,
-        excluded: &[NodeId],
+        mask: &[NodeId],
     ) -> Result<NetworkPlan, ClusterError> {
         let _t = eprons_obs::Timer::scoped("core.stage.network_plan_s");
         let mut sp = eprons_obs::Span::enter("stage.network_plan");
@@ -949,41 +948,7 @@ impl NetworkPlan {
         }
         let d = &*ctx.data;
         let n = d.hosts.len();
-        let mut mask = excluded.to_vec();
-        mask.sort_unstable();
-        mask.dedup();
-        let ccfg = ConsolidationConfig {
-            scale_k: match consolidation {
-                ConsolidationSpec::GreedyK(k) => k,
-                _ => 1.0,
-            },
-            safety_margin_mbps: ctx.cfg.safety_margin_mbps,
-            power: ctx.cfg.net_power.clone(),
-            excluded: mask,
-        };
-        // Consolidation routes through the shared path arena: identical
-        // candidate paths, no per-candidate graph re-enumeration.
-        let consolidate_span = eprons_obs::Span::enter("consolidate");
-        let assignment: Assignment = match consolidation {
-            ConsolidationSpec::AllOn => AggregationRouter::for_level(&d.ft, AggregationLevel::Agg0)
-                .consolidate(&d.arena, &d.flows, &ccfg),
-            ConsolidationSpec::Level(l) => {
-                AggregationRouter::for_level(&d.ft, l).consolidate(&d.arena, &d.flows, &ccfg)
-            }
-            ConsolidationSpec::GreedyK(_) => match ctx.effective_strategy() {
-                ConsolidateStrategy::PodDecomposed => {
-                    // Pod solves fan out over the session's thread budget;
-                    // `parallel_map_range` preserves pod order, which the
-                    // decomposition's determinism contract requires.
-                    let runner: PodRunner<'_> = &|pods, solve| parallel_map_range(pods, solve);
-                    consolidate_pod_decomposed(&d.ft, &d.arena, &d.flows, &ccfg, Some(runner))
-                        .map(|report| report.assignment)
-                }
-                _ => GreedyConsolidator.consolidate(&d.arena, &d.flows, &ccfg),
-            },
-        }
-        .map_err(ClusterError::Consolidation)?;
-        drop(consolidate_span);
+        let assignment = NetworkPlan::consolidate(ctx, consolidation, mask)?;
 
         let max_link_utilization = assignment.max_utilization(&d.ft);
         let congested = max_link_utilization > ctx.cfg.congestion_threshold;
@@ -1050,6 +1015,49 @@ impl NetworkPlan {
             congested,
             net_lat,
         })
+    }
+
+    /// Stage 2's consolidation step: `consolidation`'s assignment of the
+    /// scenario's flow set with the `mask`ed (failed) switches excluded —
+    /// no path crosses one, and they stay powered off even inside an
+    /// aggregation preset. `mask` must be sorted and deduplicated.
+    pub(crate) fn consolidate(
+        ctx: &ScenarioContext,
+        consolidation: ConsolidationSpec,
+        mask: &[NodeId],
+    ) -> Result<Assignment, ClusterError> {
+        let _sp = eprons_obs::Span::enter("consolidate");
+        let d = &*ctx.data;
+        let ccfg = ConsolidationConfig {
+            scale_k: match consolidation {
+                ConsolidationSpec::GreedyK(k) => k,
+                _ => 1.0,
+            },
+            safety_margin_mbps: ctx.cfg.safety_margin_mbps,
+            power: ctx.cfg.net_power.clone(),
+            excluded: mask.to_vec(),
+        };
+        // Consolidation routes through the shared path arena: identical
+        // candidate paths, no per-candidate graph re-enumeration.
+        match consolidation {
+            ConsolidationSpec::AllOn => AggregationRouter::for_level(&d.ft, AggregationLevel::Agg0)
+                .consolidate(&d.arena, &d.flows, &ccfg),
+            ConsolidationSpec::Level(l) => {
+                AggregationRouter::for_level(&d.ft, l).consolidate(&d.arena, &d.flows, &ccfg)
+            }
+            ConsolidationSpec::GreedyK(_) => match ctx.effective_strategy() {
+                ConsolidateStrategy::PodDecomposed => {
+                    // Pod solves fan out over the session's thread budget;
+                    // `parallel_map_range` preserves pod order, which the
+                    // decomposition's determinism contract requires.
+                    let runner: PodRunner<'_> = &|pods, solve| parallel_map_range(pods, solve);
+                    consolidate_pod_decomposed(&d.ft, &d.arena, &d.flows, &ccfg, Some(runner))
+                        .map(|report| report.assignment)
+                }
+                _ => GreedyConsolidator.consolidate(&d.arena, &d.flows, &ccfg),
+            },
+        }
+        .map_err(ClusterError::Consolidation)
     }
 }
 
@@ -1292,11 +1300,11 @@ mod tests {
         let (scheme, k2) = (ServerScheme::EpronsServer, ConsolidationSpec::GreedyK(2.0));
         let ctx = ScenarioContext::build(&cfg, &spec);
         ctx.evaluate(scheme, k2).unwrap();
-        let base = ctx.plan_masked(k2, &[]).unwrap();
+        let base = NetworkPlan::build_masked(&ctx, k2, &[]).unwrap();
         let half = cfg.fat_tree_k / 2;
         let (mut same, mut differs) = (None, None);
         for core in (0..half * half).map(|i| ctx.data.ft.core(i / half, i % half)) {
-            if let Ok(plan) = ctx.plan_masked(k2, &[core]) {
+            if let Ok(plan) = NetworkPlan::build_masked(&ctx, k2, &[core]) {
                 let slot = if same_latencies(&plan, &base) {
                     &mut same
                 } else {
@@ -1325,38 +1333,6 @@ mod tests {
             .evaluate_masked(scheme, k2, &[same])
             .unwrap();
         assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
-    }
-
-    /// A memoized `NetworkPlan` is indistinguishable from a rebuilt one:
-    /// the latency RNG fork is stored unconsumed and cloned per build, so
-    /// the plan is a pure function of (context, spec, mask). The
-    /// references are fresh `run_cluster` builds, which share no memo
-    /// with `ctx`.
-    #[test]
-    fn plan_cache_hits_are_bit_identical_to_rebuilds() {
-        let cfg = ClusterConfig::default();
-        let spec = ConsolidationSpec::Level(AggregationLevel::Agg2);
-        let run = |scheme| ClusterRun {
-            scheme,
-            consolidation: spec,
-            server_utilization: 0.3,
-            background_util: 0.2,
-            duration_s: 1.0,
-            warmup_s: 0.0,
-            seed: 7,
-        };
-        let ctx = ScenarioContext::for_template(&cfg, &run(ServerScheme::EpronsServer));
-        let plans = || ctx.data.plan_cache.tally().get();
-        let rebuilt = crate::run_cluster(&cfg, &run(ServerScheme::EpronsServer)).unwrap();
-        let miss = ctx.evaluate(ServerScheme::EpronsServer, spec).unwrap();
-        assert_eq!(plans(), (0, 1), "the miss path must memoize the plan");
-        // A second scheme misses the result memo and is served the
-        // memoized plan.
-        let rebuilt_rubik = crate::run_cluster(&cfg, &run(ServerScheme::Rubik)).unwrap();
-        let hit = ctx.evaluate(ServerScheme::Rubik, spec).unwrap();
-        assert_eq!(plans(), (1, 1), "the hit must not rebuild");
-        assert_eq!(format!("{rebuilt:?}"), format!("{miss:?}"));
-        assert_eq!(format!("{rebuilt_rubik:?}"), format!("{hit:?}"));
     }
 
     /// The day cache holds at most `DAY_SLOTS` contexts: one operating

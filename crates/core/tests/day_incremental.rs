@@ -406,7 +406,7 @@ fn constant_day_pins_cache_counter_arithmetic() {
     );
 
     // Pod solves: the clean day consolidates once (first epoch; later
-    // epochs hit the revived plan cache and never consolidate). The
+    // epochs hit the revived result memo and never consolidate). The
     // failure day adds exactly one masked reconsolidation, which solves
     // each of the k = 4 tree's four pods once more.
     let clean_solved = c1.4 - c0.4;

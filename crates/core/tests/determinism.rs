@@ -157,28 +157,45 @@ fn staged_pipeline_matches_run_cluster_bit_for_bit() {
 }
 
 #[test]
-fn with_sla_reuses_the_build_without_changing_the_physics() {
-    // `with_sla` swaps the SLA without rebuilding: the cached state
-    // (topology, service model, workloads, RNG snapshots) is
-    // SLA-independent, so evaluating under the swapped SLA must equal a
-    // from-scratch build under that SLA, bit for bit.
+fn evaluate_grid_matches_fresh_builds_bit_for_bit() {
+    // The grid call builds one plan and runs every (scheme, SLA) pair on
+    // it: the build and the plan are SLA-independent, so each run must
+    // equal a from-scratch `run_cluster` under its own SLA, bit for bit.
+    // TimeTrader reads the SLA for its frequency target and EPRONS for
+    // its per-request budgets; the tight SLA flips both infeasible, so a
+    // run that read the wrong SLA could not pass.
     let cfg = ClusterConfig::default();
-    let template = short_run(ServerScheme::EpronsServer, ConsolidationSpec::AllOn);
-    let ctx = ScenarioContext::build(&cfg, &ScenarioSpec::of_run(&template));
-    let mut tight_cfg = cfg.clone();
-    tight_cfg.sla = tight_cfg.sla.with_total(9.0e-3);
-    let tight_ctx = ctx.with_sla(tight_cfg.sla.clone());
+    let mut tight = cfg.clone();
+    tight.sla = tight.sla.with_total(9.0e-3);
     let spec = ConsolidationSpec::Level(AggregationLevel::Agg2);
-    let run = short_run(ServerScheme::EpronsServer, spec);
-    let fresh = run_cluster(&tight_cfg, &run).unwrap();
-    // The default-SLA evaluation goes first: the two contexts share their
-    // memos, so a memo key without the SLA would serve this result to
-    // the tight-SLA evaluation below.
-    ctx.evaluate(ServerScheme::EpronsServer, spec).unwrap();
-    let reused = tight_ctx
-        .evaluate(ServerScheme::EpronsServer, spec)
-        .unwrap();
-    assert_eq!(result_bits(&fresh), result_bits(&reused));
+    let template = short_run(ServerScheme::EpronsServer, spec);
+    let ctx = ScenarioContext::build(&cfg, &ScenarioSpec::of_run(&template));
+    let schemes = [ServerScheme::EpronsServer, ServerScheme::TimeTrader];
+    let cfgs = [&cfg, &tight];
+    let runs: Vec<_> = schemes
+        .iter()
+        .flat_map(|&s| cfgs.map(|c| (s, c.sla.clone())))
+        .collect();
+    let grid = ctx.evaluate_grid(spec, &runs);
+    assert_eq!(grid.len(), runs.len());
+    for (i, got) in grid.into_iter().enumerate() {
+        let (scheme, run_cfg) = (schemes[i / 2], cfgs[i % 2]);
+        let got = got.unwrap();
+        let fresh = run_cluster(run_cfg, &short_run(scheme, spec)).unwrap();
+        assert_eq!(
+            result_bits(&fresh),
+            result_bits(&got),
+            "{} under a {} s SLA diverged from a fresh build",
+            scheme.name(),
+            run_cfg.sla.total_s()
+        );
+        assert_eq!(
+            got.is_feasible(run_cfg),
+            i % 2 == 0,
+            "{}: only the default SLA is met",
+            scheme.name()
+        );
+    }
 }
 
 #[test]
