@@ -1,9 +1,9 @@
 //! The one memo type behind the scenario layer's caches.
 //!
-//! Every cache a [`crate::scenario::ScenarioContext`] keeps — stage-2
-//! plans, whole evaluation results, stage-3 runs, candidate power floors
-//! — maps an exact key to a value that is a pure function of that key
-//! given the context. [`Memo`] is that map plus its [`Tally`]: one lock,
+//! Every cache a [`crate::scenario::ScenarioContext`] keeps — whole
+//! evaluation results, stage-3 runs, candidate power floors — maps an
+//! exact key to a value that is a pure function of that key given the
+//! context. [`Memo`] is that map plus its [`Tally`]: one lock,
 //! one lookup rule, one hit/miss count, instead of one hand-rolled copy
 //! per cache.
 //!
