@@ -118,7 +118,9 @@ fn main() {
         b.row(&row);
     }
     println!("{b}");
-    println!("paper shape (b): no scheme meets a constraint below ≈18 ms (miss rate explodes);");
+    println!(
+        "paper shape (b): EPRONS-Server misses the 5% budget below ≈22 ms (miss rate climbs);"
+    );
     println!("power falls as the constraint loosens; EPRONS-Server lowest from ≈19 ms on\n");
 
     let mut c = Table::new(
