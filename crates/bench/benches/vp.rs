@@ -27,7 +27,9 @@ fn main() {
         let _ = engine.equivalent(depth);
         let deadlines: Vec<f64> = (0..depth).map(|i| 10.0e-3 + 3.0e-3 * i as f64).collect();
         r.bench(&format!("decision_departure/queue/{depth}"), || {
-            engine.decision(black_box(0.0), None, black_box(&deadlines))
+            engine
+                .decision(black_box(0.0), None, black_box(&deadlines))
+                .len()
         });
     }
     // Arrival instants condition the in-flight head and convolve it with
@@ -61,7 +63,11 @@ fn main() {
         r.bench_with_setup(
             &format!("decision_arrival/queue/{depth}"),
             setup,
-            |mut engine| engine.decision(black_box(0.0), Some(arrival(mid)), black_box(&deadlines)),
+            |mut engine| {
+                engine
+                    .decision(black_box(0.0), Some(arrival(mid)), black_box(&deadlines))
+                    .len()
+            },
         );
     }
     // The same head bin again on a warm engine: every level comes from
@@ -79,7 +85,9 @@ fn main() {
             "a repeated head bin must hit every level's conditioned slot"
         );
         r.bench(&format!("decision_arrival_repeat/queue/{depth}"), || {
-            engine.decision(black_box(0.0), Some(arrival(mid)), black_box(&deadlines))
+            engine
+                .decision(black_box(0.0), Some(arrival(mid)), black_box(&deadlines))
+                .len()
         });
     }
     // Dispatch instants (a head that has executed nothing yet) are served
@@ -89,7 +97,9 @@ fn main() {
         let _ = engine.equivalent(depth + 1);
         let deadlines: Vec<f64> = (0..=depth).map(|i| 10.0e-3 + 3.0e-3 * i as f64).collect();
         r.bench(&format!("decision_dispatch/queue/{depth}"), || {
-            engine.decision(black_box(0.0), Some(arrival(0.0)), black_box(&deadlines))
+            engine
+                .decision(black_box(0.0), Some(arrival(0.0)), black_box(&deadlines))
+                .len()
         });
     }
     // The first arrival-instant decision on a fresh ladder: it grows the
@@ -98,7 +108,9 @@ fn main() {
         let deadlines: Vec<f64> = (0..=depth).map(|i| 10.0e-3 + 3.0e-3 * i as f64).collect();
         r.bench(&format!("decision_arrival_cold/queue/{depth}"), || {
             let mut engine = VpEngine::new(svc.clone());
-            engine.decision(black_box(0.0), Some(arrival(mid)), black_box(&deadlines))
+            engine
+                .decision(black_box(0.0), Some(arrival(mid)), black_box(&deadlines))
+                .len()
         });
     }
     // The paper's "<30 µs" step: binary search over the ladder given a
@@ -111,4 +123,17 @@ fn main() {
     r.bench("frequency_selection/avg_vp_binary_search", || {
         policy.choose_frequency(0.0, black_box(&decision), &ladder)
     });
+    // The same search behind a busy core: on an arrival instant (a
+    // conditioned head, its class and slots filled) and on a dispatch
+    // instant (served from the ladder), `depth` requests behind the head.
+    for depth in [1usize, 4, 8] {
+        let deadlines: Vec<f64> = (0..=depth).map(|i| 10.0e-3 + 3.0e-3 * i as f64).collect();
+        for (instant, done) in [("arrival", mid), ("dispatch", 0.0)] {
+            let mut engine = VpEngine::new(svc.clone());
+            let decision = engine.decision(0.0, Some(arrival(done)), &deadlines);
+            r.bench(&format!("choose_frequency/{instant}/{depth}"), || {
+                policy.choose_frequency(0.0, black_box(&decision), &ladder)
+            });
+        }
+    }
 }

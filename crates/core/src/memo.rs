@@ -13,7 +13,6 @@
 //! pure function of the key, the second insert writes identical bits.
 
 use std::collections::HashMap;
-use std::convert::Infallible;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -81,29 +80,17 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
     }
 
     /// The value held under `key`, or `compute`'s value, inserted. Counts
-    /// `weight` hits or misses; a `compute` that fails is neither counted
-    /// nor cached.
-    pub(crate) fn get_or_try_insert<E>(
-        &self,
-        key: K,
-        weight: u64,
-        compute: impl FnOnce() -> Result<V, E>,
-    ) -> Result<V, E> {
+    /// `weight` hits or misses.
+    pub(crate) fn get_or_insert(&self, key: K, weight: u64, compute: impl FnOnce() -> V) -> V {
         let hit = self.lock().get(&key).cloned();
         if let Some(v) = hit {
             self.tally.count(true, weight);
-            return Ok(v);
+            return v;
         }
-        let v = compute()?;
+        let v = compute();
         self.tally.count(false, weight);
         self.lock().insert(key, v.clone());
-        Ok(v)
-    }
-
-    /// [`Memo::get_or_try_insert`] for a `compute` that cannot fail.
-    pub(crate) fn get_or_insert(&self, key: K, weight: u64, compute: impl FnOnce() -> V) -> V {
-        self.get_or_try_insert(key, weight, || Ok::<V, Infallible>(compute()))
-            .unwrap_or_else(|never| match never {})
+        v
     }
 
     /// `f` summed over the entries held.
@@ -129,11 +116,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn failures_are_neither_counted_nor_cached() {
+    fn each_lookup_counts_its_weight() {
         let memo: Memo<u8, u32> = Memo::new(Tally::default());
-        assert_eq!(memo.get_or_try_insert(1, 1, || Err("no")), Err("no"));
-        assert_eq!(memo.tally().get(), (0, 0));
-        assert_eq!(memo.get_or_try_insert(1, 3, || Ok::<_, ()>(7)), Ok(7));
+        assert_eq!(memo.get_or_insert(1, 3, || 7), 7);
         assert_eq!(memo.get_or_insert(1, 3, || unreachable!("a hit")), 7);
         assert_eq!(memo.tally().get(), (3, 3), "each lookup counts `weight`");
         assert_eq!(memo.sum(|_, v| *v as usize), 7);

@@ -365,6 +365,7 @@ fn pre_grown_vp_ladder_is_invisible_to_results() {
         ladder.conditioned_bytes() > 0,
         "pre-filled conditioned slots"
     );
+    assert!(ladder.head_bytes() > 0, "pre-filled head classes");
     assert!(
         engine.tally().conditioned_hits > 0,
         "repeated head bins hit"

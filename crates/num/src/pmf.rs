@@ -307,6 +307,43 @@ impl PmfPrefix<'_> {
     /// Panics if it reads past the kept masses: `mass.len() <
     /// bins_read(x)`.
     pub fn cdf(&self, x: f64) -> f64 {
+        self.cdf_by(x, |i| {
+            let mut cum = 0.0;
+            for &m in &self.mass[..=i] {
+                cum += m;
+            }
+            cum
+        })
+    }
+
+    /// [`Pmf::ccdf`]; panics where [`PmfPrefix::cdf`] does.
+    #[inline]
+    pub fn ccdf(&self, x: f64) -> f64 {
+        (1.0 - self.cdf(x)).clamp(0.0, 1.0)
+    }
+
+    /// [`PmfPrefix::cdf`] to the bit, reading the cumulative mass up to a
+    /// bin from `cum`, the prefix's [`running_sums`], instead of adding
+    /// it up: O(1) per query.
+    ///
+    /// # Panics
+    /// Panics where [`PmfPrefix::cdf`] does, or if `cum` is shorter than
+    /// the masses it reads.
+    #[inline]
+    pub fn cdf_summed(&self, cum: &[f64], x: f64) -> f64 {
+        self.cdf_by(x, |i| cum[i])
+    }
+
+    /// [`PmfPrefix::ccdf`] by [`PmfPrefix::cdf_summed`].
+    #[inline]
+    pub fn ccdf_summed(&self, cum: &[f64], x: f64) -> f64 {
+        (1.0 - self.cdf_summed(cum, x)).clamp(0.0, 1.0)
+    }
+
+    /// The CDF at `x`, given the cumulative mass `sum_to(i)` of bins
+    /// `..= i`.
+    #[inline]
+    fn cdf_by(&self, x: f64, sum_to: impl FnOnce(usize) -> f64) -> f64 {
         if x < self.origin {
             return 0.0;
         }
@@ -318,22 +355,12 @@ impl PmfPrefix<'_> {
         let frac = pos - i as f64;
         // cumulative mass up to and including bin i, plus a linear share of
         // bin i+1's mass.
-        let mut cum = 0.0;
-        for &m in &self.mass[..=i] {
-            cum += m;
-        }
         let next = if i + 1 < self.len {
             self.mass[i + 1]
         } else {
             0.0
         };
-        cum + frac * next
-    }
-
-    /// [`Pmf::ccdf`]; panics where [`PmfPrefix::cdf`] does.
-    #[inline]
-    pub fn ccdf(&self, x: f64) -> f64 {
-        (1.0 - self.cdf(x)).clamp(0.0, 1.0)
+        sum_to(i) + frac * next
     }
 
     /// How many leading masses `cdf(y)` reads, at most, over all `y ≤ x`:
@@ -355,6 +382,19 @@ impl PmfPrefix<'_> {
     fn max_value(&self) -> f64 {
         self.origin + (self.len - 1) as f64 * self.step
     }
+}
+
+/// The running sums `cum[i] = mass[0] + … + mass[i]`, added left to right
+/// from `0.0` exactly as [`PmfPrefix::cdf`] adds them, so
+/// [`PmfPrefix::cdf_summed`] reads the bits `cdf` computes.
+pub fn running_sums(mass: &[f64]) -> Box<[f64]> {
+    let mut cum = 0.0;
+    mass.iter()
+        .map(|&m| {
+            cum += m;
+            cum
+        })
+        .collect()
 }
 
 /// A [`Pmf`] prepared as the left operand of repeated convolutions; made

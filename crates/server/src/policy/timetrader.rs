@@ -86,16 +86,17 @@ mod tests {
     use crate::vp::VpEngine;
     use eprons_num::Pmf;
 
-    fn dummy_decision() -> crate::vp::Decision {
-        let mut e = VpEngine::new(ServiceModel::new(Pmf::delta(1.0, 0.1), 0.0, 2.7));
-        e.decision(0.0, None, &[1.0])
+    /// An engine whose decisions TimeTrader never reads.
+    fn dummy_engine() -> VpEngine {
+        VpEngine::new(ServiceModel::new(Pmf::delta(1.0, 0.1), 0.0, 2.7))
     }
 
     #[test]
     fn starts_at_max() {
         let ladder = FreqLadder::paper_default();
         let mut p = TimeTraderPolicy::new(30.0e-3, ladder.len());
-        let d = dummy_decision();
+        let mut e = dummy_engine();
+        let d = e.decision(0.0, None, &[1.0]);
         assert_eq!(p.choose_frequency(0.0, &d, &ladder), 2.7);
     }
 
@@ -103,7 +104,8 @@ mod tests {
     fn steps_down_when_tail_is_comfortable() {
         let ladder = FreqLadder::paper_default();
         let mut p = TimeTraderPolicy::new(30.0e-3, ladder.len());
-        let d = dummy_decision();
+        let mut e = dummy_engine();
+        let d = e.decision(0.0, None, &[1.0]);
         let _ = p.choose_frequency(0.0, &d, &ladder);
         // Feed a comfortable window and cross the period boundary.
         for _ in 0..100 {
@@ -117,7 +119,8 @@ mod tests {
     fn steps_up_on_violation() {
         let ladder = FreqLadder::paper_default();
         let mut p = TimeTraderPolicy::new(30.0e-3, ladder.len());
-        let d = dummy_decision();
+        let mut e = dummy_engine();
+        let d = e.decision(0.0, None, &[1.0]);
         // Walk it down a few periods first.
         let mut t = 0.0;
         let _ = p.choose_frequency(t, &d, &ladder);
@@ -142,7 +145,8 @@ mod tests {
     fn holds_between_updates() {
         let ladder = FreqLadder::paper_default();
         let mut p = TimeTraderPolicy::new(30.0e-3, ladder.len());
-        let d = dummy_decision();
+        let mut e = dummy_engine();
+        let d = e.decision(0.0, None, &[1.0]);
         let f0 = p.choose_frequency(0.0, &d, &ladder);
         for _ in 0..100 {
             p.on_completion(1.0, 1.0e-3, 30.0e-3);
@@ -156,7 +160,8 @@ mod tests {
     fn dead_band_prevents_oscillation() {
         let ladder = FreqLadder::paper_default();
         let mut p = TimeTraderPolicy::new(30.0e-3, ladder.len());
-        let d = dummy_decision();
+        let mut e = dummy_engine();
+        let d = e.decision(0.0, None, &[1.0]);
         let _ = p.choose_frequency(0.0, &d, &ladder);
         // Tail right below target but above the down threshold: hold.
         for _ in 0..100 {

@@ -15,14 +15,22 @@
 //!   has already received (`R0e` with "the distribution of the work left",
 //!   §III-B) and then pay the `n` fresh convolutions the paper describes.
 //!
-//! Four exact shortcuts keep the per-decision kernel cheap without moving
+//! Seven exact shortcuts keep the per-decision kernel cheap without moving
 //! a bit of any result:
 //!
+//! * **head classes** are memoized once per ladder: a conditioned head's
+//!   masses depend only on its *class*, the first bin of the work PMF it
+//!   keeps ([`Pmf::remaining_given_done`]), so each class's normalized
+//!   tail masses are computed on its first use and shared by every later
+//!   head of the class. A decision computes only the class and the head's
+//!   origin; class 0, the whole work PMF, is level 1 itself;
 //! * **dispatch instants** — a head that has executed nothing yet has the
 //!   work PMF itself as its remaining distribution. Convolution is
 //!   symmetric to the bit ([`eprons_num::conv::Prepared`]), so
 //!   `head ∗ equivalent(i)` *is* the cached level `i + 1`, and those
-//!   instants are served from the ladder like departures;
+//!   instants are served from the ladder like departures. A head is one
+//!   exactly when its class shares level 1's masses and its origin is
+//!   level 1's to the bit;
 //! * **conditioned heads** are prepared once per decision
 //!   ([`Pmf::prepare`]): the head's spectrum is computed once per FFT
 //!   size;
@@ -30,26 +38,34 @@
 //!   queued request behind a conditioned head pays one pointwise product
 //!   and one inverse transform;
 //! * **conditioned sums** are memoized per head class at every level: a
-//!   conditioned head's masses depend only on the first bin of the work
-//!   PMF it keeps, so `head ∗ level(i)` is computed once per class and
-//!   level, and a repeat recomputes only its origin (the "can be reused
-//!   once computed" of §III-C, carried over to arrival instants). A slot
-//!   keeps only the masses a VP query can read: [`Pmf::cdf`] at `ω` reads
-//!   the bins up to `ω`'s and one more, and no query asks above the top
-//!   of the DVFS ladder ([`ServiceModel::f_max_ghz`]), so a sum read at
-//!   budget `b` needs the bins up to `f_max · b` ([`PmfPrefix::bins_read`]).
-//!   A miss keeps those, and those any head of its class reads at the
-//!   furthest `ω` the ladder has been asked; a query that needs more than
-//!   its slot keeps convolves afresh and widens the slot. How much a slot
-//!   keeps decides only hit or miss, never a bit of a VP: the sum is
-//!   normalized and truncated whole. A slot holds at most
-//!   `⌊f_max · B / step⌋ + 2` masses at the longest budget `B`, at any
-//!   level: 1.37 MB per ladder against 4.61 MB of whole sums on a 60 s
-//!   single-core run at 70 % load, and +0.9 % peak RSS on the flash-crowd
-//!   benchmark day (DESIGN.md, "Conditioned slots").
+//!   conditioned head's masses depend only on its class, so
+//!   `head ∗ level(i)` is computed once per class and level, and a repeat
+//!   recomputes only its origin (the "can be reused once computed" of
+//!   §III-C, carried over to arrival instants). A slot keeps only the
+//!   masses a VP query can read: [`Pmf::cdf`] at `ω` reads the bins up to
+//!   `ω`'s and one more, and no query asks above the top of the DVFS
+//!   ladder ([`ServiceModel::f_max_ghz`]), so a sum read at budget `b`
+//!   needs the bins up to `f_max · b` ([`PmfPrefix::bins_read`]). A miss
+//!   keeps those, and those any head of its class reads at the furthest
+//!   `ω` the ladder has been asked; a query that needs more than its slot
+//!   keeps convolves afresh and widens the slot. How much a slot keeps
+//!   decides only hit or miss, never a bit of a VP: the sum is normalized
+//!   and truncated whole. A slot holds at most `⌊f_max · B / step⌋ + 2`
+//!   masses at the longest budget `B`, at any level: 1.37 MB per ladder
+//!   against 4.61 MB of whole sums on a 60 s single-core run at 70 % load,
+//!   and +0.9 % peak RSS on the flash-crowd benchmark day (DESIGN.md,
+//!   "Conditioned slots");
+//! * **running sums** ([`running_sums`]) are kept beside the masses of
+//!   every ladder level and head class, so a VP query on them reads one
+//!   sum and one mass ([`PmfPrefix::cdf_summed`]) instead of adding up
+//!   every bin below `ω`: the same additions in the same order, done once.
+//!   A conditioned slot's prefix is summed at each query;
+//! * **borrowed items** — a [`Decision`] borrows the masses it reads from
+//!   its engine: a decision first fills the engine's caches, then reads
+//!   them, and allocates nothing once the caches hold what it needs.
 //!
-//! Every item shares its masses by `Arc`: a ladder level, the conditioned
-//! head, or a conditioned slot.
+//! The ladder shares a level's masses, a head class's and a conditioned
+//! slot's by `Arc` between the engines on it.
 //!
 //! The frequency-independent part of service (`t_fixed` per request) is
 //! handled by shrinking the time budget before converting to cycles, per
@@ -59,13 +75,34 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use eprons_num::conv::{Spectra, SpectrumUse};
-use eprons_num::{Pmf, PmfPrefix, PreparedPmf};
+use eprons_num::pmf::running_sums;
+use eprons_num::{Pmf, PmfPrefix};
 
 use crate::service::ServiceModel;
 
 /// Tail mass below which equivalent distributions are truncated to keep
 /// convolution lengths bounded.
 const TRUNC_EPS: f64 = 1e-10;
+
+/// A PMF and its [`running_sums`]: a ladder level, or a head class's
+/// masses (whose origin each decision computes).
+#[derive(Debug)]
+struct Summed {
+    pmf: Pmf,
+    cum: Box<[f64]>,
+}
+
+impl Summed {
+    fn new(pmf: Pmf) -> Arc<Self> {
+        let cum = running_sums(pmf.masses());
+        Arc::new(Summed { pmf, cum })
+    }
+
+    /// Bytes held by the masses and their running sums.
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.pmf.masses()) + std::mem::size_of_val(&*self.cum)
+    }
+}
 
 /// `(head ∗ level).truncated(TRUNC_EPS)` for one head class: its length,
 /// how many leading bins truncation dropped, and its first masses, as
@@ -83,11 +120,11 @@ struct Conditioned {
 /// a longer prefix when one is needed.
 type Slot = Mutex<Option<Arc<Conditioned>>>;
 
-/// One ladder level: an n-fold self-convolution, its FFT spectra and its
-/// conditioned sums.
+/// One ladder level: an n-fold self-convolution with its running sums, its
+/// FFT spectra and its conditioned sums.
 #[derive(Debug)]
 struct Level {
-    pmf: Arc<Pmf>,
+    sums: Arc<Summed>,
     spectra: Spectra,
     /// One slot per head class, allocated by the first conditioned
     /// decision that reaches this level.
@@ -95,9 +132,9 @@ struct Level {
 }
 
 impl Level {
-    fn new(pmf: Pmf) -> Arc<Self> {
+    fn new(sums: Arc<Summed>) -> Arc<Self> {
         Arc::new(Level {
-            pmf: Arc::new(pmf),
+            sums,
             spectra: Spectra::default(),
             conditioned: OnceLock::new(),
         })
@@ -134,15 +171,21 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// Levels are grown on demand and never change; each is a pure function
 /// of the previous one (`prev ∗ base`, truncated at `TRUNC_EPS` = 1e-10) and
 /// each spectrum a pure function of its level and FFT size, so whichever
-/// engine or thread grew a level, every engine reads the same bits. A
-/// conditioned sum's masses are a pure function of its head class and
-/// level; how many of them its slot keeps decides only whether a query
-/// hits it.
+/// engine or thread grew a level, every engine reads the same bits. A head
+/// class's masses are a pure function of the class, and a conditioned
+/// sum's of its head class and level; how many of a sum's masses its slot
+/// keeps decides only whether a query hits it.
 #[derive(Debug)]
 pub struct VpLadder {
     service: ServiceModel,
     /// `levels[n-1]` = n-fold self-convolution; append-only.
     levels: Mutex<Vec<Arc<Level>>>,
+    /// Each head class's masses, filled on the class's first use. Class 0
+    /// is level 1's, set at construction.
+    heads: Box<[OnceLock<Arc<Summed>>]>,
+    /// One past the work PMF's last bin of positive mass: a head whose
+    /// first kept bin is at or past it has nothing left to condition on.
+    live: usize,
     /// Conditioned slots refilled with a longer prefix.
     widened: AtomicU64,
     /// The furthest `ω` a conditioned slot was filled to serve, as the
@@ -153,10 +196,21 @@ pub struct VpLadder {
 impl VpLadder {
     /// A ladder holding the 1-fold level (the work PMF itself).
     pub fn new(service: ServiceModel) -> Self {
-        let base = Level::new(service.work_pmf().clone());
+        let base = Summed::new(service.work_pmf().clone());
+        let live = base
+            .pmf
+            .masses()
+            .iter()
+            .rposition(|&m| m > 0.0)
+            .map_or(0, |b| b + 1);
+        let heads: Box<[OnceLock<Arc<Summed>>]> =
+            (0..=base.pmf.len()).map(|_| OnceLock::new()).collect();
+        heads[0].get_or_init(|| Arc::clone(&base));
         VpLadder {
             service,
-            levels: Mutex::new(vec![base]),
+            levels: Mutex::new(vec![Level::new(base)]),
+            heads,
+            live,
             widened: AtomicU64::new(0),
             reach: AtomicU64::new(0.0f64.to_bits()),
         }
@@ -180,6 +234,18 @@ impl VpLadder {
             .sum()
     }
 
+    /// Bytes held by the memoized head classes' masses and running sums,
+    /// less those they share with level 1.
+    pub fn head_bytes(&self) -> usize {
+        let whole = self.whole();
+        self.heads
+            .iter()
+            .filter_map(OnceLock::get)
+            .filter(|h| !Arc::ptr_eq(h, whole))
+            .map(|h| h.bytes())
+            .sum()
+    }
+
     /// How many times a filled conditioned slot was too short for a query
     /// and was refilled with a longer prefix.
     pub fn widened(&self) -> u64 {
@@ -191,22 +257,62 @@ impl VpLadder {
     fn extend(&self, view: &mut Vec<Arc<Level>>, n: usize) {
         let mut levels = lock(&self.levels);
         while levels.len() < n {
-            let next = levels[levels.len() - 1].pmf.convolve(&levels[0].pmf);
-            levels.push(Level::new(next.truncated(TRUNC_EPS)));
+            let next = levels[levels.len() - 1]
+                .sums
+                .pmf
+                .convolve(&levels[0].sums.pmf);
+            levels.push(Level::new(Summed::new(next.truncated(TRUNC_EPS))));
         }
         view.extend(levels[view.len()..n].iter().cloned());
     }
-}
 
-/// `true` iff `a` and `b` are the same PMF to the bit.
-fn same_bits(a: &Pmf, b: &Pmf) -> bool {
-    a.origin().to_bits() == b.origin().to_bits()
-        && a.step().to_bits() == b.step().to_bits()
-        && a.len() == b.len()
-        && a.masses()
-            .iter()
-            .zip(b.masses())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
+    /// Level 1, the work PMF: head class 0.
+    fn whole(&self) -> &Arc<Summed> {
+        self.heads[0].get().expect("class 0 is set at construction")
+    }
+
+    /// The class of a head that has executed `done` cycles and the origin
+    /// of its remaining distribution: the first bin of the work PMF that
+    /// [`Pmf::remaining_given_done`] keeps and the origin it gives, by the
+    /// same expressions. A head with no mass left above `done` is about to
+    /// finish: its remaining work is a half-bin delta, the last class.
+    fn head_class(&self, done: f64) -> (usize, f64) {
+        let base = self.service.work_pmf();
+        if done <= base.origin() {
+            return (0, base.origin() - done);
+        }
+        let start = (((done - base.origin()) / base.step()).floor() as usize) + 1;
+        if start < self.live {
+            (start, base.value_at(start) - done)
+        } else {
+            (base.len(), base.step() / 2.0)
+        }
+    }
+
+    /// The masses of head class `class` with their running sums, computed
+    /// on the class's first use as [`Pmf::remaining_given_done`] computes
+    /// them. The exhausted class shares level 1's masses when they are the
+    /// same delta.
+    fn head(&self, class: usize) -> &Arc<Summed> {
+        self.heads[class].get_or_init(|| {
+            let base = self.service.work_pmf();
+            let step = base.step();
+            if class < base.len() {
+                Summed::new(Pmf::from_masses(0.0, step, base.masses()[class..].to_vec()))
+            } else if base.masses() == [1.0] {
+                Arc::clone(self.whole())
+            } else {
+                Summed::new(Pmf::delta(step / 2.0, step))
+            }
+        })
+    }
+
+    /// `true` iff a head of class `class` at `origin` is the work PMF
+    /// itself to the bit.
+    fn is_whole(&self, class: usize, origin: f64) -> bool {
+        let whole = self.whole();
+        Arc::ptr_eq(self.head(class), whole) && origin.to_bits() == whole.pmf.origin().to_bits()
+    }
 }
 
 /// Description of the head (in-service) request at a decision instant.
@@ -254,9 +360,12 @@ pub struct VpEngine {
     ladder: Arc<VpLadder>,
     /// The ladder levels this engine has seen, read without the lock.
     levels: Vec<Arc<Level>>,
-    /// The conditioned slots this engine has read, `[level - 1][class]`,
-    /// read without their locks.
-    conditioned: Vec<Box<[Option<Arc<Conditioned>>]>>,
+    /// The conditioned slots this engine has read, `[class][level - 1]`,
+    /// read without their locks. A decision reads a class's levels from 1
+    /// up, so each class's are filled from level 1.
+    conditioned: Vec<Vec<Arc<Conditioned>>>,
+    /// The last decision's items, kept for their allocation.
+    items: Vec<Item>,
     tally: VpTally,
 }
 
@@ -273,6 +382,7 @@ impl VpEngine {
             ladder,
             levels: Vec::new(),
             conditioned: Vec::new(),
+            items: Vec::new(),
             tally: VpTally::default(),
         }
     }
@@ -285,7 +395,9 @@ impl VpEngine {
 
     /// The cached n-fold self-convolution (n ≥ 1).
     pub fn equivalent(&mut self, n: usize) -> &Pmf {
-        &self.level(n).pmf
+        assert!(n >= 1, "equivalent distribution needs at least one request");
+        self.grow(n);
+        &self.levels[n - 1].sums.pmf
     }
 
     /// The kernel work this engine has done so far.
@@ -293,109 +405,12 @@ impl VpEngine {
         self.tally
     }
 
-    /// Ladder level `n` (n ≥ 1), growing the ladder up to it.
-    fn level(&mut self, n: usize) -> &Arc<Level> {
-        assert!(n >= 1, "equivalent distribution needs at least one request");
+    /// Makes the engine's view hold at least `n` levels, growing the
+    /// ladder up to them.
+    fn grow(&mut self, n: usize) {
         if self.levels.len() < n {
             self.ladder.extend(&mut self.levels, n);
         }
-        &self.levels[n - 1]
-    }
-
-    /// `(head ∗ level(i)).truncated(TRUNC_EPS)` for a conditioned head of
-    /// class `class`, as an item with budget `budget_s`: served from the
-    /// level's slot for that class when the slot keeps every mass a query
-    /// at or below the ceiling frequency reads, else convolved and stored.
-    fn behind_head(
-        &mut self,
-        head: &mut PreparedPmf<'_>,
-        class: usize,
-        i: usize,
-        budget_s: f64,
-    ) -> DecisionItem {
-        let level = Arc::clone(self.level(i));
-        let classes = self.levels[0].pmf.len() + 1;
-        // The origin `convolve_cached` gives the sum, moved up `lo` bins as
-        // `truncated` moves it (`Pmf::value_at`).
-        let step = head.pmf().step();
-        let sum_origin = head.pmf().origin() + level.pmf.origin();
-        let origin = |lo: usize| sum_origin + lo as f64 * step;
-        let item = |c: &Arc<Conditioned>| DecisionItem {
-            masses: Masses::Prefix(Arc::clone(c)),
-            origin: origin(c.lo),
-            len: c.len,
-            budget_s,
-        };
-        // The furthest `ω` a query of this item reads at (`Decision::vp`).
-        let reach = if budget_s > 0.0 {
-            self.service().f_max_ghz() * budget_s
-        } else {
-            f64::NEG_INFINITY
-        };
-        // How many masses of a sum of `len` bins from `origin` a query at or
-        // below `x` reads.
-        let reads = |origin: f64, len: usize, x: f64| {
-            PmfPrefix {
-                origin,
-                step,
-                len,
-                mass: &[],
-            }
-            .bins_read(x)
-        };
-        let serves = |c: &Conditioned| reads(origin(c.lo), c.len, reach) <= c.mass.len();
-        while self.conditioned.len() < i {
-            self.conditioned.push(vec![None; classes].into());
-        }
-        let seen = &mut self.conditioned[i - 1][class];
-        if let Some(c) = seen.as_ref().filter(|c| serves(c)) {
-            self.tally.conditioned_hits += 1;
-            return item(c);
-        }
-        let slot = level.conditioned(class, classes);
-        if let Some(c) = lock(slot).as_ref().filter(|c| serves(c)) {
-            self.tally.conditioned_hits += 1;
-            *seen = Some(Arc::clone(c));
-            return item(c);
-        }
-        // A miss: convolve, normalize and truncate the whole sum without
-        // holding the slot. Keep the masses this item reads, and those any
-        // head of this class reads at the furthest reach the ladder has
-        // been asked, since a budget seen once comes back: every head's
-        // origin is ≥ 0, so `floor` is the lowest origin of the class's sum.
-        let (sum, used) = head.convolve_cached(&level.pmf, &level.spectra);
-        self.tally.convolutions += 1;
-        match used {
-            SpectrumUse::Built => self.tally.spectra_built += 1,
-            SpectrumUse::Reused => self.tally.spectra_reused += 1,
-            SpectrumUse::Direct => {}
-        }
-        let (sum, lo) = sum.truncated_with_lo(TRUNC_EPS);
-        let before = self
-            .ladder
-            .reach
-            .fetch_max(reach.max(0.0).to_bits(), Ordering::Relaxed);
-        let furthest = reach.max(f64::from_bits(before));
-        let floor = level.pmf.origin() + lo as f64 * step;
-        let keep = reads(origin(lo), sum.len(), reach).max(reads(floor, sum.len(), furthest));
-        let fresh = Arc::new(Conditioned {
-            mass: sum.masses()[..keep].into(),
-            len: sum.len(),
-            lo,
-        });
-        // Store it unless another engine stored a longer prefix meanwhile.
-        let mut stored = lock(slot);
-        match stored.as_ref() {
-            Some(c) if c.mass.len() >= keep => *seen = Some(Arc::clone(c)),
-            filled => {
-                if filled.is_some() {
-                    self.ladder.widened.fetch_add(1, Ordering::Relaxed);
-                }
-                *stored = Some(Arc::clone(&fresh));
-                *seen = Some(Arc::clone(&fresh));
-            }
-        }
-        item(&fresh)
     }
 
     /// Builds the per-position distributions for one decision instant.
@@ -409,118 +424,227 @@ impl VpEngine {
         now: f64,
         head: Option<InflightHead>,
         deadlines: &[f64],
-    ) -> Decision {
+    ) -> Decision<'_> {
         let fixed = self.service().fixed_s();
-        let mut items: Vec<DecisionItem> = Vec::with_capacity(deadlines.len());
+        self.items.clear();
+        let mut class = 0;
         match head {
             Some(h) => {
                 let budget = |i: usize, d: f64| d - now - (h.rem_fixed_s + i as f64 * fixed);
-                // Remaining distribution of the head, conditioned on done
-                // cycles, and its class: the first bin of the work PMF it
-                // keeps. If the head has (numerically) exhausted its
-                // support it is about to finish: treat remaining work as a
-                // half-bin delta, the last class.
-                let base = self.level(1).pmf.clone();
-                let step = base.step();
-                let (class, head_rem) = base
-                    .remaining_given_done(h.done_work_gc)
-                    .unwrap_or_else(|| (base.len(), Pmf::delta(step / 2.0, step)));
-                if same_bits(&head_rem, &base) {
-                    // Dispatch instant: `head_rem ∗ equivalent(i)` equals
+                // The head's class and the origin of its remaining
+                // distribution, conditioned on the cycles done.
+                let (c, origin) = self.ladder.head_class(h.done_work_gc);
+                if self.ladder.is_whole(c, origin) {
+                    // Dispatch instant: `head ∗ equivalent(i)` equals
                     // `equivalent(i) ∗ base` to the bit, which is the
                     // cached level `i + 1`.
-                    for (i, &d) in deadlines.iter().enumerate() {
-                        let level = Arc::clone(&self.level(i + 1).pmf);
-                        items.push(DecisionItem::whole(level, budget(i, d)));
-                    }
+                    self.ladder_items(deadlines, budget);
                 } else {
-                    // The paper's arrival-instant cost: one convolution
-                    // per queued request behind the head, against the
-                    // level's cached spectrum, with the head transformed
-                    // once — unless the level's slot for this head class
-                    // serves the sum.
-                    let head_rem = Arc::new(head_rem);
-                    let mut prepared = head_rem.prepare();
-                    for (i, &d) in deadlines.iter().enumerate() {
-                        items.push(if i == 0 {
-                            DecisionItem::whole(Arc::clone(&head_rem), budget(i, d))
-                        } else {
-                            self.behind_head(&mut prepared, class, i, budget(i, d))
-                        });
-                    }
+                    class = c;
+                    self.conditioned_items(class, origin, deadlines, budget);
                 }
             }
-            None => {
-                for (i, &d) in deadlines.iter().enumerate() {
-                    let level = Arc::clone(&self.level(i + 1).pmf);
-                    items.push(DecisionItem::whole(level, d - now - (i + 1) as f64 * fixed));
-                }
-            }
+            None => self.ladder_items(deadlines, |i, d| d - now - (i + 1) as f64 * fixed),
         }
         Decision {
             step: self.service().work_pmf().step(),
             f_max_ghz: self.service().f_max_ghz(),
+            items: &self.items,
+            levels: &self.levels,
+            head: self.ladder.head(class),
+            slots: self.conditioned.get(class).map_or(&[][..], Vec::as_slice),
+        }
+    }
+
+    /// Item `i` is ladder level `i + 1` with budget `budget(i, deadline)`.
+    fn ladder_items(&mut self, deadlines: &[f64], budget: impl Fn(usize, f64) -> f64) {
+        self.grow(deadlines.len());
+        let levels = &self.levels;
+        self.items
+            .extend(deadlines.iter().enumerate().map(|(i, &d)| Item {
+                src: Src::Level(i),
+                origin: levels[i].sums.pmf.origin(),
+                len: levels[i].sums.pmf.len(),
+                budget_s: budget(i, d),
+            }));
+    }
+
+    /// Item 0 is a head of class `class` at `origin`, and item `i ≥ 1` is
+    /// `(head ∗ level(i)).truncated(TRUNC_EPS)`: the paper's arrival-instant
+    /// cost, one convolution per queued request behind the head, against
+    /// the level's cached spectrum, with the head transformed once —
+    /// unless the level's slot for this head class keeps every mass a
+    /// query at or below the ceiling frequency reads.
+    fn conditioned_items(
+        &mut self,
+        class: usize,
+        origin: f64,
+        deadlines: &[f64],
+        budget: impl Fn(usize, f64) -> f64,
+    ) {
+        self.grow(deadlines.len().saturating_sub(1));
+        let VpEngine {
+            ladder,
+            levels,
+            conditioned,
             items,
+            tally,
+        } = self;
+        let ladder: &VpLadder = ladder;
+        let head = ladder.head(class);
+        let classes = ladder.heads.len();
+        if conditioned.is_empty() {
+            conditioned.resize_with(classes, Vec::new);
+        }
+        let seen = &mut conditioned[class];
+        let mut prepared = head.pmf.prepare();
+        let step = head.pmf.step();
+        // How many masses of a sum of `len` bins from `origin` a query at or
+        // below `x` reads.
+        let reads = |origin: f64, len: usize, x: f64| {
+            PmfPrefix {
+                origin,
+                step,
+                len,
+                mass: &[],
+            }
+            .bins_read(x)
+        };
+        if let Some(&d) = deadlines.first() {
+            items.push(Item {
+                src: Src::Head,
+                origin,
+                len: head.pmf.len(),
+                budget_s: budget(0, d),
+            });
+        }
+        for (i, &d) in deadlines.iter().enumerate().skip(1) {
+            let budget_s = budget(i, d);
+            let level = &levels[i - 1];
+            // The origin `convolve_cached` gives the sum, moved up `lo`
+            // bins as `truncated` moves it (`Pmf::value_at`).
+            let sum_origin = origin + level.sums.pmf.origin();
+            let at = |lo: usize| sum_origin + lo as f64 * step;
+            // The furthest `ω` a query of this item reads at
+            // (`Decision::vp`).
+            let reach = if budget_s > 0.0 {
+                ladder.service.f_max_ghz() * budget_s
+            } else {
+                f64::NEG_INFINITY
+            };
+            let serves = |c: &Conditioned| reads(at(c.lo), c.len, reach) <= c.mass.len();
+            if seen.get(i - 1).is_some_and(|c| serves(c)) {
+                tally.conditioned_hits += 1;
+            } else {
+                let slot = level.conditioned(class, classes);
+                let shared = lock(slot).as_ref().filter(|c| serves(c)).cloned();
+                let c = match shared {
+                    Some(c) => {
+                        tally.conditioned_hits += 1;
+                        c
+                    }
+                    None => {
+                        // A miss: convolve, normalize and truncate the
+                        // whole sum without holding the slot. Keep the
+                        // masses this item reads, and those any head of
+                        // this class reads at the furthest reach the ladder
+                        // has been asked, since a budget seen once comes
+                        // back: every head's origin is ≥ 0, so `floor` is
+                        // the lowest origin of the class's sum.
+                        let (sum, used) = prepared.convolve_cached(&level.sums.pmf, &level.spectra);
+                        tally.convolutions += 1;
+                        match used {
+                            SpectrumUse::Built => tally.spectra_built += 1,
+                            SpectrumUse::Reused => tally.spectra_reused += 1,
+                            SpectrumUse::Direct => {}
+                        }
+                        let (sum, lo) = sum.truncated_with_lo(TRUNC_EPS);
+                        let before = ladder
+                            .reach
+                            .fetch_max(reach.max(0.0).to_bits(), Ordering::Relaxed);
+                        let furthest = reach.max(f64::from_bits(before));
+                        let floor = level.sums.pmf.origin() + lo as f64 * step;
+                        let keep =
+                            reads(at(lo), sum.len(), reach).max(reads(floor, sum.len(), furthest));
+                        let fresh = Arc::new(Conditioned {
+                            mass: sum.masses()[..keep].into(),
+                            len: sum.len(),
+                            lo,
+                        });
+                        // Store it unless another engine stored a longer
+                        // prefix meanwhile; both have the same `len`, `lo`
+                        // and leading masses.
+                        let mut stored = lock(slot);
+                        match stored.as_ref() {
+                            Some(c) if c.mass.len() >= keep => Arc::clone(c),
+                            filled => {
+                                if filled.is_some() {
+                                    ladder.widened.fetch_add(1, Ordering::Relaxed);
+                                }
+                                *stored = Some(Arc::clone(&fresh));
+                                fresh
+                            }
+                        }
+                    }
+                };
+                if seen.len() < i {
+                    seen.push(c);
+                } else {
+                    seen[i - 1] = c;
+                }
+            }
+            let c = &seen[i - 1];
+            items.push(Item {
+                src: Src::Slot(i - 1),
+                origin: at(c.lo),
+                len: c.len,
+                budget_s,
+            });
         }
     }
 }
 
-/// The masses a decision item reads.
-#[derive(Debug, Clone)]
-enum Masses {
-    /// A whole PMF: a ladder level or a conditioned head.
-    Whole(Arc<Pmf>),
-    /// A conditioned sum's kept prefix.
-    Prefix(Arc<Conditioned>),
+/// Where a decision item's masses are.
+#[derive(Debug, Clone, Copy)]
+enum Src {
+    /// Ladder level `n + 1`, with its running sums.
+    Level(usize),
+    /// The conditioned head's class, with its running sums.
+    Head,
+    /// The head class's conditioned sum at level `n + 1`: a prefix.
+    Slot(usize),
 }
 
-/// One pending request's equivalent distribution — its masses, the value
-/// of its first bin and its length — and its time budget (seconds until
-/// its deadline, net of all frequency-independent time that must elapse
-/// first).
-#[derive(Debug, Clone)]
-struct DecisionItem {
-    masses: Masses,
+/// One pending request's equivalent distribution — where its masses are,
+/// the value of its first bin and its length — and its time budget
+/// (seconds until its deadline, net of all frequency-independent time that
+/// must elapse first).
+#[derive(Debug, Clone, Copy)]
+struct Item {
+    src: Src,
     origin: f64,
     len: usize,
     budget_s: f64,
 }
 
-impl DecisionItem {
-    fn whole(pmf: Arc<Pmf>, budget_s: f64) -> Self {
-        DecisionItem {
-            origin: pmf.origin(),
-            len: pmf.len(),
-            masses: Masses::Whole(pmf),
-            budget_s,
-        }
-    }
-
-    /// The equivalent distribution on a grid of step `step`.
-    fn prefix(&self, step: f64) -> PmfPrefix<'_> {
-        PmfPrefix {
-            origin: self.origin,
-            step,
-            len: self.len,
-            mass: match &self.masses {
-                Masses::Whole(pmf) => pmf.masses(),
-                Masses::Prefix(c) => &c.mass,
-            },
-        }
-    }
-}
-
 /// The frozen state of one decision instant: query VPs at any frequency up
-/// to the top of the DVFS ladder.
-#[derive(Debug, Clone)]
-pub struct Decision {
+/// to the top of the DVFS ladder. It borrows every mass it reads from its
+/// engine.
+#[derive(Debug, Clone, Copy)]
+pub struct Decision<'a> {
     /// The grid step every item shares: the work PMF's.
     step: f64,
     f_max_ghz: f64,
-    items: Vec<DecisionItem>,
+    items: &'a [Item],
+    /// The engine's ladder levels, `[level - 1]`.
+    levels: &'a [Arc<Level>],
+    /// The conditioned head's class (level 1 when there is none).
+    head: &'a Summed,
+    /// The head class's conditioned sums, `[level - 1]`.
+    slots: &'a [Arc<Conditioned>],
 }
 
-impl Decision {
+impl<'a> Decision<'a> {
     /// Number of pending requests considered.
     #[inline]
     pub fn len(&self) -> usize {
@@ -531,6 +655,27 @@ impl Decision {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
+    }
+
+    /// Item `i`'s equivalent distribution, with its running sums if it is
+    /// a ladder level or the head.
+    fn dist(&self, i: usize) -> (PmfPrefix<'a>, Option<&'a [f64]>) {
+        let it = &self.items[i];
+        let (mass, cum): (&'a [f64], _) = match it.src {
+            Src::Level(n) => {
+                let s = &self.levels[n].sums;
+                (s.pmf.masses(), Some(&s.cum[..]))
+            }
+            Src::Head => (self.head.pmf.masses(), Some(&self.head.cum[..])),
+            Src::Slot(n) => (&self.slots[n].mass, None),
+        };
+        let prefix = PmfPrefix {
+            origin: it.origin,
+            step: self.step,
+            len: it.len,
+            mass,
+        };
+        (prefix, cum)
     }
 
     /// Violation probability of pending request `i` at frequency `f_ghz`:
@@ -547,11 +692,15 @@ impl Decision {
             "VP asked at {f_ghz} GHz, above the {} GHz ceiling",
             self.f_max_ghz
         );
-        let it = &self.items[i];
-        if it.budget_s <= 0.0 {
+        let budget_s = self.items[i].budget_s;
+        if budget_s <= 0.0 {
             return 1.0;
         }
-        it.prefix(self.step).ccdf(f_ghz * it.budget_s)
+        let x = f_ghz * budget_s;
+        match self.dist(i) {
+            (prefix, Some(cum)) => prefix.ccdf_summed(cum, x),
+            (prefix, None) => prefix.ccdf(x),
+        }
     }
 
     /// Maximum VP across pending requests (Rubik's criterion).
@@ -708,51 +857,63 @@ mod tests {
         assert_eq!(d.max_vp(2.0), 0.0);
     }
 
-    /// The decision kernel without dispatch reuse or head preparation: one
-    /// fresh `head ∗ equivalent(i)` per queued request behind any head,
-    /// and a deep copy of every level. The bit-level reference.
+    /// The decision kernel without the head memo, dispatch reuse, head
+    /// preparation or running sums: the head conditioned by
+    /// `remaining_given_done`, one fresh `head ∗ equivalent(i)` per queued
+    /// request behind any head, a deep copy of every level, and VPs by the
+    /// whole PMF's `Pmf::ccdf`. The bit-level reference.
+    struct Reference {
+        items: Vec<(Pmf, f64)>,
+    }
+
+    impl Reference {
+        fn vp(&self, i: usize, f_ghz: f64) -> f64 {
+            let (dist, budget_s) = &self.items[i];
+            if *budget_s <= 0.0 {
+                return 1.0;
+            }
+            dist.ccdf(f_ghz * budget_s)
+        }
+    }
+
     fn reference_decision(
         e: &mut VpEngine,
         now: f64,
         head: Option<InflightHead>,
         deadlines: &[f64],
-    ) -> Decision {
+    ) -> Reference {
         let fixed = e.service().fixed_s();
         let mut items = Vec::new();
         match head {
             Some(h) => {
-                let step = e.service().work_pmf().step();
-                let head_rem = e
-                    .service()
-                    .work_pmf()
-                    .remaining_given_done(h.done_work_gc)
-                    .map_or_else(|| Pmf::delta(step / 2.0, step), |(_, rem)| rem);
+                let head_rem = reference_head(e.service().work_pmf(), h.done_work_gc);
                 for (i, &d) in deadlines.iter().enumerate() {
                     let dist = if i == 0 {
                         head_rem.clone()
                     } else {
                         head_rem.convolve(e.equivalent(i)).truncated(TRUNC_EPS)
                     };
-                    items.push(DecisionItem::whole(
-                        Arc::new(dist),
-                        d - now - (h.rem_fixed_s + i as f64 * fixed),
-                    ));
+                    items.push((dist, d - now - (h.rem_fixed_s + i as f64 * fixed)));
                 }
             }
             None => {
                 for (i, &d) in deadlines.iter().enumerate() {
-                    items.push(DecisionItem::whole(
-                        Arc::new(e.equivalent(i + 1).clone()),
+                    items.push((
+                        e.equivalent(i + 1).clone(),
                         d - now - (i + 1) as f64 * fixed,
                     ));
                 }
             }
         }
-        Decision {
-            step: e.service().work_pmf().step(),
-            f_max_ghz: e.service().f_max_ghz(),
-            items,
-        }
+        Reference { items }
+    }
+
+    /// The remaining distribution of a head that has executed `done` of
+    /// `work`, by `remaining_given_done`: a half-bin delta once exhausted.
+    fn reference_head(work: &Pmf, done: f64) -> Pmf {
+        let step = work.step();
+        work.remaining_given_done(done)
+            .map_or_else(|| Pmf::delta(step / 2.0, step), |(_, rem)| rem)
     }
 
     #[test]
@@ -783,8 +944,8 @@ mod tests {
                         done_work_gc,
                         rem_fixed_s: fixed / 2.0,
                     });
-                    let fast = engine.decision(0.0, head, &deadlines);
                     let reference = reference_decision(&mut engine, 0.0, head, &deadlines);
+                    let fast = engine.decision(0.0, head, &deadlines);
                     let what = format!("case {case}: depth {depth}, head {done:?}");
                     assert_same_vps(&fast, &reference, &what);
                 }
@@ -833,8 +994,8 @@ mod tests {
                         done_work_gc: done,
                         rem_fixed_s: 0.05e-3,
                     });
-                    let fast = engine.decision(0.0, head, &deadlines);
                     let reference = reference_decision(&mut engine, 0.0, head, &deadlines);
+                    let fast = engine.decision(0.0, head, &deadlines);
                     let what = format!("case {case}, round {round}: depth {depth}, done {done}");
                     assert_same_vps(&fast, &reference, &what);
                 }
@@ -944,8 +1105,8 @@ mod tests {
 
     /// Every VP of `fast` at every ladder frequency equals `reference`'s
     /// to the bit.
-    fn assert_same_vps(fast: &Decision, reference: &Decision, what: &str) {
-        assert_eq!(fast.len(), reference.len(), "{what}");
+    fn assert_same_vps(fast: &Decision<'_>, reference: &Reference, what: &str) {
+        assert_eq!(fast.len(), reference.items.len(), "{what}");
         for i in 0..fast.len() {
             for &f in crate::freq::FreqLadder::paper_default().steps() {
                 assert_eq!(
@@ -1017,5 +1178,181 @@ mod tests {
         let mean1 = e.equivalent(1).mean();
         let mean5 = e.equivalent(5).mean();
         assert!((mean5 - 5.0 * mean1).abs() < 1e-6);
+    }
+
+    /// `true` iff `a` and `b` are the same PMF to the bit.
+    fn same_bits(a: &Pmf, b: &Pmf) -> bool {
+        a.origin().to_bits() == b.origin().to_bits()
+            && a.step().to_bits() == b.step().to_bits()
+            && bits(a.masses()) == bits(b.masses())
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|m| m.to_bits()).collect()
+    }
+
+    #[test]
+    fn running_sum_cdf_is_the_prefix_sum_to_the_bit() {
+        eprons_proplite::cases(32, |g, case| {
+            // A 1-bin work PMF is a delta; every exhausted head is one too.
+            let len = *g.choose(&[1, 2, 3, 7, 20, 60, 160]);
+            let origin = g.f64_in(0.0, 2.0e-3);
+            let step = g.f64_in(1.0e-5, 1.0e-4);
+            let pmf = Pmf::from_masses(origin, step, g.vec_f64(len, 0.0, 1.0));
+            let top = pmf.max_value();
+            let mut engine = VpEngine::new(ServiceModel::new(pmf, 0.0, 2.7));
+            let deadlines: Vec<f64> = (0..4).map(|_| g.f64_in(1.0e-3, 30.0e-3)).collect();
+            let dones = [
+                None,
+                Some(0.0),
+                Some(g.f64_in(0.0, top)),
+                Some(top - 0.5 * step),
+                Some(top + step),
+            ];
+            let mut summed = 0;
+            for done in dones {
+                let head = done.map(|done_work_gc| InflightHead {
+                    done_work_gc,
+                    rem_fixed_s: 0.0,
+                });
+                let d = engine.decision(0.0, head, &deadlines);
+                for i in 0..d.len() {
+                    // Conditioned slots add their prefix up at each query.
+                    let (prefix, Some(cum)) = d.dist(i) else {
+                        continue;
+                    };
+                    summed += 1;
+                    let last = prefix.origin + (prefix.len - 1) as f64 * step;
+                    // From below the origin to past the top, off the bin
+                    // centers, and on both ends.
+                    let xs = (0..=4 * prefix.len + 16)
+                        .map(|k| prefix.origin + (k as f64 - 4.3) * 0.25 * step)
+                        .chain([prefix.origin, last, last + step]);
+                    for x in xs {
+                        if prefix.bins_read(x) > prefix.mass.len() {
+                            continue;
+                        }
+                        let what = format!("case {case}: head {done:?}, item {i}, x {x}");
+                        assert_eq!(
+                            prefix.cdf_summed(cum, x).to_bits(),
+                            prefix.cdf(x).to_bits(),
+                            "{what}"
+                        );
+                        assert_eq!(
+                            prefix.ccdf_summed(cum, x).to_bits(),
+                            prefix.ccdf(x).to_bits(),
+                            "{what}"
+                        );
+                    }
+                }
+            }
+            // Every decision's first item is a level or a head.
+            assert!(summed >= dones.len(), "case {case}");
+        });
+    }
+
+    #[test]
+    fn head_classes_hold_remaining_given_done_masses_to_the_bit() {
+        eprons_proplite::cases(16, |g, case| {
+            let len = *g.choose(&[1, 2, 5, 20, 160]);
+            let mut masses = g.vec_f64(len, 0.0, 1.0);
+            masses[0] += 0.5;
+            // A zero tail: a head that keeps only it is exhausted.
+            let zeros = len / 4;
+            for m in &mut masses[len - zeros..] {
+                *m = 0.0;
+            }
+            let origin = g.f64_in(0.2e-3, 2.0e-3);
+            let step = g.f64_in(1.0e-5, 1.0e-4);
+            let work = Pmf::from_masses(origin, step, masses);
+            let ladder = VpLadder::new(ServiceModel::new(work.clone(), 0.0, 2.7));
+            // Heads short of the origin, at it, mid-bin in every bin and
+            // past the support.
+            let mut dones = vec![0.0, origin / 3.0, origin, work.max_value() + step];
+            dones.extend((0..len).map(|b| origin + (b as f64 + 0.5) * step));
+            let mut zero_tails = 0;
+            for done in dones {
+                let (class, head_origin) = ladder.head_class(done);
+                let memo = ladder.head(class);
+                let reference = reference_head(&work, done);
+                let what = format!("case {case}: done {done}, class {class}");
+                assert_eq!(bits(memo.pmf.masses()), bits(reference.masses()), "{what}");
+                assert_eq!(
+                    head_origin.to_bits(),
+                    reference.origin().to_bits(),
+                    "{what}"
+                );
+                match work.remaining_given_done(done) {
+                    Some((start, _)) => assert_eq!(class, start, "{what}"),
+                    None => {
+                        assert_eq!(class, len, "{what}: the exhausted class");
+                        zero_tails += usize::from(done < work.max_value());
+                    }
+                }
+            }
+            assert_eq!(zero_tails, zeros, "case {case}: one head per zero bin");
+        });
+    }
+
+    #[test]
+    fn dispatch_detection_agrees_with_same_bits() {
+        let step = 1.0e-5;
+        let models = [
+            Pmf::from_masses(1.0e-3, step, (1..=40).map(f64::from).collect()),
+            Pmf::delta(2.7e-3, step),
+            // A delta at half a bin: the exhausted head is the work PMF.
+            Pmf::delta(step / 2.0, step),
+        ];
+        let mut dispatches = 0;
+        for work in models {
+            let ladder = VpLadder::new(ServiceModel::new(work.clone(), 0.0, 2.7));
+            let o = work.origin();
+            // Nothing done; too little to move the origin; `0 < done <
+            // origin`; at the origin; inside and past the support.
+            let dones = [
+                0.0,
+                o * 1.0e-20,
+                o / 3.0,
+                o,
+                o + 0.5 * step,
+                work.max_value() + step,
+            ];
+            for done in dones {
+                let (class, origin) = ladder.head_class(done);
+                let whole = ladder.is_whole(class, origin);
+                assert_eq!(
+                    whole,
+                    same_bits(&reference_head(&work, done), &work),
+                    "origin {o}, done {done}"
+                );
+                dispatches += usize::from(whole);
+            }
+        }
+        // `0` and `o · 1e-20` on every model, and the half-bin delta's
+        // two exhausted heads.
+        assert_eq!(dispatches, 3 * 2 + 2);
+    }
+
+    #[test]
+    fn head_bytes_count_each_memoized_class_once() {
+        let pmf = Pmf::from_masses(0.4e-3, 2.0e-5, (1..=40).map(f64::from).collect());
+        let mut engine = VpEngine::new(ServiceModel::new(pmf, 0.0, 2.7));
+        assert_eq!(engine.ladder.head_bytes(), 0);
+        let mut after = |done_work_gc| {
+            let head = Some(InflightHead {
+                done_work_gc,
+                rem_fixed_s: 0.0,
+            });
+            let _ = engine.decision(0.0, head, &[5.0e-3; 3]);
+            engine.ladder.head_bytes()
+        };
+        // A dispatch and a head short of the origin read level 1's masses.
+        assert_eq!(after(0.0), 0);
+        assert_eq!(after(0.2e-3), 0);
+        // A head in bin 5 keeps 34 bins: a mass and a running sum each.
+        assert_eq!(after(0.4e-3 + 5.5 * 2.0e-5), 34 * 16);
+        assert_eq!(after(0.4e-3 + 5.7 * 2.0e-5), 34 * 16);
+        // The exhausted half-bin delta.
+        assert_eq!(after(1.0), 35 * 16);
     }
 }

@@ -49,14 +49,16 @@ pub fn xapian_like_samples(rng: &mut SimRng, n: usize) -> Vec<f64> {
 
 /// As [`xapian_like_samples`] with explicit parameters.
 fn xapian_like_samples_with(rng: &mut SimRng, n: usize, p: &XapianLikeParams) -> Vec<f64> {
+    let fast = (p.fast_median_s.ln(), p.fast_sigma);
+    let slow = (p.slow_median_s.ln(), p.slow_sigma);
     (0..n)
         .map(|_| {
-            let (median, sigma) = if rng.bernoulli(p.fast_weight) {
-                (p.fast_median_s, p.fast_sigma)
+            let (mu, sigma) = if rng.bernoulli(p.fast_weight) {
+                fast
             } else {
-                (p.slow_median_s, p.slow_sigma)
+                slow
             };
-            rng.lognormal(median.ln(), sigma).min(p.cap_s)
+            rng.lognormal(mu, sigma).min(p.cap_s)
         })
         .collect()
 }
