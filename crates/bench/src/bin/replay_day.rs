@@ -220,6 +220,8 @@ fn main() {
     let ec_misses0 = counter("core.evalcache.misses");
     let sv_hits0 = counter("core.serveval.hits");
     let sv_misses0 = counter("core.serveval.misses");
+    let cc_hits0 = counter("core.consolidation.hits");
+    let cc_misses0 = counter("core.consolidation.misses");
     let (incremental, incremental_s) = time_day(
         &mut r,
         "day_replay/incremental",
@@ -235,6 +237,20 @@ fn main() {
     let ec_misses = counter("core.evalcache.misses") - ec_misses0;
     let sv_hits = counter("core.serveval.hits") - sv_hits0;
     let sv_misses = counter("core.serveval.misses") - sv_misses0;
+    let cc_hits = counter("core.consolidation.hits") - cc_hits0;
+    let cc_misses = counter("core.consolidation.misses") - cc_misses0;
+    // What the day's consolidation memo held at day end, from its
+    // `DayCacheReport` row (the rebuild day holds no memo).
+    let cc_bytes = eprons_obs::journal()
+        .find_last(|e| match e {
+            eprons_obs::Event::DayCacheReport { cache, bytes, .. }
+                if cache == "core.consolidation" =>
+            {
+                Some(*bytes)
+            }
+            _ => None,
+        })
+        .expect("the incremental day reports its consolidation memo");
     let (rebuild, rebuild_s) = time_day(
         &mut r,
         "day_replay/rebuild",
@@ -302,6 +318,7 @@ fn main() {
     );
     println!("daycache: {dc_hits} hits / {dc_misses} misses / {dc_evictions} evictions");
     println!("evalcache: {ec_hits} hits / {ec_misses} misses");
+    println!("consolidation: {cc_hits} hits / {cc_misses} misses / {cc_bytes} bytes");
 
     const SPEEDUP_TARGET: f64 = 4.0;
     let met = bit_identical && speedup >= SPEEDUP_TARGET;
@@ -352,6 +369,14 @@ fn main() {
             Json::Obj(vec![
                 ("hits".into(), Json::Num(ec_hits as f64)),
                 ("misses".into(), Json::Num(ec_misses as f64)),
+            ]),
+        ),
+        (
+            "consolidation".into(),
+            Json::Obj(vec![
+                ("hits".into(), Json::Num(cc_hits as f64)),
+                ("misses".into(), Json::Num(cc_misses as f64)),
+                ("bytes".into(), Json::Num(cc_bytes as f64)),
             ]),
         ),
         ("bit_identical".into(), Json::Bool(bit_identical)),

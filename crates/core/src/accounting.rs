@@ -1,8 +1,6 @@
 //! Power breakdowns, savings arithmetic (Fig. 15b's bars), and the final
 //! accounting stage of the staged cluster pipeline.
 
-use std::collections::HashMap;
-
 use crate::cluster::{ClusterRunResult, LatencySummary};
 use crate::scenario::{NetworkPlan, ScenarioContext, ServerEvaluation};
 
@@ -28,8 +26,15 @@ pub(crate) fn assemble(
     let mut server_latencies: Vec<f64> = Vec::new();
     let mut server_misses = 0usize;
     let mut server_completions = 0usize;
-    // server latency per (server, query id).
-    let mut lat_of: HashMap<(usize, u64), f64> = HashMap::new();
+    // Warmup queries are simulated but not scored. Queries are generated
+    // in arrival order with ids equal to their index, so the scored ones
+    // are the suffix from id `first`.
+    let first = d.queries.partition_point(|q| q.time_s < d.warmup_s);
+    let scored = &d.queries[first..];
+    // Server latency per (server, scored query), flat: shard `s`'s row
+    // holds one slot per scored query, NaN until its sub-query completes.
+    let nq = scored.len();
+    let mut lat_of = vec![f64::NAN; eval.shards.len() * nq];
     for (s, shard) in eval.shards.iter().enumerate() {
         cpu_power_w += cfg.cpu.cores as f64 * shard.avg_core_w;
         server_w += cfg.cpu.server_w(shard.avg_core_w);
@@ -39,7 +44,9 @@ pub(crate) fn assemble(
             if lat > budget {
                 server_misses += 1;
             }
-            lat_of.insert((s, tag), lat);
+            if let Some(i) = (tag as usize).checked_sub(first) {
+                lat_of[s * nq + i] = lat;
+            }
         }
     }
 
@@ -48,17 +55,12 @@ pub(crate) fn assemble(
     let mut query_net: Vec<f64> = Vec::with_capacity(d.queries.len());
     let mut query_e2e: Vec<f64> = Vec::with_capacity(d.queries.len());
     let mut e2e: Vec<f64> = Vec::with_capacity(d.queries.len() * n);
-    for q in &d.queries {
-        if q.time_s < d.warmup_s {
-            continue; // warmup queries are simulated but not scored
-        }
+    for q in scored {
         let mut worst_net: f64 = 0.0;
         let mut worst_e2e: f64 = 0.0;
         for &(s, req, rep) in &plan.net_lat[q.id as usize] {
-            let srv = lat_of
-                .get(&(s, q.id))
-                .copied()
-                .expect("every sub-query completes");
+            let srv = lat_of[s * nq + q.id as usize - first];
+            assert!(!srv.is_nan(), "every sub-query completes");
             worst_net = worst_net.max(req + rep);
             worst_e2e = worst_e2e.max(req + srv + rep);
             e2e.push(req + srv + rep);

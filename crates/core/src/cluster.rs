@@ -189,10 +189,11 @@ impl LatencySummary {
                 p99_s: 0.0,
             };
         }
+        let [p95_s, p99_s] = eprons_num::quantile::percentiles(samples, [0.95, 0.99]);
         LatencySummary {
             mean_s: samples.iter().sum::<f64>() / samples.len() as f64,
-            p95_s: eprons_num::quantile::percentile(samples, 0.95),
-            p99_s: eprons_num::quantile::percentile(samples, 0.99),
+            p95_s,
+            p99_s,
         }
     }
 }

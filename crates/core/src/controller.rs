@@ -32,6 +32,7 @@
 //! inputs and is bit-identical across thread budgets.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use eprons_net::failure::{
     DegradationPolicy, DegradationStage, FailureEvent, FailureEventKind, FailureSchedule,
@@ -49,7 +50,7 @@ use crate::cluster::{ClusterRun, ClusterRunResult, ConsolidationSpec, ServerSche
 use crate::config::{ClusterConfig, DayScopeConfig, DeferralConfig, OnlineConfig};
 use crate::optimizer::optimize_in_context_pruned;
 use crate::parallel::parallel_map;
-use crate::scenario::{DayContext, NetworkPlan, ScenarioContext, ScenarioSpec};
+use crate::scenario::{DayContext, ScenarioContext, ScenarioSpec};
 
 /// The three Fig. 15 contenders.
 #[derive(Debug, Clone)]
@@ -742,8 +743,10 @@ impl DayLoop<'_> {
         };
         let mut mask = ep.mask.clone();
         // The live assignment repairs mutate in place (rung 1): the
-        // winner's consolidation around `routed`, re-run on a repair's
-        // first use. Only a repair reads it, and it reads no latencies.
+        // winner's consolidation around `routed`, fetched on a repair's
+        // first use as this epoch's own copy, so the day memo's entry
+        // stays as consolidated. Only a repair reads it, and it reads no
+        // latencies.
         let mut routed = mask.clone();
         let mut assignment: Option<Option<Assignment>> = None;
         let active_ids = |a: &Assignment| -> Vec<usize> {
@@ -784,7 +787,11 @@ impl DayLoop<'_> {
             rec.failed_switches.push(ev.switch);
             // Rung 1: re-route the victims in place.
             let live = policy.attempt_repair.then(|| {
-                assignment.get_or_insert_with(|| NetworkPlan::consolidate(ctx, spec, &routed).ok())
+                assignment.get_or_insert_with(|| {
+                    ctx.consolidation(spec, &routed)
+                        .ok()
+                        .map(Arc::unwrap_or_clone)
+                })
             });
             if let Some(a) = live.and_then(Option::as_mut) {
                 match policy.try_repair(a, &d.ft, &d.flows, NodeId(ev.switch), &cfg.net_power) {

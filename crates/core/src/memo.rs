@@ -1,8 +1,9 @@
 //! The one memo type behind the scenario layer's caches.
 //!
-//! Every cache a [`crate::scenario::ScenarioContext`] keeps — whole
-//! evaluation results, stage-3 runs, candidate power floors — maps an
-//! exact key to a value that is a pure function of that key given the
+//! Every cache the scenario layer keeps — whole evaluation results and
+//! stage-3 runs per [`crate::scenario::ScenarioContext`], consolidations
+//! and candidate power floors per [`crate::scenario::DayContext`] — maps
+//! an exact key to a value that is a pure function of that key given the
 //! context. [`Memo`] is that map plus its [`Tally`]: one lock,
 //! one lookup rule, one hit/miss count, instead of one hand-rolled copy
 //! per cache.
@@ -91,6 +92,11 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
         self.tally.count(false, weight);
         self.lock().insert(key, v.clone());
         v
+    }
+
+    /// Drops every entry; the tally keeps its counts.
+    pub(crate) fn clear(&self) {
+        self.lock().clear();
     }
 
     /// `f` summed over the entries held.

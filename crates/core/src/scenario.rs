@@ -16,7 +16,9 @@
 //!    plus per-sub-query network latency sampling along the assigned
 //!    paths. It runs once per result-memo miss; the constraint and scheme
 //!    sweeps of Figs. 12–13 share one plan per candidate through
-//!    [`ScenarioContext::evaluate_grid`].
+//!    [`ScenarioContext::evaluate_grid`]. A day-scoped context takes the
+//!    consolidation from its [`DayContext`]'s memo when one at the same
+//!    background level already ran it.
 //! 3. [`ServerEvaluation::run`] — per (plan, [`ServerScheme`], SLA): the
 //!    per-ISN DVFS simulations with the plan's request slack folded into
 //!    each request's compute budget.
@@ -41,6 +43,7 @@ use std::time::Instant;
 use eprons_net::consolidate::pod::{consolidate_pod_decomposed, PodRunner};
 use eprons_net::consolidate::AggregationRouter;
 use eprons_net::flow::FlowSet;
+use eprons_net::links::direction_from;
 use eprons_net::{
     Assignment, ConsolidationConfig, Consolidator, FlowClass, FlowId, GreedyConsolidator, PathArena,
 };
@@ -178,6 +181,72 @@ type EvalOutcome = Result<ClusterRunResult, ClusterError>;
 /// shares one floor (mirroring the optimizer's per-ladder sharing).
 type FloorKey = (u8, u8, u64, Vec<usize>);
 
+/// The background level a day's consolidation memo holds: the master
+/// seed and the background fraction's bits. Given the day's `cfg`, the
+/// flow set — everything a consolidation or a power floor reads that
+/// varies between a day's contexts — is a pure function of these two;
+/// the search load moves only the query arrivals.
+type LevelKey = (u64, u64);
+
+/// One consolidation's outcome: the assignment, shared by `Arc` with
+/// every plan built on it, or the error it deterministically fails with.
+type Consolidated = Result<Arc<Assignment>, ClusterError>;
+
+/// A day's consolidation memo: the consolidations and candidate power
+/// floors of one background level, shared by every context a
+/// [`DayContext`] builds or rebinds. Contexts at one level differ only in
+/// their search load, which neither reads, so a rebind at an unchanged
+/// level reuses what its predecessors computed.
+///
+/// Keys carry their level, so an entry is never served at another one;
+/// the memo holds one level at a time — a lookup at a new level empties
+/// it first. Failures are cached too, as the result memo caches them.
+#[derive(Debug)]
+pub(crate) struct DayMemo {
+    /// The level the entries belong to.
+    level: Mutex<Option<LevelKey>>,
+    consolidations: Memo<(LevelKey, PlanKey), Consolidated>,
+    floors: Memo<(LevelKey, FloorKey), f64>,
+}
+
+impl DayMemo {
+    fn new() -> DayMemo {
+        DayMemo {
+            level: Mutex::new(None),
+            consolidations: Memo::new(Tally::named(
+                "core.consolidation.hits",
+                "core.consolidation.misses",
+            )),
+            floors: Memo::new(Tally::default()),
+        }
+    }
+
+    /// Empties the memo when `level` is not the one it holds. A lookup
+    /// racing a level change at most leaves one stale entry behind until
+    /// the next change; its key's level keeps it from being served.
+    fn enter(&self, level: LevelKey) {
+        let mut held = self.level.lock().unwrap_or_else(|e| e.into_inner());
+        if *held != Some(level) {
+            self.consolidations.clear();
+            self.floors.clear();
+            *held = Some(level);
+        }
+    }
+
+    /// Approximate bytes held: each assignment's pools and link state,
+    /// each floor entry and its mask.
+    fn bytes(&self) -> usize {
+        self.consolidations.sum(|(_, (.., mask)), c| {
+            std::mem::size_of::<Consolidated>()
+                + mask.len() * std::mem::size_of::<usize>()
+                + c.as_ref().map_or(0, |a| a.heap_bytes())
+        }) + self.floors.sum(|(_, (.., mask)), _| {
+            std::mem::size_of::<((LevelKey, FloorKey), f64)>()
+                + mask.len() * std::mem::size_of::<usize>()
+        })
+    }
+}
+
 /// The axes a [`ScenarioContext`] is keyed by: everything in a
 /// [`ClusterRun`] except the per-candidate network configuration and the
 /// per-evaluation server scheme (neither feeds the workload build).
@@ -237,11 +306,10 @@ pub(crate) struct ScenarioData {
     /// masked candidate that routes differently but samples identical
     /// latencies skips the per-ISN simulations.
     pub(crate) server_evals: Memo<StageThreeKey, Arc<ServerEvaluation>>,
-    /// Memoized candidate power floors (pure, always on): the optimizer
-    /// recomputes its pruning bounds every search otherwise, and at
-    /// k ≥ 16 the GreedyK mandatory-element walk is the search's largest
-    /// serial cost on a warm context.
-    pub(crate) floor_cache: Memo<FloorKey, f64>,
+    /// The consolidation and power-floor memo of the [`DayContext`] that
+    /// built or rebound this context; `None` on a plain
+    /// [`ScenarioContext::build`].
+    pub(crate) day_memo: Option<Arc<DayMemo>>,
     pub(crate) hosts: Vec<NodeId>,
     /// The service model with its VP convolution ladder, shared by every
     /// server shard of every evaluation on this context and by every
@@ -315,6 +383,16 @@ impl ScenarioContext {
     /// and background workloads, flow set, and the per-candidate RNG
     /// snapshots.
     pub fn build(cfg: &ClusterConfig, spec: &ScenarioSpec) -> ScenarioContext {
+        ScenarioContext::build_in(cfg, spec, None)
+    }
+
+    /// [`ScenarioContext::build`], consolidating through `day_memo` when
+    /// a day holds one.
+    fn build_in(
+        cfg: &ClusterConfig,
+        spec: &ScenarioSpec,
+        day_memo: Option<Arc<DayMemo>>,
+    ) -> ScenarioContext {
         let _t = eprons_obs::Timer::scoped("core.scenario.build_s");
         let mut sp = eprons_obs::Span::enter("scenario.build");
         let obs_on = eprons_obs::enabled();
@@ -355,6 +433,7 @@ impl ScenarioContext {
                     .map(|s| server_seed_rng.fork(s as u64).uniform().to_bits())
                     .collect(),
             },
+            day_memo,
         );
         if obs_on {
             let d = &*ctx.data;
@@ -376,7 +455,12 @@ impl ScenarioContext {
     /// `base`. The demand streams are re-forked from a fresh master in
     /// build order — `fork` advances the parent, so the *sequence* of
     /// forks, not the salt alone, reproduces them bit for bit.
-    fn with_demand(cfg: &ClusterConfig, spec: &ScenarioSpec, base: Invariant) -> ScenarioContext {
+    fn with_demand(
+        cfg: &ClusterConfig,
+        spec: &ScenarioSpec,
+        base: Invariant,
+        day_memo: Option<Arc<DayMemo>>,
+    ) -> ScenarioContext {
         let mut master = SimRng::seed_from_u64(spec.seed);
         master.fork(1);
         let mut query_rng = master.fork(2);
@@ -425,7 +509,7 @@ impl ScenarioContext {
                 arena: base.arena,
                 eval_cache: Memo::new(Tally::named("core.evalcache.hits", "core.evalcache.misses")),
                 server_evals: Memo::new(Tally::named("core.serveval.hits", "core.serveval.misses")),
-                floor_cache: Memo::new(Tally::default()),
+                day_memo,
                 hosts: base.hosts,
                 vp_ladder: base.vp_ladder,
                 mean_service_s: base.mean_service_s,
@@ -471,11 +555,13 @@ impl ScenarioContext {
     /// bit-identical to `build(cfg, spec)` (the day-incremental golden
     /// pins this). A different seed falls back to a full build.
     ///
-    /// Every memo starts empty — results depend on the demand-dependent
-    /// latency sampling.
+    /// Every per-context memo starts empty — results depend on the
+    /// demand-dependent latency sampling. The day memo, if any, carries
+    /// over: it is keyed by what it reads.
     pub(crate) fn rebind_demand(&self, spec: &ScenarioSpec) -> ScenarioContext {
+        let day_memo = self.data.day_memo.clone();
         if spec.seed != self.spec.seed {
-            return ScenarioContext::build(&self.cfg, spec);
+            return ScenarioContext::build_in(&self.cfg, spec, day_memo);
         }
         let _t = eprons_obs::Timer::scoped("core.scenario.rebind_s");
         let mut sp = eprons_obs::Span::enter("scenario.rebind");
@@ -492,6 +578,7 @@ impl ScenarioContext {
                 mean_service_s: d.mean_service_s,
                 server_seeds: d.server_seeds.clone(),
             },
+            day_memo,
         );
         if obs_on {
             eprons_obs::registry()
@@ -687,19 +774,25 @@ impl ScenarioContext {
         self.cfg.consolidate_strategy.effective(self.cfg.fat_tree_k)
     }
 
-    /// [`crate::optimizer::candidate_power_floor_w`] through the
-    /// per-context floor memo. The floor is a pure function of (scheme,
-    /// candidate, mask) given this context's flow set, so caching is
+    /// [`crate::optimizer::candidate_power_floor_w`], through the day
+    /// memo when the context has one. The floor is a pure function of
+    /// (scheme, candidate, mask) given the flow set, so caching is
     /// invisible to the optimizer's pruning decisions; it just stops a
-    /// revived day-cache slot from re-walking the arena for bounds it
-    /// has already computed. `GreedyK` keys collapse `K` (the bound
-    /// counts mandatory elements only, shared by the whole ladder).
+    /// day's later contexts at the same background level from
+    /// re-walking the arena for bounds already computed. A plain build
+    /// computes each floor afresh: its contexts never asked for one
+    /// twice. `GreedyK` keys collapse `K` (the bound counts mandatory
+    /// elements only, shared by the whole ladder).
     pub(crate) fn floor_cached(
         &self,
         scheme: ServerScheme,
         spec: ConsolidationSpec,
         excluded: &[NodeId],
     ) -> f64 {
+        let floor = || crate::optimizer::candidate_power_floor_w(self, scheme, spec, excluded);
+        let Some(memo) = &self.data.day_memo else {
+            return floor();
+        };
         let (tag, bits) = match spec {
             ConsolidationSpec::AllOn => (0u8, 0u64),
             ConsolidationSpec::Level(l) => (1, l as u64),
@@ -708,10 +801,37 @@ impl ScenarioContext {
         let mut mask: Vec<usize> = excluded.iter().map(|n| n.0).collect();
         mask.sort_unstable();
         mask.dedup();
-        let key: FloorKey = (scheme_index(scheme), tag, bits, mask);
-        self.data.floor_cache.get_or_insert(key, 1, || {
-            crate::optimizer::candidate_power_floor_w(self, scheme, spec, excluded)
-        })
+        let level = self.level();
+        memo.enter(level);
+        memo.floors
+            .get_or_insert((level, (scheme_index(scheme), tag, bits, mask)), 1, floor)
+    }
+
+    /// The background level of this context's flow set.
+    fn level(&self) -> LevelKey {
+        (self.spec.seed, self.spec.background_util.to_bits())
+    }
+
+    /// `consolidation`'s assignment of this context's flow set around the
+    /// `mask`ed switches, through the day memo when the context has one
+    /// (a plain build consolidates afresh). `mask` must be sorted and
+    /// deduplicated.
+    pub(crate) fn consolidation(
+        &self,
+        consolidation: ConsolidationSpec,
+        mask: &[NodeId],
+    ) -> Consolidated {
+        debug_assert!(mask.windows(2).all(|w| w[0] < w[1]), "mask not normalized");
+        let run = || NetworkPlan::consolidate(self, consolidation, mask).map(Arc::new);
+        match &self.data.day_memo {
+            Some(memo) => {
+                let level = self.level();
+                memo.enter(level);
+                let key = plan_key(consolidation, self.effective_strategy(), mask);
+                memo.consolidations.get_or_insert((level, key), 1, run)
+            }
+            None => run(),
+        }
     }
 
     /// Fans `candidates` out over the thread budget, evaluating each one
@@ -775,8 +895,11 @@ const DAY_SLOTS: usize = 32;
 /// rebuilding the world. A miss rebinds demand from the most recent slot
 /// (`ScenarioContext::rebind_demand`), which shares the topology,
 /// arena and service model, so even misses skip the
-/// expensive invariant build. Either way the returned context is
-/// bit-identical to a fresh [`ScenarioContext::build`].
+/// expensive invariant build. Every context the day holds shares one
+/// consolidation memo, so a miss at an unchanged background level
+/// reuses the consolidations and power floors computed before it.
+/// Either way the returned context is bit-identical to a fresh
+/// [`ScenarioContext::build`].
 #[derive(Debug)]
 pub struct DayContext {
     cfg: ClusterConfig,
@@ -788,6 +911,8 @@ pub struct DayContext {
     /// The result-memo and stage-3 tallies of evicted slots, so the day's
     /// report still counts the lookups made on them.
     evicted: [Tally; 2],
+    /// The consolidation memo every context of the day shares.
+    memo: Arc<DayMemo>,
 }
 
 impl DayContext {
@@ -799,6 +924,7 @@ impl DayContext {
             tally: Tally::named("core.daycache.hits", "core.daycache.misses"),
             evictions: AtomicU64::new(0),
             evicted: [Tally::default(), Tally::default()],
+            memo: Arc::new(DayMemo::new()),
         }
     }
 
@@ -819,7 +945,7 @@ impl DayContext {
         }
         let ctx = match slots.last() {
             Some((_, base)) => base.rebind_demand(spec),
-            None => ScenarioContext::build(&self.cfg, spec),
+            None => ScenarioContext::build_in(&self.cfg, spec, Some(Arc::clone(&self.memo))),
         };
         self.tally.count(false, 1);
         slots.push((key, ctx.clone()));
@@ -841,11 +967,12 @@ impl DayContext {
     /// The day's [`eprons_obs::Event::DayCacheReport`] rows: the day cache
     /// itself (`core.daycache`), then the result memos (`core.evalcache`)
     /// and stage-3 memos (`server.serveval`) of every context it has
-    /// held. Hits and misses are this day's lookups, evicted slots'
-    /// included; `bytes` approximates what the live slots hold (the
-    /// shared base — arena, service model — is excluded: it exists once
-    /// regardless of slot count).
-    pub(crate) fn report(&self) -> [eprons_obs::Event; 3] {
+    /// held, then the day's consolidation memo (`core.consolidation`).
+    /// Hits and misses are this day's lookups, evicted slots' included;
+    /// `bytes` approximates what the live slots and the consolidation
+    /// memo hold (the shared base — arena, service model — is excluded:
+    /// it exists once regardless of slot count).
+    pub(crate) fn report(&self) -> [eprons_obs::Event; 4] {
         let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
         let live_bytes = |bytes: fn(&ScenarioData) -> usize| {
             slots.iter().map(|(_, ctx)| bytes(&ctx.data)).sum::<usize>() as u64
@@ -907,6 +1034,13 @@ impl DayContext {
                     })
                 }),
             ),
+            // Consolidation lookups; the bytes include the level's floors.
+            row(
+                "core.consolidation",
+                self.memo.consolidations.tally().get(),
+                0,
+                self.memo.bytes() as u64,
+            ),
         ]
     }
 }
@@ -922,7 +1056,8 @@ fn memo_tallies(d: &ScenarioData) -> [&Tally; 2] {
 /// sampled along its paths.
 #[derive(Debug, Clone)]
 pub struct NetworkPlan {
-    pub(crate) assignment: Assignment,
+    /// Shared with the day memo's entry when the context has one.
+    pub(crate) assignment: Arc<Assignment>,
     pub(crate) max_link_utilization: f64,
     /// Peak utilization above the congestion threshold (withdraws
     /// TimeTrader's network slack).
@@ -948,7 +1083,7 @@ impl NetworkPlan {
         }
         let d = &*ctx.data;
         let n = d.hosts.len();
-        let assignment = NetworkPlan::consolidate(ctx, consolidation, mask)?;
+        let assignment = ctx.consolidation(consolidation, mask)?;
 
         let max_link_utilization = assignment.max_utilization(&d.ft);
         let congested = max_link_utilization > ctx.cfg.congestion_threshold;
@@ -963,23 +1098,25 @@ impl NetworkPlan {
         // same RNG draws either way, so the stream (and every downstream
         // bit) is unchanged.
         let _latency_span = eprons_obs::Span::enter("latency_sample");
-        let state = assignment.state();
         let topo = d.ft.topology();
         let mut net_rng = d.net_rng.clone();
         // One flat buffer of per-hop utilizations for all n·(n−1) pairs
         // (offsets index it) instead of a map of n² small vectors — the
         // utilizations are RNG-free, so the layout change is invisible to
-        // the sampled stream.
+        // the sampled stream. Each directed hop's utilization is divided
+        // once and gathered per pair.
+        let hop_util = assignment.state().directed_utilizations();
         let mut util_off: Vec<u32> = Vec::with_capacity(n * n + 1);
         let mut util_buf: Vec<f64> = Vec::new();
-        let mut scratch = Vec::new();
         util_off.push(0);
         for a in 0..n {
             for b in 0..n {
                 if a != b {
-                    let fid = d.pair_flow[a * n + b];
-                    state.path_utilizations_into(topo, assignment.path(fid), &mut scratch);
-                    util_buf.extend_from_slice(&scratch);
+                    let path = assignment.path(d.pair_flow[a * n + b]);
+                    util_buf.extend(
+                        path.hops()
+                            .map(|(from, _, l)| hop_util[2 * l.0 + direction_from(topo, l, from)]),
+                    );
                 }
                 util_off.push(util_buf.len() as u32);
             }
@@ -1021,7 +1158,8 @@ impl NetworkPlan {
     /// scenario's flow set with the `mask`ed (failed) switches excluded —
     /// no path crosses one, and they stay powered off even inside an
     /// aggregation preset. `mask` must be sorted and deduplicated.
-    pub(crate) fn consolidate(
+    /// Memo-free: callers go through [`ScenarioContext::consolidation`].
+    fn consolidate(
         ctx: &ScenarioContext,
         consolidation: ConsolidationSpec,
         mask: &[NodeId],
@@ -1419,6 +1557,198 @@ mod tests {
         assert_eq!((hits, misses), (1, 2), "result-memo lookups of the day");
         let (hits, misses, _, _) = report_row(&day, "server.serveval");
         assert_eq!((hits, misses), (0, 2 * n), "one stage-3 run per miss");
+    }
+
+    /// A seed-7 spec at `load` and background `bg`.
+    fn level_spec(load: f64, bg: f64) -> ScenarioSpec {
+        ScenarioSpec {
+            server_utilization: load,
+            background_util: bg,
+            duration_s: 0.2,
+            warmup_s: 0.0,
+            seed: 7,
+        }
+    }
+
+    /// The day memo a day-scoped context consolidates through.
+    fn day_memo(ctx: &ScenarioContext) -> &DayMemo {
+        ctx.data.day_memo.as_deref().expect("a day-scoped context")
+    }
+
+    /// Two contexts of one day at the same background level and different
+    /// search loads: the second's consolidation and power floor hit and
+    /// share the first's, and its evaluation matches a plain build's bit
+    /// for bit.
+    #[test]
+    fn day_memo_serves_a_second_search_load_at_the_same_level() {
+        let cfg = ClusterConfig::default();
+        let (scheme, k2) = (ServerScheme::EpronsServer, ConsolidationSpec::GreedyK(2.0));
+        let day = DayContext::new(&cfg);
+        let first = day.context_for(&level_spec(0.2, 0.2));
+        let second = day.context_for(&level_spec(0.4, 0.2));
+        let memo = day_memo(&second);
+        assert!(std::ptr::eq(day_memo(&first), memo), "one memo per day");
+
+        let a = first.consolidation(k2, &[]).unwrap();
+        let b = second.consolidation(k2, &[]).unwrap();
+        assert_eq!(
+            memo.consolidations.tally().get(),
+            (1, 1),
+            "the second load hits"
+        );
+        assert!(Arc::ptr_eq(&a, &b), "a hit shares the memoized assignment");
+        let floor = first.floor_cached(scheme, k2, &[]);
+        assert_eq!(
+            second.floor_cached(scheme, k2, &[]).to_bits(),
+            floor.to_bits()
+        );
+        assert_eq!(
+            memo.floors.tally().get(),
+            (1, 1),
+            "the second load's floor hits"
+        );
+
+        let fresh = ScenarioContext::build(&cfg, &level_spec(0.4, 0.2));
+        assert_eq!(
+            format!("{:?}", *b),
+            format!("{:?}", fresh.consolidation(k2, &[]).unwrap())
+        );
+        assert_eq!(
+            format!("{:?}", second.evaluate(scheme, k2)),
+            format!("{:?}", fresh.evaluate(scheme, k2))
+        );
+        assert_eq!(
+            memo.consolidations.tally().get(),
+            (2, 1),
+            "the evaluation hits"
+        );
+    }
+
+    /// Another background level, mask or `K` misses; a new level empties
+    /// the memo, and what it then consolidates matches a plain build.
+    #[test]
+    fn day_memo_misses_on_another_level_mask_or_k() {
+        let cfg = ClusterConfig::default();
+        let (k1, k2) = (
+            ConsolidationSpec::GreedyK(1.0),
+            ConsolidationSpec::GreedyK(2.0),
+        );
+        let day = DayContext::new(&cfg);
+        let low = day.context_for(&level_spec(0.2, 0.1));
+        let memo = day_memo(&low);
+        let entries = || memo.consolidations.sum(|_, _| 1);
+        let core = low.data.ft.core(0, 0);
+        low.consolidation(k2, &[]).unwrap();
+        low.consolidation(k2, &[core]).unwrap();
+        low.consolidation(k1, &[]).unwrap();
+        assert_eq!(memo.consolidations.tally().get(), (0, 3), "mask and K miss");
+        assert_eq!(entries(), 3);
+
+        for bg in [0.3, 0.1] {
+            let spec = level_spec(0.2, bg);
+            let ctx = day.context_for(&spec);
+            let misses = memo.consolidations.tally().get().1;
+            let got = ctx.consolidation(k2, &[]);
+            assert_eq!(
+                memo.consolidations.tally().get(),
+                (0, misses + 1),
+                "background {bg} must miss"
+            );
+            assert_eq!(entries(), 1, "a new level empties the memo");
+            let fresh = ScenarioContext::build(&cfg, &spec).consolidation(k2, &[]);
+            assert_eq!(format!("{got:?}"), format!("{fresh:?}"), "background {bg}");
+        }
+    }
+
+    /// A plain build, and what it rebinds, consolidate afresh every time.
+    #[test]
+    fn plain_build_has_no_day_memo() {
+        let cfg = ClusterConfig::default();
+        let k2 = ConsolidationSpec::GreedyK(2.0);
+        let ctx = ScenarioContext::build(&cfg, &level_spec(0.2, 0.2));
+        assert!(ctx.data.day_memo.is_none());
+        assert!(ctx
+            .rebind_demand(&level_spec(0.4, 0.2))
+            .data
+            .day_memo
+            .is_none());
+        let (a, b) = (ctx.consolidation(k2, &[]), ctx.consolidation(k2, &[]));
+        assert!(
+            !Arc::ptr_eq(&a.unwrap(), &b.unwrap()),
+            "nothing is memoized"
+        );
+    }
+
+    /// The survive stage repairs its own copy of the memoized assignment:
+    /// a day whose rung-1 repair re-routes around a failed core, followed
+    /// by epochs at the same background level that consolidate through
+    /// the memo, stays bit-identical to the per-epoch rebuild day.
+    #[test]
+    fn survive_repair_leaves_the_memoized_entry_untouched() {
+        use crate::controller::{simulate_day_with_failures, DayConfig, DayStrategy};
+        use crate::DayScopeConfig;
+        use eprons_net::failure::{
+            DegradationStage, FailureEvent, FailureEventKind, FailureSchedule,
+        };
+        use eprons_workload::adversarial::TraceScenario;
+        use eprons_workload::replay::ReplayTrace;
+
+        let cfg = ClusterConfig::default();
+        // Six 240-minute epochs at distinct search loads over one constant
+        // background: every epoch is a new context at the same level.
+        let loads = [0.3, 0.5, 0.4, 0.6, 0.35, 0.45];
+        let search = ReplayTrace::new((0..1440).map(|m| loads[m / 240]).collect());
+        let day = |incremental| DayConfig {
+            epoch_minutes: 240,
+            sim_seconds: 0.3,
+            peak_utilization: 0.5,
+            seed: 99,
+            warm_start: true,
+            search_trace: TraceScenario::Replay(search.clone()),
+            background_trace: TraceScenario::Replay(ReplayTrace::constant(0.2)),
+            day_scope: Some(DayScopeConfig { incremental }),
+            ..DayConfig::default()
+        };
+        let strategy = DayStrategy::Eprons {
+            candidates: vec![ConsolidationSpec::GreedyK(2.0)],
+        };
+        // Fail a core that epoch 1's winner routes through.
+        let clean = simulate_day_with_failures(
+            &cfg,
+            &strategy,
+            &day(true),
+            &FailureSchedule::scripted(Vec::new()),
+        );
+        let ft = FatTree::new(cfg.fat_tree_k, cfg.link_capacity_mbps);
+        let half = cfg.fat_tree_k / 2;
+        let core = (0..half * half)
+            .map(|i| ft.core(i / half, i % half).0)
+            .find(|c| clean[1].active_switch_ids.contains(c))
+            .expect("epoch 1 routes through a core");
+        let schedule = FailureSchedule::scripted(vec![
+            FailureEvent {
+                minute: 300.0,
+                switch: core,
+                kind: FailureEventKind::Fail,
+            },
+            FailureEvent {
+                minute: 400.0,
+                switch: core,
+                kind: FailureEventKind::Recover,
+            },
+        ]);
+        let rebuild = simulate_day_with_failures(&cfg, &strategy, &day(false), &schedule);
+        let incremental = simulate_day_with_failures(&cfg, &strategy, &day(true), &schedule);
+        assert_eq!(incremental[1].degradation, Some(DegradationStage::Repaired));
+        for (b, i) in rebuild.iter().zip(&incremental) {
+            assert_eq!(
+                (b.breakdown.total_w().to_bits(), &b.active_switch_ids),
+                (i.breakdown.total_w().to_bits(), &i.active_switch_ids),
+                "minute {}",
+                b.minute
+            );
+            assert_eq!(b.e2e_p95_s.to_bits(), i.e2e_p95_s.to_bits());
+        }
     }
 
     /// `(hits, misses, evictions, bytes)` of `cache`'s row of `day`'s

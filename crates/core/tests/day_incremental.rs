@@ -503,7 +503,7 @@ fn day_cache_report_ignores_concurrent_evaluations() {
     });
     eprons_obs::set_enabled(false);
 
-    assert_eq!(alone.len(), 3, "one row per day-scope cache");
+    assert_eq!(alone.len(), 4, "one row per day-scope cache");
     assert!(evaluations > 0, "the other thread must have evaluated");
     assert_eq!(
         during, alone,

@@ -181,6 +181,13 @@ impl PathCollector {
         self.spans.len()
     }
 
+    /// Heap bytes of the three pools.
+    fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<NodeId>()
+            + self.links.capacity() * std::mem::size_of::<LinkId>()
+            + self.spans.capacity() * std::mem::size_of::<PathSpan>()
+    }
+
     /// Whether the collector has no slots.
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
@@ -353,6 +360,12 @@ impl Assignment {
     /// DCN power under a power model.
     pub fn network_power_w(&self, net: &dyn MultipathTopology, model: &NetworkPowerModel) -> f64 {
         model.power_w(net.topology(), &self.state)
+    }
+
+    /// Heap bytes the assignment holds: its path pools and its link
+    /// state.
+    pub fn heap_bytes(&self) -> usize {
+        self.store.heap_bytes() + self.state.heap_bytes()
     }
 
     /// Highest link utilization (actual loads).

@@ -122,6 +122,25 @@ impl NetworkState {
         self.load_dir(l, dir) / self.capacity_mbps[l.0]
     }
 
+    /// Every directed hop's utilization, indexed `2·link + dir` — the
+    /// values [`Self::path_utilizations_ref`] reads hop by hop, divided
+    /// once each.
+    pub fn directed_utilizations(&self) -> Vec<f64> {
+        self.load_mbps
+            .iter()
+            .enumerate()
+            .map(|(i, &load)| load / self.capacity_mbps[i / 2])
+            .collect()
+    }
+
+    /// Heap bytes of the on/off bits, loads and capacities.
+    pub fn heap_bytes(&self) -> usize {
+        self.node_on.capacity()
+            + self.link_on.capacity()
+            + (self.load_mbps.capacity() + self.capacity_mbps.capacity())
+                * std::mem::size_of::<f64>()
+    }
+
     /// Utilization of the heavier direction.
     pub fn utilization(&self, l: LinkId) -> f64 {
         self.load(l) / self.capacity_mbps[l.0]
@@ -150,28 +169,9 @@ impl NetworkState {
         }
     }
 
-    /// Utilizations along a path in hop order, each taken in the
-    /// traversal direction, into a caller-owned buffer (cleared first).
-    /// The cluster pipeline samples two paths per (query, ISN) pair and
-    /// reuses one buffer across the whole sweep instead of allocating per
-    /// call.
-    pub fn path_utilizations_into<'a>(
-        &self,
-        topo: &Topology,
-        path: impl Into<PathRef<'a>>,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.extend(
-            path.into()
-                .hops()
-                .map(|(from, _, l)| self.utilization_dir(l, direction_from(topo, l, from))),
-        );
-    }
-
-    /// Utilizations along a borrowed path view, as an iterator — the
-    /// buffer-free counterpart of [`Self::path_utilizations_into`] for
-    /// arena-backed candidate walks.
+    /// Utilizations along a borrowed path view in hop order, each taken
+    /// in the traversal direction, as an iterator for arena-backed
+    /// candidate walks.
     pub fn path_utilizations_ref<'a>(
         &'a self,
         topo: &'a Topology,
@@ -361,8 +361,7 @@ mod tests {
         let mut st = NetworkState::all_on(topo);
         let p = &candidate_paths(&ft, ft.host(2, 0, 0), ft.host(2, 1, 0))[0];
         st.add_path_load(topo, p, 500.0);
-        let mut utils = Vec::new();
-        st.path_utilizations_into(topo, p, &mut utils);
+        let utils: Vec<f64> = st.path_utilizations_ref(topo, PathRef::of(p)).collect();
         assert_eq!(utils.len(), p.hop_count());
         assert!(utils.iter().all(|&u| (u - 0.5).abs() < 1e-12));
         // The reverse path sees empty links.
@@ -375,6 +374,36 @@ mod tests {
                 assert_eq!(st.load_dir(l, dir), 0.0);
             }
         }
+    }
+
+    #[test]
+    fn directed_utilizations_match_the_per_hop_reads() {
+        let ft = FatTree::new(4, 1000.0);
+        let topo = ft.topology();
+        let mut st = NetworkState::all_on(topo);
+        let p = &candidate_paths(&ft, ft.host(0, 0, 0), ft.host(3, 1, 1))[1];
+        st.add_path_load(topo, p, 333.0);
+        st.add_path_load(
+            topo,
+            &candidate_paths(&ft, ft.host(3, 1, 1), ft.host(0, 0, 0))[0],
+            70.0,
+        );
+        let table = st.directed_utilizations();
+        assert_eq!(table.len(), 2 * topo.num_links());
+        for (id, _) in topo.links() {
+            for dir in 0..2 {
+                assert_eq!(
+                    table[2 * id.0 + dir].to_bits(),
+                    st.utilization_dir(id, dir).to_bits()
+                );
+            }
+        }
+        let per_hop: Vec<f64> = st.path_utilizations_ref(topo, PathRef::of(p)).collect();
+        let gathered: Vec<f64> = p
+            .hops()
+            .map(|(from, _, l)| table[2 * l.0 + direction_from(topo, l, from)])
+            .collect();
+        assert_eq!(gathered, per_hop);
     }
 
     #[test]

@@ -90,6 +90,9 @@ pub struct FftPlan {
     /// Twiddles for the forward transform, concatenated per stage:
     /// stage with half-length `h` contributes `h` entries.
     twiddles: Vec<Complex>,
+    /// The bit-reversal permutation as its swaps `(i, j)`, `i < j`, in
+    /// the order [`bit_reverse_permute`] makes them.
+    swaps: Vec<(u32, u32)>,
 }
 
 impl FftPlan {
@@ -108,7 +111,17 @@ impl FftPlan {
             }
             len <<= 1;
         }
-        FftPlan { n, twiddles }
+        assert!(
+            u32::try_from(n - 1).is_ok(),
+            "FFT length must fit u32 indices"
+        );
+        let shift = n.leading_zeros() + 1;
+        let swaps = (0..n)
+            .map(|i| (i, i.reverse_bits() >> shift))
+            .filter(|&(i, j)| j > i)
+            .map(|(i, j)| (i as u32, j as u32))
+            .collect();
+        FftPlan { n, twiddles, swaps }
     }
 
     /// The transform length this plan was built for.
@@ -149,7 +162,9 @@ impl FftPlan {
         if self.n <= 1 {
             return;
         }
-        bit_reverse_permute(data);
+        for &(i, j) in &self.swaps {
+            data.swap(i as usize, j as usize);
+        }
         // The inverse branch is hoisted out of the butterflies: each arm
         // monomorphizes its own loop nest. Twiddles and operation order are
         // those of the textbook indexed loop, so the bits are too.

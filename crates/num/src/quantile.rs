@@ -31,9 +31,19 @@ fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
 /// # Panics
 /// Panics if the slice is empty or `p` is outside `[0, 1]`.
 pub fn percentile(samples: &[f64], p: f64) -> f64 {
+    let [q] = percentiles(samples, [p]);
+    q
+}
+
+/// [`percentile`] at each level of `ps`, from one sorted copy of the
+/// samples.
+///
+/// # Panics
+/// Panics if the slice is empty or a level is outside `[0, 1]`.
+pub fn percentiles<const N: usize>(samples: &[f64], ps: [f64; N]) -> [f64; N] {
     let mut v = samples.to_vec();
     v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in samples"));
-    percentile_of_sorted(&v, p)
+    ps.map(|p| percentile_of_sorted(&v, p))
 }
 
 #[cfg(test)]
@@ -55,6 +65,18 @@ mod tests {
     fn exact_percentile_unsorted_input() {
         let v = [5.0, 1.0, 4.0, 2.0, 3.0];
         assert_eq!(percentile(&v, 0.5), 3.0);
+    }
+
+    #[test]
+    fn one_sort_serves_every_level_to_the_bit() {
+        let v: Vec<f64> = (0..997)
+            .map(|i| ((i * 7919) % 1009) as f64 * 0.37)
+            .collect();
+        let levels = [0.0, 0.5, 0.95, 0.99, 1.0];
+        let together = percentiles(&v, levels);
+        for (q, p) in together.iter().zip(levels) {
+            assert_eq!(q.to_bits(), percentile(&v, p).to_bits(), "p={p}");
+        }
     }
 
     #[test]

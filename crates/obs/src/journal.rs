@@ -531,6 +531,18 @@ impl Journal {
         self.dropped.store(0, Ordering::Relaxed);
     }
 
+    /// The newest event `f` maps to `Some`, mapped, found without
+    /// copying the journal.
+    pub fn find_last<T>(&self, f: impl FnMut(&Event) -> Option<T>) -> Option<T> {
+        self.entries
+            .lock()
+            .unwrap()
+            .iter()
+            .rev()
+            .map(|e| &e.event)
+            .find_map(f)
+    }
+
     /// Counts entries of one kind (`Event::kind` tag).
     pub fn count_kind(&self, kind: &str) -> usize {
         self.entries
@@ -605,6 +617,23 @@ mod tests {
         for (i, e) in j.snapshot().iter().enumerate() {
             assert_eq!(e.seq, i as u64);
         }
+    }
+
+    #[test]
+    fn find_last_returns_the_newest_match() {
+        let j = Journal::new();
+        for epochs in [3, 7, 5] {
+            j.record(Event::DayStart {
+                strategy: if epochs == 5 { "b" } else { "a" }.into(),
+                epochs,
+            });
+        }
+        let last_a = |e: &Event| match e {
+            Event::DayStart { strategy, epochs } if strategy == "a" => Some(*epochs),
+            _ => None,
+        };
+        assert_eq!(j.find_last(last_a), Some(7));
+        assert_eq!(Journal::new().find_last(last_a), None);
     }
 
     #[test]
